@@ -9,7 +9,6 @@ random pattern, hence are quasirandom and resist low-arity approximation.
 
 from __future__ import annotations
 
-import math
 import statistics
 import warnings
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from . import defaults, rng
 from .decomp import fit_weighted_cylinders
 from .errors import InvalidArgumentError
 from .gowers import box_norm
-from .space import MeasuredFunction, Part, PartiteSpace, Relation
+from .space import MeasuredFunction, Part, PartiteSpace, Relation, weighted_sum
 from .vck import ShatteringCertificate
 
 
@@ -143,7 +142,7 @@ def quasirandomness_curve(k: int, d_values, trials: int, seed: int,
         norms = [pattern_norm(random_pattern(d, k, p, seed,
                                              trial=(di << 16) | t))
                  for t in range(trials)]
-        mean = math.fsum(norms) / len(norms)
+        mean = weighted_sum(norms) / len(norms)
         std = statistics.pstdev(norms) if len(norms) > 1 else 0.0
         rows.append({"d": int(d), "mean_norm": mean, "std_norm": std})
     for prev, cur in zip(rows, rows[1:]):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -24,7 +23,8 @@ from .fibalg import FiberFamilySpec, atoms, fiber_family
 from .gen import boolean_of_lower_arity, membership_gadget, parity_triple, quasirandom
 from .gowers import box_norm
 from .serialize import (dumps_canonical, find_function, format_float,
-                        functions_from_doc, functions_to_doc, load_json)
+                        functions_from_doc, functions_to_doc, load_json,
+                        write_canonical)
 from .space import PartiteSpace
 from .vck import ShatteringCertificate, vc_k, verify_certificate
 
@@ -40,7 +40,11 @@ def _emit_report(command: str, config: dict, results, seed, out, started: float)
         },
         "wall_time_s": time.perf_counter() - started,
     }
-    text = dumps_canonical(doc) + "\n"
+    _write(dumps_canonical(doc) + "\n", out)
+
+
+def _write(text: str, out) -> None:
+    """Write text to the file at ``out``, or to stdout when out is empty."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -109,11 +113,9 @@ def _cmd_gen(args) -> int:
         signature = params.get("signature", list(range(len(sizes))))
         functions = [quasirandom(space, signature, params.get("p", 0.5),
                                  seed=args.seed)]
-    doc = functions_to_doc(functions[0].space, functions)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(doc) + "\n")
+    write_canonical(args.out, functions_to_doc(functions[0].space, functions))
     _emit_report("gen", {"kind": args.kind, "params": args.params or "",
-                         "out": args.out, "threads": args.threads},
+                         "out": args.out},
                  {"functions": [f.name for f in functions]}, args.seed, None, started)
     return 0
 
@@ -131,17 +133,12 @@ def _cmd_vcdim(args) -> int:
     }
     config = {"input": args.input, "function": f.name, "k": k,
               "distinguished": distinguished, "r": args.r, "s": args.s,
-              "cap": args.cap, "format": args.format, "threads": args.threads}
+              "cap": args.cap, "format": args.format}
     if args.format == "csv":
         lines = ["dimension,complete,r,s",
                  f"{result.dimension},{int(result.complete)},"
                  f"{format_float(args.r)},{format_float(args.s)}"]
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", args.out)
     else:
         _emit_report("vcdim", config, results, args.seed, args.out, started)
     if not result.complete:
@@ -156,7 +153,7 @@ def _cmd_gowers(args) -> int:
     _, f = _load_function(args)
     report = box_norm(f)
     config = {"input": args.input, "function": f.name,
-              "signature": args.signature or "", "threads": args.threads}
+              "signature": args.signature or ""}
     _emit_report("gowers", config, report.to_doc(), args.seed, args.out, started)
     return 0
 
@@ -178,8 +175,7 @@ def _cmd_fibers(args) -> int:
         "partition": partition.to_doc() if partition else None,
     }
     config = {"input": args.input, "function": f.name, "t": args.t,
-              "anchors": args.anchors, "params": args.params or "",
-              "threads": args.threads}
+              "anchors": args.anchors, "params": args.params or ""}
     _emit_report("fibers", config, results, args.seed, args.out, started)
     return 0
 
@@ -188,8 +184,7 @@ def _cmd_decompose(args) -> int:
     started = time.perf_counter()
     _, f = _load_function(args)
     config = {"input": args.input, "function": f.name, "k": args.k,
-              "n_max": args.n_max, "mode": args.mode, "als_iters": args.als_iters,
-              "threads": args.threads}
+              "n_max": args.n_max, "mode": args.mode, "als_iters": args.als_iters}
     if args.mode == "weighted":
         decomposition, report = fit_weighted_cylinders(
             f, args.k, args.n_max, als_iters=args.als_iters, seed=args.seed)
@@ -221,12 +216,10 @@ def _cmd_adversary(args) -> int:
         lines.append(",".join([str(row["d"]), format_float(row["mean_norm"]),
                                format_float(row["std_norm"]),
                                format_float(row["mean_score"])]))
-    text = "\n".join(lines) + "\n"
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     config = {"k": args.k, "d": args.d, "trials": args.trials, "p": args.p,
               "n_terms": args.n_terms, "score_trials": score_trials,
-              "restarts": args.restarts, "out": args.out, "threads": args.threads}
+              "restarts": args.restarts, "out": args.out}
     _emit_report("adversary", config, {"curve": rows}, args.seed, None, started)
     return 0
 
@@ -240,7 +233,7 @@ def _cmd_verify(args) -> int:
     f = find_function(functions, name=args.function)
     valid = verify_certificate(f, cert)
     config = {"certificate": args.certificate, "instance": args.instance,
-              "function": f.name, "threads": args.threads}
+              "function": f.name}
     _emit_report("verify", config, {"valid": valid}, 0, args.out, started)
     return 0 if valid else 2
 
@@ -253,9 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="vck-lab",
         description="Shattering dimension, box norms, and cylinder decompositions "
                     "on finite measured multipartite spaces.")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("VCK_LAB_THREADS", "1")),
-                        help="reserved concurrency hint, recorded in reports")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a seeded instance")

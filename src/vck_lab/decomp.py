@@ -4,7 +4,7 @@ Two approximation routes for a k'-ary target using only (<= k)-ary material:
 
 * weighted: g = sum_i gamma_i * prod_I f_i_I(x_I), fitted by greedy term
   addition plus projected alternating least squares (factors clipped to
-  [0, 1], coefficients solved by bounded least squares);
+  [0, 1], coefficients solved by :func:`bounded_least_squares`);
 * Boolean: a decision list over cylinder fibers of the target relation,
   grown greedily by symmetric-difference reduction and emitted as an
   and/or/not expression tree.
@@ -15,35 +15,19 @@ fitters take explicit budgets and report achieved error.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from . import defaults, rng
 from .errors import (InvalidArgumentError, InvalidStateError,
                      NumericalFailureError)
-from .fibalg import FiberFamilySpec, atoms, dyadics, fiber_family, project_simple
-from .space import (MeasuredFunction, Relation, fiber, integrate, level_set)
-from .serialize import parse_fraction
-
-
-def index_sets(k_prime: int, k: int) -> list:
-    """Non-empty subsets of the k' coordinates of size at most k."""
-    out = []
-    for size in range(1, k + 1):
-        out.extend(itertools.combinations(range(k_prime), size))
-    return out
-
-
-def _broadcast_factor(values: np.ndarray, positions, full_shape) -> np.ndarray:
-    """View a factor tensor as a cylinder over the full grid."""
-    nd = len(full_shape)
-    expanded = values.reshape(values.shape + (1,) * (nd - values.ndim))
-    return np.moveaxis(expanded, range(values.ndim), positions)
+from .fibalg import FiberFamilySpec, atoms, fiber_family, project_simple
+from .space import (MeasuredFunction, Relation, cylinder, dyadics, fiber,
+                    index_sets, integrate, level_set, weighted_l2, weighted_sum)
+from .serialize import parse_fraction, space_from_doc, space_to_doc
 
 
 @dataclass(frozen=True)
@@ -86,10 +70,9 @@ class CylinderDecomposition:
         shape = self.space.sizes(self.target_signature)
         out = np.zeros(shape, dtype=np.float64)
         for term in self.terms:
-            prod = np.full(shape, float(term.gamma), dtype=np.float64)
-            for positions, factor in term.factors.items():
-                prod = prod * _broadcast_factor(factor.values, positions, shape)
-            out = out + prod
+            out = out + _cylinder_product(
+                {pos: fac.values for pos, fac in term.factors.items()}, shape,
+                float(term.gamma))
         return out
 
     def evaluate(self, point) -> float:
@@ -110,7 +93,6 @@ class CylinderDecomposition:
         return CylinderDecomposition(self.space, self.target_signature, self.k, rounded)
 
     def to_doc(self) -> dict:
-        from .serialize import space_to_doc
         doc = space_to_doc(self.space)
         doc.update({
             "target_signature": list(self.target_signature),
@@ -126,7 +108,6 @@ class CylinderDecomposition:
 
     @staticmethod
     def from_doc(doc) -> "CylinderDecomposition":
-        from .serialize import space_from_doc
         space = space_from_doc({"parts": doc["parts"]})
         sig = tuple(int(i) for i in doc["target_signature"])
         terms = []
@@ -159,9 +140,7 @@ class FitReport:
 def l2_error(f: MeasuredFunction, d: CylinderDecomposition) -> float:
     if tuple(f.signature) != d.target_signature:
         raise InvalidArgumentError("decomposition targets a different signature")
-    w = f.space.weight_tensor(f.signature)
-    diff = f.values - d.tensor()
-    return math.sqrt(max(0.0, math.fsum((w * diff * diff).ravel().tolist())))
+    return weighted_l2(f.space.weight_tensor(f.signature), f.values - d.tensor())
 
 
 # --------------------------------------------------------------------------
@@ -210,7 +189,7 @@ class BooleanCylinderExpr:
                 if leaf is None:
                     raise InvalidStateError(f"unresolved leaf {node[1]!r}")
                 return np.broadcast_to(
-                    _broadcast_factor(leaf.relation.bool_values, leaf.positions, shape),
+                    cylinder(leaf.relation.bool_values, leaf.positions, len(shape)),
                     shape)
             if tag == "not":
                 return ~ev(node[1])
@@ -221,9 +200,6 @@ class BooleanCylinderExpr:
             raise InvalidStateError(f"unknown node tag {tag!r}")
 
         return ev(self.root)
-
-    def evaluate(self, space, signature, point) -> bool:
-        return bool(self.tensor(space, signature)[tuple(point)])
 
     def to_doc(self) -> dict:
         def encode(node):
@@ -246,10 +222,9 @@ def sym_diff(E: MeasuredFunction, expr: BooleanCylinderExpr) -> float:
     """mu(E triangle F) under the space's product measure."""
     if not E.is_boolean():
         raise InvalidArgumentError("sym_diff needs a Boolean relation")
-    w = E.space.weight_tensor(E.signature)
     fmask = expr.tensor(E.space, E.signature)
     diff = np.abs(E.values - fmask.astype(np.float64))
-    return math.fsum((w * diff).ravel().tolist())
+    return weighted_sum(E.space.weight_tensor(E.signature), diff)
 
 
 def sample_fiber_pool(E: MeasuredFunction, k: int, seed: int,
@@ -312,11 +287,11 @@ def fit_boolean_cylinders(E: MeasuredFunction, k: int, n_max: int,
     w = E.space.weight_tensor(E.signature).ravel()
     target = E.values.ravel() == 1.0
     masks = [np.broadcast_to(
-        _broadcast_factor(leaf.relation.bool_values, leaf.positions, shape),
+        cylinder(leaf.relation.bool_values, leaf.positions, len(shape)),
         shape).ravel() for leaf in pool]
 
     def mu(mask):
-        return math.fsum(w[mask].tolist())
+        return weighted_sum(w[mask])
 
     remaining = np.ones(target.size, dtype=bool)
     decided_err = 0.0
@@ -389,24 +364,58 @@ def fit_boolean_cylinders(E: MeasuredFunction, k: int, n_max: int,
 
 
 def _weighted_error(f, w, gammas, products):
-    approx = np.zeros_like(f)
-    for g, p in zip(gammas, products):
-        approx = approx + g * p
-    diff = f - approx
-    return math.sqrt(max(0.0, math.fsum((w * diff * diff).ravel().tolist())))
+    return weighted_l2(w, f - sum((g * p for g, p in zip(gammas, products)),
+                                  np.zeros_like(f)))
 
 
-class _TermState:
-    __slots__ = ("factors",)
+def bounded_least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin ||A x - b|| over the box 0 <= x <= 1, exact up to rounding.
 
-    def __init__(self, factors):
-        self.factors = factors  # dict positions -> np.ndarray
+    Bounded-variable least squares (Stark & Parker, Comput. Stat. 1995) on
+    the triangular factor of A = QR, so each solve is at most n x n and the
+    condition number is A's, not its square as with the normal equations
+    (which lose near-exact fits).  It starts from the clipped unconstrained
+    solution.  Each step heads for the minimizer over the free variables by
+    a minimum-norm solve, so rank-deficient A is fine; a variable leaving the
+    box stops it and is pinned exactly to 0 or 1.  There, the pinned variable
+    most violating optimality is freed; none means optimal.
+    """
+    Q, R = np.linalg.qr(A)
+    d = Q.T @ b
+    x = np.clip(np.linalg.lstsq(R, d, rcond=None)[0], 0.0, 1.0)
+    pinned = (x == 0.0) | (x == 1.0)
+    # gradients below what lstsq's rank cutoff can resolve are rounding noise
+    r_norm, d_norm = np.linalg.norm(R), np.linalg.norm(d)
+    noise = 8 * max(R.shape) * np.finfo(np.float64).eps * r_norm
+    for _ in range(defaults.BVLS_STEP_CAP * (x.size + 1)):
+        free = np.flatnonzero(~pinned)
+        step = np.linalg.lstsq(R[:, free], d - R @ x, rcond=None)[0]
+        target = x[free] + step
+        leaving = (target < 0.0) | (target > 1.0)
+        if leaving.any():
+            room = np.where(step < 0.0, x[free], 1.0 - x[free])
+            ratio = np.where(leaving, room / np.where(leaving, np.abs(step), 1.0), np.inf)
+            hit = ratio == ratio.min()
+            x[free] = np.clip(x[free] + ratio.min() * step, 0.0, 1.0)
+            x[free[hit]] = step[hit] > 0.0
+            pinned[free[hit]] = True
+            continue
+        x[free] = target
+        gradient = R.T @ (R @ x - d)
+        violation = np.where(pinned, np.where(x == 0.0, -gradient, gradient), 0.0)
+        if violation.max() <= noise * (r_norm * np.linalg.norm(x) + d_norm):
+            return x
+        pinned[np.argmax(violation)] = False
+    raise NumericalFailureError("bounded least squares did not converge")
 
-    def product(self, shape):
-        prod = np.ones(shape, dtype=np.float64)
-        for positions, vals in self.factors.items():
-            prod = prod * _broadcast_factor(vals, positions, shape)
-        return prod
+
+def _cylinder_product(factors: dict, shape, scale: float = 1.0, skip=None) -> np.ndarray:
+    """scale times the cylinders of the factors (positions -> tensor) but ``skip``."""
+    prod = np.full(shape, scale, dtype=np.float64)
+    for positions, vals in factors.items():
+        if positions != skip:
+            prod = prod * cylinder(vals, positions, len(shape))
+    return prod
 
 
 def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
@@ -437,14 +446,14 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
     baseline = _weighted_error(target, w, [mean],
                                [np.ones(shape, dtype=np.float64)])
 
-    terms: list = []
+    terms: list = []  # per term, positions -> factor tensor
     gammas: list = []
     prods: list = []  # cached per-term factor products
 
-    def add_state(state, gamma):
-        terms.append(state)
+    def add_term(factors, gamma):
+        terms.append(factors)
         gammas.append(gamma)
-        prods.append(state.product(shape))
+        prods.append(_cylinder_product(factors, shape))
 
     if init is not None:
         if tuple(init.target_signature) != tuple(f.signature):
@@ -455,7 +464,7 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
                 factors.setdefault(
                     positions,
                     np.ones(tuple(shape[p] for p in positions), dtype=np.float64))
-            add_state(_TermState(factors), float(t.gamma))
+            add_term(factors, float(t.gamma))
 
     def current_error():
         return _weighted_error(target, w, gammas, prods)
@@ -466,28 +475,21 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
         sw = np.sqrt(w).ravel()
         A = np.stack([(p.ravel() * sw) for p in prods], axis=1)
         b = target.ravel() * sw
-        res = lsq_linear(A, b, bounds=(0.0, 1.0), method="bvls")
-        gammas[:] = [float(g) for g in res.x]
+        gammas[:] = [float(g) for g in bounded_least_squares(A, b)]
 
     def update_factor(ti, positions):
-        others = np.zeros(shape, dtype=np.float64)
-        for j, (g, p) in enumerate(zip(gammas, prods)):
-            if j != ti:
-                others = others + g * p
-        resid = target - others
-        partial = np.full(shape, gammas[ti], dtype=np.float64)
-        for pos2, vals in terms[ti].factors.items():
-            if pos2 != positions:
-                partial = partial * _broadcast_factor(vals, pos2, shape)
+        resid = target - sum((g * p for j, (g, p) in enumerate(zip(gammas, prods))
+                              if j != ti), np.zeros(shape, dtype=np.float64))
+        partial = _cylinder_product(terms[ti], shape, gammas[ti], skip=positions)
         axes = tuple(p for p in range(k_prime) if p not in positions)
         num = np.sum(w * resid * partial, axis=axes)
         den = np.sum(w * partial * partial, axis=axes)
-        old = terms[ti].factors[positions]
+        old = terms[ti][positions]
         with np.errstate(invalid="ignore", divide="ignore"):
             new = np.where(den > 0.0, np.clip(num / np.maximum(den, 1e-300), 0.0, 1.0),
                            old)
-        terms[ti].factors[positions] = new
-        prods[ti] = terms[ti].product(shape)
+        terms[ti][positions] = new
+        prods[ti] = _cylinder_product(terms[ti], shape)
 
     def als(sweeps):
         nonlocal iterations
@@ -520,7 +522,7 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
                 factors[positions] = rng.uniforms(
                     seed, rng.STREAM_INIT, n_entries,
                     (counter << 8) | ci).reshape(fshape)
-            return _TermState(factors)
+            return factors
         if not np.any(pos_resid > 0.0):
             return None
         anchor = np.unravel_index(int(np.argmax(pos_resid)), shape)
@@ -531,7 +533,7 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
                                           for p in range(k_prime))])
             peak = float(sl.max())
             factors[positions] = (sl / peak if peak > 0.0 else np.ones_like(sl))
-        return _TermState(factors)
+        return factors
 
     iterations = 0
     err = als(als_iters) if terms else current_error()
@@ -539,20 +541,19 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
     counter = 0
     while len(terms) < n_max and err > defaults.FIT_ZERO_TOL:
         counter += 1
-        state = seeded_term(counter)
-        if state is None:
+        factors = seeded_term(counter)
+        if factors is None:
             break
-        add_state(state, 0.0)
+        add_term(factors, 0.0)
         solve_gammas()
         new_err = als(als_iters)
         if len(terms) == 1 and init is None and init_mode == "auto":
             # a constant term starts exactly at the baseline; keep the better
-            const_state = _TermState(
-                {pos: np.ones(tuple(shape[p] for p in pos)) for pos in sets})
+            const = {pos: np.ones(tuple(shape[p] for p in pos)) for pos in sets}
             backup = (terms[:], gammas[:], prods[:])
-            terms[:] = [const_state]
+            terms[:] = [const]
             gammas[:] = [mean]
-            prods[:] = [const_state.product(shape)]
+            prods[:] = [_cylinder_product(const, shape)]
             alt_err = als(als_iters)
             if alt_err < new_err:
                 new_err = alt_err
@@ -566,7 +567,7 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
                                             tuple(f.signature[p] for p in pos),
                                             np.array(vals),
                                             name=f"t{i}_{'_'.join(map(str, pos))}")
-                      for pos, vals in t.factors.items()})
+                      for pos, vals in t.items()})
         for i, (g, t) in enumerate(zip(gammas, terms)))
     decomposition = CylinderDecomposition(f.space, f.signature, k, final_terms)
     final_err = l2_error(f, decomposition)

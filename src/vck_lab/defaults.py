@@ -14,6 +14,9 @@ INTEGRAL_TOL = 1e-9
 # 2**GRID_CAP subsets need witnesses.
 GRID_CAP = 16
 
+# Largest grid a cap may allow: grid subsets are int64 bitmasks.
+GRID_CAP_MAX = 62
+
 # Box norms: maximum total degree n (the corner product has 2**n factors),
 # and a guard on the doubled-grid cell count.
 DEGREE_CAP = 6
@@ -43,6 +46,9 @@ ZARANKIEWICZ_LIMITS = {1: 16, 2: 4, 3: 2}
 ALS_ITERS = 25
 FIT_ZERO_TOL = 1e-12
 MONOTONE_SLACK = 1e-9
+
+# Bounded least squares (fit coefficients): active-set steps per variable.
+BVLS_STEP_CAP = 50
 
 # Adversary defaults.
 SCORE_RESTARTS = 5

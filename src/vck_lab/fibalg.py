@@ -18,13 +18,9 @@ import numpy as np
 
 from . import defaults
 from .errors import DiagnosticFailureError, InvalidArgumentError
-from .space import (MeasuredFunction, Relation, fiber, l2_distance, monus,
-                    saturating_repeat)
-
-
-def dyadics(height: int) -> list:
-    """All dyadic rationals of the given height in [0, 1], ascending."""
-    return [Fraction(i, 2 ** height) for i in range(2 ** height + 1)]
+from .space import (MeasuredFunction, Relation, cylinder, dyadics, fiber,
+                    index_sets, l2_distance, monus, saturating_repeat,
+                    weighted_sum)
 
 
 @dataclass(frozen=True)
@@ -49,13 +45,6 @@ class FiberFamilySpec:
                            tuple(tuple(int(v) for v in row) for row in self.params))
 
 
-def _index_sets(k: int) -> list:
-    out = []
-    for size in range(1, k):
-        out.extend(itertools.combinations(range(k), size))
-    return out
-
-
 def fiber_family(f: MeasuredFunction, spec: FiberFamilySpec) -> list:
     """One named relation on the searched grid per (threshold, index set,
     substitution, anchor); names encode the full provenance."""
@@ -74,17 +63,15 @@ def fiber_family(f: MeasuredFunction, spec: FiberFamilySpec) -> list:
     searched_sig = f.signature[:k]
     out = []
     for q in dyadics(spec.height):
-        for I in _index_sets(k):
+        for I in index_sets(k, k - 1):
+            residual = [pos for pos in range(k) if pos not in I]
             choices = [spec.params[i] for i in I]
             for assignment in itertools.product(*choices):
                 for b in spec.anchors:
                     slice_fn = fiber(f, {dist: b,
                                          **{i: v for i, v in zip(I, assignment)}})
                     low = slice_fn.values < float(q)
-                    vals = np.broadcast_to(
-                        np.moveaxis(low.reshape(low.shape + (1,) * len(I)),
-                                    range(low.ndim), _residual_axes(k, I)),
-                        f.shape[:k])
+                    vals = np.broadcast_to(cylinder(low, residual, k), f.shape[:k])
                     name = (f"{f.name}<{q.numerator}/{q.denominator}"
                             f"|I={','.join(map(str, I))}"
                             f"|a={','.join(map(str, assignment))}|b={b}")
@@ -92,13 +79,9 @@ def fiber_family(f: MeasuredFunction, spec: FiberFamilySpec) -> list:
     return out
 
 
-def _residual_axes(k: int, I) -> list:
-    return [pos for pos in range(k) if pos not in I]
-
-
 def family_size(spec: FiberFamilySpec, k: int) -> int:
     """Cardinality bookkeeping for the generated family."""
-    per_q = sum(math.prod(len(spec.params[i]) for i in I) for I in _index_sets(k))
+    per_q = sum(math.prod(len(spec.params[i]) for i in I) for I in index_sets(k, k - 1))
     return (2 ** spec.height + 1) * per_q * len(spec.anchors)
 
 
@@ -175,18 +158,13 @@ def project_simple(f: MeasuredFunction, partition: AtomPartition,
     if partition.signature != f.signature or not partition.covers(f.shape):
         raise InvalidArgumentError("partition does not cover the function grid")
     wflat = f.space.weight_tensor(f.signature).ravel()
-    fflat = f.values.ravel()
-    out = np.zeros_like(fflat)
-    for cell in partition.cells:
-        wsum = math.fsum(wflat[cell].tolist())
-        if wsum > 0.0:
-            val = math.fsum((wflat[cell] * fflat[cell]).tolist()) / wsum
-        else:
-            val = 0.0
-        if round_height is not None:
-            scale = 2 ** round_height
-            val = round(val * scale) / scale
-        out[cell] = val
+    means = conditional_means(f.values.ravel(), partition, wflat)
+    if round_height is not None:
+        scale = 2 ** round_height
+        means = np.round(means * scale) / scale
+    out = np.zeros(f.values.size)
+    for cell, mean in zip(partition.cells, means):
+        out[cell] = mean
     g = MeasuredFunction(f.space, f.signature, out.reshape(f.shape),
                          name=f"proj({f.name})")
     return g, l2_distance(f, g)
@@ -194,12 +172,12 @@ def project_simple(f: MeasuredFunction, partition: AtomPartition,
 
 def conditional_means(indicator: np.ndarray, partition: AtomPartition,
                       wflat: np.ndarray) -> np.ndarray:
-    """Per-cell conditional expectation of a 0/1 flat array (0 on null cells)."""
+    """Per-cell weighted mean of a flat array (0 on null cells)."""
     out = np.zeros(len(partition.cells))
     for j, cell in enumerate(partition.cells):
-        wsum = math.fsum(wflat[cell].tolist())
+        wsum = weighted_sum(wflat[cell])
         if wsum > 0.0:
-            out[j] = math.fsum((wflat[cell] * indicator[cell]).tolist()) / wsum
+            out[j] = weighted_sum(wflat[cell], indicator[cell]) / wsum
     return out
 
 
@@ -227,7 +205,7 @@ def fuzziness(f: MeasuredFunction, partition: AtomPartition, eps: float,
     if err < eps:
         return None
     wflat = f.space.weight_tensor(f.signature).ravel()
-    cell_meas = np.array([math.fsum(wflat[c].tolist()) for c in partition.cells])
+    cell_meas = np.array([weighted_sum(wflat[c]) for c in partition.cells])
     fflat = f.values.ravel()
     trace = []
     for height in range(1, height_cap + 1):
@@ -242,7 +220,7 @@ def fuzziness(f: MeasuredFunction, partition: AtomPartition, eps: float,
                 m = np.minimum(e_low[r], e_high[s])
                 delta = 0.0
                 for tau in sorted(set(m[m > 0].tolist()), reverse=True):
-                    covered = math.fsum(cell_meas[m >= tau].tolist())
+                    covered = weighted_sum(cell_meas[m >= tau])
                     delta = max(delta, min(tau, covered))
                 cand = (delta, float(s - r), -float(r), r, s)
                 if delta > 0 and (best is None or cand[:3] > best[:3]):
@@ -254,7 +232,7 @@ def fuzziness(f: MeasuredFunction, partition: AtomPartition, eps: float,
                 conditional_means((fflat < float(r)).astype(np.float64), partition, wflat),
                 conditional_means((fflat >= float(s)).astype(np.float64), partition, wflat),
             ) >= delta
-            fuzzy_measure = math.fsum(cell_meas[mask].tolist())
+            fuzzy_measure = weighted_sum(cell_meas[mask])
             if fuzzy_measure < delta:
                 raise DiagnosticFailureError(
                     "fuzziness witness failed re-verification", trace)
@@ -276,14 +254,14 @@ def threshold_witness(f0: MeasuredFunction, f1: MeasuredFunction):
         raise InvalidArgumentError("threshold_witness needs a shared signature")
     w = f0.space.weight_tensor(f0.signature).ravel()
     v0, v1 = f0.values.ravel(), f1.values.ravel()
-    mean0 = math.fsum((w * v0).tolist())
-    mean1 = math.fsum((w * v1).tolist())
+    mean0 = weighted_sum(w, v0)
+    mean1 = weighted_sum(w, v1)
     if mean1 <= mean0:
         return None
     points = sorted({0.0, 1.0, *v0.tolist(), *v1.tolist()})
 
     def mu_below(vals, thr):
-        return math.fsum(w[vals < thr].tolist())
+        return weighted_sum(w[vals < thr])
 
     for ia in range(len(points) - 1):
         for ib in range(ia, len(points) - 1):
@@ -322,7 +300,7 @@ def smooth_indicator(f: MeasuredFunction, g: MeasuredFunction, eps: float):
         return saturating_repeat(monus(g, f), 1), 1
     chosen = positive[0]
     for gamma in reversed(positive):
-        below = math.fsum(w[(gap > 0) & (gap < gamma)].tolist())
+        below = weighted_sum(w[(gap > 0) & (gap < gamma)])
         if below < eps * eps:
             chosen = gamma
             break
@@ -338,7 +316,6 @@ def round_to_cells(f: MeasuredFunction, partition: AtomPartition,
     means = conditional_means(f.values.ravel(), partition, wflat)
     mask = np.zeros(f.values.size, dtype=bool)
     for cell, mu in zip(partition.cells, means):
-        if mu > threshold:
-            mask[cell] = True
+        mask[cell] = mu > threshold
     return Relation.from_bool(f.space, f.signature, mask.reshape(f.shape),
                               name=f"cells({f.name}>{threshold})")

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import defaults, rng
 from .errors import InvalidArgumentError, ResourceLimitError
-from .space import PartiteSpace, Relation
+from .space import PartiteSpace, Relation, cylinder, index_sets
 
 
 def membership_gadget(d: int, k: int,
@@ -68,9 +68,7 @@ def boolean_of_lower_arity(k_prime: int, k: int, m: int, sizes,
     if len(sizes) != k_prime:
         raise InvalidArgumentError(f"need {k_prime} part sizes, got {len(sizes)}")
     space = PartiteSpace.uniform(sizes)
-    all_I = []
-    for size in range(1, k + 1):
-        all_I.extend(itertools.combinations(range(k_prime), size))
+    all_I = index_sets(k_prime, k)
 
     leaves = []
     leaf_tensors = []
@@ -81,7 +79,8 @@ def boolean_of_lower_arity(k_prime: int, k: int, m: int, sizes,
         vals = rng.bernoulli(seed, rng.STREAM_BOOLCOMB, sub_sizes, 0.5, 3 * i + 1)
         rel = Relation(space, positions, vals, name=f"g{i}")
         leaves.append((positions, rel))
-        leaf_tensors.append(_cylinder_bool(rel, positions, sizes))
+        leaf_tensors.append(np.broadcast_to(cylinder(rel.bool_values, positions, k_prime),
+                                            sizes))
 
     shape_bits = rng.integers(seed, rng.STREAM_BOOLCOMB, max(1, 8 * m), 2, 2)
 
@@ -113,11 +112,6 @@ def boolean_of_lower_arity(k_prime: int, k: int, m: int, sizes,
     mask, text = build(list(range(m)))
     rel = Relation.from_bool(space, tuple(range(k_prime)), mask, name="boolcomb")
     return GeneratedBoolean(rel, tuple(leaves), text)
-
-
-def _cylinder_bool(rel: Relation, positions, sizes) -> np.ndarray:
-    expanded = rel.bool_values.reshape(rel.shape + (1,) * (len(sizes) - rel.arity))
-    return np.broadcast_to(np.moveaxis(expanded, range(rel.arity), positions), sizes)
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,14 @@ reduction is compensated, so results are bit-reproducible.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import defaults
 from .errors import InvalidArgumentError, NumericalFailureError, ResourceLimitError
-from .space import MeasuredFunction
+from .space import (MeasuredFunction, cylinder, integrate, weighted_sum,
+                    weighted_sum_rows)
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,12 @@ def _corner_product(f: MeasuredFunction, skip_zero_corner: bool) -> np.ndarray:
         raise ResourceLimitError(
             f"doubled grid would hold {cells * cells} cells "
             f"(cap {defaults.DOUBLED_CELL_CAP})")
-    base = f.values.reshape(f.shape + (1,) * n)
     prod = np.ones(f.shape + f.shape, dtype=np.float64)
     for alpha in itertools.product((0, 1), repeat=n):
         if skip_zero_corner and not any(alpha):
             continue
         axes = [i + n * a for i, a in enumerate(alpha)]
-        prod = prod * np.moveaxis(base, range(n), axes)
+        prod = prod * cylinder(f.values, axes, 2 * n)
     return prod
 
 
@@ -72,9 +71,7 @@ def box_norm(f: MeasuredFunction) -> BoxNormReport:
     prod = _corner_product(f, skip_zero_corner=False)
     wflat = f.space.weight_tensor(f.signature).ravel()
     cells = wflat.size
-    flat = prod.reshape(cells, cells)
-    terms = flat * wflat[:, None] * wflat[None, :]
-    raw = math.fsum(terms.ravel().tolist())
+    raw = weighted_sum(prod.reshape(cells, cells), wflat[:, None], wflat[None, :])
     clamped = False
     if raw < 0.0:
         if raw < -defaults.BOX_NORM_CLAMP:
@@ -91,24 +88,27 @@ def dual_function(f: MeasuredFunction) -> MeasuredFunction:
     Pairs with f under the measure inner product to give the raw norm power:
     <f, dual(f)> equals box_norm(f).raw.
     """
-    n = f.arity
     prod = _corner_product(f, skip_zero_corner=True)
     wflat = f.space.weight_tensor(f.signature).ravel()
     cells = wflat.size
-    flat = prod.reshape(cells, cells)
-    vals = np.array([math.fsum((row * wflat).tolist()) for row in flat],
-                    dtype=np.float64).reshape(f.shape)
+    vals = weighted_sum_rows(prod.reshape(cells, cells), wflat).reshape(f.shape)
     return MeasuredFunction(f.space, f.signature, np.clip(vals, -1.0, 1.0),
                             name=f"dual({f.name})", signed=True)
 
 
 def cylinder_correlation(f: MeasuredFunction, cylinders) -> float:
-    """|integral of f times a product of cylinder indicators|.
+    """|integral of f times a product of cylinder indicators|; see
+    :func:`multiply_cylinders` for the form of ``cylinders``."""
+    return abs(integrate(multiply_cylinders(f, cylinders)))
+
+
+def multiply_cylinders(f: MeasuredFunction, cylinders) -> MeasuredFunction:
+    """f times the product of cylinder indicators, as a function.
 
     ``cylinders`` is a sequence of (relation, positions) pairs: the relation
-    lives on the sub-signature of f at ``positions`` and is extended
-    cylindrically over the omitted coordinates.  Each element must omit at
-    least one coordinate.
+    lives on the sub-signature of f at ``positions`` (strictly increasing)
+    and is extended cylindrically over the omitted coordinates.  Each element
+    must omit at least one coordinate.
     """
     n = f.arity
     prod = np.array(f.values)
@@ -123,24 +123,6 @@ def cylinder_correlation(f: MeasuredFunction, cylinders) -> float:
         if rel.signature != expected:
             raise InvalidArgumentError(
                 f"cylinder factor signature {rel.signature} != {expected}")
-        view = np.moveaxis(rel.values.reshape(rel.shape + (1,) * (n - rel.arity)),
-                           range(rel.arity), positions)
-        prod = prod * view
-    w = f.space.weight_tensor(f.signature)
-    return abs(math.fsum((w * prod).ravel().tolist()))
-
-
-def multiply_cylinders(f: MeasuredFunction, cylinders) -> MeasuredFunction:
-    """f times the product of cylinder indicators, as a function."""
-    n = f.arity
-    prod = np.array(f.values)
-    for rel, positions in cylinders:
-        positions = tuple(int(p) for p in positions)
-        if len(positions) >= n:
-            raise InvalidArgumentError(
-                "cylinder element must depend on a strict subset of coordinates")
-        view = np.moveaxis(rel.values.reshape(rel.shape + (1,) * (n - rel.arity)),
-                           range(rel.arity), positions)
-        prod = prod * view
+        prod = prod * cylinder(rel.values, positions, n)
     return MeasuredFunction(f.space, f.signature, prod,
                             name=f"{f.name}*cyl", signed=f.signed)

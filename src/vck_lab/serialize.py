@@ -76,8 +76,13 @@ def write_canonical(path, obj):
 
 
 def load_json(path):
+    """Parse a JSON file, refusing the non-standard NaN and Infinity literals."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
+
+
+def _reject_constant(name):
+    raise InvalidArgumentError(f"non-finite JSON literal {name}")
 
 
 def parse_fraction(text) -> Fraction:

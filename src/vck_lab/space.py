@@ -6,8 +6,8 @@ probability measure on its vertices.  Product measures on any signature
 per-part weights, which is lossless for the finite atomic model.
 
 Functions on a product are dense float64 tensors; all integrals use
-compensated summation (``math.fsum``) so results are independent of
-reduction order.
+compensated summation (:func:`weighted_sum`) so results are independent of
+reduction order.  The package's shared kernels live here, one copy each.
 """
 
 from __future__ import annotations
@@ -51,9 +51,11 @@ class Part:
         if len(self.weights) != self.size:
             raise InvalidArgumentError(
                 f"part {self.name!r}: {len(self.weights)} weights for size {self.size}")
-        if any(w < 0 for w in self.weights):
-            raise InvalidArgumentError(f"part {self.name!r}: negative weight")
-        total = _exact_sum(self.weights)
+        if not all(math.isfinite(w) and w >= 0 for w in self.weights):
+            raise InvalidArgumentError(f"part {self.name!r}: negative or non-finite weight")
+        total = (sum(self.weights, Fraction(0))
+                 if all(isinstance(w, Fraction) for w in self.weights)
+                 else weighted_sum([float(w) for w in self.weights]))
         if abs(total - 1) > _WEIGHT_SUM_TOL:
             raise InvalidArgumentError(
                 f"part {self.name!r}: weights sum to {total}, not 1")
@@ -66,12 +68,6 @@ class Part:
     @staticmethod
     def uniform(name: str, size: int) -> "Part":
         return Part(name, size, tuple(Fraction(1, size) for _ in range(size)))
-
-
-def _exact_sum(weights):
-    if all(isinstance(w, Fraction) for w in weights):
-        return sum(weights, Fraction(0))
-    return math.fsum(float(w) for w in weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,6 +153,8 @@ class MeasuredFunction:
         if vals.shape != expected:
             raise InvalidArgumentError(
                 f"{self.name}: tensor shape {vals.shape} != signature extents {expected}")
+        if not np.all(np.isfinite(vals)):
+            raise InvalidArgumentError(f"{self.name}: non-finite values")
         lo, hi = (-1.0, 1.0) if self.signed else (0.0, 1.0)
         if vals.size and (vals.min() < lo - POINTWISE_TOL or vals.max() > hi + POINTWISE_TOL):
             raise InvalidArgumentError(
@@ -215,13 +213,58 @@ def as_relation(f: MeasuredFunction) -> Relation:
 
 
 # --------------------------------------------------------------------------
+# kernels
+
+
+def weighted_sum(*factors) -> float:
+    """Compensated sum of the elementwise product of the factors, which
+    multiply left to right under broadcasting: the package's one summation
+    policy (``math.fsum``, one final rounding, independent of order)."""
+    prod = factors[0]
+    for factor in factors[1:]:
+        prod = prod * factor
+    return math.fsum(np.ravel(prod).tolist())
+
+
+def weighted_sum_rows(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``weighted_sum(row, weights)`` for every row along the last axis."""
+    prods = values * weights
+    rows = prods.reshape(-1, prods.shape[-1])
+    return np.array([weighted_sum(row) for row in rows],
+                    dtype=np.float64).reshape(prods.shape[:-1])
+
+
+def weighted_l2(weights: np.ndarray, diff: np.ndarray) -> float:
+    """sqrt(max(0, sum of weights * diff**2)): every L2 norm, distance and error."""
+    return math.sqrt(max(weighted_sum(weights, diff, diff), 0.0))
+
+
+def cylinder(values: np.ndarray, positions, ndim: int) -> np.ndarray:
+    """View a tensor as a cylinder on an ndim-coordinate grid: axis i goes to
+    ``positions[i]`` and every other axis has length 1, to broadcast."""
+    shape = [1] * ndim
+    for axis, pos in enumerate(positions):
+        shape[pos] = values.shape[axis]
+    return values.transpose(sorted(range(values.ndim), key=positions.__getitem__)).reshape(shape)
+
+
+def index_sets(n: int, k: int) -> list:
+    """Non-empty subsets of range(n) of size at most k, by size, then lexicographic."""
+    return [I for size in range(1, k + 1) for I in itertools.combinations(range(n), size)]
+
+
+def dyadics(height: int) -> list:
+    """All dyadic rationals of the given height in [0, 1], ascending."""
+    return [Fraction(i, 2 ** height) for i in range(2 ** height + 1)]
+
+
+# --------------------------------------------------------------------------
 # integration
 
 
 def integrate(f: MeasuredFunction) -> float:
     """∫ f dμ over the full product measure, compensated."""
-    w = f.space.weight_tensor(f.signature)
-    return math.fsum((w * f.values).ravel().tolist())
+    return weighted_sum(f.space.weight_tensor(f.signature), f.values)
 
 
 def measure(rel: MeasuredFunction) -> float:
@@ -230,22 +273,23 @@ def measure(rel: MeasuredFunction) -> float:
 
 def inner(f: MeasuredFunction, g: MeasuredFunction) -> float:
     _check_same_grid(f, g)
-    w = f.space.weight_tensor(f.signature)
-    return math.fsum((w * f.values * g.values).ravel().tolist())
+    return weighted_sum(f.space.weight_tensor(f.signature), f.values, g.values)
 
 
 def l2_norm(f: MeasuredFunction) -> float:
-    w = f.space.weight_tensor(f.signature)
-    sq = math.fsum((w * f.values * f.values).ravel().tolist())
-    return math.sqrt(max(sq, 0.0))
+    return weighted_l2(f.space.weight_tensor(f.signature), f.values)
 
 
 def l2_distance(f: MeasuredFunction, g: MeasuredFunction) -> float:
     _check_same_grid(f, g)
-    w = f.space.weight_tensor(f.signature)
-    diff = f.values - g.values
-    sq = math.fsum((w * diff * diff).ravel().tolist())
-    return math.sqrt(max(sq, 0.0))
+    return weighted_l2(f.space.weight_tensor(f.signature), f.values - g.values)
+
+
+def _same_kind(f: MeasuredFunction, signature, values, name: str) -> MeasuredFunction:
+    """A function of f's class (and signedness) with new values."""
+    if isinstance(f, Relation):
+        return Relation(f.space, signature, values, name=name)
+    return MeasuredFunction(f.space, signature, values, name=name, signed=f.signed)
 
 
 def _check_same_grid(f, g):
@@ -294,11 +338,8 @@ def fiber(f: MeasuredFunction, fixed: Mapping[int, int]) -> MeasuredFunction:
                 f"fiber vertex {v} out of range for coordinate {pos}")
     index = tuple(fixed.get(pos, slice(None)) for pos in range(arity))
     residual = tuple(f.signature[pos] for pos in range(arity) if pos not in fixed)
-    vals = f.values[index]
-    cls = Relation if isinstance(f, Relation) else MeasuredFunction
     label = ",".join(f"{p}:{v}" for p, v in sorted(fixed.items()))
-    return cls(f.space, residual, np.array(vals), name=f"{f.name}[{label}]",
-               **({} if isinstance(f, Relation) else {"signed": f.signed}))
+    return _same_kind(f, residual, np.array(f.values[index]), f"{f.name}[{label}]")
 
 
 def permute(f: MeasuredFunction, sigma: Sequence[int]) -> MeasuredFunction:
@@ -307,10 +348,8 @@ def permute(f: MeasuredFunction, sigma: Sequence[int]) -> MeasuredFunction:
     if sorted(sigma) != list(range(f.arity)):
         raise InvalidArgumentError(f"{sigma} is not a permutation of 0..{f.arity - 1}")
     new_sig = tuple(f.signature[s] for s in sigma)
-    vals = np.transpose(f.values, axes=sigma)
-    cls = Relation if isinstance(f, Relation) else MeasuredFunction
-    return cls(f.space, new_sig, np.array(vals), name=f"{f.name}^perm",
-               **({} if isinstance(f, Relation) else {"signed": f.signed}))
+    return _same_kind(f, new_sig, np.array(np.transpose(f.values, axes=sigma)),
+                      f"{f.name}^perm")
 
 
 def monus(f: MeasuredFunction, g: MeasuredFunction) -> MeasuredFunction:
@@ -332,9 +371,7 @@ def scale_half(f: MeasuredFunction) -> MeasuredFunction:
 
 
 def complement(f: MeasuredFunction) -> MeasuredFunction:
-    vals = 1.0 - f.values
-    cls = Relation if isinstance(f, Relation) else MeasuredFunction
-    return cls(f.space, f.signature, vals, name=f"(1-{f.name})")
+    return _same_kind(f, f.signature, 1.0 - f.values, f"(1-{f.name})")
 
 
 def saturating_repeat(f: MeasuredFunction, p: int) -> MeasuredFunction:
@@ -400,10 +437,7 @@ def average_out(f: MeasuredFunction, position: int) -> MeasuredFunction:
     if not 0 <= position < f.arity:
         raise InvalidArgumentError(f"position {position} out of range")
     w = f.space.weight_vector(f.signature[position])
-    moved = np.moveaxis(f.values, position, -1)
-    rows = moved.reshape(-1, moved.shape[-1])
-    out = np.array([math.fsum((row * w).tolist()) for row in rows],
-                   dtype=np.float64).reshape(moved.shape[:-1])
+    out = weighted_sum_rows(np.moveaxis(f.values, position, -1), w)
     lo, hi = float(f.values.min()), float(f.values.max())
     out = np.clip(out, lo, hi)
     residual = tuple(p for i, p in enumerate(f.signature) if i != position)
@@ -427,12 +461,6 @@ def all_traversals(f: MeasuredFunction, counts: Sequence[int],
     total = sum(counts)
     out = np.ones(f.space.sizes(new_sig), dtype=np.float64)
     for combo in itertools.product(*[range(c) for c in counts]):
-        shape = [1] * total
-        for coord, j in enumerate(combo):
-            shape[offsets[coord] + j] = f.shape[coord]
         axes = [offsets[coord] + j for coord, j in enumerate(combo)]
-        view = np.moveaxis(f.values.reshape(f.shape + (1,) * (total - f.arity)),
-                           range(f.arity), axes)
-        out = out * view
-    cls = Relation if isinstance(f, Relation) else MeasuredFunction
-    return cls(f.space, new_sig, out, name=name or f"traversals({f.name})")
+        out = out * cylinder(f.values, axes, total)
+    return _same_kind(f, new_sig, out, name or f"traversals({f.name})")

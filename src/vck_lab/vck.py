@@ -19,7 +19,7 @@ import numpy as np
 
 from . import defaults
 from .errors import InvalidArgumentError, ResourceLimitError
-from .space import MeasuredFunction, fiber
+from .space import MeasuredFunction, dyadics, fiber
 from .serialize import parse_fraction
 
 
@@ -85,6 +85,8 @@ class ShatteringCertificate:
         for rec in doc["witnesses"]:
             mask = 0
             for pt in rec["subset"]:
+                if tuple(pt) not in grid_index:
+                    raise InvalidArgumentError(f"subset point {pt} lies outside the box")
                 mask |= 1 << grid_index[tuple(pt)]
             witnesses[mask] = int(rec["witness"])
         return ShatteringCertificate(box, int(doc["distinguished"]),
@@ -130,27 +132,36 @@ def _grid_value_table(f: MeasuredFunction, box: Box, distinguished: int) -> np.n
     return sub.reshape(-1, f.shape[distinguished])
 
 
+def _witness_masks(hits: np.ndarray) -> list:
+    """Per column of a (grid point, witness) boolean table, its true rows as a bitmask."""
+    if hits.shape[0] > defaults.GRID_CAP_MAX:
+        raise ResourceLimitError(f"{hits.shape[0]} grid points overflow an int64 "
+                                 f"bitmask (at most {defaults.GRID_CAP_MAX})")
+    bits = 1 << np.arange(hits.shape[0], dtype=np.int64)
+    return (hits.T @ bits).astype(np.int64).tolist()
+
+
 def check_shattered(f: MeasuredFunction, box: Box, distinguished: int,
                     r: float, s: float,
                     cap: int = defaults.GRID_CAP) -> ShatteringCertificate | None:
     """Full certificate if every subset of the box grid has a witness, else None."""
     if r > s:
         raise InvalidArgumentError(f"thresholds must satisfy r <= s, got {r} > {s}")
+    if cap > defaults.GRID_CAP_MAX:
+        raise InvalidArgumentError(f"cap {cap} exceeds {defaults.GRID_CAP_MAX} (int64 bitmasks)")
     g = box.grid_size
     if g > cap:
         raise ResourceLimitError(
             f"box grid has {g} points, exceeding the cap of {cap} "
             f"(2**{g} subsets would need witnesses)")
     table = _grid_value_table(f, box, distinguished)
-    bits = 1 << np.arange(g, dtype=np.int64)
-    lo_masks = ((table <= r).T @ bits).astype(np.int64)
-    hi_masks = ((table >= s).T @ bits).astype(np.int64)
+    lo_masks = _witness_masks(table <= r)
+    hi_masks = _witness_masks(table >= s)
     full = (1 << g) - 1
     needed = 1 << g
     witnesses: dict = {}
     for b in range(table.shape[1]):
-        lo = int(lo_masks[b])
-        hi = int(hi_masks[b])
+        lo, hi = lo_masks[b], hi_masks[b]
         if lo | hi != full:
             continue  # some grid value falls strictly inside (r, s)
         base = full & ~hi
@@ -167,12 +178,17 @@ def check_shattered(f: MeasuredFunction, box: Box, distinguished: int,
 
 
 def verify_certificate(f: MeasuredFunction, cert: ShatteringCertificate) -> bool:
-    """Recompute every witness condition; exact comparisons, no tolerance."""
-    grid = cert.box.grid()
-    g = len(grid)
-    if set(cert.witnesses) != set(range(1 << g)):
+    """Recompute every witness condition; exact comparisons, no tolerance.
+    A box or witness vertex out of range makes the certificate invalid."""
+    g = cert.box.grid_size
+    if len(cert.witnesses) != 1 << g or set(cert.witnesses) != set(range(1 << g)):
         return False
-    table = _grid_value_table(f, cert.box, cert.distinguished)
+    try:
+        table = _grid_value_table(f, cert.box, cert.distinguished)
+    except InvalidArgumentError:
+        return False
+    if any(not 0 <= b < table.shape[1] for b in cert.witnesses.values()):
+        return False
     for mask, b in cert.witnesses.items():
         col = table[:, b]
         for i in range(g):
@@ -237,11 +253,7 @@ def trace_count(E: MeasuredFunction, box: Box, distinguished: int) -> int:
     """Number of distinct intersections of the box grid with fibers of E."""
     if not E.is_boolean():
         raise InvalidArgumentError("trace_count needs a Boolean relation")
-    table = _grid_value_table(E, box, distinguished)
-    g = table.shape[0]
-    bits = 1 << np.arange(g, dtype=np.int64)
-    masks = ((table == 1.0).T @ bits).astype(np.int64)
-    return len(set(masks.tolist()))
+    return len(set(_witness_masks(_grid_value_table(E, box, distinguished) == 1.0)))
 
 
 def sauer_shelah_bound(m: int, k: int, z: int) -> int:
@@ -283,7 +295,7 @@ def vc_profile(f: MeasuredFunction, k: int, distinguished: int,
                height: int = defaults.DYADIC_HEIGHT,
                cap: int = defaults.GRID_CAP) -> VcProfile:
     """vc_k on every dyadic threshold pair r < s of the given height."""
-    qs = [Fraction(i, 2 ** height) for i in range(2 ** height + 1)]
+    qs = dyadics(height)
     entries = {}
     for i, r in enumerate(qs):
         for s in qs[i + 1:]:

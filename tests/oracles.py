@@ -66,3 +66,25 @@ def traversal_count_oracle(matrix) -> int:
             if all(matrix[x, y] == 1.0 for x in (x1, x2) for y in (y1, y2)):
                 count += 1
     return count
+
+
+def bounded_lstsq_oracle(A, b):
+    """min ||A x - b|| over 0 <= x <= 1 by trying every lower/upper/free
+    pattern of the variables: the free block is solved by np.linalg.lstsq
+    with the others at their bounds, and the best feasible point is kept.
+
+    Some optimum has a free block of full column rank (move along a null
+    vector until a variable hits a bound), so its pattern yields it."""
+    A, b = np.asarray(A, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    n = A.shape[1]
+    best_x, best_res = None, math.inf
+    for pattern in itertools.product((0.0, 1.0, None), repeat=n):
+        free = [i for i, v in enumerate(pattern) if v is None]
+        x = np.array([0.0 if v is None else v for v in pattern])
+        if free:
+            x[free] = np.linalg.lstsq(A[:, free], b - A @ x, rcond=None)[0]
+        if np.all((x >= 0.0) & (x <= 1.0)):
+            res = float(np.linalg.norm(A @ x - b))
+            if res < best_res:
+                best_x, best_res = x, res
+    return best_x, best_res

@@ -1,6 +1,10 @@
 """CLI behavior: exit codes, schemas, reproducibility."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -34,6 +38,15 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     code = run("vcdim", "--input", str(bad))
     assert code == 2
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_literal_exits_2(tmp_path, gadget_doc, literal):
+    text = gadget_doc.read_text()
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace("0.0000000000000000e+00", literal, 1))
+    assert bad.read_text() != text
+    assert run("vcdim", "--input", str(bad), "--k", "1") == 2
 
 
 def test_unknown_gen_parameter_exits_2(tmp_path, capsys):
@@ -151,3 +164,14 @@ def test_adversary_csv_reproducible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     header = a.read_text().splitlines()[0]
     assert header == "d,mean_norm,std,mean_score"
+
+
+def test_cli_import_loads_no_scipy():
+    import vck_lab
+    src = str(pathlib.Path(vck_lab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    code = "import sys, vck_lab.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"

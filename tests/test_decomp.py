@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vck_lab import (BooleanCylinderExpr, CylinderDecomposition, CylinderTerm,
                      FiberFamilySpec, MeasuredFunction, PartiteSpace, PoolLeaf,
@@ -13,7 +15,12 @@ from vck_lab import (BooleanCylinderExpr, CylinderDecomposition, CylinderTerm,
                      fit_boolean_cylinders, fit_weighted_cylinders,
                      l2_error, membership_gadget, parity_triple, quasirandom,
                      sym_diff)
+from vck_lab.adversary import random_pattern
+from vck_lab.cli import main as cli_main
+from vck_lab.decomp import bounded_least_squares
 from vck_lab.errors import InvalidArgumentError, InvalidStateError
+
+from oracles import bounded_lstsq_oracle
 
 
 def uniform_space(sizes):
@@ -299,3 +306,70 @@ def test_approx_quasirandom_unmet_epsilon_flagged():
     assert not rep.met_epsilon
     assert rep.max_error > 0.1
     assert len(rep.per_fiber) == 6
+
+
+# -- bounded least squares ----------------------------------------------------
+
+_entries = st.one_of(st.integers(-4, 4).map(lambda v: v / 2),
+                     st.floats(-2, 2, allow_subnormal=False).filter(
+                         lambda v: v == 0.0 or abs(v) > 1e-6))
+
+
+@st.composite
+def box_problems(draw):
+    """Small problems, with duplicate and zero columns and m < n among them."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 5))
+    A = np.array(draw(st.lists(_entries, min_size=m * n, max_size=m * n))).reshape(m, n)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2)):
+        A[:, i] = A[:, j]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=1)):
+        A[:, i] = 0.0
+    if draw(st.booleans()):
+        b = A @ np.array(draw(st.lists(st.floats(-0.5, 1.5), min_size=n, max_size=n)))
+    else:
+        b = np.array(draw(st.lists(_entries, min_size=m, max_size=m)))
+    return A, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(box_problems())
+# steps that end 2**-53 off a bound unless the blocking variable is pinned
+# exactly, and one that rounds to 1 + 2**-52
+@example((np.array([[0.99, 0.91, 0.77], [0.64, 0.85, 0.91], [0.72, 0.42, 0.34]]),
+          np.array([-0.74, -0.03, 1.05])))
+@example((np.array([[-1.0, 0.5, 0.5, -0.5], [-1.0, -1.0, -0.5, 0.5]]), np.array([0.0, 1.5])))
+def test_bounded_least_squares_matches_pattern_oracle(problem):
+    A, b = problem
+    x = bounded_least_squares(A, b)
+    assert np.all((x >= 0.0) & (x <= 1.0))
+    _, best = bounded_lstsq_oracle(A, b)
+    res = float(np.linalg.norm(A @ x - b))
+    # relative to the residual of x = 0, which bounds the optimum
+    assert abs(res - best) <= 1e-9 * max(best, float(np.linalg.norm(b)))
+
+
+def test_bounded_least_squares_keeps_near_exact_fits():
+    # two nearly equal columns (condition number 5e7): the normal equations
+    # square it and leave a residual near 4e-8 where QR reaches rounding
+    rng = np.random.default_rng(0)
+    A = rng.random((64, 4))
+    A[:, 1] = A[:, 0] + 1e-7 * rng.random(64)
+    b = A @ np.array([0.6, 0.3, 0.2, 0.9])
+    x = bounded_least_squares(A, b)
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_weighted_fit_survives_tiny_negative_coefficient():
+    # the bounded solve once returned a gamma of -2**-55 here, which
+    # CylinderTerm refuses; the adversary sweep then exited 2
+    pattern = random_pattern(2, 1, 0.5, 21000, trial=2)
+    d, report = fit_weighted_cylinders(pattern, 1, 4, seed=1101169394970103031,
+                                       init_mode="random")
+    assert all(0 <= t.gamma <= 1 for t in d.terms)
+    assert report.error <= report.baseline
+
+
+def test_adversary_seed_with_tiny_negative_coefficient_exits_0(tmp_path):
+    assert cli_main(["adversary", "--k", "1", "--d", "2", "--trials", "3",
+                     "--seed", "21000", "--out", str(tmp_path / "x.csv")]) == 0

@@ -49,8 +49,8 @@ def test_boolcomb_m1_is_single_cylinder():
     out = boolean_of_lower_arity(3, 1, 1, [4, 4, 4], seed=3)
     positions, leaf = out.leaves[0]
     # the relation is the leaf's cylinder or its complement
-    from vck_lab.gen import _cylinder_bool
-    cyl = _cylinder_bool(leaf, positions, (4, 4, 4))
+    from vck_lab.space import cylinder
+    cyl = np.broadcast_to(cylinder(leaf.bool_values, positions, 3), (4, 4, 4))
     vals = out.relation.bool_values
     assert np.array_equal(vals, cyl) or np.array_equal(vals, ~cyl)
 

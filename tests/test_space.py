@@ -41,6 +41,20 @@ def test_values_out_of_range_rejected():
         MeasuredFunction(space, (0,), np.array([0.5, 1.5]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_weights_rejected(bad):
+    from vck_lab import Part
+    with pytest.raises(InvalidArgumentError):
+        Part("a", 2, (bad, 1.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_rejected(bad):
+    space = PartiteSpace.uniform([2])
+    with pytest.raises(InvalidArgumentError):
+        MeasuredFunction(space, (0,), np.array([0.5, bad]))
+
+
 def test_point_mass_sums_to_one():
     space = PartiteSpace([__import__("vck_lab").Part("V1", 3, (0.2, 0.3, 0.5)),
                           __import__("vck_lab").Part("V2", 2, (0.9, 0.1))])

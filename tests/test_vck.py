@@ -1,9 +1,12 @@
 """Shattering search, certificates, trace counts, and combinatorial bounds."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vck_lab import (Box, MeasuredFunction, PartiteSpace, Relation,
                      check_shattered, membership_gadget, parity_triple, permute,
@@ -79,6 +82,42 @@ def test_certificate_round_trip():
     back = ShatteringCertificate.from_doc(doc)
     assert back == cert
     assert dumps_canonical(back.to_doc()) == dumps_canonical(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(-2, 5), st.integers(-5, 8), max_size=6),
+       st.lists(st.lists(st.integers(-1, 2), min_size=1, max_size=3),
+                min_size=1, max_size=2),
+       st.integers(-1, 2))
+# witness vertices -1 (numpy would wrap it) and one past the last vertex
+@example({0: -1}, [[0, 1]], 1)
+@example({0: 4}, [[0, 1]], 1)
+def test_tampered_certificate_is_false_never_raises(witnesses, box, distinguished):
+    g = membership_gadget(2, 1)
+    cert = check_shattered(g, Box(((0, 1),)), 1, 0.5, 0.5)
+    sides = tuple(tuple(dict.fromkeys(side)) for side in box)
+    for tampered in (dataclasses.replace(cert, witnesses={**cert.witnesses, **witnesses}),
+                     dataclasses.replace(cert, box=Box(sides)),
+                     dataclasses.replace(cert, distinguished=distinguished)):
+        if tampered == cert:
+            continue
+        assert verify_certificate(g, tampered) is False
+
+
+def test_certificate_subset_outside_box_rejected():
+    from vck_lab.vck import ShatteringCertificate
+    g = membership_gadget(2, 1)
+    doc = check_shattered(g, Box(((0, 1),)), 1, 0.5, 0.5).to_doc()
+    doc["witnesses"][-1]["subset"].append([5])
+    with pytest.raises(InvalidArgumentError):
+        ShatteringCertificate.from_doc(doc)
+
+
+def test_cap_beyond_int64_bitmask_refused():
+    g = membership_gadget(2, 1)
+    with pytest.raises(InvalidArgumentError):
+        check_shattered(g, Box(((0, 1),)), 1, 0.5, 0.5, cap=63)
+    assert check_shattered(g, Box(((0, 1),)), 1, 0.5, 0.5, cap=62) is not None
 
 
 # -- vc_k ----------------------------------------------------------------------
