@@ -18,7 +18,8 @@ from . import defaults, rng
 from .decomp import fit_weighted_cylinders
 from .errors import InvalidArgumentError
 from .gowers import box_norm
-from .space import MeasuredFunction, Part, PartiteSpace, Relation, weighted_sum
+from .space import (MeasuredFunction, Part, PartiteSpace, Relation, grid_masks,
+                    weighted_sum)
 from .vck import ShatteringCertificate
 
 
@@ -69,21 +70,13 @@ def build_instance(f: MeasuredFunction, cert, H: Relation,
                 f"box dimension {len(box_positions)} + 1")
         if any(len(side) != d for side in cert.box.subsets):
             raise InvalidArgumentError("certificate box sides must match pattern size")
-        grid_size = cert.box.grid_size
-        slice_flat = H.values.reshape(grid_size, d)
-        witness_vertices = []
-        for j in range(d):
-            mask = 0
-            for i in range(grid_size):
-                if slice_flat[i, j] == 1.0:
-                    mask |= 1 << i
-            if mask not in cert.witnesses:
-                raise InvalidArgumentError(
-                    "certificate does not cover every pattern slice; "
-                    "it must witness all subsets of the box grid")
-            witness_vertices.append(cert.witnesses[mask])
+        masks = grid_masks(H.values.reshape(cert.box.grid_size, d) == 1.0)
+        if any(mask not in cert.witnesses for mask in masks):
+            raise InvalidArgumentError(
+                "certificate does not cover every pattern slice; "
+                "it must witness all subsets of the box grid")
         embedding = {pos: side for pos, side in zip(box_positions, cert.box.subsets)}
-        embedding[cert.distinguished] = tuple(witness_vertices)
+        embedding[cert.distinguished] = tuple(cert.witnesses[mask] for mask in masks)
     else:
         embedding = {int(p): tuple(int(v) for v in side) for p, side in dict(cert).items()}
         if len(embedding) != len(H.shape):

@@ -27,7 +27,7 @@ from .errors import (InvalidArgumentError, InvalidStateError,
 from .fibalg import FiberFamilySpec, atoms, fiber_family, project_simple
 from .space import (MeasuredFunction, Relation, cylinder, dyadics, fiber,
                     index_sets, integrate, level_set, weighted_l2, weighted_sum)
-from .serialize import parse_fraction, space_from_doc, space_to_doc
+from .serialize import parse_fraction, reading, space_from_doc, space_to_doc
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,10 @@ class CylinderDecomposition:
         return doc
 
     @staticmethod
+    @reading("decomposition document")
     def from_doc(doc) -> "CylinderDecomposition":
         space = space_from_doc({"parts": doc["parts"]})
-        sig = tuple(int(i) for i in doc["target_signature"])
+        sig = space.validate_signature(doc["target_signature"])
         terms = []
         for rec in doc["terms"]:
             factors = {}
@@ -363,11 +364,6 @@ def fit_boolean_cylinders(E: MeasuredFunction, k: int, n_max: int,
 # weighted fitting
 
 
-def _weighted_error(f, w, gammas, products):
-    return weighted_l2(w, f - sum((g * p for g, p in zip(gammas, products)),
-                                  np.zeros_like(f)))
-
-
 def bounded_least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """argmin ||A x - b|| over the box 0 <= x <= 1, exact up to rounding.
 
@@ -425,7 +421,8 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
     """Greedy residual fitting of sum_i gamma_i * prod_I f_i_I(x_I).
 
     Each new term is seeded from the dominant pattern of the positive
-    residual (or from seeded uniforms in ``init_mode="random"``), then
+    residual (or from seeded uniforms in ``init_mode="random"`` and when no
+    residual entry is positive), then
     refined by alternating minimization: every factor update is an exact
     per-entry weighted least squares clipped to [0, 1], and the coefficient
     vector is re-solved by bounded least squares after every sweep, so the
@@ -443,8 +440,7 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
     target = f.values
 
     mean = min(1.0, max(0.0, integrate(f)))
-    baseline = _weighted_error(target, w, [mean],
-                               [np.ones(shape, dtype=np.float64)])
+    baseline = weighted_l2(w, target - mean)
 
     terms: list = []  # per term, positions -> factor tensor
     gammas: list = []
@@ -466,8 +462,13 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
                     np.ones(tuple(shape[p] for p in positions), dtype=np.float64))
             add_term(factors, float(t.gamma))
 
+    def residual(skip=None):
+        """target minus every term but ``skip``."""
+        return target - sum((g * p for j, (g, p) in enumerate(zip(gammas, prods))
+                             if j != skip), np.zeros(shape, dtype=np.float64))
+
     def current_error():
-        return _weighted_error(target, w, gammas, prods)
+        return weighted_l2(w, residual())
 
     def solve_gammas():
         if not terms:
@@ -478,11 +479,9 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
         gammas[:] = [float(g) for g in bounded_least_squares(A, b)]
 
     def update_factor(ti, positions):
-        resid = target - sum((g * p for j, (g, p) in enumerate(zip(gammas, prods))
-                              if j != ti), np.zeros(shape, dtype=np.float64))
         partial = _cylinder_product(terms[ti], shape, gammas[ti], skip=positions)
         axes = tuple(p for p in range(k_prime) if p not in positions)
-        num = np.sum(w * resid * partial, axis=axes)
+        num = np.sum(w * residual(skip=ti) * partial, axis=axes)
         den = np.sum(w * partial * partial, axis=axes)
         old = terms[ti][positions]
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -511,10 +510,8 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
         return err
 
     def seeded_term(counter):
-        resid = target - sum((g * p for g, p in zip(gammas, prods)),
-                             np.zeros(shape, dtype=np.float64))
-        pos_resid = np.maximum(resid, 0.0)
-        if init_mode == "random":
+        pos_resid = np.maximum(residual(), 0.0)
+        if init_mode == "random" or not np.any(pos_resid > 0.0):
             factors = {}
             for ci, positions in enumerate(sets):
                 fshape = tuple(shape[p] for p in positions)
@@ -523,8 +520,6 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
                     seed, rng.STREAM_INIT, n_entries,
                     (counter << 8) | ci).reshape(fshape)
             return factors
-        if not np.any(pos_resid > 0.0):
-            return None
         anchor = np.unravel_index(int(np.argmax(pos_resid)), shape)
         factors = {}
         for positions in sets:
@@ -541,10 +536,7 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
     counter = 0
     while len(terms) < n_max and err > defaults.FIT_ZERO_TOL:
         counter += 1
-        factors = seeded_term(counter)
-        if factors is None:
-            break
-        add_term(factors, 0.0)
+        add_term(seeded_term(counter), 0.0)
         solve_gammas()
         new_err = als(als_iters)
         if len(terms) == 1 and init is None and init_mode == "auto":

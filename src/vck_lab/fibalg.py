@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -91,25 +92,27 @@ class AtomPartition:
 
     space: object
     signature: tuple
-    cells: tuple                      # tuple of sorted flat-index arrays
+    labels: np.ndarray                # cell per flat index, numbered by smallest index
     generator_names: tuple = ()
 
     def __post_init__(self):
-        frozen = []
-        for cell in self.cells:
-            arr = np.asarray(cell, dtype=np.int64)
-            arr.flags.writeable = False
-            frozen.append(arr)
-        object.__setattr__(self, "cells", tuple(frozen))
+        labels = np.array(self.labels, dtype=np.int64)
+        labels.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
 
     @property
     def cell_count(self) -> int:
-        return len(self.cells)
+        return int(self.labels.max()) + 1
+
+    @cached_property
+    def cells(self) -> tuple:
+        """Per cell, its sorted flat indices (read-only)."""
+        order = np.argsort(self.labels, kind="stable")
+        order.flags.writeable = False
+        return tuple(np.split(order, np.cumsum(np.bincount(self.labels))[:-1]))
 
     def covers(self, shape) -> bool:
-        total = int(np.prod(shape, dtype=np.int64))
-        seen = np.concatenate([np.asarray(c) for c in self.cells]) if self.cells else np.array([])
-        return len(seen) == total and len(np.unique(seen)) == total
+        return self.labels.size == int(np.prod(shape, dtype=np.int64))
 
     def to_doc(self) -> dict:
         return {"signature": list(self.signature),
@@ -132,18 +135,16 @@ def atoms(generators, space=None, signature=None) -> AtomPartition:
                 raise InvalidArgumentError("generators must share a signature")
     elif space is None or signature is None:
         raise InvalidArgumentError("atoms with no generators needs space and signature")
-    shape = space.sizes(signature)
-    total = int(np.prod(shape, dtype=np.int64))
     if not generators:
-        return AtomPartition(space, tuple(signature), (np.arange(total),), ())
-    stack = np.stack([g.values.ravel() == 1.0 for g in generators])
-    keys = {}
-    for idx in range(total):
-        key = stack[:, idx].tobytes()
-        keys.setdefault(key, []).append(idx)
-    cells = sorted(keys.values(), key=lambda c: c[0])
-    return AtomPartition(space, tuple(signature),
-                         tuple(np.array(c, dtype=np.int64) for c in cells),
+        total = int(np.prod(space.sizes(signature), dtype=np.int64))
+        return AtomPartition(space, tuple(signature), np.zeros(total, dtype=np.int64), ())
+    # one packed membership row per grid point, as bytes; a first-occurrence
+    # dict numbers the distinct rows by their smallest flat index
+    table = np.packbits(np.stack([g.values.ravel() == 1.0 for g in generators], axis=1),
+                        axis=1)
+    rows = table.view(np.dtype((np.void, table.shape[1]))).ravel().tolist()
+    first = dict(zip(dict.fromkeys(rows), itertools.count()))
+    return AtomPartition(space, tuple(signature), list(map(first.__getitem__, rows)),
                          tuple(g.name for g in generators))
 
 
@@ -162,10 +163,7 @@ def project_simple(f: MeasuredFunction, partition: AtomPartition,
     if round_height is not None:
         scale = 2 ** round_height
         means = np.round(means * scale) / scale
-    out = np.zeros(f.values.size)
-    for cell, mean in zip(partition.cells, means):
-        out[cell] = mean
-    g = MeasuredFunction(f.space, f.signature, out.reshape(f.shape),
+    g = MeasuredFunction(f.space, f.signature, means[partition.labels].reshape(f.shape),
                          name=f"proj({f.name})")
     return g, l2_distance(f, g)
 
@@ -314,8 +312,6 @@ def round_to_cells(f: MeasuredFunction, partition: AtomPartition,
     """Union of the cells whose conditional mean of f exceeds the threshold."""
     wflat = f.space.weight_tensor(f.signature).ravel()
     means = conditional_means(f.values.ravel(), partition, wflat)
-    mask = np.zeros(f.values.size, dtype=bool)
-    for cell, mu in zip(partition.cells, means):
-        mask[cell] = mu > threshold
-    return Relation.from_bool(f.space, f.signature, mask.reshape(f.shape),
+    return Relation.from_bool(f.space, f.signature,
+                              (means > threshold)[partition.labels].reshape(f.shape),
                               name=f"cells({f.name}>{threshold})")

@@ -7,14 +7,13 @@ instances on any platform.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import defaults, rng
 from .errors import InvalidArgumentError, ResourceLimitError
-from .space import PartiteSpace, Relation, cylinder, index_sets
+from .space import PartiteSpace, Relation, cylinder, index_sets, mask_bits
 
 
 def membership_gadget(d: int, k: int,
@@ -34,11 +33,7 @@ def membership_gadget(d: int, k: int,
             f"witness part would hold {n_subsets} vertices (cap {size_cap})")
     parts = [f"V{i + 1}" for i in range(k)] + ["W"]
     space = PartiteSpace.uniform([d] * k + [n_subsets], parts)
-    vals = np.zeros((d,) * k + (n_subsets,), dtype=np.float64)
-    for i, point in enumerate(itertools.product(*[range(d)] * k)):
-        for j in range(n_subsets):
-            if j >> i & 1:
-                vals[point + (j,)] = 1.0
+    vals = mask_bits(range(n_subsets), grid_points).reshape((d,) * k + (n_subsets,))
     return Relation(space, tuple(range(k + 1)), vals, name=f"membership{d}x{k}")
 
 

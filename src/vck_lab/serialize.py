@@ -8,6 +8,7 @@ document reproduces it byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from fractions import Fraction
@@ -76,9 +77,12 @@ def write_canonical(path, obj):
 
 
 def load_json(path):
-    """Parse a JSON file, refusing the non-standard NaN and Infinity literals."""
+    """Parse a UTF-8 JSON file, refusing the non-standard NaN and Infinity literals."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=_reject_constant)
+        try:
+            return json.load(fh, parse_constant=_reject_constant)
+        except UnicodeDecodeError as exc:
+            raise InvalidArgumentError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _reject_constant(name):
@@ -90,6 +94,18 @@ def parse_fraction(text) -> Fraction:
         num, den = text.split("/", 1)
         return Fraction(int(num), int(den))
     return Fraction(text)
+
+
+@contextlib.contextmanager
+def reading(record: str):
+    """Report the lookup and conversion errors that reading a structurally
+    malformed document raises as InvalidArgumentError naming the record."""
+    try:
+        yield
+    except KeyError as exc:
+        raise InvalidArgumentError(f"{record}: missing key {exc}") from exc
+    except (TypeError, ValueError, LookupError, ArithmeticError, AttributeError) as exc:
+        raise InvalidArgumentError(f"{record}: {exc}") from exc
 
 
 def _check_keys(record, allowed, context):
@@ -125,30 +141,33 @@ def functions_to_doc(space: PartiteSpace, functions) -> dict:
     return doc
 
 
+@reading("space document")
 def space_from_doc(doc) -> PartiteSpace:
     _check_keys(doc, {"parts", "functions"}, "space document")
     parts = []
-    for rec in doc["parts"]:
-        _check_keys(rec, {"name", "size", "weights"}, "part record")
-        parts.append(Part(rec["name"], int(rec["size"]),
-                          tuple(float(w) for w in rec["weights"])))
+    for i, rec in enumerate(doc["parts"]):
+        with reading(f"part record {i}"):
+            _check_keys(rec, {"name", "size", "weights"}, "part record")
+            parts.append(Part(rec["name"], int(rec["size"]),
+                              tuple(float(w) for w in rec["weights"])))
     return PartiteSpace(tuple(parts))
 
 
+@reading("space document")
 def functions_from_doc(doc, space: PartiteSpace | None = None):
     space = space or space_from_doc(doc)
     out = []
-    for rec in doc.get("functions", []):
-        _check_keys(rec, {"name", "signature", "values", "signed"}, "function record")
-        sig = tuple(int(i) for i in rec["signature"])
-        shape = space.sizes(sig)
-        vals = np.array([float(v) for v in rec["values"]],
-                        dtype=np.float64).reshape(shape)
-        signed = bool(rec.get("signed", False))
-        cls = MeasuredFunction if signed else _relation_or_function(vals)
-        out.append(cls(space, sig, vals, name=rec["name"], signed=signed)
-                   if cls is MeasuredFunction
-                   else cls(space, sig, vals, name=rec["name"]))
+    for i, rec in enumerate(doc.get("functions", [])):
+        with reading(f"function record {i}"):
+            _check_keys(rec, {"name", "signature", "values", "signed"}, "function record")
+            sig = space.validate_signature(rec["signature"])
+            vals = np.array([float(v) for v in rec["values"]],
+                            dtype=np.float64).reshape(space.sizes(sig))
+            signed = bool(rec.get("signed", False))
+            cls = MeasuredFunction if signed else _relation_or_function(vals)
+            out.append(cls(space, sig, vals, name=rec["name"], signed=signed)
+                       if cls is MeasuredFunction
+                       else cls(space, sig, vals, name=rec["name"]))
     return space, out
 
 

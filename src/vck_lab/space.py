@@ -21,8 +21,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .defaults import INTEGRAL_TOL, POINTWISE_TOL
-from .errors import InvalidArgumentError
+from .defaults import GRID_CAP_MAX, INTEGRAL_TOL, POINTWISE_TOL
+from .errors import InvalidArgumentError, ResourceLimitError
 
 Signature = tuple  # tuple[int, ...]: part index per coordinate, repetition allowed
 
@@ -44,6 +44,9 @@ class Part:
             return NotImplemented
         return (self.name == other.name and self.size == other.size
                 and tuple(map(float, self.weights)) == tuple(map(float, other.weights)))
+
+    def __hash__(self):
+        return hash((self.name, self.size, tuple(map(float, self.weights))))
 
     def __post_init__(self):
         if self.size < 1:
@@ -80,6 +83,9 @@ class PartiteSpace:
         if not isinstance(other, PartiteSpace):
             return NotImplemented
         return self.parts == other.parts
+
+    def __hash__(self):
+        return hash(self.parts)
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
@@ -246,6 +252,23 @@ def cylinder(values: np.ndarray, positions, ndim: int) -> np.ndarray:
     for axis, pos in enumerate(positions):
         shape[pos] = values.shape[axis]
     return values.transpose(sorted(range(values.ndim), key=positions.__getitem__)).reshape(shape)
+
+
+def grid_masks(hits: np.ndarray) -> list:
+    """Per column of a (grid point, column) boolean table, its true rows as a
+    bitmask: bit i is grid point i, the one encoding of box-grid subsets."""
+    if hits.shape[0] > GRID_CAP_MAX:
+        raise ResourceLimitError(f"{hits.shape[0]} grid points overflow an int64 "
+                                 f"bitmask (at most {GRID_CAP_MAX})")
+    bits = 1 << np.arange(hits.shape[0], dtype=np.int64)
+    return (hits.T @ bits).astype(np.int64).tolist()
+
+
+def mask_bits(masks, g: int) -> np.ndarray:
+    """Inverse of :func:`grid_masks`: the (g, len(masks)) boolean table whose
+    column j holds the bits of masks[j] over grid points 0..g-1."""
+    masks = np.asarray(masks, dtype=np.int64).reshape(1, -1)
+    return ((masks >> np.arange(g, dtype=np.int64)[:, None]) & 1).astype(bool)
 
 
 def index_sets(n: int, k: int) -> list:

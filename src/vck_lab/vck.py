@@ -19,8 +19,8 @@ import numpy as np
 
 from . import defaults
 from .errors import InvalidArgumentError, ResourceLimitError
-from .space import MeasuredFunction, dyadics, fiber
-from .serialize import parse_fraction
+from .space import MeasuredFunction, dyadics, fiber, grid_masks, mask_bits
+from .serialize import parse_fraction, reading
 
 
 @dataclass(frozen=True)
@@ -68,18 +68,22 @@ class ShatteringCertificate:
 
     def to_doc(self) -> dict:
         grid = self.box.grid()
-        entries = []
-        for mask in sorted(self.witnesses):
-            points = [list(grid[i]) for i in range(len(grid)) if mask >> i & 1]
-            entries.append({"subset": points, "witness": self.witnesses[mask]})
+        masks = sorted(self.witnesses)
+        inside = mask_bits(masks, len(grid))
+        entries = [{"subset": [list(grid[i]) for i in np.flatnonzero(inside[:, j])],
+                    "witness": self.witnesses[mask]} for j, mask in enumerate(masks)]
         return {"box": [list(side) for side in self.box.subsets],
                 "distinguished": self.distinguished,
                 "r": Fraction(self.r), "s": Fraction(self.s),
                 "witnesses": entries}
 
     @staticmethod
+    @reading("certificate document")
     def from_doc(doc) -> "ShatteringCertificate":
         box = Box(tuple(tuple(side) for side in doc["box"]))
+        if box.grid_size > defaults.GRID_CAP_MAX:
+            raise InvalidArgumentError(f"certificate box has {box.grid_size} grid "
+                                       f"points (at most {defaults.GRID_CAP_MAX})")
         grid_index = {tuple(pt): i for i, pt in enumerate(box.grid())}
         witnesses = {}
         for rec in doc["witnesses"]:
@@ -132,15 +136,6 @@ def _grid_value_table(f: MeasuredFunction, box: Box, distinguished: int) -> np.n
     return sub.reshape(-1, f.shape[distinguished])
 
 
-def _witness_masks(hits: np.ndarray) -> list:
-    """Per column of a (grid point, witness) boolean table, its true rows as a bitmask."""
-    if hits.shape[0] > defaults.GRID_CAP_MAX:
-        raise ResourceLimitError(f"{hits.shape[0]} grid points overflow an int64 "
-                                 f"bitmask (at most {defaults.GRID_CAP_MAX})")
-    bits = 1 << np.arange(hits.shape[0], dtype=np.int64)
-    return (hits.T @ bits).astype(np.int64).tolist()
-
-
 def check_shattered(f: MeasuredFunction, box: Box, distinguished: int,
                     r: float, s: float,
                     cap: int = defaults.GRID_CAP) -> ShatteringCertificate | None:
@@ -155,8 +150,8 @@ def check_shattered(f: MeasuredFunction, box: Box, distinguished: int,
             f"box grid has {g} points, exceeding the cap of {cap} "
             f"(2**{g} subsets would need witnesses)")
     table = _grid_value_table(f, box, distinguished)
-    lo_masks = _witness_masks(table <= r)
-    hi_masks = _witness_masks(table >= s)
+    lo_masks = grid_masks(table <= r)
+    hi_masks = grid_masks(table >= s)
     full = (1 << g) - 1
     needed = 1 << g
     witnesses: dict = {}
@@ -187,17 +182,12 @@ def verify_certificate(f: MeasuredFunction, cert: ShatteringCertificate) -> bool
         table = _grid_value_table(f, cert.box, cert.distinguished)
     except InvalidArgumentError:
         return False
-    if any(not 0 <= b < table.shape[1] for b in cert.witnesses.values()):
+    witnesses = np.array(list(cert.witnesses.values()))
+    if np.any((witnesses < 0) | (witnesses >= table.shape[1])):
         return False
-    for mask, b in cert.witnesses.items():
-        col = table[:, b]
-        for i in range(g):
-            if mask >> i & 1:
-                if not col[i] <= cert.r:
-                    return False
-            elif not col[i] >= cert.s:
-                return False
-    return True
+    inside = mask_bits(list(cert.witnesses), g)
+    cols = table[:, witnesses]
+    return bool(np.all(np.where(inside, cols <= cert.r, cols >= cert.s)))
 
 
 def vc_k(f: MeasuredFunction, k: int, distinguished: int,
@@ -210,8 +200,9 @@ def vc_k(f: MeasuredFunction, k: int, distinguished: int,
     When the grid cap stops the search before candidates are exhausted the
     result carries ``complete=False`` and is a certified lower bound.
     """
-    if f.arity != k + 1:
-        raise InvalidArgumentError(f"vc_k needs arity k+1 = {k + 1}, got {f.arity}")
+    if k < 1 or f.arity != k + 1:
+        raise InvalidArgumentError(f"vc_k needs k >= 1 and arity k+1, got k={k} "
+                                   f"and arity {f.arity}")
     positions = _box_positions(f.arity, distinguished)
     side_limit = min(f.shape[p] for p in positions)
     best = VcResult(0, None, complete=True)
@@ -253,7 +244,7 @@ def trace_count(E: MeasuredFunction, box: Box, distinguished: int) -> int:
     """Number of distinct intersections of the box grid with fibers of E."""
     if not E.is_boolean():
         raise InvalidArgumentError("trace_count needs a Boolean relation")
-    return len(set(_witness_masks(_grid_value_table(E, box, distinguished) == 1.0)))
+    return len(set(grid_masks(_grid_value_table(E, box, distinguished) == 1.0)))
 
 
 def sauer_shelah_bound(m: int, k: int, z: int) -> int:

@@ -88,3 +88,41 @@ def bounded_lstsq_oracle(A, b):
             if res < best_res:
                 best_x, best_res = x, res
     return best_x, best_res
+
+
+def atom_cells_oracle(generators, total: int) -> list:
+    """Flat grid indices grouped point by point by their row of generator
+    memberships, cells ordered by their smallest index."""
+    rows = np.stack([g.values.ravel() == 1.0 for g in generators]) if generators \
+        else np.zeros((0, total), dtype=bool)
+    cells = {}
+    for idx in range(total):
+        cells.setdefault(rows[:, idx].tobytes(), []).append(idx)
+    return sorted(cells.values(), key=lambda c: c[0])
+
+
+def verify_certificate_oracle(f, cert) -> bool:
+    """Every witness condition checked bit by bit against f's values:
+    witness b has f <= r on the grid points of its subset, f >= s off it."""
+    dist, sides = cert.distinguished, cert.box.subsets
+    positions = [p for p in range(f.arity) if p != dist]
+    grid = list(itertools.product(*sides))
+    if set(cert.witnesses) != set(range(1 << len(grid))):
+        return False
+    if not 0 <= dist < f.arity or len(positions) != len(sides):
+        return False
+    if any(not 0 <= v < f.shape[p] for p, side in zip(positions, sides) for v in side):
+        return False
+    for mask, b in cert.witnesses.items():
+        if not 0 <= b < f.shape[dist]:
+            return False
+        for i, point in enumerate(grid):
+            index = dict(zip(positions, point))
+            index[dist] = b
+            value = f.values[tuple(index[p] for p in range(f.arity))]
+            if mask >> i & 1:
+                if not value <= cert.r:
+                    return False
+            elif not value >= cert.s:
+                return False
+    return True

@@ -7,7 +7,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from vck_lab import Box, check_shattered, membership_gadget
 from vck_lab.cli import main
 from vck_lab.serialize import dumps_canonical, load_json, write_canonical
 
@@ -38,6 +41,13 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     code = run("vcdim", "--input", str(bad))
     assert code == 2
     assert "line 1" in capsys.readouterr().err
+
+
+def test_non_utf8_document_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert run("gowers", "--input", str(bad)) == 2
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
@@ -94,6 +104,99 @@ def test_verify_tampered_certificate_exits_2(tmp_path, gadget_doc):
     out = tmp_path / "verify.json"
     assert run("verify", str(cert_path), str(gadget_doc), "--out", str(out)) == 2
     assert load_json(out)["comparable"]["results"]["valid"] is False
+
+
+def _gadget_certificate() -> dict:
+    """The certificate of the gadget_doc relation, as plain JSON."""
+    return json.loads(dumps_canonical(check_shattered(
+        membership_gadget(2, 1), Box(((0, 1),)), 1, 0.5, 0.5).to_doc()))
+
+
+def _drop_parts(doc):
+    del doc["parts"]
+
+
+def _short_values(doc):
+    doc["functions"][0]["values"].pop()
+
+
+def _letter_weights(doc):
+    doc["parts"][0]["weights"] = "ab"
+
+
+@pytest.mark.parametrize("cert_doc, message", [
+    ({}, "missing key 'box'"), ({"box": [[0, 1]]}, "missing key 'witnesses'"),
+    ([], "list indices"), ({"box": 3}, "'int' object is not iterable")])
+def test_malformed_certificate_exits_2(tmp_path, gadget_doc, capsys, cert_doc, message):
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(cert_doc))
+    assert run("verify", str(cert_path), str(gadget_doc)) == 2
+    assert f"certificate document: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, record", [(_drop_parts, "space document"),
+                                          (_short_values, "function record 0"),
+                                          (_letter_weights, "part record 0")])
+def test_malformed_instance_exits_2(tmp_path, gadget_doc, capsys, edit, record):
+    cert_path = tmp_path / "cert.json"
+    write_canonical(cert_path, _gadget_certificate())
+    doc = load_json(gadget_doc)
+    edit(doc)
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("verify", str(cert_path), str(inst)) == 2
+    assert run("gowers", "--input", str(inst)) == 2
+    assert record in capsys.readouterr().err
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 70)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6),
+                                                                 inner, max_size=3),
+    max_leaves=6)
+
+
+def _mutate(data, node):
+    """node with one edit somewhere below it: a key or item deleted, or a
+    value replaced by arbitrary JSON."""
+    if isinstance(node, (dict, list)) and node and data.draw(st.integers(0, 3)):
+        copy = dict(node) if isinstance(node, dict) else list(node)
+        key = data.draw(st.sampled_from(list(copy) if isinstance(copy, dict)
+                                        else range(len(copy))))
+        action = data.draw(st.sampled_from(["descend", "delete", "replace"]))
+        if action == "descend":
+            copy[key] = _mutate(data, copy[key])
+        elif action == "delete":
+            del copy[key]
+        else:
+            copy[key] = data.draw(_json)
+        return copy
+    return data.draw(_json)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_fuzzed_documents_exit_with_a_known_code(tmp_path, gadget_doc, data):
+    cert_doc = _gadget_certificate()
+    inst_doc = load_json(gadget_doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        if data.draw(st.booleans()):
+            cert_doc = _mutate(data, cert_doc)
+        else:
+            inst_doc = _mutate(data, inst_doc)
+    cert_path, inst_path = tmp_path / "fuzz_cert.json", tmp_path / "fuzz_inst.json"
+    cert_path.write_text(json.dumps(cert_doc))
+    inst_path.write_text(json.dumps(inst_doc))
+    out = str(tmp_path / "out.json")
+    assert run("verify", str(cert_path), str(inst_path), "--out", out) in (0, 2, 3, 4)
+    for command in ("gowers", "vcdim", "fibers"):
+        argv = [command, "--input", str(inst_path), "--out", out]
+        if command == "fibers":
+            argv += ["--anchors", "0"]
+        assert run(*argv) in (0, 2, 3, 4)
 
 
 # -- round trips ----------------------------------------------------------------------

@@ -136,6 +136,19 @@ def test_decomposition_json_round_trip():
     assert dumps_canonical(back.to_doc()) == dumps_canonical(doc)
 
 
+def test_malformed_decomposition_document_rejected():
+    import json
+    from vck_lab.serialize import dumps_canonical
+    space = uniform_space([2, 2])
+    d = CylinderDecomposition(space, (0, 1), 1, (
+        make_term(space, (0, 1), Fraction(1, 2), {(0,): [1, 0], (1,): [0, 1]}),))
+    doc = json.loads(dumps_canonical(d.to_doc()))
+    del doc["terms"][0]["gamma"]
+    for bad in ({}, [], doc):
+        with pytest.raises(InvalidArgumentError, match="decomposition document"):
+            CylinderDecomposition.from_doc(bad)
+
+
 # -- Boolean fitting ------------------------------------------------------------------
 
 def test_fit_single_cylinder_exact():
@@ -373,3 +386,11 @@ def test_weighted_fit_survives_tiny_negative_coefficient():
 def test_adversary_seed_with_tiny_negative_coefficient_exits_0(tmp_path):
     assert cli_main(["adversary", "--k", "1", "--d", "2", "--trials", "3",
                      "--seed", "21000", "--out", str(tmp_path / "x.csv")]) == 0
+
+
+def test_weighted_fit_continues_without_positive_residual():
+    # the greedy loop once stopped here at 3 terms and error 1.2e-8, the
+    # first time no residual entry was positive to seed a term from
+    f = boolean_of_lower_arity(3, 1, 4, (16, 16, 16), seed=15).relation
+    _, report = fit_weighted_cylinders(f, 1, 16)
+    assert report.error <= 1e-12

@@ -5,13 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vck_lab import (FiberFamilySpec, MeasuredFunction, PartiteSpace, Relation,
                      atoms, fiber_family, fuzziness, integrate,
                      l2_distance, membership_gadget, project_simple,
                      round_to_cells, smooth_indicator, threshold_witness)
-from vck_lab.fibalg import family_size
+from vck_lab.fibalg import conditional_means, family_size
 from vck_lab.errors import InvalidArgumentError
+
+from oracles import atom_cells_oracle
 
 
 def random_function(sizes, seed):
@@ -92,6 +96,44 @@ def test_atoms_singleton_generators_give_singletons():
     part = atoms(gens)
     assert part.cell_count == 4
     assert all(len(c) == 1 for c in part.cells)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_label_partition_matches_per_point_oracle(data):
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    space = PartiteSpace.uniform(sizes)
+    sig = tuple(range(len(sizes)))
+    total = math.prod(sizes)
+    gens = []
+    for kind in data.draw(st.lists(st.sampled_from(["random", "zero", "one", "duplicate"]),
+                                   max_size=6)):
+        if kind == "duplicate" and gens:
+            vals = data.draw(st.sampled_from(gens)).values
+        elif kind == "random":
+            vals = np.array(data.draw(st.lists(st.booleans(), min_size=total,
+                                               max_size=total))).reshape(sizes)
+        else:
+            vals = np.full(sizes, kind == "one")
+        gens.append(Relation.from_bool(space, sig, vals, name=f"g{len(gens)}"))
+    part = atoms(gens, space=space, signature=sig)
+    cells = atom_cells_oracle(gens, total)
+    assert [c.tolist() for c in part.cells] == cells
+    assert part.cell_count == len(cells) and part.covers(tuple(sizes))
+
+    # projection and rounding spread the cell means as a per-cell loop does
+    f = MeasuredFunction(space, sig, np.random.default_rng(
+        data.draw(st.integers(0, 2 ** 32 - 1))).random(sizes))
+    means = conditional_means(f.values.ravel(), part,
+                              space.weight_tensor(sig).ravel())
+    threshold = data.draw(st.floats(0.0, 1.0))
+    spread = np.zeros(total)
+    above = np.zeros(total, dtype=bool)
+    for mean, cell in zip(means, cells):
+        spread[cell] = mean
+        above[cell] = mean > threshold
+    assert np.array_equal(project_simple(f, part)[0].values.ravel(), spread)
+    assert np.array_equal(round_to_cells(f, part, threshold).values.ravel(), above)
 
 
 def test_generators_are_unions_of_atoms():

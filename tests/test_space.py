@@ -55,6 +55,18 @@ def test_non_finite_values_rejected(bad):
         MeasuredFunction(space, (0,), np.array([0.5, bad]))
 
 
+def test_parts_and_spaces_hash_like_their_json_round_trip():
+    from fractions import Fraction
+    from vck_lab import Part
+    from vck_lab.serialize import space_from_doc, space_to_doc
+    exact = PartiteSpace((Part("a", 3, (Fraction(1, 3), Fraction(1, 6), Fraction(1, 2))),
+                          Part.uniform("b", 2)))
+    loaded = space_from_doc(space_to_doc(exact))
+    assert loaded == exact and hash(loaded) == hash(exact)
+    assert hash(Part("a", 2, (0.5, 0.5))) == hash(Part.uniform("a", 2))
+    assert len({exact, loaded, PartiteSpace.uniform([3, 2])}) == 2
+
+
 def test_point_mass_sums_to_one():
     space = PartiteSpace([__import__("vck_lab").Part("V1", 3, (0.2, 0.3, 0.5)),
                           __import__("vck_lab").Part("V2", 2, (0.9, 0.1))])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from vck_lab import (Box, MeasuredFunction, PartiteSpace, Relation,
                      sauer_shelah_bound, trace_count, vc_k, vc_k_slicewise,
                      vc_profile, verify_certificate, zarankiewicz)
 from vck_lab.errors import InvalidArgumentError, ResourceLimitError
+from vck_lab.vck import ShatteringCertificate
+
+from oracles import verify_certificate_oracle
 
 
 def vc1_oracle(matrix) -> int:
@@ -104,6 +108,56 @@ def test_tampered_certificate_is_false_never_raises(witnesses, box, distinguishe
         assert verify_certificate(g, tampered) is False
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_verify_matches_per_bit_oracle(data):
+    if data.draw(st.booleans()):
+        d, k = data.draw(st.sampled_from([(2, 1), (3, 1), (1, 2), (2, 2)]))
+        f = membership_gadget(d, k)
+        box = Box(tuple(tuple(range(d)) for _ in range(k)))
+    else:
+        k = data.draw(st.integers(1, 2))
+        sizes = [data.draw(st.integers(1, 3 - k)) for _ in range(k)] \
+            + [data.draw(st.integers(1, 8))]
+        vals = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                                  min_size=math.prod(sizes), max_size=math.prod(sizes)))
+        f = MeasuredFunction(PartiteSpace.uniform(sizes), tuple(range(k + 1)),
+                             np.reshape(vals, sizes))
+        box = Box(tuple(tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                                 max_size=n, unique=True)))
+                        for n in sizes[:k]))
+    r = data.draw(st.sampled_from([0.0, 0.25, 0.5]))
+    s = data.draw(st.sampled_from([0.5, 0.75, 1.0]))
+    witness = st.integers(-2, f.shape[k] + 1)
+    cert = check_shattered(f, box, k, r, s)
+    if cert is None:
+        cert = ShatteringCertificate(box, k, r, s, {
+            mask: data.draw(witness) for mask in range(1 << box.grid_size)})
+    masks = st.sampled_from(sorted(cert.witnesses))
+    tamper = data.draw(st.sampled_from(["none", "witness", "drop", "extra", "r", "s",
+                                        "distinguished", "box"]))
+    if tamper == "witness":
+        cert = dataclasses.replace(cert, witnesses={**cert.witnesses,
+                                                    data.draw(masks): data.draw(witness)})
+    elif tamper == "drop":
+        drop = data.draw(masks)
+        cert = dataclasses.replace(cert, witnesses={m: b for m, b in cert.witnesses.items()
+                                                    if m != drop})
+    elif tamper == "extra":
+        cert = dataclasses.replace(cert, witnesses={**cert.witnesses,
+                                                    1 << cert.box.grid_size: 0})
+    elif tamper in ("r", "s"):
+        cert = dataclasses.replace(cert, **{tamper: data.draw(
+            st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))})
+    elif tamper == "distinguished":
+        cert = dataclasses.replace(cert, distinguished=data.draw(st.integers(-1, k + 1)))
+    elif tamper == "box":
+        cert = dataclasses.replace(cert, box=Box(tuple(
+            tuple(data.draw(st.lists(st.integers(-1, 3), min_size=1, max_size=3,
+                                     unique=True))) for _ in range(data.draw(st.integers(1, 2))))))
+    assert verify_certificate(f, cert) is verify_certificate_oracle(f, cert)
+
+
 def test_certificate_subset_outside_box_rejected():
     from vck_lab.vck import ShatteringCertificate
     g = membership_gadget(2, 1)
@@ -121,6 +175,12 @@ def test_cap_beyond_int64_bitmask_refused():
 
 
 # -- vc_k ----------------------------------------------------------------------
+
+def test_unary_function_has_no_searched_coordinate():
+    f = MeasuredFunction(PartiteSpace.uniform([2]), (0,), np.array([0.0, 1.0]))
+    with pytest.raises(InvalidArgumentError):
+        vc_k(f, 0, 0)
+
 
 def test_full_relation_has_dimension_zero():
     full = relation_from_matrix(np.ones((3, 4)))
