@@ -1,10 +1,11 @@
 """Command-line front end: experiment orchestration and report emission.
 
 Every subcommand writes a JSON report whose ``comparable`` section is
-canonical (sorted keys, fixed float format) and therefore byte-identical
-across reruns with the same configuration and seed; wall time lives outside
-it.  Sweeps additionally emit CSV.  Exit codes: 0 success, 2 invalid input,
-3 resource limit, 4 numerical failure.
+canonical (sorted keys, shortest round-trip floats) and therefore
+byte-identical across reruns with the same configuration and seed; wall time
+lives outside it.  Sweeps additionally emit CSV.  Exit codes: 0 success,
+2 invalid input (unreadable paths included), 3 resource limit, 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -133,14 +134,8 @@ def _cmd_vcdim(args) -> int:
     }
     config = {"input": args.input, "function": f.name, "k": k,
               "distinguished": distinguished, "r": args.r, "s": args.s,
-              "cap": args.cap, "format": args.format}
-    if args.format == "csv":
-        lines = ["dimension,complete,r,s",
-                 f"{result.dimension},{int(result.complete)},"
-                 f"{format_float(args.r)},{format_float(args.s)}"]
-        _write("\n".join(lines) + "\n", args.out)
-    else:
-        _emit_report("vcdim", config, results, args.seed, args.out, started)
+              "cap": args.cap}
+    _emit_report("vcdim", config, results, args.seed, args.out, started)
     if not result.complete:
         print("warning: search capped; dimension is a certified lower bound",
               file=sys.stderr)
@@ -266,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=0.5)
     p.add_argument("--s", type=float, default=0.5)
     p.add_argument("--cap", type=int, default=defaults.GRID_CAP)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_vcdim)
@@ -334,7 +328,8 @@ def main(argv=None) -> int:
         print(f"error: malformed JSON at line {exc.lineno} column {exc.colno}: "
               f"{exc.msg}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # every path the CLI opens was named by the user
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VckLabError as exc:

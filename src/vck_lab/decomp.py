@@ -55,6 +55,11 @@ class CylinderDecomposition:
         object.__setattr__(self, "target_signature", tuple(self.target_signature))
         for term in self.terms:
             for positions, factor in term.factors.items():
+                if (any(p not in range(len(self.target_signature)) for p in positions)
+                        or list(positions) != sorted(set(positions))):
+                    raise InvalidArgumentError(
+                        f"factor positions {positions} are not strictly increasing "
+                        f"in range({len(self.target_signature)})")
                 if len(positions) > self.k:
                     raise InvalidArgumentError(
                         f"factor on {positions} exceeds max arity {self.k}")

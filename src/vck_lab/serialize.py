@@ -1,8 +1,10 @@
 """Canonical JSON interchange for every artifact the lab produces.
 
-One emitter, one schema per artifact, loaders that reject unknown keys.
-Floats are written in scientific notation with 17 significant digits, which
-round-trips float64 bit-exactly; keys are sorted, so re-serializing a loaded
+One emitter (the standard library JSON encoder), one schema per artifact,
+loaders that reject unknown keys.  Floats are written in their shortest
+round-trip form (``repr``), which parses back to the same float64 bit for
+bit on every platform; files in the earlier 17-significant-digit spelling
+load to the same doubles.  Keys are sorted, so re-serializing a loaded
 document reproduces it byte for byte.
 """
 
@@ -20,54 +22,30 @@ from .space import MeasuredFunction, Part, PartiteSpace, Relation
 
 
 def format_float(x: float) -> str:
+    """Shortest text that parses back to the same double (``repr``)."""
     if not math.isfinite(x):
         raise InvalidArgumentError(f"non-finite value {x} cannot be serialized")
-    return f"{x:.16e}"
+    return repr(float(x))
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON: sorted keys, 17-significant-digit floats."""
-    out = []
-    _emit(obj, out)
-    return "".join(out)
+    """Deterministic JSON: sorted keys, no spaces, shortest round-trip floats."""
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                          ensure_ascii=False, allow_nan=False, default=_plain)
+    except ValueError as exc:
+        raise InvalidArgumentError(f"cannot serialize: {exc}") from exc
 
 
-def _emit(obj, out):
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, Fraction):
-        out.append(json.dumps(f"{obj.numerator}/{obj.denominator}"))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise InvalidArgumentError(f"JSON keys must be strings, got {key!r}")
-            if i:
-                out.append(",")
-            out.append(json.dumps(key, ensure_ascii=False))
-            out.append(":")
-            _emit(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        out.append("[")
-        for i, item in enumerate(seq):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
-    else:
-        raise InvalidArgumentError(f"cannot serialize {type(obj).__name__}")
+def _plain(obj):
+    """The JSON-native form of the numpy and Fraction values reports carry."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    raise InvalidArgumentError(f"cannot serialize {type(obj).__name__}")
 
 
 def write_canonical(path, obj):

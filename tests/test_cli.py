@@ -54,7 +54,7 @@ def test_non_utf8_document_exits_2(tmp_path, capsys):
 def test_non_finite_json_literal_exits_2(tmp_path, gadget_doc, literal):
     text = gadget_doc.read_text()
     bad = tmp_path / "bad.json"
-    bad.write_text(text.replace("0.0000000000000000e+00", literal, 1))
+    bad.write_text(text.replace('"values":[0.0,', f'"values":[{literal},', 1))
     assert bad.read_text() != text
     assert run("vcdim", "--input", str(bad), "--k", "1") == 2
 
@@ -68,6 +68,16 @@ def test_unknown_gen_parameter_exits_2(tmp_path, capsys):
 
 def test_missing_input_exits_2(tmp_path):
     assert run("vcdim", "--input", str(tmp_path / "nope.json")) == 2
+
+
+def test_input_directory_exits_2(tmp_path, capsys):
+    assert run("gowers", "--input", str(tmp_path)) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_output_directory_exits_2(tmp_path, gadget_doc, capsys):
+    assert run("gowers", "--input", str(gadget_doc), "--out", str(tmp_path)) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_vcdim_cap_too_small_exits_3(tmp_path):

@@ -149,6 +149,26 @@ def test_malformed_decomposition_document_rejected():
             CylinderDecomposition.from_doc(bad)
 
 
+@pytest.mark.parametrize("positions", [(-1,), (2,), (1, 0)])
+def test_bad_factor_positions_refused(positions):
+    import json
+    from vck_lab.serialize import dumps_canonical
+    space = uniform_space([2, 2])
+    bad = CylinderTerm(Fraction(1, 2), {positions: MeasuredFunction(
+        space, (0,) * len(positions), np.ones((2,) * len(positions)))})
+    with pytest.raises(InvalidArgumentError, match="factor positions"):
+        CylinderDecomposition(space, (0, 1), 2, (bad,))
+    good = CylinderDecomposition(space, (0, 1), 2, (
+        make_term(space, (0, 1), Fraction(1, 2),
+                  {(0,): [1, 0], (0, 1): [[1, 0], [0, 1]]}),))
+    doc = json.loads(dumps_canonical(good.to_doc()))
+    factor = next(rec for rec in doc["terms"][0]["factors"]
+                  if len(rec["positions"]) == len(positions))
+    factor["positions"] = list(positions)
+    with pytest.raises(InvalidArgumentError):
+        CylinderDecomposition.from_doc(doc)
+
+
 # -- Boolean fitting ------------------------------------------------------------------
 
 def test_fit_single_cylinder_exact():

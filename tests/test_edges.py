@@ -1,9 +1,14 @@
 """Edge paths: diagnostic failures, tie thresholds, stream stability."""
 
+import json
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vck_lab import (Box, MeasuredFunction, PartiteSpace, Relation, atoms,
                      bounded_arith, check_shattered, continuous_combine,
@@ -11,7 +16,7 @@ from vck_lab import (Box, MeasuredFunction, PartiteSpace, Relation, atoms,
 from vck_lab import rng as _rng_mod
 from vck_lab.errors import DiagnosticFailureError, InvalidArgumentError
 from vck_lab.rng import STREAM_PATTERN, raw64, uniforms
-from vck_lab.serialize import dumps_canonical, space_from_doc
+from vck_lab.serialize import dumps_canonical, format_float, space_from_doc
 
 
 def test_fuzziness_height_cap_raises_with_trace():
@@ -65,6 +70,44 @@ def test_bounded_arith_repeat_needs_count():
 def test_non_finite_values_cannot_serialize():
     with pytest.raises(InvalidArgumentError):
         dumps_canonical({"x": float("nan")})
+
+
+EXTREME_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                   2.2250738585072014e-308, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 0.1, 1 / 3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=8),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)
+                  | st.sampled_from(EXTREME_DOUBLES)))
+@example(np.array(EXTREME_DOUBLES))
+def test_float_text_round_trips_bit_for_bit(values):
+    text = dumps_canonical({"values": values})
+    back = np.array(json.loads(text)["values"], dtype=np.float64)
+    assert np.array_equal(back.view(np.int64), values.view(np.int64))
+    # the CSV writer spells each double as the JSON encoder does
+    flat = values.ravel().tolist()
+    assert [format_float(x) for x in flat] == [dumps_canonical(x) for x in flat]
+    # files written in the earlier 17-significant-digit spelling load unchanged
+    old = np.array([float(f"{x:.16e}") for x in flat], dtype=np.float64)
+    assert np.array_equal(old.view(np.int64), values.ravel().view(np.int64))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_array_cannot_serialize(bad):
+    with pytest.raises(InvalidArgumentError):
+        dumps_canonical({"values": np.array([0.5, bad])})
+    with pytest.raises(InvalidArgumentError):
+        format_float(bad)
+
+
+def test_numpy_scalars_and_fractions_serialize_as_plain_json():
+    doc = {"b": np.bool_(True), "f": np.float32(0.5), "i": np.int64(7),
+           "q": Fraction(3, 4), "t": (1, 2.5)}
+    assert dumps_canonical(doc) == '{"b":true,"f":0.5,"i":7,"q":"3/4","t":[1,2.5]}'
+    with pytest.raises(InvalidArgumentError, match="cannot serialize object"):
+        dumps_canonical({"x": object()})
 
 
 def test_raw_stream_values_frozen():
