@@ -130,6 +130,8 @@ def quasirandomness_curve(k: int, d_values, trials: int, seed: int,
     are flagged against one standard deviation, never fatal).
     Returns rows ``{"d", "mean_norm", "std_norm"}``.
     """
+    if trials < 1:
+        raise InvalidArgumentError(f"need trials >= 1, got {trials}")
     rows = []
     for di, d in enumerate(d_values):
         norms = [pattern_norm(random_pattern(d, k, p, seed,
@@ -157,6 +159,8 @@ def inapproximability_score(instance: AdversarialInstance, k: int, N: int,
     Restart 0 uses the deterministic residual initialization, later restarts
     use seeded random factor initializations on derived streams.
     """
+    if restarts < 1:
+        raise InvalidArgumentError(f"need restarts >= 1, got {restarts}")
     f = instance.function
     best = None
     for r in range(restarts):

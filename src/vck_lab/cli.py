@@ -3,7 +3,8 @@
 Every subcommand writes a JSON report whose ``comparable`` section is
 canonical (sorted keys, shortest round-trip floats) and therefore
 byte-identical across reruns with the same configuration and seed; wall time
-lives outside it.  Sweeps additionally emit CSV.  Exit codes: 0 success,
+and the ``diagnostics`` block (deterministic search counters) live outside
+it.  Sweeps additionally emit CSV.  Exit codes: 0 success,
 2 invalid input (unreadable paths included), 3 resource limit, 4 numerical
 failure.
 """
@@ -30,7 +31,8 @@ from .space import PartiteSpace
 from .vck import ShatteringCertificate, vc_k, verify_certificate
 
 
-def _emit_report(command: str, config: dict, results, seed, out, started: float) -> None:
+def _emit_report(command: str, config: dict, results, seed, out, started: float,
+                 diagnostics: dict | None = None) -> None:
     doc = {
         "comparable": {
             "command": command,
@@ -41,6 +43,8 @@ def _emit_report(command: str, config: dict, results, seed, out, started: float)
         },
         "wall_time_s": time.perf_counter() - started,
     }
+    if diagnostics is not None:
+        doc["diagnostics"] = diagnostics
     _write(dumps_canonical(doc) + "\n", out)
 
 
@@ -135,7 +139,8 @@ def _cmd_vcdim(args) -> int:
     config = {"input": args.input, "function": f.name, "k": k,
               "distinguished": distinguished, "r": args.r, "s": args.s,
               "cap": args.cap}
-    _emit_report("vcdim", config, results, args.seed, args.out, started)
+    _emit_report("vcdim", config, results, args.seed, args.out, started,
+                 {"levels": [level.to_doc() for level in result.levels]})
     if not result.complete:
         print("warning: search capped; dimension is a certified lower bound",
               file=sys.stderr)

@@ -439,6 +439,9 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
     k_prime = f.arity
     if k_prime <= k:
         raise InvalidArgumentError(f"target arity {k_prime} must exceed k={k}")
+    if n_max < 1 or als_iters < 0:
+        raise InvalidArgumentError(f"need n_max >= 1 and als_iters >= 0, got "
+                                   f"n_max={n_max}, als_iters={als_iters}")
     shape = f.shape
     sets = index_sets(k_prime, k)
     w = f.space.weight_tensor(f.signature)

@@ -3,16 +3,18 @@
 A (k+1)-ary function f threshold-shatters a k-dimensional box A1 x ... x Ak
 at (r, s) when for every subset S of the box grid some witness vertex b in
 the distinguished coordinate has f <= r on S and f >= s off S.  The search
-iterates box size d upward, enumerating boxes lexicographically; witnesses
-are located through per-vertex trace bitmaps over the grid, so the
-subset-cover test is set membership over integer masks.
+iterates box size d upward, enumerating boxes lexicographically; a batched
+count of each box's distinct witness masks skips boxes that cannot be
+shattered, and check_shattered decides the rest: witnesses are located
+through per-vertex trace bitmaps over the grid, so the subset-cover test is
+set membership over integer masks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -103,6 +105,7 @@ class VcResult:
     dimension: int
     certificate: ShatteringCertificate | None
     complete: bool = True
+    levels: tuple = ()  # LevelStats per box size tried, in order
 
 
 @dataclass(frozen=True)
@@ -136,14 +139,21 @@ def _grid_value_table(f: MeasuredFunction, box: Box, distinguished: int) -> np.n
     return sub.reshape(-1, f.shape[distinguished])
 
 
+def _check_search_args(r: float, s: float, cap: int) -> None:
+    if not (math.isfinite(r) and math.isfinite(s)):
+        raise InvalidArgumentError(f"thresholds must be finite, got r={r}, s={s}")
+    if r > s:
+        raise InvalidArgumentError(f"thresholds must satisfy r <= s, got {r} > {s}")
+    if not 1 <= cap <= defaults.GRID_CAP_MAX:
+        raise InvalidArgumentError(
+            f"cap {cap} outside 1..{defaults.GRID_CAP_MAX} (int64 bitmasks)")
+
+
 def check_shattered(f: MeasuredFunction, box: Box, distinguished: int,
                     r: float, s: float,
                     cap: int = defaults.GRID_CAP) -> ShatteringCertificate | None:
     """Full certificate if every subset of the box grid has a witness, else None."""
-    if r > s:
-        raise InvalidArgumentError(f"thresholds must satisfy r <= s, got {r} > {s}")
-    if cap > defaults.GRID_CAP_MAX:
-        raise InvalidArgumentError(f"cap {cap} exceeds {defaults.GRID_CAP_MAX} (int64 bitmasks)")
+    _check_search_args(r, s, cap)
     g = box.grid_size
     if g > cap:
         raise ResourceLimitError(
@@ -190,6 +200,104 @@ def verify_certificate(f: MeasuredFunction, cert: ShatteringCertificate) -> bool
     return bool(np.all(np.where(inside, cols <= cert.r, cols >= cert.s)))
 
 
+# Box x witness keys held per batch of a level scan: bounds its memory.
+_BATCH_ENTRIES = 1 << 14
+# A level scan's first batch; later batches double up to the entry cap, so a
+# level whose first box is shattered stays cheap.
+_FIRST_BATCH = 8
+
+
+class _LevelScan:
+    """Witness tables of one (f, distinguished, r, s) over the whole searched
+    grid, and the count filter that keeps check_shattered off boxes which
+    cannot be shattered.
+
+    Rows are searched-grid cells in row-major order, columns are witnesses.
+    ``lo`` holds the f <= r bits as int64; ``mid`` (cells strictly inside
+    (r, s), which invalidate a witness) and ``tie`` (cells equal to r = s,
+    which a witness covers either way) are None when no cell has them.
+    """
+
+    def __init__(self, f: MeasuredFunction, distinguished: int, r: float, s: float):
+        self.sizes = [f.shape[p] for p in _box_positions(f.arity, distinguished)]
+        self.strides = [math.prod(self.sizes[j + 1:]) for j in range(len(self.sizes))]
+        whole = Box(tuple(tuple(range(n)) for n in self.sizes))
+        values = _grid_value_table(f, whole, distinguished)
+        lo, hi = values <= r, values >= s
+        mid, tie = ~(lo | hi), lo & hi
+        self.lo = lo.astype(np.int64)
+        self.mid = mid if mid.any() else None
+        self.tie = tie.astype(np.int64) if tie.any() else None
+        self.witnesses = values.shape[1]
+
+    def count_bound(self, g: int) -> int:
+        """Grid subsets the witnesses could cover in any box of g cells: a
+        column covers at most 2**(its tie cells) of them."""
+        if self.tie is None:
+            return self.witnesses
+        return sum(1 << min(int(t), g) for t in self.tie.sum(axis=0))
+
+    def covered_bound(self, combos: np.ndarray) -> np.ndarray:
+        """Per box of a (boxes, k, d) batch, an upper bound on the grid
+        subsets its witnesses cover; exact when no cell is a tie.
+
+        A witness's key is its <= r mask over the box grid; a valid witness
+        with no tie covers exactly its key, one with t ties at most 2**t."""
+        n, k, d = combos.shape
+        cells = np.zeros((n,) + (1,) * k, dtype=np.int64)
+        for j in range(k):
+            shape = [n] + [1] * k
+            shape[j + 1] = d
+            cells = cells + (combos[:, j, :] * self.strides[j]).reshape(shape)
+        cells = cells.reshape(n, -1)
+        g = cells.shape[1]
+        keys = np.zeros((n, self.witnesses), dtype=np.int64)
+        for i in range(g):
+            keys |= self.lo[cells[:, i]] << i
+        if self.mid is not None:
+            invalid = np.zeros(keys.shape, dtype=bool)
+            for i in range(g):
+                invalid |= self.mid[cells[:, i]]
+            keys[invalid] = -1
+        extra = 0
+        if self.tie is not None:
+            ties = np.zeros(keys.shape, dtype=np.int64)
+            for i in range(g):
+                ties += self.tie[cells[:, i]]
+            keys[ties > 0] = -1
+            if self.witnesses << g < 1 << 62:
+                extra = np.where(ties > 0, 1 << ties, 0).sum(axis=1)
+            else:  # the int64 sum could overflow: let such boxes through
+                extra = np.where((ties > 0).any(axis=1), 1 << g, 0)
+        keys.sort(axis=1)
+        distinct = (1 + np.count_nonzero(keys[:, 1:] != keys[:, :-1], axis=1)
+                    - (keys[:, 0] < 0))
+        return distinct + extra
+
+
+def _lex_boxes(sizes: list, d: int):
+    """d-boxes in lexicographic order of their sides.  Unlike
+    itertools.product, the first side's combinations are drawn lazily, so a
+    level stopped at its first boxes never lists all of them."""
+    rest = [tuple(itertools.combinations(range(n), d)) for n in sizes[1:]]
+    return itertools.chain.from_iterable(
+        itertools.product((head,), *rest)
+        for head in itertools.combinations(range(sizes[0]), d))
+
+
+@dataclass(frozen=True)
+class LevelStats:
+    """Search counters of one box size d."""
+
+    d: int
+    boxes: int         # boxes the count filter scanned
+    checked: int       # boxes passed on to check_shattered
+    count_bound: bool  # too few witnesses for any d-box: the search ended here
+
+    def to_doc(self) -> dict:
+        return asdict(self)
+
+
 def vc_k(f: MeasuredFunction, k: int, distinguished: int,
          r: float = 0.5, s: float = 0.5,
          cap: int = defaults.GRID_CAP) -> VcResult:
@@ -197,31 +305,47 @@ def vc_k(f: MeasuredFunction, k: int, distinguished: int,
 
     Box enumeration is lexicographic over sorted vertex combinations, so the
     returned certificate sits on the lexicographically least maximal box.
-    When the grid cap stops the search before candidates are exhausted the
-    result carries ``complete=False`` and is a certified lower bound.
+    Each level is scanned in batches: a box goes to check_shattered, the
+    only decider, unless its witnesses provably cover fewer than all grid
+    subsets, and the search ends early when no d-box can have enough
+    witnesses (the log-size bound).  Shattered boxes are downward closed, so
+    a level without one ends the search.  When the grid cap stops the search
+    before candidates are exhausted the result carries ``complete=False``
+    and is a certified lower bound.
     """
     if k < 1 or f.arity != k + 1:
         raise InvalidArgumentError(f"vc_k needs k >= 1 and arity k+1, got k={k} "
                                    f"and arity {f.arity}")
-    positions = _box_positions(f.arity, distinguished)
-    side_limit = min(f.shape[p] for p in positions)
-    best = VcResult(0, None, complete=True)
-    d = 1
-    while d <= side_limit:
-        if d ** k > cap:
-            return VcResult(best.dimension, best.certificate, complete=False)
-        found = None
-        for combo in itertools.product(
-                *[itertools.combinations(range(f.shape[p]), d) for p in positions]):
-            cert = check_shattered(f, Box(combo), distinguished, r, s, cap=cap)
-            if cert is not None:
-                found = cert
+    _check_search_args(r, s, cap)
+    scan = _LevelScan(f, distinguished, r, s)
+    max_batch = max(1, _BATCH_ENTRIES // scan.witnesses)
+    dimension, certificate, levels = 0, None, []
+    for d in range(1, min(scan.sizes) + 1):
+        g = d ** k
+        if g > cap:
+            return VcResult(dimension, certificate, False, tuple(levels))
+        if scan.count_bound(g) < 1 << g:
+            levels.append(LevelStats(d, 0, 0, True))
+            break
+        boxes = _lex_boxes(scan.sizes, d)
+        found, scanned, checked, batch = None, 0, 0, _FIRST_BATCH
+        while found is None:
+            chunk = list(itertools.islice(boxes, min(batch, max_batch)))
+            if not chunk:
                 break
+            scanned += len(chunk)
+            bound = scan.covered_bound(np.array(chunk, dtype=np.int64))
+            for j in np.flatnonzero(bound >= 1 << g):
+                checked += 1
+                found = check_shattered(f, Box(chunk[j]), distinguished, r, s, cap=cap)
+                if found is not None:
+                    break
+            batch *= 2
+        levels.append(LevelStats(d, scanned, checked, False))
         if found is None:
-            return best
-        best = VcResult(d, found, complete=True)
-        d += 1
-    return best
+            break
+        dimension, certificate = d, found
+    return VcResult(dimension, certificate, True, tuple(levels))
 
 
 def vc_k_slicewise(f: MeasuredFunction, k: int, r: float = 0.5, s: float = 0.5,

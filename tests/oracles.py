@@ -1,7 +1,9 @@
 """Independent definition-literal oracles shared by module and acceptance tests.
 
 These implementations stay deliberately naive (set enumeration, quadruple
-loops) and never call the library code paths they are used to check.
+loops) and never call the library code paths they are used to check.  The one
+exception is :func:`vc_k_oracle`, the slow path of ``vc_k``: it asks
+``check_shattered``, the single decider, about every box in turn.
 """
 
 import itertools
@@ -126,3 +128,26 @@ def verify_certificate_oracle(f, cert) -> bool:
             elif not value >= cert.s:
                 return False
     return True
+
+
+def vc_k_oracle(f, k, distinguished, r=0.5, s=0.5, cap=16):
+    """Level search that sends every box, in lexicographic order, through
+    check_shattered; (dimension, certificate, complete) as ``vc_k`` returns."""
+    from vck_lab import Box, check_shattered
+
+    positions = [p for p in range(f.arity) if p != distinguished]
+    best, d = (0, None, True), 1
+    while d <= min(f.shape[p] for p in positions):
+        if d ** k > cap:
+            return best[0], best[1], False
+        found = None
+        for combo in itertools.product(
+                *[itertools.combinations(range(f.shape[p]), d) for p in positions]):
+            found = check_shattered(f, Box(combo), distinguished, r, s, cap=cap)
+            if found is not None:
+                break
+        if found is None:
+            return best
+        best = (d, found, True)
+        d += 1
+    return best

@@ -162,3 +162,15 @@ def test_score_monotone_in_terms():
               for n in (1, 2, 3, 4)]
     for a, b in zip(scores, scores[1:]):
         assert b <= a + 1e-9
+
+
+def test_curve_refuses_no_trials():
+    for trials in (0, -1):
+        with pytest.raises(InvalidArgumentError):
+            quasirandomness_curve(1, [2], trials, seed=0)
+
+
+def test_score_refuses_no_restarts():
+    H = random_pattern(3, 1, 0.5, 11)
+    with pytest.raises(InvalidArgumentError):
+        inapproximability_score(_pattern_instance(H), 1, 2, seed=0, restarts=0)

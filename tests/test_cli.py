@@ -288,3 +288,44 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+# -- argument refusals ----------------------------------------------------------------
+
+@pytest.mark.parametrize("flags", [
+    ("--r", "nan", "--s", "nan"), ("--r", "0.5", "--s", "inf"),
+    ("--r", "0.75", "--s", "0.25"), ("--cap", "0"), ("--cap", "-1"), ("--cap", "63")])
+def test_vcdim_bad_thresholds_or_cap_exit_2(gadget_doc, flags, capsys):
+    assert run("vcdim", "--input", str(gadget_doc), "--k", "1", *flags) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--trials", "0"), ("--trials", "-1"), ("--restarts", "0")])
+def test_adversary_bad_counts_exit_2(tmp_path, flags):
+    assert run("adversary", "--k", "1", "--d", "2", "--trials", "2",
+               "--score-trials", "1", "--restarts", "1", *flags,
+               "--out", str(tmp_path / "curve.csv")) == 2
+
+
+@pytest.mark.parametrize("flags", [("--n-max", "0"), ("--als-iters", "-1")])
+def test_decompose_bad_counts_exit_2(gadget_doc, flags):
+    assert run("decompose", "--input", str(gadget_doc), "--k", "1", *flags) == 2
+
+
+# -- diagnostics ----------------------------------------------------------------------
+
+def test_vcdim_diagnostics_outside_comparable_and_reproducible(tmp_path, gadget_doc):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for out in (a, b):
+        assert run("vcdim", "--input", str(gadget_doc), "--k", "1", "--out", str(out)) == 0
+    doc = load_json(a)
+    assert list(doc) == ["comparable", "diagnostics", "wall_time_s"]
+    assert "diagnostics" not in doc["comparable"]
+    assert doc["diagnostics"] == load_json(b)["diagnostics"]
+    levels = doc["diagnostics"]["levels"]
+    assert [level["d"] for level in levels] == [1, 2]
+    assert all(set(level) == {"d", "boxes", "checked", "count_bound"} for level in levels)
+    # the bytes up to wall time, diagnostics included, repeat exactly
+    cut = [p.read_bytes().rsplit(b',"wall_time_s":', 1)[0] for p in (a, b)]
+    assert cut[0] == cut[1]

@@ -235,6 +235,13 @@ def test_weighted_constant_target():
     assert rep.n == 1
 
 
+@pytest.mark.parametrize("n_max, als_iters", [(0, 25), (-1, 25), (3, -1)])
+def test_weighted_fit_refuses_bad_counts(n_max, als_iters):
+    c = MeasuredFunction.constant(uniform_space([4, 4]), (0, 1), 0.37)
+    with pytest.raises(InvalidArgumentError):
+        fit_weighted_cylinders(c, 1, n_max, als_iters=als_iters)
+
+
 def test_weighted_representable_oracle_init():
     space = uniform_space([4, 5])
     u = np.linspace(0.1, 0.9, 4)

@@ -16,7 +16,7 @@ from vck_lab import (Box, MeasuredFunction, PartiteSpace, Relation,
 from vck_lab.errors import InvalidArgumentError, ResourceLimitError
 from vck_lab.vck import ShatteringCertificate
 
-from oracles import verify_certificate_oracle
+from oracles import vc_k_oracle, verify_certificate_oracle
 
 
 def vc1_oracle(matrix) -> int:
@@ -360,3 +360,83 @@ def test_parity_sentinel_under_bound():
         dims = [vc_k(triple.relation, 2, dist).dimension for dist in (0, 1, 2)]
         assert max(dims) <= 65
         assert max(dims) <= 3  # attainable box size at |V| <= 6 with grid cap
+
+
+# -- batched level scan against the per-box oracle ---------------------------------
+
+LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
+# equal pairs put grid values exactly on r = s; the others leave values
+# strictly inside (r, s)
+THRESHOLDS = ((0.5, 0.5), (0.0, 0.0), (1.0, 1.0), (0.25, 0.75), (0.25, 0.5), (0.5, 0.75))
+
+
+@st.composite
+def search_problems(draw):
+    """A (k+1)-ary function on small parts whose witness columns repeat,
+    with a threshold pair and a grid cap that may stop the search."""
+    k = draw(st.sampled_from((1, 2)))
+    sides = draw(st.lists(st.integers(1, 6 if k == 1 else 3), min_size=k, max_size=k))
+    cells = math.prod(sides)
+    distinct = draw(st.integers(1, 12))
+    columns = np.array(draw(st.lists(st.sampled_from(LEVELS), min_size=cells * distinct,
+                                     max_size=cells * distinct))).reshape(cells, distinct)
+    # 1 to 40 witnesses: fewer and more than the 2**(d**k) a level needs
+    picks = draw(st.lists(st.integers(0, distinct - 1), min_size=1, max_size=40))
+    distinguished = draw(st.integers(0, k))
+    values = np.moveaxis(columns[:, picks].reshape(sides + [len(picks)]), -1, distinguished)
+    f = MeasuredFunction(PartiteSpace.uniform(list(values.shape)), tuple(range(k + 1)),
+                         values)
+    r, s = draw(st.sampled_from(THRESHOLDS))
+    cap = draw(st.sampled_from((1, 2, 4, 16)))
+    return f, k, distinguished, r, s, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_problems())
+def test_vc_k_matches_per_box_oracle(problem):
+    f, k, distinguished, r, s, cap = problem
+    result = vc_k(f, k, distinguished, r, s, cap=cap)
+    dimension, cert, complete = vc_k_oracle(f, k, distinguished, r, s, cap=cap)
+    assert (result.dimension, result.complete) == (dimension, complete)
+    assert (result.certificate is None) == (cert is None)
+    if cert is not None:
+        assert result.certificate.to_doc() == cert.to_doc()
+    assert [level.d for level in result.levels] == list(range(1, len(result.levels) + 1))
+    assert all(level.checked <= level.boxes for level in result.levels)
+
+
+def test_count_bound_ends_search_without_scanning():
+    # 3x3 boxes need 512 distinct witnesses; 256 cannot supply them
+    space = PartiteSpace.uniform([4, 4, 256])
+    vals = np.random.default_rng(3).integers(0, 2, (4, 4, 256)).astype(float)
+    res = vc_k(MeasuredFunction(space, (0, 1, 2), vals), 2, 2)
+    assert res.dimension == 2 and res.complete
+    last = res.levels[-1]
+    assert (last.d, last.boxes, last.checked, last.count_bound) == (3, 0, 0, True)
+
+
+def test_level_counters_on_membership_gadget():
+    g = membership_gadget(3, 1)
+    res = vc_k(g, 1, 1)
+    assert res.dimension == 3
+    # the gadget's first box of every level is shattered
+    assert [(lv.d, lv.checked, lv.count_bound) for lv in res.levels] == [
+        (1, 1, False), (2, 1, False), (3, 1, False)]
+
+
+def test_box_enumeration_is_lexicographic_and_lazy():
+    from vck_lab.vck import _lex_boxes
+    for sizes, d in (([5], 2), ([4, 3], 2), ([3, 3, 3], 2)):
+        assert list(_lex_boxes(sizes, d)) == list(itertools.product(
+            *[itertools.combinations(range(n), d) for n in sizes]))
+    # itertools.product would list all C(10**6, 2) first sides up front
+    assert next(_lex_boxes([10 ** 6, 3], 2)) == ((0, 1), (0, 1))
+
+
+@pytest.mark.parametrize("r, s, cap", [
+    (math.nan, math.nan, 16), (0.5, math.inf, 16), (-math.inf, 0.5, 16),
+    (0.75, 0.25, 16), (0.5, 0.5, 0), (0.5, 0.5, -1), (0.5, 0.5, 63)])
+def test_vc_k_refuses_bad_arguments(r, s, cap):
+    g = membership_gadget(2, 1)
+    with pytest.raises(InvalidArgumentError):
+        vc_k(g, 1, 1, r, s, cap=cap)
