@@ -208,14 +208,14 @@ _FIRST_BATCH = 8
 
 
 class _LevelScan:
-    """Witness tables of one (f, distinguished, r, s) over the whole searched
+    """Witness table of one (f, distinguished, r, s) over the whole searched
     grid, and the count filter that keeps check_shattered off boxes which
     cannot be shattered.
 
-    Rows are searched-grid cells in row-major order, columns are witnesses.
-    ``lo`` holds the f <= r bits as int64; ``mid`` (cells strictly inside
-    (r, s), which invalidate a witness) and ``tie`` (cells equal to r = s,
-    which a witness covers either way) are None when no cell has them.
+    Rows are searched-grid cells in row-major order, columns are witnesses;
+    ``lo`` holds the f <= r bits.  ``ties`` tells whether some cell equals
+    r = s: such a witness covers a subset with or without that cell, so
+    neither the count bound nor the filter applies and every box is checked.
     """
 
     def __init__(self, f: MeasuredFunction, distinguished: int, r: float, s: float):
@@ -223,26 +223,15 @@ class _LevelScan:
         self.strides = [math.prod(self.sizes[j + 1:]) for j in range(len(self.sizes))]
         whole = Box(tuple(tuple(range(n)) for n in self.sizes))
         values = _grid_value_table(f, whole, distinguished)
-        lo, hi = values <= r, values >= s
-        mid, tie = ~(lo | hi), lo & hi
-        self.lo = lo.astype(np.int64)
-        self.mid = mid if mid.any() else None
-        self.tie = tie.astype(np.int64) if tie.any() else None
+        self.lo = values <= r
+        self.ties = bool(np.any(self.lo & (values >= s)))
         self.witnesses = values.shape[1]
 
-    def count_bound(self, g: int) -> int:
-        """Grid subsets the witnesses could cover in any box of g cells: a
-        column covers at most 2**(its tie cells) of them."""
-        if self.tie is None:
-            return self.witnesses
-        return sum(1 << min(int(t), g) for t in self.tie.sum(axis=0))
-
     def covered_bound(self, combos: np.ndarray) -> np.ndarray:
-        """Per box of a (boxes, k, d) batch, an upper bound on the grid
-        subsets its witnesses cover; exact when no cell is a tie.
-
-        A witness's key is its <= r mask over the box grid; a valid witness
-        with no tie covers exactly its key, one with t ties at most 2**t."""
+        """Per box of a (boxes, k, d) batch, the number of distinct <= r
+        masks of its witnesses over the box grid.  Without ties a witness
+        covers at most its own mask (none if a value lies inside (r, s)), so
+        this bounds the grid subsets covered."""
         n, k, d = combos.shape
         cells = np.zeros((n,) + (1,) * k, dtype=np.int64)
         for j in range(k):
@@ -250,39 +239,11 @@ class _LevelScan:
             shape[j + 1] = d
             cells = cells + (combos[:, j, :] * self.strides[j]).reshape(shape)
         cells = cells.reshape(n, -1)
-        g = cells.shape[1]
         keys = np.zeros((n, self.witnesses), dtype=np.int64)
-        for i in range(g):
-            keys |= self.lo[cells[:, i]] << i
-        if self.mid is not None:
-            invalid = np.zeros(keys.shape, dtype=bool)
-            for i in range(g):
-                invalid |= self.mid[cells[:, i]]
-            keys[invalid] = -1
-        extra = 0
-        if self.tie is not None:
-            ties = np.zeros(keys.shape, dtype=np.int64)
-            for i in range(g):
-                ties += self.tie[cells[:, i]]
-            keys[ties > 0] = -1
-            if self.witnesses << g < 1 << 62:
-                extra = np.where(ties > 0, 1 << ties, 0).sum(axis=1)
-            else:  # the int64 sum could overflow: let such boxes through
-                extra = np.where((ties > 0).any(axis=1), 1 << g, 0)
+        for i in range(cells.shape[1]):
+            keys |= self.lo[cells[:, i]].astype(np.int64) << i
         keys.sort(axis=1)
-        distinct = (1 + np.count_nonzero(keys[:, 1:] != keys[:, :-1], axis=1)
-                    - (keys[:, 0] < 0))
-        return distinct + extra
-
-
-def _lex_boxes(sizes: list, d: int):
-    """d-boxes in lexicographic order of their sides.  Unlike
-    itertools.product, the first side's combinations are drawn lazily, so a
-    level stopped at its first boxes never lists all of them."""
-    rest = [tuple(itertools.combinations(range(n), d)) for n in sizes[1:]]
-    return itertools.chain.from_iterable(
-        itertools.product((head,), *rest)
-        for head in itertools.combinations(range(sizes[0]), d))
+        return 1 + np.count_nonzero(keys[:, 1:] != keys[:, :-1], axis=1)
 
 
 @dataclass(frozen=True)
@@ -290,7 +251,7 @@ class LevelStats:
     """Search counters of one box size d."""
 
     d: int
-    boxes: int         # boxes the count filter scanned
+    boxes: int         # boxes enumerated
     checked: int       # boxes passed on to check_shattered
     count_bound: bool  # too few witnesses for any d-box: the search ended here
 
@@ -308,7 +269,8 @@ def vc_k(f: MeasuredFunction, k: int, distinguished: int,
     Each level is scanned in batches: a box goes to check_shattered, the
     only decider, unless its witnesses provably cover fewer than all grid
     subsets, and the search ends early when no d-box can have enough
-    witnesses (the log-size bound).  Shattered boxes are downward closed, so
+    witnesses (the log-size bound).  When some value equals r = s neither
+    shortcut applies and every box is checked.  Shattered boxes are downward closed, so
     a level without one ends the search.  When the grid cap stops the search
     before candidates are exhausted the result carries ``complete=False``
     and is a certified lower bound.
@@ -324,18 +286,23 @@ def vc_k(f: MeasuredFunction, k: int, distinguished: int,
         g = d ** k
         if g > cap:
             return VcResult(dimension, certificate, False, tuple(levels))
-        if scan.count_bound(g) < 1 << g:
+        if not scan.ties and scan.witnesses < 1 << g:
             levels.append(LevelStats(d, 0, 0, True))
             break
-        boxes = _lex_boxes(scan.sizes, d)
+        boxes = itertools.product(*[itertools.combinations(range(n), d)
+                                    for n in scan.sizes])
         found, scanned, checked, batch = None, 0, 0, _FIRST_BATCH
         while found is None:
             chunk = list(itertools.islice(boxes, min(batch, max_batch)))
             if not chunk:
                 break
             scanned += len(chunk)
-            bound = scan.covered_bound(np.array(chunk, dtype=np.int64))
-            for j in np.flatnonzero(bound >= 1 << g):
+            if scan.ties:
+                candidates = range(len(chunk))
+            else:
+                bound = scan.covered_bound(np.array(chunk, dtype=np.int64))
+                candidates = np.flatnonzero(bound >= 1 << g)
+            for j in candidates:
                 checked += 1
                 found = check_shattered(f, Box(chunk[j]), distinguished, r, s, cap=cap)
                 if found is not None:

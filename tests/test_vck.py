@@ -424,15 +424,6 @@ def test_level_counters_on_membership_gadget():
         (1, 1, False), (2, 1, False), (3, 1, False)]
 
 
-def test_box_enumeration_is_lexicographic_and_lazy():
-    from vck_lab.vck import _lex_boxes
-    for sizes, d in (([5], 2), ([4, 3], 2), ([3, 3, 3], 2)):
-        assert list(_lex_boxes(sizes, d)) == list(itertools.product(
-            *[itertools.combinations(range(n), d) for n in sizes]))
-    # itertools.product would list all C(10**6, 2) first sides up front
-    assert next(_lex_boxes([10 ** 6, 3], 2)) == ((0, 1), (0, 1))
-
-
 @pytest.mark.parametrize("r, s, cap", [
     (math.nan, math.nan, 16), (0.5, math.inf, 16), (-math.inf, 0.5, 16),
     (0.75, 0.25, 16), (0.5, 0.5, 0), (0.5, 0.5, -1), (0.5, 0.5, 63)])
