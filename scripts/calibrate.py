@@ -18,9 +18,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from vck_lab import (AdversarialInstance, Relation, PartiteSpace,
-                     inapproximability_score, quasirandomness_curve,
-                     random_pattern)
+from vck_lab import (Relation, PartiteSpace, inapproximability_score,
+                     quasirandomness_curve, random_pattern)
 from vck_lab.serialize import write_canonical
 
 CURVE_SEED = 20260809
@@ -32,22 +31,18 @@ SCORE_N = 4
 SCORE_RESTARTS = 5
 
 
-def pattern_instance(H):
-    return AdversarialInstance(H, H, {}, {}, H.space, H)
-
-
 def main() -> int:
     rows = quasirandomness_curve(1, CURVE_D, CURVE_TRIALS, CURVE_SEED)
 
     H = random_pattern(8, 1, 0.5, SCORE_SEED)
-    random_score = inapproximability_score(pattern_instance(H), 1, SCORE_N,
+    random_score = inapproximability_score(H, 1, SCORE_N,
                                            seed=SCORE_FIT_SEED,
                                            restarts=SCORE_RESTARTS)
     space = PartiteSpace.uniform([8, 8], ["P1", "P2"])
     col = np.zeros((8, 8))
     col[:4, :] = 1.0
     control = Relation(space, (0, 1), col, name="control")
-    control_score = inapproximability_score(pattern_instance(control), 1, SCORE_N,
+    control_score = inapproximability_score(control, 1, SCORE_N,
                                             seed=SCORE_FIT_SEED,
                                             restarts=SCORE_RESTARTS)
 

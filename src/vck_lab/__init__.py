@@ -4,11 +4,10 @@ low-arity cylinder decompositions on finite measured multipartite spaces."""
 __version__ = "0.1.0"
 
 from .space import (MeasuredFunction, Part, PartiteSpace, Relation, all_traversals,
-                    as_relation, average_out, bounded_arith, complement,
-                    continuous_combine, fiber, inner, integrate, l2_distance,
-                    l2_norm, level_set, measure, monus, permute, saturating_repeat,
-                    scale_half, trunc_add)
-from .vck import (Box, ShatteringCertificate, VcProfile, VcResult, check_shattered,
+                    average_out, complement, continuous_combine, fiber, inner,
+                    integrate, l2_distance, level_set, monus, permute,
+                    saturating_repeat, scale_half, trunc_add)
+from .vck import (Box, ShatteringCertificate, VcResult, check_shattered,
                   sauer_shelah_bound, trace_count, vc_k, vc_k_slicewise,
                   vc_profile, verify_certificate, zarankiewicz)
 from .gowers import BoxNormReport, box_norm, cylinder_correlation, dual_function

@@ -149,11 +149,10 @@ def quasirandomness_curve(k: int, d_values, trials: int, seed: int,
     return rows
 
 
-def inapproximability_score(instance: AdversarialInstance, k: int, N: int,
-                            seed: int = 0,
-                            restarts: int = defaults.SCORE_RESTARTS,
-                            als_iters: int = defaults.ALS_ITERS) -> float:
-    """Best (lowest) low-arity fit error under the replacement measure,
+def inapproximability_score(f: MeasuredFunction, k: int, N: int, seed: int = 0,
+                            restarts: int = defaults.SCORE_RESTARTS) -> float:
+    """Best (lowest) low-arity fit error of f under its space's measure (an
+    instance's replacement measure for ``AdversarialInstance.function``),
     minimized over restarts; higher means harder to approximate.
 
     Restart 0 uses the deterministic residual initialization, later restarts
@@ -161,12 +160,10 @@ def inapproximability_score(instance: AdversarialInstance, k: int, N: int,
     """
     if restarts < 1:
         raise InvalidArgumentError(f"need restarts >= 1, got {restarts}")
-    f = instance.function
     best = None
     for r in range(restarts):
         sub_seed = int(rng.raw64(seed, rng.STREAM_SCORE, 1, r)[0])
         mode = "auto" if r == 0 else "random"
-        _, report = fit_weighted_cylinders(f, k, N, als_iters=als_iters,
-                                           seed=sub_seed, init_mode=mode)
+        _, report = fit_weighted_cylinders(f, k, N, seed=sub_seed, init_mode=mode)
         best = report.error if best is None else min(best, report.error)
     return float(best)

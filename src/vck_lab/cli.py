@@ -17,8 +17,7 @@ import sys
 import time
 
 from . import __version__, defaults
-from .adversary import (AdversarialInstance, inapproximability_score,
-                        quasirandomness_curve, random_pattern)
+from .adversary import inapproximability_score, quasirandomness_curve, random_pattern
 from .decomp import fit_boolean_cylinders, fit_weighted_cylinders
 from .errors import InvalidArgumentError, VckLabError
 from .fibalg import FiberFamilySpec, atoms, fiber_family
@@ -81,8 +80,7 @@ def _int_list(text: str) -> list:
 def _load_function(args):
     doc = load_json(args.input)
     space, functions = functions_from_doc(doc)
-    signature = [int(v) for v in args.signature.split(",")] if getattr(
-        args, "signature", None) else None
+    signature = [int(v) for v in args.signature.split(",")] if args.signature else None
     return space, find_function(functions, name=args.function, signature=signature)
 
 
@@ -199,18 +197,17 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_adversary(args) -> int:
     started = time.perf_counter()
+    if args.score_trials < 1:
+        raise InvalidArgumentError(f"need --score-trials >= 1, got {args.score_trials}")
     d_values = [int(v) for v in args.d.split(",") if v != ""]
     rows = quasirandomness_curve(args.k, d_values, args.trials, args.seed, p=args.p)
     score_trials = min(args.score_trials, args.trials)
     for di, (d, row) in enumerate(zip(d_values, rows)):
-        scores = []
-        for t in range(score_trials):
-            H = random_pattern(d, args.k, args.p, args.seed, trial=(di << 16) | t)
-            instance = AdversarialInstance(H, H, {}, {}, H.space, H)
-            scores.append(inapproximability_score(
-                instance, args.k, args.n_terms, seed=args.seed,
-                restarts=args.restarts))
-        row["mean_score"] = sum(scores) / len(scores) if scores else 0.0
+        scores = [inapproximability_score(
+            random_pattern(d, args.k, args.p, args.seed, trial=(di << 16) | t),
+            args.k, args.n_terms, seed=args.seed, restarts=args.restarts)
+            for t in range(score_trials)]
+        row["mean_score"] = sum(scores) / len(scores)
     lines = ["d,mean_norm,std,mean_score"]
     for row in rows:
         lines.append(",".join([str(row["d"]), format_float(row["mean_norm"]),
@@ -248,6 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "on finite measured multipartite spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # subcommands that read one function of an instance file
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--input", required=True)
+    source.add_argument("--function", default=None)
+    source.add_argument("--signature", default=None, help="select by signature, e.g. 0,0,1")
+    source.add_argument("--seed", type=int, default=0)
+
     p = sub.add_parser("gen", help="generate a seeded instance")
     p.add_argument("--kind", required=True,
                    choices=["membership", "boolcomb", "parity", "quasirandom"])
@@ -257,48 +261,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("vcdim", help="certified shattering dimension")
-    p.add_argument("--input", required=True)
-    p.add_argument("--function", default=None)
-    p.add_argument("--signature", default=None)
+    p = sub.add_parser("vcdim", parents=[source], help="certified shattering dimension")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--distinguished", type=int, default=None)
     p.add_argument("--r", type=float, default=0.5)
     p.add_argument("--s", type=float, default=0.5)
     p.add_argument("--cap", type=int, default=defaults.GRID_CAP)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_vcdim)
 
-    p = sub.add_parser("gowers", help="box norm report for a stored function")
-    p.add_argument("--input", required=True)
-    p.add_argument("--function", default=None)
-    p.add_argument("--signature", default=None, help="select by signature, e.g. 0,0,1")
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("gowers", parents=[source],
+                       help="box norm report for a stored function")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gowers)
 
-    p = sub.add_parser("fibers", help="fiber family and atom partition")
-    p.add_argument("--input", required=True)
-    p.add_argument("--function", default=None)
-    p.add_argument("--signature", default=None)
+    p = sub.add_parser("fibers", parents=[source], help="fiber family and atom partition")
     p.add_argument("--t", type=int, default=defaults.DYADIC_HEIGHT)
     p.add_argument("--anchors", required=True, help="comma-separated vertices")
     p.add_argument("--params", default=None,
                    help="per-coordinate vertex rows: '0,1;2,3' (default: all)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_fibers)
 
-    p = sub.add_parser("decompose", help="fit a low-arity cylinder decomposition")
-    p.add_argument("--input", required=True)
-    p.add_argument("--function", default=None)
-    p.add_argument("--signature", default=None)
+    p = sub.add_parser("decompose", parents=[source],
+                       help="fit a low-arity cylinder decomposition")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-max", type=int, default=16)
     p.add_argument("--mode", choices=["weighted", "boolean"], default="weighted")
     p.add_argument("--als-iters", type=int, default=defaults.ALS_ITERS)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_decompose)
 

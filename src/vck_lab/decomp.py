@@ -25,8 +25,8 @@ from . import defaults, rng
 from .errors import (InvalidArgumentError, InvalidStateError,
                      NumericalFailureError)
 from .fibalg import FiberFamilySpec, atoms, fiber_family, project_simple
-from .space import (MeasuredFunction, Relation, cylinder, dyadics, fiber,
-                    index_sets, integrate, level_set, weighted_l2, weighted_sum)
+from .space import (MeasuredFunction, Relation, cylinder, cylinder_product, dyadics,
+                    fiber, index_sets, integrate, level_set, weighted_l2, weighted_sum)
 from .serialize import parse_fraction, reading, space_from_doc, space_to_doc
 
 
@@ -75,8 +75,8 @@ class CylinderDecomposition:
         shape = self.space.sizes(self.target_signature)
         out = np.zeros(shape, dtype=np.float64)
         for term in self.terms:
-            out = out + _cylinder_product(
-                {pos: fac.values for pos, fac in term.factors.items()}, shape,
+            out = out + cylinder_product(
+                ((pos, fac.values) for pos, fac in term.factors.items()), shape,
                 float(term.gamma))
         return out
 
@@ -233,11 +233,13 @@ def sym_diff(E: MeasuredFunction, expr: BooleanCylinderExpr) -> float:
     return weighted_sum(E.space.weight_tensor(E.signature), diff)
 
 
-def sample_fiber_pool(E: MeasuredFunction, k: int, seed: int,
-                      per_index: int = 8) -> list:
+_POOL_TUPLES_PER_SET = 8
+
+
+def sample_fiber_pool(E: MeasuredFunction, k: int, seed: int) -> list:
     """Candidate leaves: low-arity fibers of E at seeded parameter tuples.
 
-    For each coordinate set I, ``per_index`` distinct tuples fixing the
+    For each coordinate set I, eight distinct tuples fixing the
     complementary coordinates are drawn (all of them when there are fewer);
     duplicate fiber relations keep their first occurrence, so the pool order
     is deterministic for the tie-breaking rule.
@@ -248,12 +250,12 @@ def sample_fiber_pool(E: MeasuredFunction, k: int, seed: int,
         other = [p for p in range(k_prime) if p not in I]
         extents = [E.shape[p] for p in other]
         n_tuples = math.prod(extents) if other else 1
-        if n_tuples <= per_index:
+        if n_tuples <= _POOL_TUPLES_PER_SET:
             flat_picks = range(n_tuples)
         else:
-            draws = rng.integers(seed, rng.STREAM_POOL, 4 * per_index,
+            draws = rng.integers(seed, rng.STREAM_POOL, 4 * _POOL_TUPLES_PER_SET,
                                  n_tuples, counter).tolist()
-            flat_picks = sorted(dict.fromkeys(draws))[:per_index]
+            flat_picks = sorted(dict.fromkeys(draws))[:_POOL_TUPLES_PER_SET]
         seen = set()
         for flat in flat_picks:
             tup = tuple(int(v) for v in np.unravel_index(int(flat), extents)) \
@@ -283,6 +285,8 @@ def fit_boolean_cylinders(E: MeasuredFunction, k: int, n_max: int,
         raise InvalidArgumentError("fit_boolean_cylinders needs a Boolean relation")
     if E.arity <= k:
         raise InvalidArgumentError(f"target arity {E.arity} must exceed k={k}")
+    if n_max < 1:
+        raise InvalidArgumentError(f"need n_max >= 1, got n_max={n_max}")
     if pool is None:
         pool = sample_fiber_pool(E, k, seed)
     pool = list(pool)
@@ -410,15 +414,6 @@ def bounded_least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     raise NumericalFailureError("bounded least squares did not converge")
 
 
-def _cylinder_product(factors: dict, shape, scale: float = 1.0, skip=None) -> np.ndarray:
-    """scale times the cylinders of the factors (positions -> tensor) but ``skip``."""
-    prod = np.full(shape, scale, dtype=np.float64)
-    for positions, vals in factors.items():
-        if positions != skip:
-            prod = prod * cylinder(vals, positions, len(shape))
-    return prod
-
-
 def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
                            als_iters: int = defaults.ALS_ITERS,
                            seed: int = 0, init=None,
@@ -457,7 +452,7 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
     def add_term(factors, gamma):
         terms.append(factors)
         gammas.append(gamma)
-        prods.append(_cylinder_product(factors, shape))
+        prods.append(cylinder_product(factors.items(), shape))
 
     if init is not None:
         if tuple(init.target_signature) != tuple(f.signature):
@@ -487,7 +482,8 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
         gammas[:] = [float(g) for g in bounded_least_squares(A, b)]
 
     def update_factor(ti, positions):
-        partial = _cylinder_product(terms[ti], shape, gammas[ti], skip=positions)
+        partial = cylinder_product(((p, v) for p, v in terms[ti].items() if p != positions),
+                                   shape, gammas[ti])
         axes = tuple(p for p in range(k_prime) if p not in positions)
         num = np.sum(w * residual(skip=ti) * partial, axis=axes)
         den = np.sum(w * partial * partial, axis=axes)
@@ -496,7 +492,7 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
             new = np.where(den > 0.0, np.clip(num / np.maximum(den, 1e-300), 0.0, 1.0),
                            old)
         terms[ti][positions] = new
-        prods[ti] = _cylinder_product(terms[ti], shape)
+        prods[ti] = cylinder_product(terms[ti].items(), shape)
 
     def als(sweeps):
         nonlocal iterations
@@ -553,7 +549,7 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
             backup = (terms[:], gammas[:], prods[:])
             terms[:] = [const]
             gammas[:] = [mean]
-            prods[:] = [_cylinder_product(const, shape)]
+            prods[:] = [cylinder_product(const.items(), shape)]
             alt_err = als(als_iters)
             if alt_err < new_err:
                 new_err = alt_err
@@ -596,7 +592,7 @@ class FiberApproxReport:
 
 
 def approx_by_fibers(f: MeasuredFunction, eps: float, anchors_budget: int,
-                     spec: FiberFamilySpec, seed: int = 0) -> FiberApproxReport:
+                     spec: FiberFamilySpec) -> FiberApproxReport:
     """Greedy anchor selection until every fiber projects within eps.
 
     For each candidate vertex x of the distinguished (last) coordinate, the

@@ -1,7 +1,9 @@
-"""Central configuration layer: every cap, tolerance, and dyadic height.
+"""Central configuration layer: caps, tolerances, and dyadic heights.
 
-CLI flags override these per invocation; nothing else in the package hardcodes
-a tolerance.
+GRID_CAP, DYADIC_HEIGHT, ALS_ITERS, SCORE_RESTARTS, FUZZINESS_HEIGHT_CAP and
+GADGET_SIZE_CAP are defaults that a call or CLI flag can override; the rest
+are fixed.  Two tolerances live elsewhere: ``space._WEIGHT_SUM_TOL`` and the
+1e-14 ALS stop in ``decomp.fit_weighted_cylinders``.
 """
 
 # Pointwise value checks (range membership at construction time).

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import defaults
 from .errors import InvalidArgumentError, NumericalFailureError, ResourceLimitError
-from .space import (MeasuredFunction, cylinder, integrate, weighted_sum,
+from .space import (MeasuredFunction, cylinder_product, integrate, weighted_sum,
                     weighted_sum_rows)
 
 
@@ -51,13 +51,11 @@ def _corner_product(f: MeasuredFunction, skip_zero_corner: bool) -> np.ndarray:
         raise ResourceLimitError(
             f"doubled grid would hold {cells * cells} cells "
             f"(cap {defaults.DOUBLED_CELL_CAP})")
-    prod = np.ones(f.shape + f.shape, dtype=np.float64)
-    for alpha in itertools.product((0, 1), repeat=n):
-        if skip_zero_corner and not any(alpha):
-            continue
-        axes = [i + n * a for i, a in enumerate(alpha)]
-        prod = prod * cylinder(f.values, axes, 2 * n)
-    return prod
+    corners = itertools.product((0, 1), repeat=n)
+    if skip_zero_corner:
+        next(corners)  # the all-zero corner comes first
+    return cylinder_product((([i + n * a for i, a in enumerate(alpha)], f.values)
+                             for alpha in corners), f.shape + f.shape)
 
 
 def box_norm(f: MeasuredFunction) -> BoxNormReport:
@@ -110,11 +108,10 @@ def multiply_cylinders(f: MeasuredFunction, cylinders) -> MeasuredFunction:
     and is extended cylindrically over the omitted coordinates.  Each element
     must omit at least one coordinate.
     """
-    n = f.arity
-    prod = np.array(f.values)
+    factors = []
     for rel, positions in cylinders:
         positions = tuple(int(p) for p in positions)
-        if len(positions) >= n:
+        if len(positions) >= f.arity:
             raise InvalidArgumentError(
                 "cylinder element must depend on a strict subset of coordinates")
         if sorted(set(positions)) != list(positions):
@@ -123,6 +120,7 @@ def multiply_cylinders(f: MeasuredFunction, cylinders) -> MeasuredFunction:
         if rel.signature != expected:
             raise InvalidArgumentError(
                 f"cylinder factor signature {rel.signature} != {expected}")
-        prod = prod * cylinder(rel.values, positions, n)
-    return MeasuredFunction(f.space, f.signature, prod,
+        factors.append((positions, rel.values))
+    return MeasuredFunction(f.space, f.signature,
+                            cylinder_product(factors, f.shape, f.values),
                             name=f"{f.name}*cyl", signed=f.signed)

@@ -212,12 +212,6 @@ class Relation(MeasuredFunction):
         return Relation(space, signature, np.asarray(mask, dtype=np.float64), name=name)
 
 
-def as_relation(f: MeasuredFunction) -> Relation:
-    if isinstance(f, Relation):
-        return f
-    return Relation(f.space, f.signature, f.values, name=f.name)
-
-
 # --------------------------------------------------------------------------
 # kernels
 
@@ -252,6 +246,16 @@ def cylinder(values: np.ndarray, positions, ndim: int) -> np.ndarray:
     for axis, pos in enumerate(positions):
         shape[pos] = values.shape[axis]
     return values.transpose(sorted(range(values.ndim), key=positions.__getitem__)).reshape(shape)
+
+
+def cylinder_product(factors, shape, start=1.0) -> np.ndarray:
+    """``start`` times the cylinders of ``factors``, (positions, values)
+    pairs, on a grid of the given shape, multiplied left to right: the one
+    product of cylinders.  ``start`` is a scalar or a tensor of that shape."""
+    prod = np.full(shape, start, dtype=np.float64)
+    for positions, values in factors:
+        prod = prod * cylinder(values, positions, len(shape))
+    return prod
 
 
 def grid_masks(hits: np.ndarray) -> list:
@@ -290,17 +294,9 @@ def integrate(f: MeasuredFunction) -> float:
     return weighted_sum(f.space.weight_tensor(f.signature), f.values)
 
 
-def measure(rel: MeasuredFunction) -> float:
-    return integrate(rel)
-
-
 def inner(f: MeasuredFunction, g: MeasuredFunction) -> float:
     _check_same_grid(f, g)
     return weighted_sum(f.space.weight_tensor(f.signature), f.values, g.values)
-
-
-def l2_norm(f: MeasuredFunction) -> float:
-    return weighted_l2(f.space.weight_tensor(f.signature), f.values)
 
 
 def l2_distance(f: MeasuredFunction, g: MeasuredFunction) -> float:
@@ -405,28 +401,6 @@ def saturating_repeat(f: MeasuredFunction, p: int) -> MeasuredFunction:
                             name=f"({p}x.{f.name})")
 
 
-def bounded_arith(f: MeasuredFunction, g: MeasuredFunction | None = None, *,
-                  op: str, p: int | None = None) -> MeasuredFunction:
-    """Dispatch for the bounded [0,1] arithmetic closure operations."""
-    if op == "monus":
-        if g is None:
-            raise InvalidArgumentError("monus needs two operands")
-        return monus(f, g)
-    if op == "trunc_add":
-        if g is None:
-            raise InvalidArgumentError("trunc_add needs two operands")
-        return trunc_add(f, g)
-    if op == "scale_half":
-        return scale_half(f)
-    if op == "complement":
-        return complement(f)
-    if op == "repeat":
-        if p is None:
-            raise InvalidArgumentError("repeat needs the count p")
-        return saturating_repeat(f, p)
-    raise InvalidArgumentError(f"unknown bounded_arith op {op!r}")
-
-
 def continuous_combine(fs: Sequence[MeasuredFunction],
                        g: Callable) -> MeasuredFunction:
     """Pointwise g(f1(x), ..., fn(x)), clipped to [0, 1].
@@ -481,9 +455,8 @@ def all_traversals(f: MeasuredFunction, counts: Sequence[int],
         raise InvalidArgumentError(f"need one positive count per coordinate, got {counts}")
     new_sig = tuple(p for p, c in zip(f.signature, counts) for _ in range(c))
     offsets = np.concatenate([[0], np.cumsum(counts)])[:-1]
-    total = sum(counts)
-    out = np.ones(f.space.sizes(new_sig), dtype=np.float64)
-    for combo in itertools.product(*[range(c) for c in counts]):
-        axes = [offsets[coord] + j for coord, j in enumerate(combo)]
-        out = out * cylinder(f.values, axes, total)
+    out = cylinder_product(
+        (([offsets[coord] + j for coord, j in enumerate(combo)], f.values)
+         for combo in itertools.product(*[range(c) for c in counts])),
+        f.space.sizes(new_sig))
     return _same_kind(f, new_sig, out, name or f"traversals({f.name})")

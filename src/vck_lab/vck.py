@@ -108,16 +108,6 @@ class VcResult:
     levels: tuple = ()  # LevelStats per box size tried, in order
 
 
-@dataclass(frozen=True)
-class VcProfile:
-    """Certified dimension per (r, s) threshold pair, dyadic grid."""
-
-    entries: dict  # (Fraction r, Fraction s) -> VcResult
-
-    def dimension(self, r, s) -> int:
-        return self.entries[(Fraction(r), Fraction(s))].dimension
-
-
 def _box_positions(arity: int, distinguished: int) -> list:
     if not 0 <= distinguished < arity:
         raise InvalidArgumentError(f"distinguished coordinate {distinguished} out of range")
@@ -375,11 +365,12 @@ def zarankiewicz(m: int, a: int, k: int) -> int:
 
 def vc_profile(f: MeasuredFunction, k: int, distinguished: int,
                height: int = defaults.DYADIC_HEIGHT,
-               cap: int = defaults.GRID_CAP) -> VcProfile:
-    """vc_k on every dyadic threshold pair r < s of the given height."""
+               cap: int = defaults.GRID_CAP) -> dict:
+    """vc_k on every dyadic threshold pair r < s of the given height, as
+    ``{(Fraction r, Fraction s): VcResult}``."""
     qs = dyadics(height)
     entries = {}
     for i, r in enumerate(qs):
         for s in qs[i + 1:]:
             entries[(r, s)] = vc_k(f, k, distinguished, float(r), float(s), cap=cap)
-    return VcProfile(entries)
+    return entries

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from vck_lab import (AdversarialInstance, Box, MeasuredFunction, PartiteSpace,
+from vck_lab import (Box, MeasuredFunction, PartiteSpace,
                      PoolLeaf, Relation, all_traversals, atoms, average_out,
                      boolean_of_lower_arity, box_norm,
                      cylinder_correlation, dual_function, fit_boolean_cylinders,
@@ -218,8 +218,7 @@ def test_c08_converse_sweep_against_goldens():
         assert abs(row["mean_norm"] - frozen["mean_norm"]) <= 0.1 * frozen["mean_norm"]
     s_cfg = GOLDEN["score"]
     H = random_pattern(8, 1, 0.5, s_cfg["pattern_seed"])
-    instance = AdversarialInstance(H, H, {}, {}, H.space, H)
-    score = inapproximability_score(instance, 1, s_cfg["n_terms"],
+    score = inapproximability_score(H, 1, s_cfg["n_terms"],
                                     seed=s_cfg["fit_seed"],
                                     restarts=s_cfg["restarts"])
     space = PartiteSpace.uniform([8, 8], ["P1", "P2"])
@@ -227,8 +226,7 @@ def test_c08_converse_sweep_against_goldens():
     col[:4, :] = 1.0
     control = Relation(space, (0, 1), col, name="control")
     control_score = inapproximability_score(
-        AdversarialInstance(control, control, {}, {}, control.space, control),
-        1, s_cfg["n_terms"], seed=s_cfg["fit_seed"], restarts=s_cfg["restarts"])
+        control, 1, s_cfg["n_terms"], seed=s_cfg["fit_seed"], restarts=s_cfg["restarts"])
     assert score > 5 * control_score
     assert abs(score - s_cfg["random_score"]) <= 0.1 * s_cfg["random_score"]
     assert control_score <= 1e-6

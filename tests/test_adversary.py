@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vck_lab import (AdversarialInstance, Box, MeasuredFunction, PartiteSpace,
+from vck_lab import (Box, MeasuredFunction, PartiteSpace,
                      Relation, build_instance, check_shattered,
                      inapproximability_score, integrate, level_set,
                      membership_gadget, pattern_norm, quasirandomness_curve,
@@ -129,36 +129,31 @@ def test_curve_warns_on_inversion():
 
 # -- inapproximability score -----------------------------------------------------------
 
-def _pattern_instance(H):
-    return AdversarialInstance(H, H, {}, {}, H.space, H)
-
-
 def test_single_cylinder_pattern_score_near_zero():
     space = PartiteSpace.uniform([8, 8], ["P1", "P2"])
     col = np.zeros((8, 8))
     col[:4, :] = 1.0
     H = Relation(space, (0, 1), col)
-    score = inapproximability_score(_pattern_instance(H), 1, 4, seed=0, restarts=2)
+    score = inapproximability_score(H, 1, 4, seed=0, restarts=2)
     assert score <= 1e-6
 
 
 def test_random_pattern_score_calibrated_floor():
     # calibrated: measured 0.190 for this seed configuration; frozen at 0.15
     H = random_pattern(8, 1, 0.5, 42)
-    score = inapproximability_score(_pattern_instance(H), 1, 4, seed=0, restarts=3)
+    score = inapproximability_score(H, 1, 4, seed=0, restarts=3)
     assert score >= 0.15
 
 
 def test_overparameterized_score_near_zero():
     H = random_pattern(3, 1, 0.5, 11)
-    score = inapproximability_score(_pattern_instance(H), 1, 9, seed=0, restarts=2)
+    score = inapproximability_score(H, 1, 9, seed=0, restarts=2)
     assert score <= 1e-6
 
 
 def test_score_monotone_in_terms():
     H = random_pattern(6, 1, 0.5, 13)
-    inst = _pattern_instance(H)
-    scores = [inapproximability_score(inst, 1, n, seed=3, restarts=2)
+    scores = [inapproximability_score(H, 1, n, seed=3, restarts=2)
               for n in (1, 2, 3, 4)]
     for a, b in zip(scores, scores[1:]):
         assert b <= a + 1e-9
@@ -173,4 +168,4 @@ def test_curve_refuses_no_trials():
 def test_score_refuses_no_restarts():
     H = random_pattern(3, 1, 0.5, 11)
     with pytest.raises(InvalidArgumentError):
-        inapproximability_score(_pattern_instance(H), 1, 2, seed=0, restarts=0)
+        inapproximability_score(H, 1, 2, seed=0, restarts=0)

@@ -247,6 +247,20 @@ def test_fibers_emits_family_and_partition(tmp_path):
     assert results["partition"]["cells"]
 
 
+@pytest.mark.parametrize("select", [("--function", "G"), ("--signature", "0,2")])
+@pytest.mark.parametrize("command", [
+    ("vcdim", "--out"), ("gowers", "--out"), ("fibers", "--t", "1", "--anchors", "0", "--out"),
+    ("decompose", "--k", "1", "--n-max", "2", "--report")])
+def test_subcommands_select_function_by_name_or_signature(tmp_path, command, select):
+    # G, on signature (0, 2), is the third of the four parity functions
+    inst = tmp_path / "p.json"
+    assert run("gen", "--kind", "parity", "--params", "n=3", "--seed", "2",
+               "--out", str(inst)) == 0
+    out = tmp_path / "out.json"
+    assert run(*command, str(out), "--input", str(inst), *select) == 0
+    assert load_json(out)["comparable"]["config"]["function"] == "G"
+
+
 # -- reproducibility -------------------------------------------------------------------
 
 def test_reports_reproducible_across_reruns(tmp_path):
@@ -301,14 +315,17 @@ def test_vcdim_bad_thresholds_or_cap_exit_2(gadget_doc, flags, capsys):
 
 
 @pytest.mark.parametrize("flags", [
-    ("--trials", "0"), ("--trials", "-1"), ("--restarts", "0")])
+    ("--trials", "0"), ("--trials", "-1"), ("--restarts", "0"),
+    ("--score-trials", "0"), ("--score-trials", "-2")])
 def test_adversary_bad_counts_exit_2(tmp_path, flags):
     assert run("adversary", "--k", "1", "--d", "2", "--trials", "2",
                "--score-trials", "1", "--restarts", "1", *flags,
                "--out", str(tmp_path / "curve.csv")) == 2
 
 
-@pytest.mark.parametrize("flags", [("--n-max", "0"), ("--als-iters", "-1")])
+@pytest.mark.parametrize("flags", [
+    ("--n-max", "0"), ("--als-iters", "-1"),
+    ("--mode", "boolean", "--n-max", "0"), ("--mode", "boolean", "--n-max", "-3")])
 def test_decompose_bad_counts_exit_2(gadget_doc, flags):
     assert run("decompose", "--input", str(gadget_doc), "--k", "1", *flags) == 2
 

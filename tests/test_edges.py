@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vck_lab import (Box, MeasuredFunction, PartiteSpace, Relation, atoms,
-                     bounded_arith, check_shattered, continuous_combine,
+                     check_shattered, continuous_combine,
                      fuzziness, random_pattern, verify_certificate)
 from vck_lab import rng as _rng_mod
 from vck_lab.errors import DiagnosticFailureError, InvalidArgumentError
@@ -59,12 +59,6 @@ def test_continuous_combine_overshoot_warns():
         out = continuous_combine([f], lambda a: a * 1.5)
     assert any("clipped" in str(w.message) for w in caught)
     assert np.all(out.values == 1.0)
-
-
-def test_bounded_arith_repeat_needs_count():
-    f = MeasuredFunction.constant(PartiteSpace.uniform([2]), (0,), 0.4)
-    with pytest.raises(InvalidArgumentError):
-        bounded_arith(f, op="repeat")
 
 
 def test_non_finite_values_cannot_serialize():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vck_lab import (MeasuredFunction, PartiteSpace, Relation, all_traversals,
-                     average_out, bounded_arith, complement, continuous_combine,
+                     average_out, complement, continuous_combine,
                      fiber, integrate, level_set, monus, permute,
                      saturating_repeat, scale_half, trunc_add)
 from vck_lab.errors import InvalidArgumentError
@@ -187,9 +187,9 @@ def test_bounded_arith_dispatch_and_mismatch():
     space = PartiteSpace.uniform([2])
     f = MeasuredFunction.constant(space, (0,), 0.5)
     g = MeasuredFunction.constant(PartiteSpace.uniform([3]), (0,), 0.5)
-    assert np.all(bounded_arith(f, op="complement").values == 0.5)
+    assert np.all(complement(f).values == 0.5)
     with pytest.raises(InvalidArgumentError):
-        bounded_arith(f, g, op="monus")
+        monus(f, g)
 
 
 @settings(max_examples=60, deadline=None)

@@ -239,8 +239,8 @@ def test_vc_profile_monotone_in_widening():
     from fractions import Fraction
     half = Fraction(1, 2)
     # widening thresholds (smaller r, larger s) never increases the dimension
-    assert profile.dimension(0, 1) <= profile.dimension(0, half)
-    assert profile.dimension(0, 1) <= profile.dimension(half, 1)
+    assert profile[(0, 1)].dimension <= profile[(0, half)].dimension
+    assert profile[(0, 1)].dimension <= profile[(half, 1)].dimension
 
 
 # -- slicewise -----------------------------------------------------------------
