@@ -137,7 +137,7 @@ def _cmd_vcdim(args) -> int:
     config = {"input": args.input, "function": f.name, "k": k,
               "distinguished": distinguished, "r": args.r, "s": args.s,
               "cap": args.cap}
-    _emit_report("vcdim", config, results, args.seed, args.out, started,
+    _emit_report("vcdim", config, results, 0, args.out, started,
                  {"levels": [level.to_doc() for level in result.levels]})
     if not result.complete:
         print("warning: search capped; dimension is a certified lower bound",
@@ -152,7 +152,7 @@ def _cmd_gowers(args) -> int:
     report = box_norm(f)
     config = {"input": args.input, "function": f.name,
               "signature": args.signature or ""}
-    _emit_report("gowers", config, report.to_doc(), args.seed, args.out, started)
+    _emit_report("gowers", config, report.to_doc(), 0, args.out, started)
     return 0
 
 
@@ -174,7 +174,7 @@ def _cmd_fibers(args) -> int:
     }
     config = {"input": args.input, "function": f.name, "t": args.t,
               "anchors": args.anchors, "params": args.params or ""}
-    _emit_report("fibers", config, results, args.seed, args.out, started)
+    _emit_report("fibers", config, results, 0, args.out, started)
     return 0
 
 
@@ -250,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--input", required=True)
     source.add_argument("--function", default=None)
     source.add_argument("--signature", default=None, help="select by signature, e.g. 0,0,1")
-    source.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("gen", help="generate a seeded instance")
     p.add_argument("--kind", required=True,
@@ -289,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=16)
     p.add_argument("--mode", choices=["weighted", "boolean"], default="weighted")
     p.add_argument("--als-iters", type=int, default=defaults.ALS_ITERS)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_decompose)
 

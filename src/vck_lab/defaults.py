@@ -20,9 +20,11 @@ GRID_CAP = 16
 GRID_CAP_MAX = 62
 
 # Box norms: maximum total degree n (the corner product has 2**n factors),
-# and a guard on the doubled-grid cell count.
+# and a cap on the entries of the largest array a norm or dual function
+# builds (the doubled grid of all but the last coordinate, its corner
+# product, or the dual's integrand), checked before anything is allocated.
 DEGREE_CAP = 6
-DOUBLED_CELL_CAP = 1 << 24
+BOX_NORM_ARRAY_CAP = 1 << 24
 
 # A raw box-norm integral in (-BOX_NORM_CLAMP, 0) is clamped to zero and
 # flagged; anything below -BOX_NORM_CLAMP raises NumericalFailureError.

@@ -48,6 +48,44 @@ def naive_box_norm_11(f) -> float:
     return math.fsum(terms) ** 0.25
 
 
+def _dense_corner_product(f, skip_zero_corner: bool) -> np.ndarray:
+    """Product over the 2**n corner patterns on the whole doubled grid, axes
+    (x1^0 .. xn^0, x1^1 .. xn^1), flattened to a (cells, cells) matrix."""
+    n = f.arity
+    prod = np.ones(f.shape + f.shape)
+    for alpha in itertools.product((0, 1), repeat=n):
+        if skip_zero_corner and not any(alpha):
+            continue
+        expanded = f.values.reshape(f.shape + (1,) * n)
+        prod = prod * np.moveaxis(expanded, list(range(n)),
+                                  [i + n * a for i, a in enumerate(alpha)])
+    cells = math.prod(f.shape)
+    return prod.reshape(cells, cells)
+
+
+def _dense_weights(f) -> np.ndarray:
+    w = np.ones(())
+    for part in f.signature:
+        w = np.multiply.outer(w, f.space.parts[part].weight_array)
+    return w.ravel()
+
+
+def box_norm_oracle(f) -> float:
+    """Raw box-norm power: the compensated sum over the whole doubled grid
+    (cells**2 entries) of the product over all corners times both weights."""
+    w = _dense_weights(f)
+    return math.fsum((_dense_corner_product(f, False) * w[:, None] * w[None, :])
+                     .ravel().tolist())
+
+
+def dual_function_oracle(f) -> np.ndarray:
+    """Dual function values: per first-copy point, the compensated weighted
+    sum over the second copy of the product over all nonzero corners."""
+    w = _dense_weights(f)
+    rows = _dense_corner_product(f, True) * w[None, :]
+    return np.array([math.fsum(row.tolist()) for row in rows]).reshape(f.shape)
+
+
 def naive_average_out(f, position) -> np.ndarray:
     """Direct weighted-sum loop over the dropped axis."""
     w = f.space.weight_vector(f.signature[position])

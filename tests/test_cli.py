@@ -268,7 +268,7 @@ def test_reports_reproducible_across_reruns(tmp_path):
     run("gen", "--kind", "membership", "--params", "d=2,k=1", "--out", str(inst))
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):
-        assert run("vcdim", "--input", str(inst), "--k", "1", "--seed", "4",
+        assert run("vcdim", "--input", str(inst), "--k", "1",
                    "--out", str(out)) == 0
     assert comparable_bytes(a) == comparable_bytes(b)
 
@@ -346,3 +346,18 @@ def test_vcdim_diagnostics_outside_comparable_and_reproducible(tmp_path, gadget_
     # the bytes up to wall time, diagnostics included, repeat exactly
     cut = [p.read_bytes().rsplit(b',"wall_time_s":', 1)[0] for p in (a, b)]
     assert cut[0] == cut[1]
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("vcdim", ()), ("gowers", ()), ("fibers", ("--anchors", "0"))])
+def test_seedless_subcommands_refuse_seed_and_report_zero(tmp_path, gadget_doc,
+                                                          command, extra, capsys):
+    # nothing these commands compute is random, so a seed could only make
+    # identical results compare unequal
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--input", str(gadget_doc), *extra, "--seed", "1")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    out = tmp_path / "r.json"
+    assert run(command, "--input", str(gadget_doc), *extra, "--out", str(out)) == 0
+    assert load_json(out)["comparable"]["seed"] == 0

@@ -1,14 +1,23 @@
 """Box norms, dual functions, and the correlation inequalities."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vck_lab import (MeasuredFunction, PartiteSpace, Relation, box_norm,
-                     cylinder_correlation, dual_function, inner, integrate)
+                     cylinder_correlation, dual_function, inner, integrate,
+                     random_pattern)
+from vck_lab import gowers
 from vck_lab.gowers import multiply_cylinders
-from vck_lab.errors import InvalidArgumentError, ResourceLimitError
+from vck_lab.errors import InvalidArgumentError, NumericalFailureError, ResourceLimitError
+from vck_lab.space import Part
+
+from oracles import box_norm_oracle, dual_function_oracle
 
 
 def naive_box_norm_11(f) -> float:
@@ -187,3 +196,87 @@ def test_signed_values_allowed_and_raw_can_clamp():
     f = random_function([4, 4], 11, signed=True)
     rep = box_norm(f)
     assert rep.raw >= 0.0 or rep.clamp_flag
+
+
+# -- the Gram form against the dense doubled grid ----------------------------------------
+
+@st.composite
+def signed_functions(draw):
+    """Signed functions of arity 1-4 on 1-3 parts of size 1-3, with
+    non-uniform (possibly zero) weights and a signature that may repeat parts."""
+    parts = []
+    for j in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, 3))
+        counts = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size).filter(any))
+        parts.append(Part(f"P{j}", size, tuple(Fraction(c, sum(counts)) for c in counts)))
+    space = PartiteSpace(tuple(parts))
+    arity = draw(st.integers(1, 4))
+    signature = tuple(draw(st.lists(st.integers(0, len(parts) - 1),
+                                    min_size=arity, max_size=arity)))
+    shape = space.sizes(signature)
+    values = draw(st.lists(st.floats(-1.0, 1.0), min_size=math.prod(shape),
+                           max_size=math.prod(shape)))
+    return MeasuredFunction(space, signature, np.reshape(values, shape), signed=True)
+
+
+def assert_matches_dense(f):
+    assert abs(box_norm(f).raw - max(box_norm_oracle(f), 0.0)) <= 1e-12
+    assert np.max(np.abs(dual_function(f).values - dual_function_oracle(f))) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_functions())
+def test_gram_form_matches_dense_oracle(f):
+    assert_matches_dense(f)
+
+
+@pytest.mark.parametrize("sizes,signature", [
+    ([3, 2], (0, 0, 1)),        # a repeated part
+    ([1, 3], (0, 1)),           # a size-1 head axis
+    ([3, 1], (0, 1)),           # a size-1 last axis
+    ([2, 1, 3], (1, 0, 1, 2)),  # size-1 inside the head, repeated part
+    ([4], (0,)),                # one coordinate: raw = (integral of f)**2
+])
+def test_gram_form_matches_dense_oracle_on_named_shapes(sizes, signature):
+    rng = np.random.default_rng(len(signature))
+    counts = [rng.integers(1, 5, size=s) for s in sizes]
+    space = PartiteSpace(tuple(Part(f"P{j}", s, tuple(Fraction(int(c), int(cs.sum()))
+                                                      for c in cs))
+                               for j, (s, cs) in enumerate(zip(sizes, counts))))
+    vals = rng.uniform(-1.0, 1.0, space.sizes(signature))
+    assert_matches_dense(MeasuredFunction(space, signature, vals, signed=True))
+
+
+def test_tiny_negative_raw_is_clamped_and_flagged(monkeypatch):
+    f = random_function([3, 3], 2, signed=True)
+    monkeypatch.setattr(gowers, "weighted_sum", lambda *factors: -1e-12)
+    rep = box_norm(f)
+    assert rep.raw == 0.0 and rep.norm == 0.0 and rep.clamp_flag
+    monkeypatch.setattr(gowers, "weighted_sum", lambda *factors: -1e-6)
+    with pytest.raises(NumericalFailureError):
+        box_norm(f)
+
+
+# -- sizes -------------------------------------------------------------------------------
+
+def test_box_norm_of_a_1024_square_matches_a_gram_reference():
+    # the dense doubled grid would hold 2**40 cells
+    H = random_pattern(1024, 1, 0.5, seed=11)
+    f = MeasuredFunction(H.space, H.signature, H.values - 0.5, signed=True)
+    w = np.full(1024, 1.0 / 1024)
+    gram = (f.values * w) @ f.values.T
+    assert abs(box_norm(f).raw - float(w @ (gram * gram) @ w)) <= 1e-12
+
+
+def test_array_cap_refuses_before_allocating():
+    # 16**5 cells: the doubled grid of the first four coordinates has 2**32
+    f = MeasuredFunction.constant(PartiteSpace.uniform([16] * 5), tuple(range(5)), 0.5)
+    tracemalloc.start()
+    try:
+        for compute in (box_norm, dual_function):
+            with pytest.raises(ResourceLimitError, match="cap"):
+                compute(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
