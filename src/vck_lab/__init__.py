@@ -19,7 +19,7 @@ from .decomp import (BooleanCylinderExpr, CylinderDecomposition, CylinderTerm,
                      fit_boolean_cylinders, fit_weighted_cylinders, index_sets,
                      l2_error, sample_fiber_pool, sym_diff)
 from .adversary import (AdversarialInstance, build_instance,
-                        inapproximability_score, pattern_norm,
-                        quasirandomness_curve, random_pattern)
+                        inapproximability_score, inapproximability_scores,
+                        pattern_norm, quasirandomness_curve, random_pattern)
 from .gen import (GeneratedBoolean, ParityTriple, boolean_of_lower_arity,
                   membership_gadget, parity_triple, quasirandom)

@@ -9,6 +9,7 @@ random pattern, hence are quasirandom and resist low-arity approximation.
 
 from __future__ import annotations
 
+import os
 import statistics
 import warnings
 from dataclasses import dataclass
@@ -149,6 +150,56 @@ def quasirandomness_curve(k: int, d_values, trials: int, seed: int,
     return rows
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _restart_fit(task) -> tuple:
+    """(error, ALS sweeps) of one restart of one function: one weighted fit."""
+    f, k, N, sub_seed, mode = task
+    _, report = fit_weighted_cylinders(f, k, N, seed=sub_seed, init_mode=mode)
+    return report.error, report.iterations
+
+
+def inapproximability_scores(functions, k: int, N: int, seed: int = 0,
+                             restarts: int = defaults.SCORE_RESTARTS) -> tuple:
+    """:func:`inapproximability_score` of each function, fitted together.
+
+    Every (function, restart) pair is one independent, deterministic fit, so
+    the fits are spread over the CPUs this process may run on and their
+    results taken back in task order: the scores do not depend on how many
+    workers ran.  Returns ``(scores, diagnostics)``; the diagnostics hold the
+    ``workers`` used, the ``fits`` made and the ``als_sweeps`` they took.
+    """
+    if restarts < 1:
+        raise InvalidArgumentError(f"need restarts >= 1, got {restarts}")
+    restart_args = [(int(rng.raw64(seed, rng.STREAM_SCORE, 1, r)[0]),
+                     "auto" if r == 0 else "random") for r in range(restarts)]
+    tasks = [(f, k, N, sub_seed, mode) for f in functions
+             for sub_seed, mode in restart_args]
+    workers = max(1, min(_cpu_count(), len(tasks)))
+    if workers == 1:
+        results = list(map(_restart_fit, tasks))
+    else:
+        # imported here, so that commands without a pool do not pay for it
+        import multiprocessing
+
+        # fork, not spawn or forkserver: those import numpy and the library
+        # again in every worker, about 0.25 s each, the time of several
+        # fits.  The library starts no threads; OpenBLAS stops its own
+        # around a fork.
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            results = pool.map(_restart_fit, tasks, chunksize=1)
+    scores = [float(min(error for error, _ in results[i:i + restarts]))
+              for i in range(0, len(results), restarts)]
+    diagnostics = {"workers": workers, "fits": len(tasks),
+                   "als_sweeps": sum(sweeps for _, sweeps in results)}
+    return scores, diagnostics
+
+
 def inapproximability_score(f: MeasuredFunction, k: int, N: int, seed: int = 0,
                             restarts: int = defaults.SCORE_RESTARTS) -> float:
     """Best (lowest) low-arity fit error of f under its space's measure (an
@@ -158,12 +209,4 @@ def inapproximability_score(f: MeasuredFunction, k: int, N: int, seed: int = 0,
     Restart 0 uses the deterministic residual initialization, later restarts
     use seeded random factor initializations on derived streams.
     """
-    if restarts < 1:
-        raise InvalidArgumentError(f"need restarts >= 1, got {restarts}")
-    best = None
-    for r in range(restarts):
-        sub_seed = int(rng.raw64(seed, rng.STREAM_SCORE, 1, r)[0])
-        mode = "auto" if r == 0 else "random"
-        _, report = fit_weighted_cylinders(f, k, N, seed=sub_seed, init_mode=mode)
-        best = report.error if best is None else min(best, report.error)
-    return float(best)
+    return inapproximability_scores([f], k, N, seed, restarts)[0][0]

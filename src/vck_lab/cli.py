@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import __version__, defaults
-from .adversary import inapproximability_score, quasirandomness_curve, random_pattern
+from .adversary import inapproximability_scores, quasirandomness_curve, random_pattern
 from .decomp import fit_boolean_cylinders, fit_weighted_cylinders
 from .errors import InvalidArgumentError, VckLabError
 from .fibalg import FiberFamilySpec, atoms, fiber_family
@@ -75,6 +75,17 @@ def _parse_params(raw: str | None, allowed: dict) -> dict:
 
 def _int_list(text: str) -> list:
     return [int(v) for v in text.split("x") if v != ""]
+
+
+def _size_list(text: str) -> list:
+    """Comma-separated sizes, each at least 1, at least one of them."""
+    try:
+        sizes = [int(v) for v in text.split(",") if v != ""]
+    except ValueError:
+        raise InvalidArgumentError(f"malformed size list {text!r}") from None
+    if not sizes or min(sizes) < 1:
+        raise InvalidArgumentError(f"need one or more sizes >= 1, got {text!r}")
+    return sizes
 
 
 def _load_function(args):
@@ -197,17 +208,21 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_adversary(args) -> int:
     started = time.perf_counter()
-    if args.score_trials < 1:
-        raise InvalidArgumentError(f"need --score-trials >= 1, got {args.score_trials}")
-    d_values = [int(v) for v in args.d.split(",") if v != ""]
+    # refused before any work; the fits that also check them run last
+    for flag, value in (("--score-trials", args.score_trials),
+                        ("--restarts", args.restarts), ("--n-terms", args.n_terms)):
+        if value < 1:
+            raise InvalidArgumentError(f"need {flag} >= 1, got {value}")
+    d_values = _size_list(args.d)
     rows = quasirandomness_curve(args.k, d_values, args.trials, args.seed, p=args.p)
     score_trials = min(args.score_trials, args.trials)
-    for di, (d, row) in enumerate(zip(d_values, rows)):
-        scores = [inapproximability_score(
-            random_pattern(d, args.k, args.p, args.seed, trial=(di << 16) | t),
-            args.k, args.n_terms, seed=args.seed, restarts=args.restarts)
-            for t in range(score_trials)]
-        row["mean_score"] = sum(scores) / len(scores)
+    patterns = [random_pattern(d, args.k, args.p, args.seed, trial=(di << 16) | t)
+                for di, d in enumerate(d_values) for t in range(score_trials)]
+    scores, diagnostics = inapproximability_scores(
+        patterns, args.k, args.n_terms, seed=args.seed, restarts=args.restarts)
+    for di, row in enumerate(rows):
+        trial_scores = scores[di * score_trials:(di + 1) * score_trials]
+        row["mean_score"] = sum(trial_scores) / len(trial_scores)
     lines = ["d,mean_norm,std,mean_score"]
     for row in rows:
         lines.append(",".join([str(row["d"]), format_float(row["mean_norm"]),
@@ -217,7 +232,8 @@ def _cmd_adversary(args) -> int:
     config = {"k": args.k, "d": args.d, "trials": args.trials, "p": args.p,
               "n_terms": args.n_terms, "score_trials": score_trials,
               "restarts": args.restarts, "out": args.out}
-    _emit_report("adversary", config, {"curve": rows}, args.seed, None, started)
+    _emit_report("adversary", config, {"curve": rows}, args.seed, None, started,
+                 diagnostics)
     return 0
 
 

@@ -473,34 +473,39 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
     def current_error():
         return weighted_l2(w, residual())
 
+    sw = np.sqrt(w).ravel()
+    b = target.ravel() * sw
+
     def solve_gammas():
         if not terms:
             return
-        sw = np.sqrt(w).ravel()
         A = np.stack([(p.ravel() * sw) for p in prods], axis=1)
-        b = target.ravel() * sw
         gammas[:] = [float(g) for g in bounded_least_squares(A, b)]
 
-    def update_factor(ti, positions):
-        partial = cylinder_product(((p, v) for p, v in terms[ti].items() if p != positions),
-                                   shape, gammas[ti])
-        axes = tuple(p for p in range(k_prime) if p not in positions)
-        num = np.sum(w * residual(skip=ti) * partial, axis=axes)
-        den = np.sum(w * partial * partial, axis=axes)
-        old = terms[ti][positions]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            new = np.where(den > 0.0, np.clip(num / np.maximum(den, 1e-300), 0.0, 1.0),
-                           old)
-        terms[ti][positions] = new
-        prods[ti] = cylinder_product(terms[ti].items(), shape)
+    def update_term(ti):
+        """One ALS block: update each factor of term ti in turn.  Nothing
+        else changes inside the block, so the weighted residual of the other
+        terms is built once, and the term's product after its last factor."""
+        wr = w * residual(skip=ti)
+        factors = terms[ti]
+        for positions in sets:
+            # gamma times the other factors, on their broadcast shape
+            partial = cylinder_product(((p, v) for p, v in factors.items() if p != positions),
+                                       (1,) * k_prime, gammas[ti])
+            axes = tuple(p for p in range(k_prime) if p not in positions)
+            num = np.sum(wr * partial, axis=axes)
+            den = np.sum(w * partial * partial, axis=axes)
+            factors[positions] = np.where(
+                den > 0.0, np.clip(num / np.maximum(den, 1e-300), 0.0, 1.0),
+                factors[positions])
+        prods[ti] = cylinder_product(factors.items(), shape)
 
     def als(sweeps):
         nonlocal iterations
         err = current_error()
         for _ in range(sweeps):
             for ti in range(len(terms)):
-                for positions in sets:
-                    update_factor(ti, positions)
+                update_term(ti)
             solve_gammas()
             iterations += 1
             new_err = current_error()

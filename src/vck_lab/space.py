@@ -251,7 +251,8 @@ def cylinder(values: np.ndarray, positions, ndim: int) -> np.ndarray:
 def cylinder_product(factors, shape, start=1.0) -> np.ndarray:
     """``start`` times the cylinders of ``factors``, (positions, values)
     pairs, on a grid of the given shape, multiplied left to right: the one
-    product of cylinders.  ``start`` is a scalar or a tensor of that shape."""
+    product of cylinders.  ``start`` is a scalar or a tensor of that shape.
+    A shape of ones gives the product on the factors' broadcast shape."""
     prod = np.full(shape, start, dtype=np.float64)
     for positions, values in factors:
         prod = prod * cylinder(values, positions, len(shape))

@@ -1,9 +1,10 @@
 """Independent definition-literal oracles shared by module and acceptance tests.
 
 These implementations stay deliberately naive (set enumeration, quadruple
-loops) and never call the library code paths they are used to check.  The one
-exception is :func:`vc_k_oracle`, the slow path of ``vc_k``: it asks
-``check_shattered``, the single decider, about every box in turn.
+loops) and never call the library code paths they are used to check.  Two
+exceptions are slow paths built on a single decider: :func:`vc_k_oracle`
+asks ``check_shattered`` about every box in turn, and
+:func:`inapproximability_score_oracle` runs every restart fit in turn.
 """
 
 import itertools
@@ -189,3 +190,19 @@ def vc_k_oracle(f, k, distinguished, r=0.5, s=0.5, cap=16):
         best = (d, found, True)
         d += 1
     return best
+
+
+def inapproximability_score_oracle(f, k, N, seed=0, restarts=5):
+    """The serial restart loop: (best fit error over restarts, ALS sweeps of
+    all restarts).  Restart 0 uses the residual initialization, later ones
+    seeded random factors."""
+    from vck_lab import fit_weighted_cylinders, rng
+
+    best, sweeps = None, 0
+    for r in range(restarts):
+        sub_seed = int(rng.raw64(seed, rng.STREAM_SCORE, 1, r)[0])
+        mode = "auto" if r == 0 else "random"
+        _, report = fit_weighted_cylinders(f, k, N, seed=sub_seed, init_mode=mode)
+        best = report.error if best is None else min(best, report.error)
+        sweeps += report.iterations
+    return float(best), sweeps

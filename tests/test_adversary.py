@@ -1,17 +1,24 @@
 """Adversarial replacement measures and quasirandomness measurement."""
 
+import multiprocessing
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vck_lab import (Box, MeasuredFunction, PartiteSpace,
-                     Relation, build_instance, check_shattered,
+                     Relation, adversary, build_instance, check_shattered,
                      inapproximability_score, integrate, level_set,
                      membership_gadget, pattern_norm, quasirandomness_curve,
                      random_pattern)
+from vck_lab.adversary import inapproximability_scores
 from vck_lab.errors import InvalidArgumentError
+
+from oracles import inapproximability_score_oracle
 
 
 # -- pattern generation ---------------------------------------------------------
@@ -169,3 +176,36 @@ def test_score_refuses_no_restarts():
     H = random_pattern(3, 1, 0.5, 11)
     with pytest.raises(InvalidArgumentError):
         inapproximability_score(H, 1, 2, seed=0, restarts=0)
+
+
+# -- scores fitted together -------------------------------------------------------------
+
+@settings(max_examples=15, deadline=None)
+@given(k=st.integers(1, 2),
+       group=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 3)), min_size=1, max_size=3),
+       N=st.integers(1, 4), restarts=st.integers(1, 3),
+       pattern_seed=st.integers(0, 2 ** 16), fit_seed=st.integers(0, 2 ** 16))
+def test_scores_equal_serial_restart_loop(k, group, N, restarts, pattern_seed, fit_seed):
+    patterns = [random_pattern(d, k, 0.5, pattern_seed, trial) for d, trial in group]
+    # three workers whatever this machine has, so the pool is what runs
+    with mock.patch.object(adversary, "_cpu_count", lambda: 3):
+        scores, diagnostics = inapproximability_scores(patterns, k, N, seed=fit_seed,
+                                                       restarts=restarts)
+    expected = [inapproximability_score_oracle(H, k, N, seed=fit_seed, restarts=restarts)
+                for H in patterns]
+    assert scores == [score for score, _ in expected]
+    assert diagnostics == {"workers": min(3, len(patterns) * restarts),
+                           "fits": len(patterns) * restarts,
+                           "als_sweeps": sum(sweeps for _, sweeps in expected)}
+    assert multiprocessing.active_children() == []
+
+
+def test_one_worker_equals_pool():
+    patterns = [random_pattern(d, 1, 0.5, 8, t) for d in (3, 5) for t in range(2)]
+    runs = {}
+    for cpus in (1, 2, 4):
+        with mock.patch.object(adversary, "_cpu_count", lambda: cpus):
+            runs[cpus] = inapproximability_scores(patterns, 1, 3, seed=4, restarts=2)
+    assert [diag["workers"] for _, diag in runs.values()] == [1, 2, 4]
+    assert runs[1][0] == runs[2][0] == runs[4][0]
+    assert runs[1][1]["als_sweeps"] == runs[2][1]["als_sweeps"] == runs[4][1]["als_sweeps"]

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, schemas, reproducibility."""
 
 import json
+import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -10,9 +11,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vck_lab import Box, check_shattered, membership_gadget
+from vck_lab import Box, adversary, check_shattered, membership_gadget, random_pattern
 from vck_lab.cli import main
+from vck_lab.errors import NumericalFailureError
 from vck_lab.serialize import dumps_canonical, load_json, write_canonical
+
+from oracles import inapproximability_score_oracle
 
 
 def comparable_bytes(path) -> bytes:
@@ -316,11 +320,32 @@ def test_vcdim_bad_thresholds_or_cap_exit_2(gadget_doc, flags, capsys):
 
 @pytest.mark.parametrize("flags", [
     ("--trials", "0"), ("--trials", "-1"), ("--restarts", "0"),
-    ("--score-trials", "0"), ("--score-trials", "-2")])
-def test_adversary_bad_counts_exit_2(tmp_path, flags):
+    ("--score-trials", "0"), ("--score-trials", "-2"), ("--n-terms", "0"),
+    ("--d", "2,x"), ("--d", ","), ("--d", "2,0")])
+def test_adversary_bad_counts_exit_2(tmp_path, flags, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused sweep started its curve")
+
+    monkeypatch.setattr(adversary, "box_norm", no_work)
     assert run("adversary", "--k", "1", "--d", "2", "--trials", "2",
                "--score-trials", "1", "--restarts", "1", *flags,
                "--out", str(tmp_path / "curve.csv")) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_adversary_fit_failure_in_any_worker_exits_4(tmp_path, monkeypatch, capsys, cpus):
+    def failing_fit(*args, **kwargs):
+        raise NumericalFailureError("injected fit failure")
+
+    # patched before the pool forks, so every worker inherits it
+    monkeypatch.setattr(adversary, "fit_weighted_cylinders", failing_fit)
+    monkeypatch.setattr(adversary, "_cpu_count", lambda: cpus)
+    assert run("adversary", "--k", "1", "--d", "2,4", "--trials", "2",
+               "--restarts", "2", "--out", str(tmp_path / "curve.csv")) == 4
+    assert capsys.readouterr().err == "error: injected fit failure\n"
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("flags", [
@@ -345,6 +370,26 @@ def test_vcdim_diagnostics_outside_comparable_and_reproducible(tmp_path, gadget_
     assert all(set(level) == {"d", "boxes", "checked", "count_bound"} for level in levels)
     # the bytes up to wall time, diagnostics included, repeat exactly
     cut = [p.read_bytes().rsplit(b',"wall_time_s":', 1)[0] for p in (a, b)]
+    assert cut[0] == cut[1]
+
+
+def test_adversary_diagnostics_count_the_fits(tmp_path, capsys):
+    argv = ("adversary", "--k", "1", "--d", "2,3", "--trials", "3", "--score-trials", "2",
+            "--restarts", "2", "--n-terms", "3", "--seed", "5",
+            "--out", str(tmp_path / "curve.csv"))
+    reports = []
+    for _ in range(2):
+        assert run(*argv) == 0
+        reports.append(capsys.readouterr().out)
+    doc = json.loads(reports[0])
+    assert list(doc) == ["comparable", "diagnostics", "wall_time_s"]
+    sweeps = sum(inapproximability_score_oracle(
+        random_pattern(d, 1, 0.5, 5, trial=(di << 16) | t), 1, 3, seed=5, restarts=2)[1]
+        for di, d in enumerate((2, 3)) for t in range(2))
+    assert doc["diagnostics"] == {"workers": min(adversary._cpu_count(), 8), "fits": 8,
+                                  "als_sweeps": sweeps}
+    # no timings: the bytes up to wall time, diagnostics included, repeat exactly
+    cut = [report.rsplit(',"wall_time_s":', 1)[0] for report in reports]
     assert cut[0] == cut[1]
 
 
