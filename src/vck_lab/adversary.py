@@ -18,6 +18,7 @@ from fractions import Fraction
 from . import defaults, rng
 from .decomp import fit_weighted_cylinders
 from .errors import InvalidArgumentError
+from .gen import check_grid
 from .gowers import box_norm
 from .space import (MeasuredFunction, Part, PartiteSpace, Relation, grid_masks,
                     weighted_sum)
@@ -26,10 +27,9 @@ from .vck import ShatteringCertificate
 
 def random_pattern(d: int, k: int, p: float, seed: int, trial: int = 0) -> Relation:
     """I.i.d. Bernoulli(p) (k+1)-partite pattern on [d]^(k+1), uniform parts."""
-    if d < 1:
-        raise InvalidArgumentError("d must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise InvalidArgumentError(f"p={p} outside [0, 1]")
+    check_grid([d] * (k + 1))
     space = PartiteSpace.uniform([d] * (k + 1),
                                  [f"P{i + 1}" for i in range(k + 1)])
     vals = rng.bernoulli(seed, rng.STREAM_PATTERN, (d,) * (k + 1), p, trial)

@@ -21,7 +21,8 @@ from .adversary import inapproximability_scores, quasirandomness_curve, random_p
 from .decomp import fit_boolean_cylinders, fit_weighted_cylinders
 from .errors import InvalidArgumentError, VckLabError
 from .fibalg import FiberFamilySpec, atoms, fiber_family
-from .gen import boolean_of_lower_arity, membership_gadget, parity_triple, quasirandom
+from .gen import (boolean_of_lower_arity, check_grid, membership_gadget, parity_triple,
+                  quasirandom)
 from .gowers import box_norm
 from .serialize import (dumps_canonical, find_function, format_float,
                         functions_from_doc, functions_to_doc, load_json,
@@ -69,30 +70,26 @@ def _parse_params(raw: str | None, allowed: dict) -> dict:
         if key not in allowed:
             raise InvalidArgumentError(
                 f"unknown parameter {key!r}; allowed: {sorted(allowed)}")
-        out[key] = allowed[key](value)
+        try:
+            out[key] = (_ints(value, f"--params {key}", "x") if allowed[key] is list
+                        else allowed[key](value))
+        except ValueError:
+            raise InvalidArgumentError(f"--params {key}: malformed value {value!r}") from None
     return out
 
 
-def _int_list(text: str) -> list:
-    return [int(v) for v in text.split("x") if v != ""]
-
-
-def _size_list(text: str) -> list:
-    """Comma-separated sizes, each at least 1, at least one of them."""
+def _ints(text: str, flag: str, sep: str = ",") -> list:
+    """The integers of a ``sep``-separated list, empty items skipped."""
     try:
-        sizes = [int(v) for v in text.split(",") if v != ""]
+        return [int(v) for v in text.split(sep) if v != ""]
     except ValueError:
-        raise InvalidArgumentError(f"malformed size list {text!r}") from None
-    if not sizes or min(sizes) < 1:
-        raise InvalidArgumentError(f"need one or more sizes >= 1, got {text!r}")
-    return sizes
+        raise InvalidArgumentError(f"{flag}: malformed integer list {text!r}") from None
 
 
 def _load_function(args):
-    doc = load_json(args.input)
-    space, functions = functions_from_doc(doc)
-    signature = [int(v) for v in args.signature.split(",")] if args.signature else None
-    return space, find_function(functions, name=args.function, signature=signature)
+    _, functions = functions_from_doc(load_json(args.input))
+    signature = _ints(args.signature, "--signature") if args.signature else None
+    return find_function(functions, name=args.function, signature=signature)
 
 
 # --------------------------------------------------------------------------
@@ -103,9 +100,9 @@ def _cmd_gen(args) -> int:
     started = time.perf_counter()
     kinds = {
         "membership": {"d": int, "k": int},
-        "boolcomb": {"kprime": int, "k": int, "m": int, "sizes": _int_list},
+        "boolcomb": {"kprime": int, "k": int, "m": int, "sizes": list},
         "parity": {"n": int},
-        "quasirandom": {"sizes": _int_list, "signature": _int_list, "p": float},
+        "quasirandom": {"sizes": list, "signature": list, "p": float},
     }
     if args.kind not in kinds:
         raise InvalidArgumentError(f"unknown kind {args.kind!r}")
@@ -123,6 +120,7 @@ def _cmd_gen(args) -> int:
         functions = [result.relation, result.F, result.G, result.H]
     else:
         sizes = params.get("sizes", [4, 4])
+        check_grid(sizes)
         space = PartiteSpace.uniform(sizes)
         signature = params.get("signature", list(range(len(sizes))))
         functions = [quasirandom(space, signature, params.get("p", 0.5),
@@ -136,7 +134,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_vcdim(args) -> int:
     started = time.perf_counter()
-    _, f = _load_function(args)
+    f = _load_function(args)
     k = args.k if args.k is not None else f.arity - 1
     distinguished = args.distinguished if args.distinguished is not None else f.arity - 1
     result = vc_k(f, k, distinguished, args.r, args.s, cap=args.cap)
@@ -159,7 +157,7 @@ def _cmd_vcdim(args) -> int:
 
 def _cmd_gowers(args) -> int:
     started = time.perf_counter()
-    _, f = _load_function(args)
+    f = _load_function(args)
     report = box_norm(f)
     config = {"input": args.input, "function": f.name,
               "signature": args.signature or ""}
@@ -169,11 +167,10 @@ def _cmd_gowers(args) -> int:
 
 def _cmd_fibers(args) -> int:
     started = time.perf_counter()
-    _, f = _load_function(args)
-    anchors = [int(v) for v in args.anchors.split(",") if v != ""]
+    f = _load_function(args)
+    anchors = _ints(args.anchors, "--anchors")
     if args.params:
-        rows = [[int(v) for v in row.split(",") if v != ""]
-                for row in args.params.split(";")]
+        rows = [_ints(row, "--params") for row in args.params.split(";")]
     else:
         rows = [list(range(f.shape[i])) for i in range(f.arity - 1)]
     spec = FiberFamilySpec(args.t, tuple(anchors), tuple(tuple(r) for r in rows))
@@ -191,7 +188,7 @@ def _cmd_fibers(args) -> int:
 
 def _cmd_decompose(args) -> int:
     started = time.perf_counter()
-    _, f = _load_function(args)
+    f = _load_function(args)
     config = {"input": args.input, "function": f.name, "k": args.k,
               "n_max": args.n_max, "mode": args.mode, "als_iters": args.als_iters}
     if args.mode == "weighted":
@@ -213,7 +210,9 @@ def _cmd_adversary(args) -> int:
                         ("--restarts", args.restarts), ("--n-terms", args.n_terms)):
         if value < 1:
             raise InvalidArgumentError(f"need {flag} >= 1, got {value}")
-    d_values = _size_list(args.d)
+    d_values = _ints(args.d, "--d")
+    if not d_values or min(d_values) < 1:
+        raise InvalidArgumentError(f"--d needs one or more sizes >= 1, got {args.d!r}")
     rows = quasirandomness_curve(args.k, d_values, args.trials, args.seed, p=args.p)
     score_trials = min(args.score_trials, args.trials)
     patterns = [random_pattern(d, args.k, args.p, args.seed, trial=(di << 16) | t)
@@ -346,6 +345,10 @@ def main(argv=None) -> int:
     except VckLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except (MemoryError, RecursionError) as exc:
+        # the host ran out before an explicit cap did
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -22,8 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import defaults, rng
-from .errors import (InvalidArgumentError, InvalidStateError,
-                     NumericalFailureError)
+from .errors import InvalidArgumentError, NumericalFailureError
 from .fibalg import FiberFamilySpec, atoms, fiber_family, project_simple
 from .space import (MeasuredFunction, Relation, cylinder, cylinder_product, dyadics,
                     fiber, index_sets, integrate, level_set, weighted_l2, weighted_sum)
@@ -162,66 +161,45 @@ class PoolLeaf:
 
 @dataclass(frozen=True)
 class BooleanCylinderExpr:
-    """Expression tree over named cylinder leaves.
+    """Decision list over a pool of cylinder leaves.
 
-    Nodes are nested tuples: ("leaf", name), ("not", node),
-    ("and"/"or", left, right), ("const", bool).
+    Rule (i, negated, bit) fires where pool[i] holds (fails, when negated)
+    and outputs bit; the first rule that fires wins, and ``default`` holds
+    where none does.
     """
 
-    root: tuple
-    leaves: dict  # name -> PoolLeaf
-
-    def leaf_occurrences(self) -> int:
-        def count(node):
-            tag = node[0]
-            if tag == "leaf":
-                return 1
-            if tag == "const":
-                return 0
-            if tag == "not":
-                return count(node[1])
-            return count(node[1]) + count(node[2])
-        return count(self.root)
+    pool: tuple     # PoolLeaf per candidate leaf
+    rules: tuple    # (pool index, negated, bit), first match wins
+    default: bool
 
     def tensor(self, space, signature) -> np.ndarray:
         shape = space.sizes(signature)
-
-        def ev(node):
-            tag = node[0]
-            if tag == "const":
-                return np.full(shape, bool(node[1]))
-            if tag == "leaf":
-                leaf = self.leaves.get(node[1])
-                if leaf is None:
-                    raise InvalidStateError(f"unresolved leaf {node[1]!r}")
-                return np.broadcast_to(
-                    cylinder(leaf.relation.bool_values, leaf.positions, len(shape)),
-                    shape)
-            if tag == "not":
-                return ~ev(node[1])
-            if tag == "and":
-                return ev(node[1]) & ev(node[2])
-            if tag == "or":
-                return ev(node[1]) | ev(node[2])
-            raise InvalidStateError(f"unknown node tag {tag!r}")
-
-        return ev(self.root)
+        out = np.full(shape, self.default)
+        for i, negated, bit in reversed(self.rules):
+            leaf = self.pool[i]
+            test = cylinder(leaf.relation.bool_values, leaf.positions, len(shape))
+            out = np.where(test != negated, bit, out)
+        return out
 
     def to_doc(self) -> dict:
-        def encode(node):
-            tag = node[0]
-            if tag == "const":
-                return {"op": "const", "value": bool(node[1])}
-            if tag == "leaf":
-                return {"op": "leaf", "name": node[1]}
-            if tag == "not":
-                return {"op": "not", "arg": encode(node[1])}
-            return {"op": tag, "left": encode(node[1]), "right": encode(node[2])}
-
-        return {"expr": encode(self.root),
-                "leaves": {name: {"positions": list(leaf.positions),
-                                  "values": leaf.relation.values.ravel()}
-                           for name, leaf in self.leaves.items()}}
+        """The list as an and/or/not tree: a rule with test t and bit 1
+        before the rest is (t or rest), with bit 0 it is (not t and rest);
+        the last rule absorbs a default it cannot change (t or 0 is t)."""
+        expr = {"op": "const", "value": bool(self.default)}
+        for n, (i, negated, bit) in enumerate(reversed(self.rules)):
+            test = {"op": "leaf", "name": self.pool[i].name}
+            if negated:
+                test = {"op": "not", "arg": test}
+            if not bit:
+                test = {"op": "not", "arg": test}
+            if n == 0 and bit != self.default:
+                expr = test
+            else:
+                expr = {"op": "or" if bit else "and", "left": test, "right": expr}
+        return {"expr": expr,
+                "leaves": {leaf.name: {"positions": list(leaf.positions),
+                                       "values": leaf.relation.values.ravel()}
+                           for leaf in self.pool}}
 
 
 def sym_diff(E: MeasuredFunction, expr: BooleanCylinderExpr) -> float:
@@ -249,7 +227,7 @@ def sample_fiber_pool(E: MeasuredFunction, k: int, seed: int) -> list:
     for counter, I in enumerate(index_sets(k_prime, k)):
         other = [p for p in range(k_prime) if p not in I]
         extents = [E.shape[p] for p in other]
-        n_tuples = math.prod(extents) if other else 1
+        n_tuples = math.prod(extents)
         if n_tuples <= _POOL_TUPLES_PER_SET:
             flat_picks = range(n_tuples)
         else:
@@ -258,8 +236,7 @@ def sample_fiber_pool(E: MeasuredFunction, k: int, seed: int) -> list:
             flat_picks = sorted(dict.fromkeys(draws))[:_POOL_TUPLES_PER_SET]
         seen = set()
         for flat in flat_picks:
-            tup = tuple(int(v) for v in np.unravel_index(int(flat), extents)) \
-                if other else ()
+            tup = tuple(int(v) for v in np.unravel_index(int(flat), extents))
             sub = fiber(E, dict(zip(other, tup)))
             if sub.values.tobytes() in seen:
                 continue
@@ -325,10 +302,10 @@ def fit_boolean_cylinders(E: MeasuredFunction, k: int, n_max: int,
                 cover = mu(region)
                 if cover <= 0.0:
                     continue
+                rest_err = default_err(remaining & ~region)
                 for bit in (True, False):
                     mistakes = mu(region & (target != bit))
-                    rest = remaining & ~region
-                    new_total = decided_err + mistakes + default_err(rest)
+                    new_total = decided_err + mistakes + rest_err
                     cand = (li, negated, bit, region, mistakes)
                     if mistakes == 0.0:
                         key = (current - new_total, cover)
@@ -347,26 +324,13 @@ def fit_boolean_cylinders(E: MeasuredFunction, k: int, n_max: int,
         remaining &= ~region
         current = decided_err + default_err(remaining)
 
-    in_e = mu(remaining & target)
-    out_e = mu(remaining & ~target)
-    default_bit = in_e >= out_e
-    error = decided_err + min(in_e, out_e)
-
-    node = ("const", bool(default_bit))
-    for li, negated, bit in reversed(rules):
-        leaf_node = ("leaf", pool[li].name)
-        test = ("not", leaf_node) if negated else leaf_node
-        if bit:
-            node = test if node == ("const", False) else ("or", test, node)
-        else:
-            inv = ("not", test)
-            node = inv if node == ("const", True) else ("and", inv, node)
-    expr = BooleanCylinderExpr(node, {leaf.name: leaf for leaf in pool})
-
-    if error > baseline + defaults.MONOTONE_SLACK:
+    # current is the fit's error: decided mistakes plus the default's
+    expr = BooleanCylinderExpr(tuple(pool), tuple(rules),
+                               bool(mu(remaining & target) >= mu(remaining & ~target)))
+    if current > baseline + defaults.MONOTONE_SLACK:
         raise NumericalFailureError(
-            f"boolean fit error {error} exceeds constant baseline {baseline}")
-    return expr, FitReport(error, expr.leaf_occurrences(), iterations, seed, baseline)
+            f"boolean fit error {current} exceeds constant baseline {baseline}")
+    return expr, FitReport(current, len(rules), iterations, seed, baseline)
 
 
 # --------------------------------------------------------------------------

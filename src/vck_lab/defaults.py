@@ -19,12 +19,15 @@ GRID_CAP = 16
 # Largest grid a cap may allow: grid subsets are int64 bitmasks.
 GRID_CAP_MAX = 62
 
-# Box norms: maximum total degree n (the corner product has 2**n factors),
-# and a cap on the entries of the largest array a norm or dual function
-# builds (the doubled grid of all but the last coordinate, its corner
-# product, or the dual's integrand), checked before anything is allocated.
+# Box norms: maximum total degree n (the corner product has 2**n factors).
 DEGREE_CAP = 6
-BOX_NORM_ARRAY_CAP = 1 << 24
+
+# Array entries one call may build, checked before anything is allocated:
+# the largest array of a box norm or dual function (the doubled grid of all
+# but the last coordinate, its corner product, or the dual's integrand); a
+# generated instance's grid times the full-grid arrays its generator builds;
+# a fiber family's relations times their grid cells.
+ARRAY_CAP = 1 << 24
 
 # A raw box-norm integral in (-BOX_NORM_CLAMP, 0) is clamped to zero and
 # flagged; anything below -BOX_NORM_CLAMP raises NumericalFailureError.

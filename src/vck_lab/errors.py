@@ -15,12 +15,6 @@ class InvalidArgumentError(VckLabError):
     exit_code = 2
 
 
-class InvalidStateError(VckLabError):
-    """An object is internally inconsistent (e.g. unresolved expression leaf)."""
-
-    exit_code = 2
-
-
 class ResourceLimitError(VckLabError):
     """An explicit search/size cap was exceeded; never silently truncated."""
 

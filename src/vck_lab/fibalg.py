@@ -18,9 +18,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import defaults
-from .errors import DiagnosticFailureError, InvalidArgumentError
-from .space import (MeasuredFunction, Relation, cylinder, dyadics, fiber,
-                    index_sets, l2_distance, monus, saturating_repeat,
+from .errors import DiagnosticFailureError, InvalidArgumentError, ResourceLimitError
+from .space import (MeasuredFunction, Relation, check_array_cap, cylinder, dyadics,
+                    fiber, index_sets, l2_distance, monus, saturating_repeat,
                     weighted_sum)
 
 
@@ -61,6 +61,12 @@ def fiber_family(f: MeasuredFunction, spec: FiberFamilySpec) -> list:
     for a in spec.anchors:
         if not 0 <= a < f.shape[dist]:
             raise InvalidArgumentError(f"anchor {a} out of range")
+    # the 2**height + 1 thresholds are scanned even when no relation is
+    # built; the clamp keeps an absurd height from forming a huge integer
+    if 2 ** min(spec.height, defaults.ARRAY_CAP.bit_length()) + 1 > defaults.ARRAY_CAP:
+        raise ResourceLimitError(f"dyadic height {spec.height} makes 2**{spec.height} + 1 "
+                                 f"thresholds (cap {defaults.ARRAY_CAP})")
+    check_array_cap(family_size(spec, k) * math.prod(f.shape[:k]), "fiber family")
     searched_sig = f.signature[:k]
     out = []
     for q in dyadics(spec.height):

@@ -7,13 +7,22 @@ instances on any platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import defaults, rng
 from .errors import InvalidArgumentError, ResourceLimitError
-from .space import PartiteSpace, Relation, cylinder, index_sets, mask_bits
+from .space import PartiteSpace, Relation, check_array_cap, cylinder, index_sets, mask_bits
+
+
+def check_grid(sizes, arrays: int = 1) -> None:
+    """Refuse, before any part or tensor is built, a grid with an empty part
+    or one whose ``arrays`` full-grid arrays would pass the array cap."""
+    if min(sizes, default=1) < 1:
+        raise InvalidArgumentError(f"part sizes must be >= 1, got {list(sizes)}")
+    check_array_cap(arrays * math.prod(sizes), "generated instance")
 
 
 def membership_gadget(d: int, k: int,
@@ -26,11 +35,12 @@ def membership_gadget(d: int, k: int,
     """
     if d < 1 or k < 1:
         raise InvalidArgumentError("need d >= 1 and k >= 1")
-    grid_points = d ** k
-    n_subsets = 1 << grid_points
-    if n_subsets > size_cap:
+    # 2**g > cap iff g reaches the cap's bit length; d**k (d > 1) does once k does
+    grid_points = d ** min(k, size_cap.bit_length())
+    if grid_points >= size_cap.bit_length():
         raise ResourceLimitError(
-            f"witness part would hold {n_subsets} vertices (cap {size_cap})")
+            f"witness part would hold 2**({d}**{k}) vertices (cap {size_cap})")
+    n_subsets = 1 << grid_points
     parts = [f"V{i + 1}" for i in range(k)] + ["W"]
     space = PartiteSpace.uniform([d] * k + [n_subsets], parts)
     vals = mask_bits(range(n_subsets), grid_points).reshape((d,) * k + (n_subsets,))
@@ -57,11 +67,16 @@ def boolean_of_lower_arity(k_prime: int, k: int, m: int, sizes,
     Stream layout: counter 3*i for leaf i's coordinate set, 3*i+1 for its
     tensor, 3*i+2 for tree shaping bits.
     """
+    if k < 1 or m < 0:
+        raise InvalidArgumentError(f"need k >= 1 and m >= 0, got k={k}, m={m}")
     if k_prime <= k:
         raise InvalidArgumentError(f"k'={k_prime} must exceed k={k}")
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) != k_prime:
         raise InvalidArgumentError(f"need {k_prime} part sizes, got {len(sizes)}")
+    # a full-grid mask per node of the combining tree (2m - 1 of them, or
+    # one constant), and the relation
+    check_grid(sizes, max(2 * m, 2))
     space = PartiteSpace.uniform(sizes)
     all_I = index_sets(k_prime, k)
 
@@ -128,8 +143,7 @@ def parity_triple(n: int, seed: int = 0) -> ParityTriple:
     """Ternary parity of three Bernoulli(1/2) binary relations on [n]^3.
 
     Stream layout: counters 0, 1, 2 for F, G, H."""
-    if n < 1:
-        raise InvalidArgumentError("n must be >= 1")
+    check_grid([n, n, n])
     space = PartiteSpace.uniform([n, n, n])
     F = Relation(space, (0, 1), rng.bernoulli(seed, rng.STREAM_PARITY, (n, n), 0.5, 0),
                  name="F")
@@ -146,5 +160,6 @@ def quasirandom(space: PartiteSpace, signature, p: float, seed: int = 0,
     if not 0.0 <= p <= 1.0:
         raise InvalidArgumentError(f"p={p} outside [0, 1]")
     sig = space.validate_signature(signature)
+    check_grid(space.sizes(sig))
     vals = rng.bernoulli(seed, rng.STREAM_QUASIRANDOM, space.sizes(sig), p)
     return Relation(space, sig, vals, name=name)

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import defaults
 from .errors import InvalidArgumentError, NumericalFailureError, ResourceLimitError
-from .space import (MeasuredFunction, cylinder_product, integrate, weighted_sum,
-                    weighted_sum_rows)
+from .space import (MeasuredFunction, check_array_cap, cylinder_product, integrate,
+                    weighted_sum, weighted_sum_rows)
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,7 @@ def _check_work(f: MeasuredFunction, dual: bool) -> None:
             f"degree {n} exceeds the cap {defaults.DEGREE_CAP} (2**n factor growth)")
     head, y = math.prod(f.shape[:-1]), f.shape[-1]
     entries = head * head * y if dual else head * max(head, math.prod(f.shape[:-2]) * y)
-    if entries > defaults.BOX_NORM_ARRAY_CAP:
-        raise ResourceLimitError(
-            f"box norm would build an array of {entries} entries "
-            f"(cap {defaults.BOX_NORM_ARRAY_CAP})")
+    check_array_cap(entries, "box norm")
 
 
 def _inner(f: MeasuredFunction) -> np.ndarray:

@@ -21,6 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import defaults
 from .defaults import GRID_CAP_MAX, INTEGRAL_TOL, POINTWISE_TOL
 from .errors import InvalidArgumentError, ResourceLimitError
 
@@ -257,6 +258,14 @@ def cylinder_product(factors, shape, start=1.0) -> np.ndarray:
     for positions, values in factors:
         prod = prod * cylinder(values, positions, len(shape))
     return prod
+
+
+def check_array_cap(entries: int, what: str) -> None:
+    """Refuse, before anything is allocated, work that would build more
+    than ARRAY_CAP array entries."""
+    if entries > defaults.ARRAY_CAP:
+        raise ResourceLimitError(
+            f"{what} would build {entries} entries (cap {defaults.ARRAY_CAP})")
 
 
 def grid_masks(hits: np.ndarray) -> list:

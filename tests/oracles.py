@@ -131,6 +131,35 @@ def bounded_lstsq_oracle(A, b):
     return best_x, best_res
 
 
+def expression_oracle(node, leaves, shape) -> np.ndarray:
+    """Point by point value of an and/or/not expression document (the
+    ``expr`` and ``leaves`` of ``BooleanCylinderExpr.to_doc``) on the grid."""
+    def value(node, point) -> bool:
+        op = node["op"]
+        if op == "const":
+            return node["value"]
+        if op == "leaf":
+            leaf = leaves[node["name"]]
+            sub_shape = [shape[p] for p in leaf["positions"]]
+            sub_point = [point[p] for p in leaf["positions"]]
+            return leaf["values"][int(np.ravel_multi_index(sub_point, sub_shape))] == 1.0
+        if op == "not":
+            return not value(node["arg"], point)
+        left, right = value(node["left"], point), value(node["right"], point)
+        return left and right if op == "and" else left or right
+
+    return np.array([value(node, point) for point in np.ndindex(*shape)],
+                    dtype=bool).reshape(shape)
+
+
+def expression_leaf_count(node) -> int:
+    """Leaf nodes of an expression document."""
+    if node["op"] == "leaf":
+        return 1
+    return sum(expression_leaf_count(node[key]) for key in ("arg", "left", "right")
+               if key in node)
+
+
 def atom_cells_oracle(generators, total: int) -> list:
     """Flat grid indices grouped point by point by their row of generator
     memberships, cells ordered by their smallest index."""

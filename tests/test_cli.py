@@ -30,6 +30,14 @@ def run(*argv) -> int:
 
 
 @pytest.fixture
+def parity_doc(tmp_path):
+    path = tmp_path / "parity.json"
+    assert run("gen", "--kind", "parity", "--params", "n=3", "--seed", "2",
+               "--out", str(path)) == 0
+    return path
+
+
+@pytest.fixture
 def gadget_doc(tmp_path):
     path = tmp_path / "inst.json"
     assert run("gen", "--kind", "membership", "--params", "d=2,k=1",
@@ -353,6 +361,143 @@ def test_adversary_fit_failure_in_any_worker_exits_4(tmp_path, monkeypatch, caps
     ("--mode", "boolean", "--n-max", "0"), ("--mode", "boolean", "--n-max", "-3")])
 def test_decompose_bad_counts_exit_2(gadget_doc, flags):
     assert run("decompose", "--input", str(gadget_doc), "--k", "1", *flags) == 2
+
+
+def _one_error_line(err: str) -> bool:
+    return len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("kind, params, code", [
+    ("quasirandom", "sizes=4xq", 2), ("quasirandom", "p=abc", 2), ("membership", "d=x", 2),
+    ("boolcomb", "k=0,m=2", 2), ("boolcomb", "m=-1", 2), ("quasirandom", "sizes=3x0", 2),
+    ("membership", "d=1000,k=1000", 3), ("boolcomb", "m=100000", 3),
+    ("boolcomb", "sizes=100000x100000x100000", 3), ("parity", "n=257", 3),
+    # one cell over the array cap: a missing check costs seconds, not a hang
+    ("quasirandom", "sizes=4096x4097", 3),
+    # the combining tree nests m deep: the interpreter's recursion limit
+    ("boolcomb", "m=2000", 3)])
+def test_gen_refusals_exit_with_their_code(tmp_path, capsys, kind, params, code):
+    out = tmp_path / "x.json"
+    assert run("gen", "--kind", kind, "--params", params, "--out", str(out)) == code
+    assert _one_error_line(capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("gowers", "--signature", "x"), ("vcdim", "--signature", "x"),
+    ("decompose", "--k", "1", "--signature", "x"),
+    ("fibers", "--anchors", "0", "--signature", "x"), ("fibers", "--anchors", "x"),
+    ("fibers", "--anchors", "0", "--params", "a;b")])
+def test_malformed_integer_lists_exit_2(parity_doc, capsys, argv):
+    assert run(*argv, "--input", str(parity_doc)) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and argv[-2] in err
+
+
+@pytest.mark.parametrize("command", [
+    ("gowers", "--out"), ("vcdim", "--out"), ("fibers", "--t", "1", "--anchors", "0", "--out"),
+    ("decompose", "--k", "1", "--n-max", "2", "--report")])
+def test_empty_list_items_are_skipped(tmp_path, parity_doc, command):
+    reports = []
+    for signature in ("0,1", ",0,,1,"):
+        out = tmp_path / "out.json"
+        assert run(*command, str(out), "--input", str(parity_doc),
+                   "--signature", signature) == 0
+        comparable = load_json(out)["comparable"]
+        assert comparable["config"].pop("signature", signature) == signature  # kept raw
+        reports.append(dumps_canonical(comparable))
+    assert reports[0] == reports[1]
+    assert '"function":"F"' in reports[0]
+
+
+def test_fiber_family_over_the_cap_exits_3(tmp_path, capsys):
+    # (2**11 + 1) thresholds x 32 substitutions x 1 anchor x 256 cells is
+    # one threshold's worth over 2**24
+    inst = tmp_path / "bc.json"
+    assert run("gen", "--kind", "boolcomb", "--params", "sizes=16x16x16",
+               "--out", str(inst)) == 0
+    capsys.readouterr()
+    out = tmp_path / "fib.json"
+    assert run("fibers", "--input", str(inst), "--t", "11", "--anchors", "0",
+               "--out", str(out)) == 3
+    assert _one_error_line(capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_fiber_thresholds_over_the_cap_exit_3(gadget_doc, monkeypatch, capsys):
+    # a 2-ary input has no relations to build, yet scans every threshold
+    monkeypatch.setattr("vck_lab.defaults.ARRAY_CAP", 1 << 10)
+    assert run("fibers", "--input", str(gadget_doc), "--t", "9", "--anchors", "0") == 0
+    capsys.readouterr()
+    assert run("fibers", "--input", str(gadget_doc), "--t", "10", "--anchors", "0") == 3
+    assert capsys.readouterr().err == "error: dyadic height 10 makes 2**10 + 1 thresholds (cap 1024)\n"
+
+
+def test_out_of_memory_exits_3(gadget_doc, monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("vck_lab.cli.box_norm", no_memory)
+    assert run("gowers", "--input", str(gadget_doc)) == 3
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
+_small_int = st.integers(-1, 9).map(str)
+
+
+def _joined(sep):
+    return st.lists(_small_int | st.just(""), max_size=4).map(sep.join)
+
+
+_flag_text = st.one_of(st.text(alphabet="0123456789,;x=- a", max_size=10), _joined(","),
+                       st.lists(_joined(","), max_size=3).map(";".join))
+_param_value = st.one_of(st.text(alphabet="0123456789x-.ae", max_size=8), _small_int,
+                         _joined("x"))
+_gen_keys = {"membership": ("d", "k"), "boolcomb": ("kprime", "k", "m", "sizes"),
+             "parity": ("n",), "quasirandom": ("sizes", "signature", "p")}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_fuzzed_flag_text_exits_with_a_known_code(tmp_path, parity_doc, monkeypatch,
+                                                   capsys, data):
+    # a small array cap keeps accepted requests cheap; the real cap's
+    # refusals are tested above
+    monkeypatch.setattr("vck_lab.defaults.ARRAY_CAP", 1 << 12)
+    inst, out = str(parity_doc), str(tmp_path / "out")
+    text = data.draw(_flag_text)
+    flag = data.draw(st.sampled_from(["signature", "anchors", "fibers params", "gen params",
+                                      "d"]))
+    if flag == "signature":
+        command = data.draw(st.sampled_from([
+            ("gowers",), ("vcdim",), ("fibers", "--t", "1", "--anchors", "0"),
+            ("decompose", "--k", "1", "--n-max", "2")]))
+        argv = [*command, "--input", inst, f"--signature={text}"]
+    elif flag == "anchors":
+        argv = ["fibers", "--input", inst, "--t", "1", f"--anchors={text}"]
+    elif flag == "fibers params":
+        argv = ["fibers", "--input", inst, "--t", "1", "--anchors", "0", f"--params={text}"]
+    elif flag == "gen params":
+        kind = data.draw(st.sampled_from(sorted(_gen_keys)))
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(_gen_keys[kind]), _param_value),
+                                   min_size=1, max_size=3))
+        argv = ["gen", "--kind", kind, "--out", out,
+                "--params=" + ",".join(f"{key}={value}" for key, value in pairs)]
+    else:
+        argv = ["adversary", f"--d={text}", "--trials", "1", "--score-trials", "1",
+                "--restarts", "1", "--n-terms", "1", "--out", out]
+    if flag != "gen params" and argv[0] != "adversary":
+        argv += ["--report" if argv[0] == "decompose" else "--out", out]
+    try:
+        code = run(*argv)
+    except SystemExit as exc:  # argparse's own refusals
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), (argv, err)
+    assert "Traceback" not in err
+    if code:
+        assert err.splitlines()[-1].startswith(("error: ", "vck-lab")), (argv, err)
 
 
 # -- diagnostics ----------------------------------------------------------------------

@@ -18,9 +18,9 @@ from vck_lab import (BooleanCylinderExpr, CylinderDecomposition, CylinderTerm,
 from vck_lab.adversary import random_pattern
 from vck_lab.cli import main as cli_main
 from vck_lab.decomp import bounded_least_squares
-from vck_lab.errors import InvalidArgumentError, InvalidStateError
+from vck_lab.errors import InvalidArgumentError
 
-from oracles import bounded_lstsq_oracle
+from oracles import bounded_lstsq_oracle, expression_leaf_count, expression_oracle
 
 
 def uniform_space(sizes):
@@ -103,16 +103,40 @@ def test_sym_diff_full_vs_negated_full():
     full = Relation.from_bool(space, (0, 1), np.ones((3, 3), dtype=bool))
     leaf = PoolLeaf((0,), Relation.from_bool(space, (0,), np.ones(3, dtype=bool)),
                     "all")
-    expr = BooleanCylinderExpr(("not", ("leaf", "all")), {"all": leaf})
+    expr = BooleanCylinderExpr((leaf,), ((0, True, True),), False)
+    assert expr.to_doc()["expr"] == {"op": "not", "arg": {"op": "leaf", "name": "all"}}
     assert sym_diff(full, expr) == 1.0
 
 
-def test_unresolved_leaf_raises():
-    space = uniform_space([2, 2])
-    expr = BooleanCylinderExpr(("leaf", "ghost"), {})
-    full = Relation.from_bool(space, (0, 1), np.ones((2, 2), dtype=bool))
-    with pytest.raises(InvalidStateError):
-        sym_diff(full, expr)
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.tuples(*[st.integers(1, 3)] * 3),
+       leaves=st.lists(st.tuples(st.sampled_from([(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]),
+                                 st.integers(0, 2 ** 32 - 1)), min_size=1, max_size=4),
+       rules=st.lists(st.tuples(st.integers(0, 3), st.booleans(), st.booleans()),
+                      max_size=6),
+       default=st.booleans())
+@example(sizes=(2, 2, 2), leaves=[((0,), 1)], rules=[], default=True)
+@example(sizes=(2, 2, 2), leaves=[((0,), 1)], rules=[(0, False, True)], default=False)
+@example(sizes=(2, 2, 2), leaves=[((1,), 2)], rules=[(0, True, False)], default=True)
+@example(sizes=(3, 2, 2), leaves=[((0,), 3), ((1, 2), 4)],
+         rules=[(1, True, False), (0, True, False)], default=False)
+def test_decision_list_matches_the_tree_it_prints(sizes, leaves, rules, default):
+    # the const short-cuts (bit 1 over default 0, bit 0 over default 1) and
+    # not(not(leaf)) for a negated bit-0 rule are among the examples
+    import json
+    from vck_lab.serialize import dumps_canonical
+    space = uniform_space(sizes)
+    pool = tuple(
+        PoolLeaf(pos, Relation.from_bool(space, pos, np.random.default_rng(draw).random(
+            tuple(sizes[p] for p in pos)) < 0.5), f"L{i}")
+        for i, (pos, draw) in enumerate(leaves))
+    rules = tuple((i % len(pool), negated, bit) for i, negated, bit in rules)
+    expr = BooleanCylinderExpr(pool, rules, default)
+    assert list(expr.to_doc()["leaves"]) == [leaf.name for leaf in pool]
+    doc = json.loads(dumps_canonical(expr.to_doc()))
+    assert np.array_equal(expr.tensor(space, (0, 1, 2)),
+                          expression_oracle(doc["expr"], doc["leaves"], sizes))
+    assert expression_leaf_count(doc["expr"]) == len(rules)
 
 
 def test_expression_round_trip_doc():
