@@ -158,10 +158,11 @@ def _cpu_count() -> int:
 
 
 def _restart_fit(task) -> tuple:
-    """(error, ALS sweeps) of one restart of one function: one weighted fit."""
+    """(error, ALS sweeps, BVLS steps) of one restart of one function: one
+    weighted fit."""
     f, k, N, sub_seed, mode = task
     _, report = fit_weighted_cylinders(f, k, N, seed=sub_seed, init_mode=mode)
-    return report.error, report.iterations
+    return report.error, report.iterations, report.bvls_steps
 
 
 def inapproximability_scores(functions, k: int, N: int, seed: int = 0,
@@ -172,7 +173,8 @@ def inapproximability_scores(functions, k: int, N: int, seed: int = 0,
     the fits are spread over the CPUs this process may run on and their
     results taken back in task order: the scores do not depend on how many
     workers ran.  Returns ``(scores, diagnostics)``; the diagnostics hold the
-    ``workers`` used, the ``fits`` made and the ``als_sweeps`` they took.
+    ``workers`` used, the ``fits`` made, the ``als_sweeps`` they took and
+    the ``bvls_steps`` of their coefficient solves.
     """
     if restarts < 1:
         raise InvalidArgumentError(f"need restarts >= 1, got {restarts}")
@@ -193,10 +195,11 @@ def inapproximability_scores(functions, k: int, N: int, seed: int = 0,
         # around a fork.
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             results = pool.map(_restart_fit, tasks, chunksize=1)
-    scores = [float(min(error for error, _ in results[i:i + restarts]))
+    scores = [float(min(error for error, _, _ in results[i:i + restarts]))
               for i in range(0, len(results), restarts)]
     diagnostics = {"workers": workers, "fits": len(tasks),
-                   "als_sweeps": sum(sweeps for _, sweeps in results)}
+                   "als_sweeps": sum(sweeps for _, sweeps, _ in results),
+                   "bvls_steps": sum(steps for _, _, steps in results)}
     return scores, diagnostics
 
 

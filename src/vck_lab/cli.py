@@ -191,15 +191,19 @@ def _cmd_decompose(args) -> int:
     f = _load_function(args)
     config = {"input": args.input, "function": f.name, "k": args.k,
               "n_max": args.n_max, "mode": args.mode, "als_iters": args.als_iters}
+    diagnostics = None
     if args.mode == "weighted":
         decomposition, report = fit_weighted_cylinders(
             f, args.k, args.n_max, als_iters=args.als_iters, seed=args.seed)
         results = {"fit": report.to_doc(), "decomposition": decomposition.to_doc(),
                    "value_range": list(decomposition.value_range())}
+        diagnostics = {"als_sweeps": report.iterations, "bvls_steps": report.bvls_steps,
+                       "sweeps_per_term": list(report.sweeps_per_term)}
     else:
         expr, report = fit_boolean_cylinders(f, args.k, args.n_max, seed=args.seed)
         results = {"fit": report.to_doc(), "expression": expr.to_doc()}
-    _emit_report("decompose", config, results, args.seed, args.report, started)
+    _emit_report("decompose", config, results, args.seed, args.report, started,
+                 diagnostics)
     return 0
 
 

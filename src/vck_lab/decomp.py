@@ -15,9 +15,11 @@ fitters take explicit budgets and report achieved error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,6 +138,8 @@ class FitReport:
     iterations: int
     seed: int
     baseline: float
+    bvls_steps: int = 0          # diagnostics only: to_doc leaves them out
+    sweeps_per_term: tuple = ()  # ALS sweeps run while the fit held i + 1 terms
 
     def to_doc(self) -> dict:
         return {"error": self.error, "n": self.n, "iterations": self.iterations,
@@ -337,29 +341,48 @@ def fit_boolean_cylinders(E: MeasuredFunction, k: int, n_max: int,
 # weighted fitting
 
 
-def bounded_least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+class BoxSolution(NamedTuple):
+    x: np.ndarray       # the minimizer, in [0, 1]
+    residual: float     # ||A x - b||
+    steps: int          # active-set steps taken
+
+
+def bounded_least_squares(A: np.ndarray, b: np.ndarray, x0=None) -> BoxSolution:
     """argmin ||A x - b|| over the box 0 <= x <= 1, exact up to rounding.
 
     Bounded-variable least squares (Stark & Parker, Comput. Stat. 1995) on
-    the triangular factor of A = QR, so each solve is at most n x n and the
-    condition number is A's, not its square as with the normal equations
-    (which lose near-exact fits).  It starts from the clipped unconstrained
-    solution.  Each step heads for the minimizer over the free variables by
-    a minimum-norm solve, so rank-deficient A is fine; a variable leaving the
-    box stops it and is pinned exactly to 0 or 1.  There, the pinned variable
-    most violating optimality is freed; none means optimal.
+    one QR factorization of [A b]: its triangular factor holds R (A = QR),
+    d = Q^T b and, below d, rho, the length of b's part outside A's range.
+    So each solve is at most n x n and the condition number is A's, not its
+    square as with the normal equations (which lose near-exact fits).  It
+    starts from x0 clipped to the box, or else from the clipped
+    unconstrained solution.  Each step heads for the minimizer over the free
+    variables by a minimum-norm solve, so rank-deficient A is fine; a
+    variable leaving the box stops it and is pinned exactly to 0 or 1.
+    There, the pinned variable most violating optimality is freed; none
+    means optimal.  The residual is returned as sqrt(||R x - d||^2 + rho^2),
+    with no pass over A's rows.
     """
-    Q, R = np.linalg.qr(A)
-    d = Q.T @ b
-    x = np.clip(np.linalg.lstsq(R, d, rcond=None)[0], 0.0, 1.0)
+    n = A.shape[1]
+    Rb = np.linalg.qr(np.column_stack([A, b]), mode="r")
+    R, d = Rb[:n, :n], Rb[:n, n]
+    rho = float(Rb[n, n]) if Rb.shape[0] > n else 0.0
+    if x0 is None:
+        x = np.clip(np.linalg.lstsq(R, d, rcond=None)[0], 0.0, 1.0)
+    else:
+        x = np.clip(np.array(x0, dtype=np.float64), 0.0, 1.0)
     pinned = (x == 0.0) | (x == 1.0)
-    # gradients below what lstsq's rank cutoff can resolve are rounding noise
-    r_norm, d_norm = np.linalg.norm(R), np.linalg.norm(d)
+    # gradients below what lstsq's rank cutoff can resolve are rounding noise;
+    # norms by hypot, whose squares cannot underflow to a zero tolerance
+    r_norm, d_norm = math.hypot(*R.ravel()), math.hypot(*d)
     noise = 8 * max(R.shape) * np.finfo(np.float64).eps * r_norm
-    for _ in range(defaults.BVLS_STEP_CAP * (x.size + 1)):
+    for steps in range(1, defaults.BVLS_STEP_CAP * (x.size + 1) + 1):
         free = np.flatnonzero(~pinned)
-        step = np.linalg.lstsq(R[:, free], d - R @ x, rcond=None)[0]
-        target = x[free] + step
+        # the free minimizer itself, not x plus a step: its rounding is then
+        # independent of where x started
+        target = np.linalg.lstsq(R[:, free], d - R @ np.where(pinned, x, 0.0),
+                                 rcond=None)[0]
+        step = target - x[free]
         leaving = (target < 0.0) | (target > 1.0)
         if leaving.any():
             room = np.where(step < 0.0, x[free], 1.0 - x[free])
@@ -370,10 +393,11 @@ def bounded_least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
             pinned[free[hit]] = True
             continue
         x[free] = target
-        gradient = R.T @ (R @ x - d)
+        fit = R @ x - d
+        gradient = R.T @ fit
         violation = np.where(pinned, np.where(x == 0.0, -gradient, gradient), 0.0)
-        if violation.max() <= noise * (r_norm * np.linalg.norm(x) + d_norm):
-            return x
+        if violation.max() <= noise * (r_norm * math.hypot(*x) + d_norm):
+            return BoxSolution(x, math.hypot(*fit, rho), steps)
         pinned[np.argmax(violation)] = False
     raise NumericalFailureError("bounded least squares did not converge")
 
@@ -386,11 +410,20 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
 
     Each new term is seeded from the dominant pattern of the positive
     residual (or from seeded uniforms in ``init_mode="random"`` and when no
-    residual entry is positive), then
-    refined by alternating minimization: every factor update is an exact
-    per-entry weighted least squares clipped to [0, 1], and the coefficient
-    vector is re-solved by bounded least squares after every sweep, so the
-    error is non-increasing; a rise beyond tolerance raises.
+    residual entry is positive), then refined by alternating minimization
+    on one running residual R = target - sum_i gamma_i * prod_i.  Every
+    factor step is the exact per-entry weighted least squares clipped to
+    [0, 1], in closed form: old + num/den, where num contracts w*R with
+    gamma times the term's other factors and den is the weighted sum of
+    their squares; R then takes the step's rank-one change.  For k = 1 every
+    factor is a vector and the measure a product, so num is a chain of
+    vector contractions of R and den a product of weighted norms; for
+    k >= 2, whose factor sets overlap, both are sums over the grid of the
+    other factors' cylinder product.  After every sweep the coefficients are
+    re-solved by bounded least squares, warm-started from the last ones,
+    whose residual norm is the sweep's error, and R is rebuilt from them.
+    So the error is non-increasing; a rise beyond tolerance raises.  The
+    reported error is recomputed from the final decomposition.
 
     ``init`` may carry a decomposition to refine (oracle initialization);
     its terms are taken verbatim before any greedy additions.
@@ -412,67 +445,104 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
     terms: list = []  # per term, positions -> factor tensor
     gammas: list = []
     prods: list = []  # cached per-term factor products
+    resid = np.array(target, dtype=np.float64)  # target - sum gamma * prod
+    sweeps_per_term: list = []  # sweeps run while the fit held i + 1 terms
 
     def add_term(factors, gamma):
         terms.append(factors)
         gammas.append(gamma)
         prods.append(cylinder_product(factors.items(), shape))
+        resid[...] -= gamma * prods[-1]
+        sweeps_per_term.append(0)
 
     if init is not None:
         if tuple(init.target_signature) != tuple(f.signature):
             raise InvalidArgumentError("init decomposition targets a different signature")
         for t in init.terms:
             factors = {pos: np.array(fac.values) for pos, fac in t.factors.items()}
+            if not set(factors) <= set(sets):
+                raise InvalidArgumentError(f"init has a factor of arity above k={k}")
             for positions in sets:
                 factors.setdefault(
                     positions,
                     np.ones(tuple(shape[p] for p in positions), dtype=np.float64))
             add_term(factors, float(t.gamma))
 
-    def residual(skip=None):
-        """target minus every term but ``skip``."""
-        return target - sum((g * p for j, (g, p) in enumerate(zip(gammas, prods))
-                             if j != skip), np.zeros(shape, dtype=np.float64))
-
-    def current_error():
-        return weighted_l2(w, residual())
-
     sw = np.sqrt(w).ravel()
     b = target.ravel() * sw
 
     def solve_gammas():
-        if not terms:
-            return
-        A = np.stack([(p.ravel() * sw) for p in prods], axis=1)
-        gammas[:] = [float(g) for g in bounded_least_squares(A, b)]
+        """Coefficients by bounded least squares; R rebuilt from them.
+        Returns the error, the solve's residual norm."""
+        nonlocal bvls_steps
+        P = np.stack([p.ravel() for p in prods], axis=1)
+        solution = bounded_least_squares(P * sw[:, None], b, gammas)
+        gammas[:] = solution.x.tolist()
+        resid[...] = target - (P @ solution.x).reshape(shape)
+        bvls_steps += solution.steps
+        return solution.residual
 
-    def update_term(ti):
-        """One ALS block: update each factor of term ti in turn.  Nothing
-        else changes inside the block, so the weighted residual of the other
-        terms is built once, and the term's product after its last factor."""
-        wr = w * residual(skip=ti)
+    weight_vectors = [f.space.weight_vector(part) for part in f.signature]
+    # per coordinate, its zero-weight vertices (None if there are none)
+    massless = [z if z.any() else None for z in (wv == 0.0 for wv in weight_vectors)]
+
+    def update_vectors(ti):
+        """One ALS block for k = 1: each factor is a vector u_p, and
+        w = prod_p w_p, so num = gamma * w_p * (R contracted with w_q * u_q
+        for every q != p) and den = gamma**2 * w_p * prod_q sum(w_q * u_q**2);
+        w_p and one gamma cancel in num/den."""
+        factors, gamma = terms[ti], gammas[ti]
+        u = [factors[(p,)] for p in range(k_prime)]
+        wu = [wv * v for wv, v in zip(weight_vectors, u)]
+        norms = [float(a @ v) for a, v in zip(wu, u)]
+        for p in range(k_prime):
+            scale = gamma * math.prod(norms[:p] + norms[p + 1:])
+            if not scale > 0.0:
+                continue
+            num = resid
+            for q in range(k_prime - 1, p, -1):
+                num = num @ wu[q]
+            for q in range(p):
+                num = wu[q] @ num.reshape(len(wu[q]), -1)
+            new = np.minimum(np.maximum(u[p] + num.reshape(-1) / scale, 0.0), 1.0)
+            if massless[p] is not None:
+                new[massless[p]] = u[p][massless[p]]
+            step = [gamma * (new - u[p]) if q == p else u[q] for q in range(k_prime)]
+            resid[...] -= functools.reduce(np.multiply.outer, step)
+            u[p] = factors[(p,)] = new
+            wu[p] = weight_vectors[p] * new
+            norms[p] = float(wu[p] @ new)
+        prods[ti] = functools.reduce(np.multiply.outer, u)
+
+    def update_cylinders(ti):
+        """One ALS block for k >= 2: num and den are sums over the grid of
+        w * R and w times the other factors' cylinder product."""
         factors = terms[ti]
         for positions in sets:
             # gamma times the other factors, on their broadcast shape
             partial = cylinder_product(((p, v) for p, v in factors.items() if p != positions),
                                        (1,) * k_prime, gammas[ti])
             axes = tuple(p for p in range(k_prime) if p not in positions)
-            num = np.sum(wr * partial, axis=axes)
+            num = np.sum(w * resid * partial, axis=axes)
             den = np.sum(w * partial * partial, axis=axes)
-            factors[positions] = np.where(
-                den > 0.0, np.clip(num / np.maximum(den, 1e-300), 0.0, 1.0),
-                factors[positions])
+            old = factors[positions]
+            new = np.where(den > 0.0,
+                           np.clip(old + num / np.maximum(den, 1e-300), 0.0, 1.0), old)
+            resid[...] -= cylinder(new - old, positions, k_prime) * partial
+            factors[positions] = new
         prods[ti] = cylinder_product(factors.items(), shape)
 
-    def als(sweeps):
+    update_term = update_vectors if k == 1 else update_cylinders
+
+    def als(sweeps, err):
+        """Up to ``sweeps`` sweeps from error ``err``; returns the error."""
         nonlocal iterations
-        err = current_error()
         for _ in range(sweeps):
             for ti in range(len(terms)):
                 update_term(ti)
-            solve_gammas()
+            new_err = solve_gammas()
             iterations += 1
-            new_err = current_error()
+            sweeps_per_term[len(terms) - 1] += 1
             if new_err > err + defaults.MONOTONE_SLACK:
                 raise NumericalFailureError(
                     f"alternating minimization error rose {err} -> {new_err}")
@@ -483,7 +553,7 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
         return err
 
     def seeded_term(counter):
-        pos_resid = np.maximum(residual(), 0.0)
+        pos_resid = np.maximum(resid, 0.0)
         if init_mode == "random" or not np.any(pos_resid > 0.0):
             factors = {}
             for ci, positions in enumerate(sets):
@@ -504,26 +574,29 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
         return factors
 
     iterations = 0
-    err = als(als_iters) if terms else current_error()
+    bvls_steps = 0
+    err = weighted_l2(w, resid)
+    if terms:
+        err = als(als_iters, err)
 
     counter = 0
     while len(terms) < n_max and err > defaults.FIT_ZERO_TOL:
         counter += 1
         add_term(seeded_term(counter), 0.0)
-        solve_gammas()
-        new_err = als(als_iters)
+        new_err = als(als_iters, solve_gammas())
         if len(terms) == 1 and init is None and init_mode == "auto":
             # a constant term starts exactly at the baseline; keep the better
             const = {pos: np.ones(tuple(shape[p] for p in pos)) for pos in sets}
-            backup = (terms[:], gammas[:], prods[:])
+            backup = (terms[:], gammas[:], prods[:], resid.copy())
             terms[:] = [const]
             gammas[:] = [mean]
             prods[:] = [cylinder_product(const.items(), shape)]
-            alt_err = als(als_iters)
+            resid[...] = target - mean
+            alt_err = als(als_iters, baseline)
             if alt_err < new_err:
                 new_err = alt_err
             else:
-                terms[:], gammas[:], prods[:] = backup
+                terms[:], gammas[:], prods[:], resid[...] = backup
         err = new_err
 
     final_terms = tuple(
@@ -539,7 +612,8 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
     if final_err > baseline + defaults.MONOTONE_SLACK:
         raise NumericalFailureError(
             f"weighted fit error {final_err} exceeds constant baseline {baseline}")
-    report = FitReport(final_err, len(final_terms), iterations, seed, baseline)
+    report = FitReport(final_err, len(final_terms), iterations, seed, baseline,
+                       bvls_steps, tuple(sweeps_per_term))
     return decomposition, report
 
 

@@ -60,9 +60,9 @@ def boolean_of_lower_arity(k_prime: int, k: int, m: int, sizes,
 
     Each leaf is a Bernoulli(1/2) relation on a random coordinate set of
     size <= k, extended cylindrically; the combining tree splits the leaf
-    budget recursively with random and/or connectives and leaf-level
-    negations.  m = 0 yields a constant relation.  The generating leaves are
-    returned for oracle use.
+    budget in two at random, level by level, with random and/or connectives
+    and leaf-level negations.  m = 0 yields a constant relation.  The
+    generating leaves are returned for oracle use.
 
     Stream layout: counter 3*i for leaf i's coordinate set, 3*i+1 for its
     tensor, 3*i+2 for tree shaping bits.
@@ -102,24 +102,35 @@ def boolean_of_lower_arity(k_prime: int, k: int, m: int, sizes,
         bit_pos += 1
         return b
 
-    def build(indices):
-        if not indices:
-            value = bool(next_bit())
-            return np.full(sizes, value), "1" if value else "0"
-        if len(indices) == 1:
-            i = indices[0]
-            mask, text = leaf_tensors[i], f"g{i}"
+    # The tree, built without recursion (a split peels one leaf off, so it
+    # can be m deep): a leaf range splits at 1 + bit * (size - 2), its two
+    # halves are built in order and then joined by an and/or bit, which is
+    # the order the bits are drawn in.  A bare leaf draws its negation bit;
+    # only m = 0 reaches the empty range, a constant.
+    built = []        # (mask, text) of finished subtrees, left to right
+    todo = [(0, m)]   # leaf ranges to build, and None for a pending join
+    while todo:
+        job = todo.pop()
+        if job is None:
+            (left, ltext), (right, rtext) = built[-2:]
+            del built[-2:]
             if next_bit():
-                return ~mask, f"~{text}"
-            return mask, text
-        split = 1 + (next_bit() * (len(indices) - 2) if len(indices) > 2 else 0)
-        left, ltext = build(indices[:split])
-        right, rtext = build(indices[split:])
-        if next_bit():
-            return left & right, f"({ltext}&{rtext})"
-        return left | right, f"({ltext}|{rtext})"
+                built.append((left & right, f"({ltext}&{rtext})"))
+            else:
+                built.append((left | right, f"({ltext}|{rtext})"))
+            continue
+        lo, hi = job
+        if lo == hi:
+            value = bool(next_bit())
+            built.append((np.full(sizes, value), "1" if value else "0"))
+        elif hi - lo == 1:
+            mask, text = leaf_tensors[lo], f"g{lo}"
+            built.append((~mask, f"~{text}") if next_bit() else (mask, text))
+        else:
+            split = lo + 1 + (next_bit() * (hi - lo - 2) if hi - lo > 2 else 0)
+            todo += [None, (split, hi), (lo, split)]
 
-    mask, text = build(list(range(m)))
+    (mask, text), = built
     rel = Relation.from_bool(space, tuple(range(k_prime)), mask, name="boolcomb")
     return GeneratedBoolean(rel, tuple(leaves), text)
 

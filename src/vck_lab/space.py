@@ -12,6 +12,7 @@ reduction order.  The package's shared kernels live here, one copy each.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import warnings
@@ -55,11 +56,22 @@ class Part:
         if len(self.weights) != self.size:
             raise InvalidArgumentError(
                 f"part {self.name!r}: {len(self.weights)} weights for size {self.size}")
-        if not all(math.isfinite(w) and w >= 0 for w in self.weights):
+        weights = self.weights
+        if all(isinstance(w, Fraction) for w in weights):
+            # exact, as integer numerators over the lcm of the denominators,
+            # each value once with its multiplicity (Part.uniform's vertices
+            # share one Fraction, which tuple.count matches by identity)
+            values = ({weights[0]: len(weights)} if weights.count(weights[0]) == len(weights)
+                      else collections.Counter(weights))
+            if any(w < 0 for w in values):
+                raise InvalidArgumentError(f"part {self.name!r}: negative weight")
+            den = math.lcm(*(w.denominator for w in values))
+            total = Fraction(sum(n * w.numerator * (den // w.denominator)
+                                 for w, n in values.items()), den)
+        elif all(math.isfinite(w) and w >= 0 for w in weights):
+            total = weighted_sum([float(w) for w in weights])
+        else:
             raise InvalidArgumentError(f"part {self.name!r}: negative or non-finite weight")
-        total = (sum(self.weights, Fraction(0))
-                 if all(isinstance(w, Fraction) for w in self.weights)
-                 else weighted_sum([float(w) for w in self.weights]))
         if abs(total - 1) > _WEIGHT_SUM_TOL:
             raise InvalidArgumentError(
                 f"part {self.name!r}: weights sum to {total}, not 1")
@@ -71,7 +83,7 @@ class Part:
 
     @staticmethod
     def uniform(name: str, size: int) -> "Part":
-        return Part(name, size, tuple(Fraction(1, size) for _ in range(size)))
+        return Part(name, size, (Fraction(1, size),) * size)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,13 @@
 """Independent definition-literal oracles shared by module and acceptance tests.
 
 These implementations stay deliberately naive (set enumeration, quadruple
-loops) and never call the library code paths they are used to check.  Two
-exceptions are slow paths built on a single decider: :func:`vc_k_oracle`
-asks ``check_shattered`` about every box in turn, and
-:func:`inapproximability_score_oracle` runs every restart fit in turn.
+loops) and never call the library code paths they are used to check.  Three
+exceptions build on one library piece each: :func:`vc_k_oracle` asks
+``check_shattered`` about every box in turn,
+:func:`inapproximability_score_oracle` runs every restart fit in turn, and
+:func:`fit_weighted_cylinders_oracle`, the fitter's full-grid form, solves
+its coefficients with ``bounded_least_squares``, which is checked against
+:func:`bounded_lstsq_oracle`.
 """
 
 import itertools
@@ -222,16 +225,156 @@ def vc_k_oracle(f, k, distinguished, r=0.5, s=0.5, cap=16):
 
 
 def inapproximability_score_oracle(f, k, N, seed=0, restarts=5):
-    """The serial restart loop: (best fit error over restarts, ALS sweeps of
-    all restarts).  Restart 0 uses the residual initialization, later ones
-    seeded random factors."""
+    """The serial restart loop: (best fit error over restarts, ALS sweeps and
+    BVLS steps of all restarts).  Restart 0 uses the residual
+    initialization, later ones seeded random factors."""
     from vck_lab import fit_weighted_cylinders, rng
 
-    best, sweeps = None, 0
+    best, sweeps, steps = None, 0, 0
     for r in range(restarts):
         sub_seed = int(rng.raw64(seed, rng.STREAM_SCORE, 1, r)[0])
         mode = "auto" if r == 0 else "random"
         _, report = fit_weighted_cylinders(f, k, N, seed=sub_seed, init_mode=mode)
         best = report.error if best is None else min(best, report.error)
         sweeps += report.iterations
-    return float(best), sweeps
+        steps += report.bvls_steps
+    return float(best), sweeps, steps
+
+
+def fit_weighted_cylinders_oracle(f, k, n_max, als_iters=25, seed=0, init=None,
+                                  init_mode="auto"):
+    """The full-grid form of ``fit_weighted_cylinders``: (decomposition, report).
+
+    Each ALS block rebuilds the weighted residual of the other terms and
+    updates every factor by its per-entry weighted least squares, a sum over
+    the whole grid of the residual times the cylinder product of the term's
+    other factors; every sweep ends with a cold-started bounded solve for the
+    coefficients and the compensated error of a freshly built residual.  The
+    seeding, the constant-term alternative and every check are the fitter's.
+    """
+    from fractions import Fraction
+
+    from vck_lab import defaults, rng
+    from vck_lab.decomp import (CylinderDecomposition, CylinderTerm, FitReport,
+                                bounded_least_squares, l2_error)
+    from vck_lab.errors import NumericalFailureError
+    from vck_lab.space import (MeasuredFunction, cylinder_product, index_sets,
+                               integrate, weighted_l2)
+
+    k_prime = f.arity
+    shape = f.shape
+    sets = index_sets(k_prime, k)
+    w = f.space.weight_tensor(f.signature)
+    target = f.values
+    mean = min(1.0, max(0.0, integrate(f)))
+    baseline = weighted_l2(w, target - mean)
+    terms, gammas, prods = [], [], []
+
+    def add_term(factors, gamma):
+        terms.append(factors)
+        gammas.append(gamma)
+        prods.append(cylinder_product(factors.items(), shape))
+
+    if init is not None:
+        for t in init.terms:
+            factors = {pos: np.array(fac.values) for pos, fac in t.factors.items()}
+            for positions in sets:
+                factors.setdefault(
+                    positions,
+                    np.ones(tuple(shape[p] for p in positions), dtype=np.float64))
+            add_term(factors, float(t.gamma))
+
+    def residual(skip=None):
+        return target - sum((g * p for j, (g, p) in enumerate(zip(gammas, prods))
+                             if j != skip), np.zeros(shape, dtype=np.float64))
+
+    def current_error():
+        return weighted_l2(w, residual())
+
+    sw = np.sqrt(w).ravel()
+    b = target.ravel() * sw
+
+    def solve_gammas():
+        if terms:
+            A = np.stack([(p.ravel() * sw) for p in prods], axis=1)
+            gammas[:] = [float(g) for g in bounded_least_squares(A, b).x]
+
+    def update_term(ti):
+        wr = w * residual(skip=ti)
+        factors = terms[ti]
+        for positions in sets:
+            partial = cylinder_product(((p, v) for p, v in factors.items() if p != positions),
+                                       (1,) * k_prime, gammas[ti])
+            axes = tuple(p for p in range(k_prime) if p not in positions)
+            num = np.sum(wr * partial, axis=axes)
+            den = np.sum(w * partial * partial, axis=axes)
+            factors[positions] = np.where(
+                den > 0.0, np.clip(num / np.maximum(den, 1e-300), 0.0, 1.0),
+                factors[positions])
+        prods[ti] = cylinder_product(factors.items(), shape)
+
+    def als(sweeps):
+        nonlocal iterations
+        err = current_error()
+        for _ in range(sweeps):
+            for ti in range(len(terms)):
+                update_term(ti)
+            solve_gammas()
+            iterations += 1
+            new_err = current_error()
+            if new_err > err + defaults.MONOTONE_SLACK:
+                raise NumericalFailureError(
+                    f"alternating minimization error rose {err} -> {new_err}")
+            if err - new_err < 1e-14:
+                err = new_err
+                break
+            err = new_err
+        return err
+
+    def seeded_term(counter):
+        pos_resid = np.maximum(residual(), 0.0)
+        factors = {}
+        if init_mode == "random" or not np.any(pos_resid > 0.0):
+            for ci, positions in enumerate(sets):
+                fshape = tuple(shape[p] for p in positions)
+                factors[positions] = rng.uniforms(
+                    seed, rng.STREAM_INIT, math.prod(fshape),
+                    (counter << 8) | ci).reshape(fshape)
+            return factors
+        anchor = np.unravel_index(int(np.argmax(pos_resid)), shape)
+        for positions in sets:
+            sl = np.array(pos_resid[tuple(slice(None) if p in positions else anchor[p]
+                                          for p in range(k_prime))])
+            peak = float(sl.max())
+            factors[positions] = sl / peak if peak > 0.0 else np.ones_like(sl)
+        return factors
+
+    iterations = 0
+    err = als(als_iters) if terms else current_error()
+    counter = 0
+    while len(terms) < n_max and err > defaults.FIT_ZERO_TOL:
+        counter += 1
+        add_term(seeded_term(counter), 0.0)
+        solve_gammas()
+        new_err = als(als_iters)
+        if len(terms) == 1 and init is None and init_mode == "auto":
+            const = {pos: np.ones(tuple(shape[p] for p in pos)) for pos in sets}
+            backup = (terms[:], gammas[:], prods[:])
+            terms[:], gammas[:] = [const], [mean]
+            prods[:] = [cylinder_product(const.items(), shape)]
+            alt_err = als(als_iters)
+            if alt_err < new_err:
+                new_err = alt_err
+            else:
+                terms[:], gammas[:], prods[:] = backup
+        err = new_err
+
+    final_terms = tuple(
+        CylinderTerm(Fraction(float(g)),
+                     {pos: MeasuredFunction(f.space, tuple(f.signature[p] for p in pos),
+                                            np.array(vals))
+                      for pos, vals in t.items()})
+        for g, t in zip(gammas, terms))
+    decomposition = CylinderDecomposition(f.space, f.signature, k, final_terms)
+    final_err = l2_error(f, decomposition)
+    return decomposition, FitReport(final_err, len(final_terms), iterations, seed, baseline)

@@ -193,10 +193,11 @@ def test_scores_equal_serial_restart_loop(k, group, N, restarts, pattern_seed, f
                                                        restarts=restarts)
     expected = [inapproximability_score_oracle(H, k, N, seed=fit_seed, restarts=restarts)
                 for H in patterns]
-    assert scores == [score for score, _ in expected]
+    assert scores == [score for score, _, _ in expected]
     assert diagnostics == {"workers": min(3, len(patterns) * restarts),
                            "fits": len(patterns) * restarts,
-                           "als_sweeps": sum(sweeps for _, sweeps in expected)}
+                           "als_sweeps": sum(sweeps for _, sweeps, _ in expected),
+                           "bvls_steps": sum(steps for _, _, steps in expected)}
     assert multiprocessing.active_children() == []
 
 
@@ -209,3 +210,4 @@ def test_one_worker_equals_pool():
     assert [diag["workers"] for _, diag in runs.values()] == [1, 2, 4]
     assert runs[1][0] == runs[2][0] == runs[4][0]
     assert runs[1][1]["als_sweeps"] == runs[2][1]["als_sweeps"] == runs[4][1]["als_sweeps"]
+    assert runs[1][1]["bvls_steps"] == runs[2][1]["bvls_steps"] == runs[4][1]["bvls_steps"]

@@ -373,9 +373,7 @@ def _one_error_line(err: str) -> bool:
     ("membership", "d=1000,k=1000", 3), ("boolcomb", "m=100000", 3),
     ("boolcomb", "sizes=100000x100000x100000", 3), ("parity", "n=257", 3),
     # one cell over the array cap: a missing check costs seconds, not a hang
-    ("quasirandom", "sizes=4096x4097", 3),
-    # the combining tree nests m deep: the interpreter's recursion limit
-    ("boolcomb", "m=2000", 3)])
+    ("quasirandom", "sizes=4096x4097", 3)])
 def test_gen_refusals_exit_with_their_code(tmp_path, capsys, kind, params, code):
     out = tmp_path / "x.json"
     assert run("gen", "--kind", kind, "--params", params, "--out", str(out)) == code
@@ -528,14 +526,40 @@ def test_adversary_diagnostics_count_the_fits(tmp_path, capsys):
         reports.append(capsys.readouterr().out)
     doc = json.loads(reports[0])
     assert list(doc) == ["comparable", "diagnostics", "wall_time_s"]
-    sweeps = sum(inapproximability_score_oracle(
-        random_pattern(d, 1, 0.5, 5, trial=(di << 16) | t), 1, 3, seed=5, restarts=2)[1]
-        for di, d in enumerate((2, 3)) for t in range(2))
+    serial = [inapproximability_score_oracle(
+        random_pattern(d, 1, 0.5, 5, trial=(di << 16) | t), 1, 3, seed=5, restarts=2)
+        for di, d in enumerate((2, 3)) for t in range(2)]
     assert doc["diagnostics"] == {"workers": min(adversary._cpu_count(), 8), "fits": 8,
-                                  "als_sweeps": sweeps}
+                                  "als_sweeps": sum(sweeps for _, sweeps, _ in serial),
+                                  "bvls_steps": sum(steps for _, _, steps in serial)}
     # no timings: the bytes up to wall time, diagnostics included, repeat exactly
     cut = [report.rsplit(',"wall_time_s":', 1)[0] for report in reports]
     assert cut[0] == cut[1]
+
+
+def test_decompose_diagnostics_count_the_fit(tmp_path):
+    instance = tmp_path / "bc.json"
+    assert run("gen", "--kind", "boolcomb", "--params", "kprime=3,k=1,m=4,sizes=6x6x6",
+               "--seed", "3", "--out", str(instance)) == 0
+    reports = [tmp_path / "a.json", tmp_path / "b.json"]
+    for report in reports:
+        assert run("decompose", "--input", str(instance), "--k", "1", "--n-max", "6",
+                   "--report", str(report)) == 0
+    doc = load_json(reports[0])
+    assert list(doc) == ["comparable", "diagnostics", "wall_time_s"]
+    fit, diagnostics = doc["comparable"]["results"]["fit"], doc["diagnostics"]
+    assert set(diagnostics) == {"als_sweeps", "bvls_steps", "sweeps_per_term"}
+    # one entry per term the fit grew to; every sweep ends in a solve
+    assert diagnostics["als_sweeps"] == fit["iterations"] == sum(diagnostics["sweeps_per_term"])
+    assert len(diagnostics["sweeps_per_term"]) == fit["n"]
+    assert diagnostics["bvls_steps"] >= diagnostics["als_sweeps"] + fit["n"]
+    assert comparable_bytes(reports[0]) == comparable_bytes(reports[1])
+    cut = [p.read_bytes().rsplit(b',"wall_time_s":', 1)[0] for p in reports]
+    assert cut[0] == cut[1]
+    # the Boolean fit has no ALS counters to report
+    assert run("decompose", "--input", str(instance), "--k", "1", "--mode", "boolean",
+               "--report", str(reports[0])) == 0
+    assert list(load_json(reports[0])) == ["comparable", "wall_time_s"]
 
 
 @pytest.mark.parametrize("command,extra", [

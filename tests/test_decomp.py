@@ -10,17 +10,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vck_lab import (BooleanCylinderExpr, CylinderDecomposition, CylinderTerm,
-                     FiberFamilySpec, MeasuredFunction, PartiteSpace, PoolLeaf,
+                     FiberFamilySpec, MeasuredFunction, Part, PartiteSpace, PoolLeaf,
                      Relation, approx_by_fibers, boolean_of_lower_arity,
                      fit_boolean_cylinders, fit_weighted_cylinders,
                      l2_error, membership_gadget, parity_triple, quasirandom,
-                     sym_diff)
+                     rng, sym_diff)
 from vck_lab.adversary import random_pattern
 from vck_lab.cli import main as cli_main
 from vck_lab.decomp import bounded_least_squares
 from vck_lab.errors import InvalidArgumentError
 
-from oracles import bounded_lstsq_oracle, expression_leaf_count, expression_oracle
+from oracles import (bounded_lstsq_oracle, expression_leaf_count, expression_oracle,
+                     fit_weighted_cylinders_oracle)
 
 
 def uniform_space(sizes):
@@ -266,6 +267,14 @@ def test_weighted_fit_refuses_bad_counts(n_max, als_iters):
         fit_weighted_cylinders(c, 1, n_max, als_iters=als_iters)
 
 
+def test_weighted_init_above_k_refused():
+    pt = parity_triple(3, seed=0)
+    d = CylinderDecomposition(pt.relation.space, (0, 1, 2), 2, (make_term(
+        pt.relation.space, (0, 1, 2), 1, {(0, 1): pt.F.values}),))
+    with pytest.raises(InvalidArgumentError, match="arity above k=1"):
+        fit_weighted_cylinders(pt.relation, 1, 2, init=d)
+
+
 def test_weighted_representable_oracle_init():
     space = uniform_space([4, 5])
     u = np.linspace(0.1, 0.9, 4)
@@ -405,7 +414,7 @@ def box_problems(draw):
 @example((np.array([[-1.0, 0.5, 0.5, -0.5], [-1.0, -1.0, -0.5, 0.5]]), np.array([0.0, 1.5])))
 def test_bounded_least_squares_matches_pattern_oracle(problem):
     A, b = problem
-    x = bounded_least_squares(A, b)
+    x = bounded_least_squares(A, b).x
     assert np.all((x >= 0.0) & (x <= 1.0))
     _, best = bounded_lstsq_oracle(A, b)
     res = float(np.linalg.norm(A @ x - b))
@@ -420,8 +429,33 @@ def test_bounded_least_squares_keeps_near_exact_fits():
     A = rng.random((64, 4))
     A[:, 1] = A[:, 0] + 1e-7 * rng.random(64)
     b = A @ np.array([0.6, 0.3, 0.2, 0.9])
-    x = bounded_least_squares(A, b)
+    x = bounded_least_squares(A, b).x
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(box_problems(), st.one_of(st.none(), st.lists(st.floats(-0.5, 1.5), min_size=5,
+                                                     max_size=5)))
+@example((np.array([[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]]), np.array([1.0, 0.5, -1.0])),
+         [0.0, 1.0, 0.0, 0.0, 0.0])
+def test_bounded_least_squares_warm_start_and_residual(problem, start):
+    # the optimum from a cold start and from any start clipped into the box;
+    # the residual read off the augmented QR is ||A x - b||
+    A, b = problem
+    x0 = None if start is None else start[:A.shape[1]]
+    solution = bounded_least_squares(A, b, x0)
+    x = solution.x
+    assert np.all((x >= 0.0) & (x <= 1.0))
+    assert solution.steps >= 1
+    _, best = bounded_lstsq_oracle(A, b)
+    res = float(np.linalg.norm(A @ x - b))
+    scale = max(best, float(np.linalg.norm(b)))
+    if x0 is not None:
+        # a start may leave variables at 1 where b is tiny or the optimum is
+        # not unique, and the residual then rounds on the scale of ||A|| ||x||
+        scale = max(scale, float(np.linalg.norm(A)))
+    assert abs(res - best) <= 1e-9 * scale
+    assert abs(solution.residual - res) <= 1e-12 * (1.0 + float(np.linalg.norm(b)))
 
 
 def test_weighted_fit_survives_tiny_negative_coefficient():
@@ -445,3 +479,47 @@ def test_weighted_fit_continues_without_positive_residual():
     f = boolean_of_lower_arity(3, 1, 4, (16, 16, 16), seed=15).relation
     _, report = fit_weighted_cylinders(f, 1, 16)
     assert report.error <= 1e-12
+
+
+# -- the fitter against its full-grid form ---------------------------------------------
+
+def _same_fit(f, k, n_max, **kwargs):
+    decomposition, report = fit_weighted_cylinders(f, k, n_max, **kwargs)
+    _, expected = fit_weighted_cylinders_oracle(f, k, n_max, **kwargs)
+    assert report.n == expected.n
+    assert abs(report.error - expected.error) <= 1e-9
+    assert report.baseline == expected.baseline
+    return decomposition, report
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+@pytest.mark.parametrize("init_mode", ["auto", "random"])
+def test_vector_sweeps_match_full_grid_fits(d, init_mode):
+    for trial in range(3):
+        pattern = random_pattern(d, 1, 0.5, 1000 + d, trial)
+        _same_fit(pattern, 1, 4, seed=trial, init_mode=init_mode)
+
+
+@pytest.mark.parametrize("seed", [1, 15, 1000])
+def test_vector_sweeps_match_full_grid_on_three_ary_boolcomb(seed):
+    # the structure workload's instance and fit
+    f = boolean_of_lower_arity(3, 1, 4, (16, 16, 16), seed=seed).relation
+    _, report = _same_fit(f, 1, 16)
+    assert sum(report.sweeps_per_term) == report.iterations
+    assert len(report.sweeps_per_term) == report.n
+
+
+def test_cylinder_sweeps_match_full_grid_on_parity_triple():
+    _same_fit(parity_triple(5, seed=1).relation, 2, 6, seed=1)
+
+
+def test_vector_sweeps_keep_zero_weight_vertices():
+    # the factor entries of a massless vertex keep their start values
+    space = PartiteSpace((Part("a", 3, (Fraction(1, 2), Fraction(0), Fraction(1, 2))),
+                          Part("b", 2, (Fraction(1, 2), Fraction(1, 2)))))
+    values = np.array([[1.0, 0.0], [0.3, 0.7], [1.0, 1.0]])
+    f = MeasuredFunction(space, (0, 1), values)
+    decomposition, report = _same_fit(f, 1, 2, init_mode="random", seed=3)
+    start = [rng.uniforms(3, rng.STREAM_INIT, 3, (counter << 8))[1]
+             for counter in range(1, report.n + 1)]
+    assert [t.factors[(0,)].values[1] for t in decomposition.terms] == start

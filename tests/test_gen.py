@@ -1,5 +1,6 @@
 """Instance generators: structure, density bands, determinism."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from vck_lab import (Box, PartiteSpace, boolean_of_lower_arity, check_shattered,
                      integrate, membership_gadget, parity_triple, quasirandom,
                      vc_k)
+from vck_lab.cli import main
 from vck_lab.errors import InvalidArgumentError, ResourceLimitError
 
 
@@ -59,6 +61,32 @@ def test_boolcomb_m0_is_constant():
     out = boolean_of_lower_arity(3, 1, 0, [3, 3, 3], seed=1)
     assert out.relation.values.min() == out.relation.values.max()
     assert out.expression in ("0", "1")
+
+
+@pytest.mark.parametrize("args, expression, expression_sha, relation_sha", [
+    ((3, 1, 5, (4, 4, 4), 11), "((g0|((g1&g2)&~g3))|~g4)", None, "42de71b6c26e0a9a"),
+    ((4, 2, 9, (3, 2, 3, 2), 4), "(~g0&(~g1|((((g2|((g3&~g4)&~g5))&~g6)|~g7)&g8)))", None,
+     "5c772eadf9df4096"),
+    ((3, 1, 40, (5, 5, 5), 7), None, "204d85ac32468cf9", "9e37c756f7c759d1")])
+def test_boolcomb_frozen_outputs(args, expression, expression_sha, relation_sha):
+    # the expressions and relations the recursive tree builder produced
+    *params, seed = args
+    out = boolean_of_lower_arity(*params, seed=seed)
+    if expression is not None:
+        assert out.expression == expression
+    else:
+        assert hashlib.sha256(out.expression.encode()).hexdigest()[:16] == expression_sha
+    bits = np.packbits(out.relation.bool_values).tobytes()
+    assert hashlib.sha256(bits).hexdigest()[:16] == relation_sha
+
+
+def test_boolcomb_deeper_than_the_recursion_limit(tmp_path):
+    # every split peels one leaf off, so the tree is about m deep
+    m = 2000
+    out = boolean_of_lower_arity(3, 1, m, [2, 2, 2], seed=5)
+    assert out.expression.count("g") == m
+    assert main(["gen", "--kind", "boolcomb", "--params", f"m={m}",
+                 "--out", str(tmp_path / "bc.json")]) == 0
 
 
 def test_boolcomb_leaves_have_bounded_arity():

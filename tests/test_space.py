@@ -67,6 +67,35 @@ def test_parts_and_spaces_hash_like_their_json_round_trip():
     assert len({exact, loaded, PartiteSpace.uniform([3, 2])}) == 2
 
 
+def test_fraction_weights_sum_exactly():
+    from fractions import Fraction
+    from vck_lab import Part
+    third = Fraction(1, 3)
+    # within the tolerance, and just beyond it, of 1
+    Part("a", 3, (third, third, third + Fraction(1, 10 ** 15)))
+    with pytest.raises(InvalidArgumentError):
+        Part("a", 3, (third, third, third + Fraction(1, 10 ** 11)))
+    with pytest.raises(InvalidArgumentError, match="negative"):
+        Part("a", 3, (Fraction(1, 2), Fraction(-1, 6), Fraction(2, 3)))
+    mixed = Part("a", 4, (Fraction(1, 6), Fraction(1, 6), Fraction(1, 3), Fraction(1, 3)))
+    assert mixed.weight_array.sum() == pytest.approx(1.0)
+
+
+def test_large_uniform_part_is_quick_and_round_trips():
+    import time
+    from fractions import Fraction
+    from vck_lab.serialize import dumps_canonical, space_from_doc, space_to_doc
+    started = time.perf_counter()
+    space = PartiteSpace.uniform([10 ** 6])
+    assert time.perf_counter() - started < 1.0
+    assert space.parts[0].weights[-1] == Fraction(1, 10 ** 6)
+    small = PartiteSpace.uniform([3, 7])
+    doc = space_to_doc(small)
+    assert doc["parts"][0]["weights"] == [1 / 3] * 3
+    assert space_from_doc(doc) == small
+    assert dumps_canonical(space_to_doc(space_from_doc(doc))) == dumps_canonical(doc)
+
+
 def test_point_mass_sums_to_one():
     space = PartiteSpace([__import__("vck_lab").Part("V1", 3, (0.2, 0.3, 0.5)),
                           __import__("vck_lab").Part("V2", 2, (0.9, 0.1))])
