@@ -1,25 +1,45 @@
 """vck-lab: higher-arity shattering dimension, partite box norms, and
-low-arity cylinder decompositions on finite measured multipartite spaces."""
+low-arity cylinder decompositions on finite measured multipartite spaces.
+
+The public names below are resolved on first use (PEP 562), so importing the
+package, or one of its modules, loads only the modules that are asked for.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .space import (MeasuredFunction, Part, PartiteSpace, Relation, all_traversals,
-                    average_out, complement, continuous_combine, fiber, inner,
-                    integrate, l2_distance, level_set, monus, permute,
-                    saturating_repeat, scale_half, trunc_add)
-from .vck import (Box, ShatteringCertificate, VcResult, check_shattered,
-                  sauer_shelah_bound, trace_count, vc_k, vc_k_slicewise,
-                  vc_profile, verify_certificate, zarankiewicz)
-from .gowers import BoxNormReport, box_norm, cylinder_correlation, dual_function
-from .fibalg import (AtomPartition, FiberFamilySpec, FuzzinessWitness, atoms,
-                     dyadics, fiber_family, fuzziness, project_simple,
-                     round_to_cells, smooth_indicator, threshold_witness)
-from .decomp import (BooleanCylinderExpr, CylinderDecomposition, CylinderTerm,
-                     FiberApproxReport, FitReport, PoolLeaf, approx_by_fibers,
-                     fit_boolean_cylinders, fit_weighted_cylinders, index_sets,
-                     l2_error, sample_fiber_pool, sym_diff)
-from .adversary import (AdversarialInstance, build_instance,
-                        inapproximability_score, inapproximability_scores,
-                        pattern_norm, quasirandomness_curve, random_pattern)
-from .gen import (GeneratedBoolean, ParityTriple, boolean_of_lower_arity,
-                  membership_gadget, parity_triple, quasirandom)
+# submodule -> the public names it provides
+_EXPORTS = {
+    "space": ("MeasuredFunction", "Part", "PartiteSpace", "Relation", "all_traversals",
+              "average_out", "complement", "continuous_combine", "fiber", "inner",
+              "integrate", "l2_distance", "level_set", "monus", "permute",
+              "saturating_repeat", "scale_half", "trunc_add"),
+    "vck": ("Box", "ShatteringCertificate", "VcResult", "check_shattered",
+            "sauer_shelah_bound", "trace_count", "vc_k", "vc_k_slicewise", "vc_profile",
+            "verify_certificate", "zarankiewicz"),
+    "gowers": ("BoxNormReport", "box_norm", "cylinder_correlation", "dual_function"),
+    "fibalg": ("AtomPartition", "FiberFamilySpec", "FuzzinessWitness", "atoms", "dyadics",
+               "fiber_family", "fuzziness", "project_simple", "round_to_cells",
+               "smooth_indicator", "threshold_witness"),
+    "decomp": ("BooleanCylinderExpr", "CylinderDecomposition", "CylinderTerm",
+               "FiberApproxReport", "FitReport", "PoolLeaf", "approx_by_fibers",
+               "fit_boolean_cylinders", "fit_weighted_cylinders", "index_sets",
+               "l2_error", "sample_fiber_pool", "sym_diff"),
+    "adversary": ("AdversarialInstance", "build_instance", "inapproximability_score",
+                  "inapproximability_scores", "pattern_norm", "quasirandomness_curve",
+                  "random_pattern"),
+    "gen": ("GeneratedBoolean", "ParityTriple", "boolean_of_lower_arity",
+            "membership_gadget", "parity_triple", "quasirandom"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_OWNER)
+
+
+def __getattr__(name):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    globals()[name] = value
+    return value

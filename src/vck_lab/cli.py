@@ -17,18 +17,11 @@ import sys
 import time
 
 from . import __version__, defaults
-from .adversary import inapproximability_scores, quasirandomness_curve, random_pattern
-from .decomp import fit_boolean_cylinders, fit_weighted_cylinders
 from .errors import InvalidArgumentError, VckLabError
-from .fibalg import FiberFamilySpec, atoms, fiber_family
-from .gen import (boolean_of_lower_arity, check_grid, membership_gadget, parity_triple,
-                  quasirandom)
-from .gowers import box_norm
 from .serialize import (dumps_canonical, find_function, format_float,
                         functions_from_doc, functions_to_doc, load_json,
                         write_canonical)
 from .space import PartiteSpace
-from .vck import ShatteringCertificate, vc_k, verify_certificate
 
 
 def _emit_report(command: str, config: dict, results, seed, out, started: float,
@@ -93,10 +86,13 @@ def _load_function(args):
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers; each imports the modules it runs, so one process
+# loads only its own subcommand's code
 
 
 def _cmd_gen(args) -> int:
+    from .gen import (boolean_of_lower_arity, check_grid, membership_gadget,
+                      parity_triple, quasirandom)
     started = time.perf_counter()
     kinds = {
         "membership": {"d": int, "k": int},
@@ -133,6 +129,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_vcdim(args) -> int:
+    from .vck import vc_k
     started = time.perf_counter()
     f = _load_function(args)
     k = args.k if args.k is not None else f.arity - 1
@@ -156,6 +153,7 @@ def _cmd_vcdim(args) -> int:
 
 
 def _cmd_gowers(args) -> int:
+    from .gowers import box_norm
     started = time.perf_counter()
     f = _load_function(args)
     report = box_norm(f)
@@ -166,6 +164,7 @@ def _cmd_gowers(args) -> int:
 
 
 def _cmd_fibers(args) -> int:
+    from .fibalg import FiberFamilySpec, atoms, fiber_family
     started = time.perf_counter()
     f = _load_function(args)
     anchors = _ints(args.anchors, "--anchors")
@@ -187,6 +186,7 @@ def _cmd_fibers(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .decomp import fit_boolean_cylinders, fit_weighted_cylinders
     started = time.perf_counter()
     f = _load_function(args)
     config = {"input": args.input, "function": f.name, "k": args.k,
@@ -208,6 +208,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_adversary(args) -> int:
+    from .adversary import inapproximability_scores, quasirandomness_curve, random_pattern
     started = time.perf_counter()
     # refused before any work; the fits that also check them run last
     for flag, value in (("--score-trials", args.score_trials),
@@ -241,6 +242,7 @@ def _cmd_adversary(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .vck import ShatteringCertificate, verify_certificate
     started = time.perf_counter()
     cert_doc = load_json(args.certificate)
     cert = ShatteringCertificate.from_doc(cert_doc)

@@ -573,6 +573,28 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
             factors[positions] = (sl / peak if peak > 0.0 else np.ones_like(sl))
         return factors
 
+    def constant_fit():
+        """Restart from one constant term at the mean, which starts exactly
+        at the baseline; returns the error after its sweeps."""
+        const = {pos: np.ones(tuple(shape[p] for p in pos)) for pos in sets}
+        terms[:] = [const]
+        gammas[:] = [mean]
+        prods[:] = [cylinder_product(const.items(), shape)]
+        resid[...] = target - mean
+        return als(als_iters, baseline)
+
+    def decomposition_and_error():
+        final_terms = tuple(
+            CylinderTerm(Fraction(float(g)),
+                         {pos: MeasuredFunction(f.space,
+                                                tuple(f.signature[p] for p in pos),
+                                                np.array(vals),
+                                                name=f"t{i}_{'_'.join(map(str, pos))}")
+                          for pos, vals in t.items()})
+            for i, (g, t) in enumerate(zip(gammas, terms)))
+        decomposition = CylinderDecomposition(f.space, f.signature, k, final_terms)
+        return decomposition, l2_error(f, decomposition)
+
     iterations = 0
     bvls_steps = 0
     err = weighted_l2(w, resid)
@@ -585,34 +607,25 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
         add_term(seeded_term(counter), 0.0)
         new_err = als(als_iters, solve_gammas())
         if len(terms) == 1 and init is None and init_mode == "auto":
-            # a constant term starts exactly at the baseline; keep the better
-            const = {pos: np.ones(tuple(shape[p] for p in pos)) for pos in sets}
+            # keep the better of the seeded and the constant first term
             backup = (terms[:], gammas[:], prods[:], resid.copy())
-            terms[:] = [const]
-            gammas[:] = [mean]
-            prods[:] = [cylinder_product(const.items(), shape)]
-            resid[...] = target - mean
-            alt_err = als(als_iters, baseline)
+            alt_err = constant_fit()
             if alt_err < new_err:
                 new_err = alt_err
             else:
                 terms[:], gammas[:], prods[:], resid[...] = backup
         err = new_err
 
-    final_terms = tuple(
-        CylinderTerm(Fraction(float(g)),
-                     {pos: MeasuredFunction(f.space,
-                                            tuple(f.signature[p] for p in pos),
-                                            np.array(vals),
-                                            name=f"t{i}_{'_'.join(map(str, pos))}")
-                      for pos, vals in t.items()})
-        for i, (g, t) in enumerate(zip(gammas, terms)))
-    decomposition = CylinderDecomposition(f.space, f.signature, k, final_terms)
-    final_err = l2_error(f, decomposition)
+    decomposition, final_err = decomposition_and_error()
+    if final_err > baseline + defaults.MONOTONE_SLACK and init is None:
+        # a seeded start need not beat the mean (random factors refined by
+        # too few sweeps); the constant fit is never worse
+        constant_fit()
+        decomposition, final_err = decomposition_and_error()
     if final_err > baseline + defaults.MONOTONE_SLACK:
         raise NumericalFailureError(
             f"weighted fit error {final_err} exceeds constant baseline {baseline}")
-    report = FitReport(final_err, len(final_terms), iterations, seed, baseline,
+    report = FitReport(final_err, len(decomposition.terms), iterations, seed, baseline,
                        bvls_steps, tuple(sweeps_per_term))
     return decomposition, report
 

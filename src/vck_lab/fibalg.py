@@ -68,21 +68,22 @@ def fiber_family(f: MeasuredFunction, spec: FiberFamilySpec) -> list:
                                  f"thresholds (cap {defaults.ARRAY_CAP})")
     check_array_cap(family_size(spec, k) * math.prod(f.shape[:k]), "fiber family")
     searched_sig = f.signature[:k]
+    # each fiber is cut once, then thresholded at every q
+    slices = []
+    for I in index_sets(k, k - 1):
+        residual = [pos for pos in range(k) if pos not in I]
+        for assignment in itertools.product(*(spec.params[i] for i in I)):
+            for b in spec.anchors:
+                values = fiber(f, {dist: b, **dict(zip(I, assignment))}).values
+                label = (f"|I={','.join(map(str, I))}"
+                         f"|a={','.join(map(str, assignment))}|b={b}")
+                slices.append((cylinder(values, residual, k), label))
     out = []
     for q in dyadics(spec.height):
-        for I in index_sets(k, k - 1):
-            residual = [pos for pos in range(k) if pos not in I]
-            choices = [spec.params[i] for i in I]
-            for assignment in itertools.product(*choices):
-                for b in spec.anchors:
-                    slice_fn = fiber(f, {dist: b,
-                                         **{i: v for i, v in zip(I, assignment)}})
-                    low = slice_fn.values < float(q)
-                    vals = np.broadcast_to(cylinder(low, residual, k), f.shape[:k])
-                    name = (f"{f.name}<{q.numerator}/{q.denominator}"
-                            f"|I={','.join(map(str, I))}"
-                            f"|a={','.join(map(str, assignment))}|b={b}")
-                    out.append(Relation.from_bool(f.space, searched_sig, vals, name=name))
+        prefix = f"{f.name}<{q.numerator}/{q.denominator}"
+        for values, label in slices:
+            vals = np.broadcast_to(values < float(q), f.shape[:k])
+            out.append(Relation.from_bool(f.space, searched_sig, vals, name=prefix + label))
     return out
 
 

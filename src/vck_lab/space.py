@@ -13,6 +13,7 @@ reduction order.  The package's shared kernels live here, one copy each.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 import warnings
@@ -45,10 +46,19 @@ class Part:
         if not isinstance(other, Part):
             return NotImplemented
         return (self.name == other.name and self.size == other.size
-                and tuple(map(float, self.weights)) == tuple(map(float, other.weights)))
+                and np.array_equal(self.weight_array, other.weight_array))
 
     def __hash__(self):
-        return hash((self.name, self.size, tuple(map(float, self.weights))))
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.name, self.size, tuple(self.weight_array.tolist())))
+
+    def __getstate__(self):
+        # the cached array and hash are rebuilt on first use: string hashes
+        # differ between processes, and an unpickled array is writeable
+        return {key: self.__dict__[key] for key in ("name", "size", "weights")}
 
     def __post_init__(self):
         if self.size < 1:
@@ -77,9 +87,16 @@ class Part:
                 f"part {self.name!r}: weights sum to {total}, not 1")
         object.__setattr__(self, "weights", tuple(self.weights))
 
-    @property
+    @functools.cached_property
     def weight_array(self) -> np.ndarray:
-        return np.array([float(w) for w in self.weights], dtype=np.float64)
+        """The weights as float64, built on first use (read-only)."""
+        weights = self.weights
+        if weights.count(weights[0]) == len(weights):
+            array = np.full(len(weights), float(weights[0]))
+        else:
+            array = np.array([float(w) for w in weights], dtype=np.float64)
+        array.flags.writeable = False
+        return array
 
     @staticmethod
     def uniform(name: str, size: int) -> "Part":

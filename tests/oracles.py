@@ -1,13 +1,14 @@
 """Independent definition-literal oracles shared by module and acceptance tests.
 
 These implementations stay deliberately naive (set enumeration, quadruple
-loops) and never call the library code paths they are used to check.  Three
+loops) and never call the library code paths they are used to check.  Four
 exceptions build on one library piece each: :func:`vc_k_oracle` asks
 ``check_shattered`` about every box in turn,
-:func:`inapproximability_score_oracle` runs every restart fit in turn, and
+:func:`inapproximability_score_oracle` runs every restart fit in turn,
 :func:`fit_weighted_cylinders_oracle`, the fitter's full-grid form, solves
 its coefficients with ``bounded_least_squares``, which is checked against
-:func:`bounded_lstsq_oracle`.
+:func:`bounded_lstsq_oracle`, and :func:`fiber_family_oracle` cuts its
+fibers with ``fiber``.
 """
 
 import itertools
@@ -250,7 +251,8 @@ def fit_weighted_cylinders_oracle(f, k, n_max, als_iters=25, seed=0, init=None,
     the whole grid of the residual times the cylinder product of the term's
     other factors; every sweep ends with a cold-started bounded solve for the
     coefficients and the compensated error of a freshly built residual.  The
-    seeding, the constant-term alternative and every check are the fitter's.
+    seeding, the constant-term alternative and fallback, and every check are
+    the fitter's.
     """
     from fractions import Fraction
 
@@ -331,6 +333,22 @@ def fit_weighted_cylinders_oracle(f, k, n_max, als_iters=25, seed=0, init=None,
             err = new_err
         return err
 
+    def constant_fit():
+        const = {pos: np.ones(tuple(shape[p] for p in pos)) for pos in sets}
+        terms[:], gammas[:] = [const], [mean]
+        prods[:] = [cylinder_product(const.items(), shape)]
+        return als(als_iters)
+
+    def decomposition_and_error():
+        final_terms = tuple(
+            CylinderTerm(Fraction(float(g)),
+                         {pos: MeasuredFunction(f.space, tuple(f.signature[p] for p in pos),
+                                                np.array(vals))
+                          for pos, vals in t.items()})
+            for g, t in zip(gammas, terms))
+        decomposition = CylinderDecomposition(f.space, f.signature, k, final_terms)
+        return decomposition, l2_error(f, decomposition)
+
     def seeded_term(counter):
         pos_resid = np.maximum(residual(), 0.0)
         factors = {}
@@ -358,23 +376,62 @@ def fit_weighted_cylinders_oracle(f, k, n_max, als_iters=25, seed=0, init=None,
         solve_gammas()
         new_err = als(als_iters)
         if len(terms) == 1 and init is None and init_mode == "auto":
-            const = {pos: np.ones(tuple(shape[p] for p in pos)) for pos in sets}
             backup = (terms[:], gammas[:], prods[:])
-            terms[:], gammas[:] = [const], [mean]
-            prods[:] = [cylinder_product(const.items(), shape)]
-            alt_err = als(als_iters)
+            alt_err = constant_fit()
             if alt_err < new_err:
                 new_err = alt_err
             else:
                 terms[:], gammas[:], prods[:] = backup
         err = new_err
 
-    final_terms = tuple(
-        CylinderTerm(Fraction(float(g)),
-                     {pos: MeasuredFunction(f.space, tuple(f.signature[p] for p in pos),
-                                            np.array(vals))
-                      for pos, vals in t.items()})
-        for g, t in zip(gammas, terms))
-    decomposition = CylinderDecomposition(f.space, f.signature, k, final_terms)
-    final_err = l2_error(f, decomposition)
-    return decomposition, FitReport(final_err, len(final_terms), iterations, seed, baseline)
+    decomposition, final_err = decomposition_and_error()
+    if final_err > baseline + defaults.MONOTONE_SLACK and init is None:
+        constant_fit()
+        decomposition, final_err = decomposition_and_error()
+    return decomposition, FitReport(final_err, len(decomposition.terms), iterations, seed,
+                                    baseline)
+
+
+def fiber_family_oracle(f, spec):
+    """The per-threshold form of ``fiber_family``: for every threshold q, in
+    order, each (index set, substitution, anchor) fiber is cut again from f
+    and its level set {< q} spread over the searched grid.  The up-front
+    checks repeat the library's; range checks on the substitutions come from
+    ``fiber``."""
+    from vck_lab import defaults
+    from vck_lab.errors import InvalidArgumentError, ResourceLimitError
+    from vck_lab.fibalg import family_size
+    from vck_lab.space import (Relation, check_array_cap, cylinder, dyadics, fiber,
+                               index_sets)
+
+    if not spec.anchors:
+        raise InvalidArgumentError("fiber family needs at least one anchor")
+    k = f.arity - 1
+    if k < 1:
+        raise InvalidArgumentError("function must have arity >= 2")
+    if len(spec.params) != k:
+        raise InvalidArgumentError(
+            f"{len(spec.params)} parameter rows for {k} searched coordinates")
+    dist = f.arity - 1
+    for a in spec.anchors:
+        if not 0 <= a < f.shape[dist]:
+            raise InvalidArgumentError(f"anchor {a} out of range")
+    if 2 ** min(spec.height, defaults.ARRAY_CAP.bit_length()) + 1 > defaults.ARRAY_CAP:
+        raise ResourceLimitError(f"dyadic height {spec.height} makes 2**{spec.height} + 1 "
+                                 f"thresholds (cap {defaults.ARRAY_CAP})")
+    check_array_cap(family_size(spec, k) * math.prod(f.shape[:k]), "fiber family")
+    out = []
+    for q in dyadics(spec.height):
+        for I in index_sets(k, k - 1):
+            residual = [pos for pos in range(k) if pos not in I]
+            for assignment in itertools.product(*[spec.params[i] for i in I]):
+                for b in spec.anchors:
+                    slice_fn = fiber(f, {dist: b, **dict(zip(I, assignment))})
+                    low = slice_fn.values < float(q)
+                    vals = np.broadcast_to(cylinder(low, residual, k), f.shape[:k])
+                    name = (f"{f.name}<{q.numerator}/{q.denominator}"
+                            f"|I={','.join(map(str, I))}"
+                            f"|a={','.join(map(str, assignment))}|b={b}")
+                    out.append(Relation.from_bool(f.space, f.signature[:k], vals,
+                                                  name=name))
+    return out

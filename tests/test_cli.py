@@ -305,15 +305,47 @@ def test_adversary_csv_reproducible(tmp_path):
     assert header == "d,mean_norm,std,mean_score"
 
 
-def test_cli_import_loads_no_scipy():
+def _python(code: str) -> str:
+    """stdout of ``python -c code`` in a fresh interpreter on this source tree."""
     import vck_lab
     src = str(pathlib.Path(vck_lab.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout
+
+
+def test_cli_import_loads_no_scipy():
     code = "import sys, vck_lab.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "False"
+    assert _python(code).strip() == "False"
+
+
+def test_verify_loads_only_its_own_modules(tmp_path):
+    # the CLI imports per subcommand: a verify run never loads the modules
+    # that the other subcommands run
+    inst, report, cert = (tmp_path / n for n in ("inst.json", "vc.json", "cert.json"))
+    assert run("gen", "--kind", "membership", "--params", "d=2,k=1", "--out", str(inst)) == 0
+    assert run("vcdim", "--input", str(inst), "--out", str(report)) == 0
+    cert.write_text(json.dumps(load_json(report)["comparable"]["results"]["certificate"]))
+    argv = ["verify", str(cert), str(inst), "--out", str(tmp_path / "v.json")]
+    code = (f"import sys; from vck_lab.cli import main; rc = main({argv!r}); "
+            "print(rc, sorted(m for m in sys.modules if m.startswith('vck_lab.')))")
+    rc, loaded = _python(code).split(" ", 1)
+    assert rc == "0"
+    for module in ("decomp", "adversary", "fibalg", "gen", "gowers"):
+        assert f"'vck_lab.{module}'" not in loaded
+    assert "'vck_lab.vck'" in loaded
+
+
+def test_star_import_binds_every_public_name():
+    import vck_lab
+    namespace = {}
+    exec("from vck_lab import *", namespace)
+    assert set(vck_lab.__all__) <= set(namespace)
+    assert len(set(vck_lab.__all__)) == len(vck_lab.__all__)
+    assert all(namespace[name] is getattr(vck_lab, name) for name in vck_lab.__all__)
+    with pytest.raises(AttributeError):
+        vck_lab.no_such_name
 
 
 # -- argument refusals ----------------------------------------------------------------
@@ -435,7 +467,7 @@ def test_out_of_memory_exits_3(gadget_doc, monkeypatch, capsys):
     def no_memory(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr("vck_lab.cli.box_norm", no_memory)
+    monkeypatch.setattr("vck_lab.gowers.box_norm", no_memory)
     assert run("gowers", "--input", str(gadget_doc)) == 3
     assert capsys.readouterr().err == "error: out of memory\n"
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from vck_lab import (BooleanCylinderExpr, CylinderDecomposition, CylinderTerm,
                      FiberFamilySpec, MeasuredFunction, Part, PartiteSpace, PoolLeaf,
                      Relation, approx_by_fibers, boolean_of_lower_arity,
-                     fit_boolean_cylinders, fit_weighted_cylinders,
+                     fit_boolean_cylinders, fit_weighted_cylinders, integrate,
                      l2_error, membership_gadget, parity_triple, quasirandom,
                      rng, sym_diff)
 from vck_lab.adversary import random_pattern
@@ -479,6 +479,16 @@ def test_weighted_fit_continues_without_positive_residual():
     f = boolean_of_lower_arity(3, 1, 4, (16, 16, 16), seed=15).relation
     _, report = fit_weighted_cylinders(f, 1, 16)
     assert report.error <= 1e-12
+
+
+def test_weighted_fit_without_sweeps_never_ends_above_baseline():
+    # random factors with no refinement once ended at 0.599 against a
+    # baseline of 0.284 and raised; the constant fit now stands in
+    space = PartiteSpace.uniform([2, 3, 2])
+    f = MeasuredFunction(space, (0, 1, 2), np.random.default_rng(1).random((2, 3, 2)))
+    decomposition, report = _same_fit(f, 2, 1, init_mode="random", als_iters=0)
+    assert report.error <= report.baseline + 1e-12
+    assert report.n == 1 and float(decomposition.terms[0].gamma) == integrate(f)
 
 
 # -- the fitter against its full-grid form ---------------------------------------------

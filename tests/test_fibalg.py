@@ -15,7 +15,7 @@ from vck_lab import (FiberFamilySpec, MeasuredFunction, PartiteSpace, Relation,
 from vck_lab.fibalg import conditional_means, family_size
 from vck_lab.errors import InvalidArgumentError
 
-from oracles import atom_cells_oracle
+from oracles import atom_cells_oracle, fiber_family_oracle
 
 
 def random_function(sizes, seed):
@@ -69,6 +69,48 @@ def test_membership_gadget_fibers_reproduce_column_indicators():
             # level set chi < 1/2 is the complement of membership
             expected = np.broadcast_to(col[None, :], (2, 2)).copy()
             assert expected.tobytes() in got
+
+
+@st.composite
+def _family_cases(draw):
+    """A small function, values on and off the dyadic thresholds, and a spec
+    whose anchors and substitutions may fall outside their coordinates."""
+    arity = draw(st.sampled_from([2, 3, 3, 4]))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=arity, max_size=arity))
+    values = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.3, 0.5, 0.75, 1.0]),
+                                    min_size=math.prod(sizes), max_size=math.prod(sizes))))
+    space = PartiteSpace.uniform(sizes)
+    f = MeasuredFunction(space, tuple(range(len(sizes))), values.reshape(sizes), name="h")
+    k = len(sizes) - 1
+    rows = [draw(st.lists(st.integers(0, sizes[i] - 1), min_size=1, max_size=3))
+            for i in range(k)]
+    anchors = draw(st.lists(st.integers(0, sizes[-1] - 1), min_size=1, max_size=3))
+    # at most one fault: a vertex just outside its coordinate, or a row too many
+    fault = draw(st.sampled_from([None, None, None, "anchor", "param", "rows"]))
+    if fault == "anchor":
+        anchors[draw(st.integers(0, len(anchors) - 1))] = draw(
+            st.sampled_from([-1, sizes[-1]]))
+    elif fault == "param":
+        i = draw(st.integers(0, k - 1))
+        rows[i].insert(draw(st.integers(0, len(rows[i]))),
+                       draw(st.sampled_from([-1, sizes[i]])))
+    elif fault == "rows":
+        rows.append([0])
+    return f, FiberFamilySpec(draw(st.integers(1, 2)), anchors, rows)
+
+
+def _outcome(build, f, spec):
+    try:
+        return [(g.name, g.signature, g.values.tobytes(), type(g)) for g in build(f, spec)]
+    except InvalidArgumentError as exc:
+        return ("refused", str(exc))
+
+
+@given(_family_cases())
+@settings(max_examples=150, deadline=None)
+def test_family_matches_per_threshold_oracle(case):
+    f, spec = case
+    assert _outcome(fiber_family, f, spec) == _outcome(fiber_family_oracle, f, spec)
 
 
 # -- atoms --------------------------------------------------------------------------

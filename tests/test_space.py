@@ -96,6 +96,30 @@ def test_large_uniform_part_is_quick_and_round_trips():
     assert dumps_canonical(space_to_doc(space_from_doc(doc))) == dumps_canonical(doc)
 
 
+def test_weight_array_is_built_once_and_read_only():
+    import pickle
+    from fractions import Fraction
+    from vck_lab import Part
+    for part in (Part.uniform("a", 5),
+                 Part("b", 3, (Fraction(1, 3), Fraction(1, 6), Fraction(1, 2))),
+                 Part("c", 2, (0.25, 0.75))):
+        first = part.weight_array
+        assert part.weight_array is first
+        assert not first.flags.writeable
+        assert first.tolist() == [float(w) for w in part.weights]
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        # a pickled part rebuilds its caches where it is loaded
+        loaded = pickle.loads(pickle.dumps(part))
+        assert "weight_array" not in vars(loaded) and "_hash" not in vars(loaded)
+        assert loaded == part and hash(loaded) == hash(part)
+        assert not loaded.weight_array.flags.writeable
+    # -0.0 and 0.0 agree as float64, so the parts are equal and hash alike
+    signed = Part("d", 2, (-0.0, 1.0))
+    assert signed == Part("d", 2, (0.0, 1.0))
+    assert hash(signed) == hash(Part("d", 2, (0.0, 1.0)))
+
+
 def test_point_mass_sums_to_one():
     space = PartiteSpace([__import__("vck_lab").Part("V1", 3, (0.2, 0.3, 0.5)),
                           __import__("vck_lab").Part("V2", 2, (0.9, 0.1))])
