@@ -423,7 +423,9 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
     re-solved by bounded least squares, warm-started from the last ones,
     whose residual norm is the sweep's error, and R is rebuilt from them.
     So the error is non-increasing; a rise beyond tolerance raises.  The
-    reported error is recomputed from the final decomposition.
+    reported error is recomputed from the final decomposition.  In
+    ``init_mode="random"`` without ``init``, a fit that ends above the
+    constant baseline is replaced by the constant fit; elsewhere that raises.
 
     ``init`` may carry a decomposition to refine (oracle initialization);
     its terms are taken verbatim before any greedy additions.
@@ -617,9 +619,12 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
         err = new_err
 
     decomposition, final_err = decomposition_and_error()
-    if final_err > baseline + defaults.MONOTONE_SLACK and init is None:
-        # a seeded start need not beat the mean (random factors refined by
-        # too few sweeps); the constant fit is never worse
+    if (final_err > baseline + defaults.MONOTONE_SLACK and init is None
+            and init_mode == "random"):
+        # random factors refined by too few sweeps need not beat the mean;
+        # the constant fit is never worse.  Auto mode already kept the better
+        # of the two, so there an error above the baseline is a failure.
+        sweeps_per_term[:] = [0]
         constant_fit()
         decomposition, final_err = decomposition_and_error()
     if final_err > baseline + defaults.MONOTONE_SLACK:

@@ -90,11 +90,7 @@ class Part:
     @functools.cached_property
     def weight_array(self) -> np.ndarray:
         """The weights as float64, built on first use (read-only)."""
-        weights = self.weights
-        if weights.count(weights[0]) == len(weights):
-            array = np.full(len(weights), float(weights[0]))
-        else:
-            array = np.array([float(w) for w in weights], dtype=np.float64)
+        array = np.array([float(w) for w in self.weights], dtype=np.float64)
         array.flags.writeable = False
         return array
 

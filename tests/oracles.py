@@ -385,7 +385,8 @@ def fit_weighted_cylinders_oracle(f, k, n_max, als_iters=25, seed=0, init=None,
         err = new_err
 
     decomposition, final_err = decomposition_and_error()
-    if final_err > baseline + defaults.MONOTONE_SLACK and init is None:
+    if (final_err > baseline + defaults.MONOTONE_SLACK and init is None
+            and init_mode == "random"):
         constant_fit()
         decomposition, final_err = decomposition_and_error()
     return decomposition, FitReport(final_err, len(decomposition.terms), iterations, seed,

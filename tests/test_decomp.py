@@ -18,7 +18,7 @@ from vck_lab import (BooleanCylinderExpr, CylinderDecomposition, CylinderTerm,
 from vck_lab.adversary import random_pattern
 from vck_lab.cli import main as cli_main
 from vck_lab.decomp import bounded_least_squares
-from vck_lab.errors import InvalidArgumentError
+from vck_lab.errors import InvalidArgumentError, NumericalFailureError
 
 from oracles import (bounded_lstsq_oracle, expression_leaf_count, expression_oracle,
                      fit_weighted_cylinders_oracle)
@@ -481,14 +481,35 @@ def test_weighted_fit_continues_without_positive_residual():
     assert report.error <= 1e-12
 
 
-def test_weighted_fit_without_sweeps_never_ends_above_baseline():
+@pytest.mark.parametrize("n_max", [1, 3])
+def test_weighted_fit_without_sweeps_never_ends_above_baseline(n_max):
     # random factors with no refinement once ended at 0.599 against a
     # baseline of 0.284 and raised; the constant fit now stands in
     space = PartiteSpace.uniform([2, 3, 2])
     f = MeasuredFunction(space, (0, 1, 2), np.random.default_rng(1).random((2, 3, 2)))
-    decomposition, report = _same_fit(f, 2, 1, init_mode="random", als_iters=0)
+    decomposition, report = _same_fit(f, 2, n_max, init_mode="random", als_iters=0)
     assert report.error <= report.baseline + 1e-12
     assert report.n == 1 and float(decomposition.terms[0].gamma) == integrate(f)
+    assert len(report.sweeps_per_term) == report.n
+
+
+def test_auto_fit_above_baseline_still_raises(monkeypatch):
+    # auto mode already keeps the better of the seeded and the constant first
+    # term, so a final error above the baseline means the running residual
+    # and the recomputed error disagree: that must not pass as a fit
+    import vck_lab.decomp as decomp
+    space = PartiteSpace.uniform([2, 3, 2])
+    f = MeasuredFunction(space, (0, 1, 2), np.random.default_rng(1).random((2, 3, 2)))
+    calls = []
+    real = decomp.l2_error
+
+    def disagreeing(f, d):  # only the first recomputed error is off
+        calls.append(d)
+        return 1.0 if len(calls) == 1 else real(f, d)
+
+    monkeypatch.setattr(decomp, "l2_error", disagreeing)
+    with pytest.raises(NumericalFailureError, match="exceeds constant baseline"):
+        decomp.fit_weighted_cylinders(f, 2, 3)
 
 
 # -- the fitter against its full-grid form ---------------------------------------------
