@@ -24,7 +24,8 @@ _EXPORTS = {
                "smooth_indicator", "threshold_witness"),
     "decomp": ("BooleanCylinderExpr", "CylinderDecomposition", "CylinderTerm",
                "FiberApproxReport", "FitReport", "PoolLeaf", "approx_by_fibers",
-               "fit_boolean_cylinders", "fit_weighted_cylinders", "index_sets",
+               "fit_boolean_cylinders", "fit_weighted_cylinders", "fit_weighted_restarts",
+               "index_sets",
                "l2_error", "sample_fiber_pool", "sym_diff"),
     "adversary": ("AdversarialInstance", "build_instance", "inapproximability_score",
                   "inapproximability_scores", "pattern_norm", "quasirandomness_curve",

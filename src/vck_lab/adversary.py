@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import defaults, rng
-from .decomp import fit_weighted_cylinders
+from .decomp import fit_weighted_restarts
 from .errors import InvalidArgumentError
 from .gen import check_grid
 from .gowers import box_norm
@@ -157,34 +157,39 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _restart_fit(task) -> tuple:
-    """(error, ALS sweeps, BVLS steps) of one restart of one function: one
-    weighted fit."""
-    f, k, N, sub_seed, mode = task
-    _, report = fit_weighted_cylinders(f, k, N, seed=sub_seed, init_mode=mode)
-    return report.error, report.iterations, report.bvls_steps
+def _function_fits(task) -> tuple:
+    """(best error, ALS sweeps, BVLS steps) of all restarts of one function:
+    one batched weighted fit."""
+    f, k, N, restart_args = task
+    reports = [report for _, report in fit_weighted_restarts(f, k, N, restart_args)]
+    return (min(report.error for report in reports),
+            sum(report.iterations for report in reports),
+            sum(report.bvls_steps for report in reports))
 
 
 def inapproximability_scores(functions, k: int, N: int, seed: int = 0,
                              restarts: int = defaults.SCORE_RESTARTS) -> tuple:
     """:func:`inapproximability_score` of each function, fitted together.
 
-    Every (function, restart) pair is one independent, deterministic fit, so
-    the fits are spread over the CPUs this process may run on and their
-    results taken back in task order: the scores do not depend on how many
-    workers ran.  Returns ``(scores, diagnostics)``; the diagnostics hold the
-    ``workers`` used, the ``fits`` made, the ``als_sweeps`` they took and
-    the ``bvls_steps`` of their coefficient solves.
+    The restarts of one function are one batched weighted fit
+    (:func:`~vck_lab.decomp.fit_weighted_restarts`, every restart in
+    lockstep, each equal to its serial fit bit for bit), and each function
+    is one independent, deterministic task.  The tasks are spread over the
+    CPUs this process may run on, one forked worker per CPU up to one per
+    function, and their results taken back in task order: the scores do not
+    depend on how many workers ran.  Returns ``(scores, diagnostics)``; the
+    diagnostics hold the ``workers`` used, the ``fits`` made (functions
+    times restarts), the ``als_sweeps`` they took and the ``bvls_steps`` of
+    their coefficient solves.
     """
     if restarts < 1:
         raise InvalidArgumentError(f"need restarts >= 1, got {restarts}")
     restart_args = [(int(rng.raw64(seed, rng.STREAM_SCORE, 1, r)[0]),
                      "auto" if r == 0 else "random") for r in range(restarts)]
-    tasks = [(f, k, N, sub_seed, mode) for f in functions
-             for sub_seed, mode in restart_args]
+    tasks = [(f, k, N, restart_args) for f in functions]
     workers = max(1, min(_cpu_count(), len(tasks)))
     if workers == 1:
-        results = list(map(_restart_fit, tasks))
+        results = list(map(_function_fits, tasks))
     else:
         # imported here, so that commands without a pool do not pay for it
         import multiprocessing
@@ -194,10 +199,9 @@ def inapproximability_scores(functions, k: int, N: int, seed: int = 0,
         # fits.  The library starts no threads; OpenBLAS stops its own
         # around a fork.
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_restart_fit, tasks, chunksize=1)
-    scores = [float(min(error for error, _, _ in results[i:i + restarts]))
-              for i in range(0, len(results), restarts)]
-    diagnostics = {"workers": workers, "fits": len(tasks),
+            results = pool.map(_function_fits, tasks, chunksize=1)
+    scores = [float(error) for error, _, _ in results]
+    diagnostics = {"workers": workers, "fits": len(tasks) * restarts,
                    "als_sweeps": sum(sweeps for _, sweeps, _ in results),
                    "bvls_steps": sum(steps for _, _, steps in results)}
     return scores, diagnostics

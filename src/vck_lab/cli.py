@@ -198,7 +198,8 @@ def _cmd_decompose(args) -> int:
         results = {"fit": report.to_doc(), "decomposition": decomposition.to_doc(),
                    "value_range": list(decomposition.value_range())}
         diagnostics = {"als_sweeps": report.iterations, "bvls_steps": report.bvls_steps,
-                       "sweeps_per_term": list(report.sweeps_per_term)}
+                       "sweeps_per_term": list(report.sweeps_per_term),
+                       "sweep_errors": list(report.sweep_errors)}
     else:
         expr, report = fit_boolean_cylinders(f, args.k, args.n_max, seed=args.seed)
         results = {"fit": report.to_doc(), "expression": expr.to_doc()}

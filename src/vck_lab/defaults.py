@@ -3,7 +3,7 @@
 GRID_CAP, DYADIC_HEIGHT, ALS_ITERS, SCORE_RESTARTS, FUZZINESS_HEIGHT_CAP and
 GADGET_SIZE_CAP are defaults that a call or CLI flag can override; the rest
 are fixed.  Two tolerances live elsewhere: ``space._WEIGHT_SUM_TOL`` and the
-1e-14 ALS stop in ``decomp.fit_weighted_cylinders``.
+1e-14 ALS stop of the weighted fitter (``decomp.fit_weighted_restarts``).
 """
 
 # Pointwise value checks (range membership at construction time).
@@ -26,7 +26,9 @@ DEGREE_CAP = 6
 # the largest array of a box norm or dual function (the doubled grid of all
 # but the last coordinate, its corner product, or the dual's integrand); a
 # generated instance's grid times the full-grid arrays its generator builds;
-# a fiber family's relations times their grid cells.
+# a fiber family's relations times their grid cells.  Weighted-fit restarts
+# that run in lockstep split into batches under it (rows x grid cells x
+# (n_max + 1)); one restart alone is never refused.
 ARRAY_CAP = 1 << 24
 
 # A raw box-norm integral in (-BOX_NORM_CLAMP, 0) is clamped to zero and

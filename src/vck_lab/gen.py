@@ -43,7 +43,11 @@ def membership_gadget(d: int, k: int,
     n_subsets = 1 << grid_points
     parts = [f"V{i + 1}" for i in range(k)] + ["W"]
     space = PartiteSpace.uniform([d] * k + [n_subsets], parts)
-    vals = mask_bits(range(n_subsets), grid_points).reshape((d,) * k + (n_subsets,))
+    try:
+        vals = mask_bits(range(n_subsets), grid_points).reshape((d,) * k + (n_subsets,))
+    except ValueError as exc:  # d = 1 keeps the grid small at any k
+        raise ResourceLimitError(f"a {k + 1}-ary relation has more axes than "
+                                 f"numpy arrays allow") from exc
     return Relation(space, tuple(range(k + 1)), vals, name=f"membership{d}x{k}")
 
 

@@ -180,11 +180,20 @@ class MeasuredFunction:
     def __post_init__(self):
         sig = self.space.validate_signature(self.signature)
         object.__setattr__(self, "signature", sig)
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.asarray(self.values)
+        if vals.dtype != np.bool_:
+            vals = np.asarray(vals, dtype=np.float64)
         expected = self.space.sizes(sig)
         if vals.shape != expected:
             raise InvalidArgumentError(
                 f"{self.name}: tensor shape {vals.shape} != signature extents {expected}")
+        vals = self._checked(vals)
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
+
+    def _checked(self, vals: np.ndarray) -> np.ndarray:
+        """The values as float64, finite and in range up to tolerance, clipped."""
+        vals = np.asarray(vals, dtype=np.float64)
         if not np.all(np.isfinite(vals)):
             raise InvalidArgumentError(f"{self.name}: non-finite values")
         lo, hi = (-1.0, 1.0) if self.signed else (0.0, 1.0)
@@ -192,9 +201,7 @@ class MeasuredFunction:
             raise InvalidArgumentError(
                 f"{self.name}: values outside [{lo}, {hi}] beyond tolerance "
                 f"(min {vals.min()}, max {vals.max()})")
-        vals = np.asarray(np.clip(vals, lo, hi), dtype=np.float64)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        return np.asarray(np.clip(vals, lo, hi), dtype=np.float64)
 
     @property
     def arity(self) -> int:
@@ -216,18 +223,20 @@ class MeasuredFunction:
 
 
 class Relation(MeasuredFunction):
-    """A MeasuredFunction whose values are exactly 0 or 1."""
+    """A MeasuredFunction whose values are exactly 0 or 1.  A bool mask is
+    0/1 by construction and skips the checks; other values are checked,
+    clipped and snapped to 0/1 within tolerance."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        vals = np.asarray(self.values)
+    def _checked(self, vals: np.ndarray) -> np.ndarray:
+        if vals.dtype == np.bool_:
+            return vals.astype(np.float64)
+        vals = super()._checked(vals)
         snapped = np.asarray(np.where(np.abs(vals - 1.0) <= POINTWISE_TOL, 1.0,
                                       np.where(np.abs(vals) <= POINTWISE_TOL, 0.0, vals)),
                              dtype=np.float64)
         if not np.all((snapped == 0.0) | (snapped == 1.0)):
             raise InvalidArgumentError(f"{self.name}: relation values must be 0/1")
-        snapped.flags.writeable = False
-        object.__setattr__(self, "values", snapped)
+        return snapped
 
     @property
     def bool_values(self) -> np.ndarray:
@@ -235,7 +244,7 @@ class Relation(MeasuredFunction):
 
     @staticmethod
     def from_bool(space, signature, mask, name="E") -> "Relation":
-        return Relation(space, signature, np.asarray(mask, dtype=np.float64), name=name)
+        return Relation(space, signature, np.asarray(mask), name=name)
 
 
 # --------------------------------------------------------------------------

@@ -135,6 +135,18 @@ def bounded_lstsq_oracle(A, b):
     return best_x, best_res
 
 
+def decomposition_value_oracle(decomposition, point) -> float:
+    """The value of a ``CylinderDecomposition`` at one grid point, term by
+    term and factor by factor: the pointwise check on its ``tensor``."""
+    total = 0.0
+    for term in decomposition.terms:
+        prod = float(term.gamma)
+        for positions, factor in term.factors.items():
+            prod *= float(factor.values[tuple(point[p] for p in positions)])
+        total += prod
+    return total
+
+
 def expression_oracle(node, leaves, shape) -> np.ndarray:
     """Point by point value of an and/or/not expression document (the
     ``expr`` and ``leaves`` of ``BooleanCylinderExpr.to_doc``) on the grid."""

@@ -1,6 +1,7 @@
 """Adversarial replacement measures and quasirandomness measurement."""
 
 import multiprocessing
+import pathlib
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vck_lab import (Box, MeasuredFunction, PartiteSpace,
+from vck_lab import (Box, MeasuredFunction, PartiteSpace, defaults,
                      Relation, adversary, build_instance, check_shattered,
                      inapproximability_score, integrate, level_set,
                      membership_gadget, pattern_norm, quasirandomness_curve,
@@ -194,7 +195,8 @@ def test_scores_equal_serial_restart_loop(k, group, N, restarts, pattern_seed, f
     expected = [inapproximability_score_oracle(H, k, N, seed=fit_seed, restarts=restarts)
                 for H in patterns]
     assert scores == [score for score, _, _ in expected]
-    assert diagnostics == {"workers": min(3, len(patterns) * restarts),
+    # one task per function, all of its restarts
+    assert diagnostics == {"workers": min(3, len(patterns)),
                            "fits": len(patterns) * restarts,
                            "als_sweeps": sum(sweeps for _, sweeps, _ in expected),
                            "bvls_steps": sum(steps for _, _, steps in expected)}
@@ -211,3 +213,25 @@ def test_one_worker_equals_pool():
     assert runs[1][0] == runs[2][0] == runs[4][0]
     assert runs[1][1]["als_sweeps"] == runs[2][1]["als_sweeps"] == runs[4][1]["als_sweeps"]
     assert runs[1][1]["bvls_steps"] == runs[2][1]["bvls_steps"] == runs[4][1]["bvls_steps"]
+
+
+def test_adversary_csv_equals_the_serial_restart_loop_golden(tmp_path, capsys):
+    # captured from the per-restart fits before restarts ran in lockstep
+    from vck_lab.cli import main
+    out = tmp_path / "curve.csv"
+    assert main(["adversary", "--k", "1", "--d", "2,4,8,16", "--trials", "6",
+                 "--seed", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    golden = pathlib.Path(__file__).with_name("golden_adversary_k1_seed3.csv")
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def test_scores_do_not_depend_on_the_batch_split():
+    patterns = [random_pattern(d, 1, 0.5, 31, t) for d in (2, 5, 8) for t in range(2)]
+    with mock.patch.object(adversary, "_cpu_count", lambda: 1):
+        whole = inapproximability_scores(patterns, 1, 4, seed=6)
+        # 64 cells x 5 columns fit twice at most: every batch of the largest
+        # patterns splits, down to one restart per batch
+        for cap in (64 * 5 * 2, 1):
+            with mock.patch.object(defaults, "ARRAY_CAP", cap):
+                assert inapproximability_scores(patterns, 1, 4, seed=6) == whole

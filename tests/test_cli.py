@@ -380,7 +380,7 @@ def test_adversary_fit_failure_in_any_worker_exits_4(tmp_path, monkeypatch, caps
         raise NumericalFailureError("injected fit failure")
 
     # patched before the pool forks, so every worker inherits it
-    monkeypatch.setattr(adversary, "fit_weighted_cylinders", failing_fit)
+    monkeypatch.setattr(adversary, "fit_weighted_restarts", failing_fit)
     monkeypatch.setattr(adversary, "_cpu_count", lambda: cpus)
     assert run("adversary", "--k", "1", "--d", "2,4", "--trials", "2",
                "--restarts", "2", "--out", str(tmp_path / "curve.csv")) == 4
@@ -403,6 +403,8 @@ def _one_error_line(err: str) -> bool:
     ("quasirandom", "sizes=4xq", 2), ("quasirandom", "p=abc", 2), ("membership", "d=x", 2),
     ("boolcomb", "k=0,m=2", 2), ("boolcomb", "m=-1", 2), ("quasirandom", "sizes=3x0", 2),
     ("membership", "d=1000,k=1000", 3), ("boolcomb", "m=100000", 3),
+    # one vertex per part keeps the grid tiny, but an array has at most 64 axes
+    ("membership", "d=1,k=64", 3),
     ("boolcomb", "sizes=100000x100000x100000", 3), ("parity", "n=257", 3),
     # one cell over the array cap: a missing check costs seconds, not a hang
     ("quasirandom", "sizes=4096x4097", 3)])
@@ -561,7 +563,8 @@ def test_adversary_diagnostics_count_the_fits(tmp_path, capsys):
     serial = [inapproximability_score_oracle(
         random_pattern(d, 1, 0.5, 5, trial=(di << 16) | t), 1, 3, seed=5, restarts=2)
         for di, d in enumerate((2, 3)) for t in range(2)]
-    assert doc["diagnostics"] == {"workers": min(adversary._cpu_count(), 8), "fits": 8,
+    # one worker task per function: 4 patterns, each with its 2 restarts
+    assert doc["diagnostics"] == {"workers": min(adversary._cpu_count(), 4), "fits": 8,
                                   "als_sweeps": sum(sweeps for _, sweeps, _ in serial),
                                   "bvls_steps": sum(steps for _, _, steps in serial)}
     # no timings: the bytes up to wall time, diagnostics included, repeat exactly
@@ -580,9 +583,11 @@ def test_decompose_diagnostics_count_the_fit(tmp_path):
     doc = load_json(reports[0])
     assert list(doc) == ["comparable", "diagnostics", "wall_time_s"]
     fit, diagnostics = doc["comparable"]["results"]["fit"], doc["diagnostics"]
-    assert set(diagnostics) == {"als_sweeps", "bvls_steps", "sweeps_per_term"}
+    assert set(diagnostics) == {"als_sweeps", "bvls_steps", "sweeps_per_term", "sweep_errors"}
     # one entry per term the fit grew to; every sweep ends in a solve
     assert diagnostics["als_sweeps"] == fit["iterations"] == sum(diagnostics["sweeps_per_term"])
+    assert len(diagnostics["sweep_errors"]) == diagnostics["als_sweeps"]
+    assert min(diagnostics["sweep_errors"]) >= fit["error"] - 1e-9
     assert len(diagnostics["sweeps_per_term"]) == fit["n"]
     assert diagnostics["bvls_steps"] >= diagnostics["als_sweeps"] + fit["n"]
     assert comparable_bytes(reports[0]) == comparable_bytes(reports[1])

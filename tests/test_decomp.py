@@ -17,11 +17,12 @@ from vck_lab import (BooleanCylinderExpr, CylinderDecomposition, CylinderTerm,
                      rng, sym_diff)
 from vck_lab.adversary import random_pattern
 from vck_lab.cli import main as cli_main
-from vck_lab.decomp import bounded_least_squares
+from vck_lab import defaults
+from vck_lab.decomp import bounded_least_squares, fit_weighted_restarts
 from vck_lab.errors import InvalidArgumentError, NumericalFailureError
 
-from oracles import (bounded_lstsq_oracle, expression_leaf_count, expression_oracle,
-                     fit_weighted_cylinders_oracle)
+from oracles import (bounded_lstsq_oracle, decomposition_value_oracle,
+                     expression_leaf_count, expression_oracle, fit_weighted_cylinders_oracle)
 
 
 def uniform_space(sizes):
@@ -43,7 +44,7 @@ def test_evaluate_single_unit_term():
     term = make_term(space, (0, 1), 1, {(0,): [1, 1], (1,): [1, 1]})
     d = CylinderDecomposition(space, (0, 1), 1, (term,))
     assert np.all(d.tensor() == 1.0)
-    assert d.evaluate((1, 0)) == 1.0
+    assert decomposition_value_oracle(d, (1, 0)) == 1.0
 
 
 def test_evaluate_empty_decomposition():
@@ -66,7 +67,7 @@ def test_evaluate_two_terms_hand_expansion():
                          [0.5 * 0 * 0 + 0.5 * 1 * 1, 0.5 * 0 * 1 + 0.5 * 1 * 0]])
     assert np.array_equal(d.tensor(), expected)
     for pt in itertools.product(range(2), repeat=2):
-        assert d.evaluate(pt) == expected[pt]
+        assert decomposition_value_oracle(d, pt) == expected[pt]
 
 
 def test_factor_arity_capped_by_k():
@@ -94,7 +95,7 @@ def test_l2_error_matches_naive_loop():
     f = MeasuredFunction(space, (0, 1), np.random.default_rng(4).random((3, 3)))
     terms = []
     for x, y in itertools.product(range(3), repeat=2):
-        diff = f.values[x, y] - d.evaluate((x, y))
+        diff = f.values[x, y] - decomposition_value_oracle(d, (x, y))
         terms.append(diff * diff / 9)
     assert l2_error(f, d) == pytest.approx(math.sqrt(math.fsum(terms)), abs=1e-14)
 
@@ -340,16 +341,6 @@ def test_weighted_error_never_above_baseline():
         assert rep.error <= rep.baseline + 1e-9
 
 
-def test_coefficient_rounding_error_bound():
-    space = uniform_space([4, 4])
-    f = MeasuredFunction(space, (0, 1), np.random.default_rng(8).random((4, 4)))
-    d, rep = fit_weighted_cylinders(f, 1, 3, seed=2)
-    for height in (2, 4, 8):
-        rounded = d.round_coefficients(height)
-        gap = abs(l2_error(f, rounded) - rep.error)
-        assert gap <= 2.0 ** (-height) * len(d.terms) + 1e-12
-
-
 # -- fiber-anchor approximation ----------------------------------------------------------
 
 def test_approx_identical_fibers_single_anchor():
@@ -554,3 +545,130 @@ def test_vector_sweeps_keep_zero_weight_vertices():
     start = [rng.uniforms(3, rng.STREAM_INIT, 3, (counter << 8))[1]
              for counter in range(1, report.n + 1)]
     assert [t.factors[(0,)].values[1] for t in decomposition.terms] == start
+
+
+# -- restarts fitted in lockstep ---------------------------------------------------------
+
+def _fit_bits(decomposition, report) -> tuple:
+    """Everything a fit returns, as exact values."""
+    terms = tuple((term.gamma, tuple((pos, factor.values.tobytes(), factor.name)
+                                     for pos, factor in term.factors.items()))
+                  for term in decomposition.terms)
+    return (terms, report.error.hex(), report.n, report.iterations, report.bvls_steps,
+            report.seed, report.baseline.hex(), report.sweeps_per_term,
+            tuple(e.hex() for e in report.sweep_errors))
+
+
+def _assert_members_equal_single_fits(f, k, n_max, restarts, als_iters=25):
+    batched = fit_weighted_restarts(f, k, n_max, restarts, als_iters=als_iters)
+    assert len(batched) == len(restarts)
+    for (seed, mode), fit in zip(restarts, batched):
+        single = fit_weighted_cylinders(f, k, n_max, als_iters=als_iters, seed=seed,
+                                        init_mode=mode)
+        assert _fit_bits(*fit) == _fit_bits(*single)
+
+
+@st.composite
+def lockstep_targets(draw):
+    """k = 1 targets: random 2-ary patterns (d = 2 ones turn exact early),
+    random 2- and 3-ary values, and parts with zero-weight vertices."""
+    kind = draw(st.sampled_from(["pattern", "values", "massless"]))
+    seed = draw(st.integers(0, 2 ** 16))
+    if kind == "pattern":
+        return random_pattern(draw(st.integers(1, 8)), 1, 0.5, seed,
+                              draw(st.integers(0, 3)))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=2, max_size=3))
+    values = np.random.default_rng(seed).random(sizes)
+    if kind == "values":
+        return MeasuredFunction(PartiteSpace.uniform(sizes), tuple(range(len(sizes))), values)
+    parts = []
+    for i, size in enumerate(sizes):
+        heavy = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        heavy[0] = True
+        weights = [Fraction(int(h), sum(heavy)) for h in heavy]
+        parts.append(Part(f"p{i}", size, tuple(weights)))
+    return MeasuredFunction(PartiteSpace(tuple(parts)), tuple(range(len(sizes))), values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=lockstep_targets(), n_max=st.integers(1, 5),
+       als_iters=st.sampled_from([0, 1, 3, 25]),
+       restarts=st.lists(st.tuples(st.integers(0, 2 ** 63 - 1),
+                                   st.sampled_from(["auto", "random"])),
+                         min_size=1, max_size=6))
+@example(f=random_pattern(2, 1, 0.5, 21000, trial=2), n_max=4, als_iters=25,
+         restarts=[(1101169394970103031, "random"), (3, "auto"), (4, "random")])
+def test_lockstep_members_equal_their_single_fits(f, n_max, als_iters, restarts):
+    _assert_members_equal_single_fits(f, 1, n_max, restarts, als_iters)
+
+
+def test_lockstep_members_diverge_and_still_equal_single_fits():
+    # d = 2 patterns turn exact before 4 terms, so members stop at different
+    # rounds; the parity fit is k = 2
+    restarts = [(0, "auto"), (1, "random"), (2, "random"), (3, "random"), (4, "auto")]
+    for trial in range(4):
+        _assert_members_equal_single_fits(random_pattern(2, 1, 0.5, 3, trial), 1, 4, restarts)
+    _assert_members_equal_single_fits(
+        boolean_of_lower_arity(3, 1, 4, (6, 6, 6), seed=3).relation, 1, 6, restarts)
+    _assert_members_equal_single_fits(parity_triple(4, seed=1).relation, 2, 4, restarts[:3])
+
+
+def test_lockstep_random_fallback_runs_for_its_member_alone():
+    # the random member of this batch ends above the baseline without sweeps
+    # and falls back to the constant fit; its neighbours do not
+    space = PartiteSpace.uniform([2, 3, 2])
+    f = MeasuredFunction(space, (0, 1, 2), np.random.default_rng(1).random((2, 3, 2)))
+    restarts = [(0, "auto"), (0, "random"), (5, "random")]
+    _assert_members_equal_single_fits(f, 2, 3, restarts, als_iters=0)
+    (_, auto), (fallback, random_fit), _ = fit_weighted_restarts(f, 2, 3, restarts, 0)
+    assert fallback.terms[0].gamma == Fraction(integrate(f)) and random_fit.n == 1
+    assert auto.n > 1
+
+
+def test_lockstep_batches_split_at_the_array_cap(monkeypatch):
+    import vck_lab.decomp as decomp
+    f = random_pattern(4, 1, 0.5, 17, 0)
+    restarts = [(seed, "auto" if seed == 0 else "random") for seed in range(5)]
+    whole = [_fit_bits(*fit) for fit in fit_weighted_restarts(f, 1, 4, restarts)]
+    sizes = []
+    real_run = decomp._WeightedFit.run
+
+    def counting_run(self, runs):
+        sizes.append(len(runs))
+        return real_run(self, runs)
+
+    monkeypatch.setattr(decomp._WeightedFit, "run", counting_run)
+    per_member = 16 * (4 + 1)  # grid cells times n_max + 1
+    for cap, expected in ((3 * per_member, [2, 3]), (per_member, [1] * 5), (1, [1] * 5)):
+        sizes.clear()
+        monkeypatch.setattr(defaults, "ARRAY_CAP", cap)
+        assert [_fit_bits(*fit) for fit in fit_weighted_restarts(f, 1, 4, restarts)] == whole
+        assert sizes == expected  # the auto run brings its constant rival
+
+
+# -- per-sweep errors ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("init_mode", ["auto", "random"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sweep_errors_fall_within_each_term_phase(init_mode, seed):
+    f = boolean_of_lower_arity(3, 1, 4, (6, 6, 6), seed=seed).relation
+    for target, k, n_max in ((f, 1, 6), (random_pattern(8, 1, 0.5, seed), 1, 4),
+                             (parity_triple(4, seed=seed).relation, 2, 4)):
+        _, report = fit_weighted_cylinders(target, k, n_max, seed=seed, init_mode=init_mode)
+        assert len(report.sweep_errors) == report.iterations == sum(report.sweeps_per_term)
+        start = 0
+        for phase, count in enumerate(report.sweeps_per_term):
+            errors = report.sweep_errors[start:start + count]
+            rises = [i for i in range(1, count)
+                     if errors[i] > errors[i - 1] + defaults.MONOTONE_SLACK]
+            if phase == 0 and init_mode == "auto":
+                # the constant first term's sweeps follow the seeded term's,
+                # starting again from at most the baseline
+                assert len(rises) <= 1
+                assert all(errors[i] <= report.baseline + defaults.MONOTONE_SLACK
+                           for i in rises)
+            else:
+                assert rises == []
+            start += count
+        assert report.error <= min(report.sweep_errors, default=math.inf) + 1e-9
+        assert "sweep_errors" not in report.to_doc()

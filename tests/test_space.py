@@ -120,6 +120,35 @@ def test_weight_array_is_built_once_and_read_only():
     assert hash(signed) == hash(Part("d", 2, (0.0, 1.0)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=3), data=st.data(),
+       name=st.text(max_size=5))
+def test_relation_from_bool_equals_the_float_construction(sizes, data, name):
+    # a bool mask skips the checks a float tensor needs; the result is the same
+    space = PartiteSpace.uniform(sizes)
+    sig = tuple(range(len(sizes)))
+    bits = data.draw(st.lists(st.booleans(), min_size=math.prod(sizes),
+                              max_size=math.prod(sizes)))
+    mask = np.array(bits, dtype=bool).reshape(sizes)
+    fast = Relation.from_bool(space, sig, mask, name=name)
+    full = Relation(space, sig, np.asarray(mask, dtype=np.float64), name=name)
+    assert fast.values.dtype == full.values.dtype == np.float64
+    assert np.array_equal(fast.values, full.values)
+    assert not fast.values.flags.writeable and not full.values.flags.writeable
+    assert fast.name == full.name and fast == full
+    mask[...] = ~mask  # the relation owns its values
+    assert np.array_equal(fast.values, full.values)
+
+
+def test_relation_from_non_bool_mask_is_still_checked():
+    space = PartiteSpace.uniform([2])
+    with pytest.raises(InvalidArgumentError):
+        Relation.from_bool(space, (0,), np.array([0.5, 1.0]))
+    with pytest.raises(InvalidArgumentError):
+        Relation.from_bool(space, (0,), np.array([np.nan, 1.0]))
+    assert Relation.from_bool(space, (0,), np.array([1e-13, 1])).values.tolist() == [0.0, 1.0]
+
+
 def test_point_mass_sums_to_one():
     space = PartiteSpace([__import__("vck_lab").Part("V1", 3, (0.2, 0.3, 0.5)),
                           __import__("vck_lab").Part("V2", 2, (0.9, 0.1))])
