@@ -16,8 +16,8 @@ _EXPORTS = {
               "integrate", "l2_distance", "level_set", "monus", "permute",
               "saturating_repeat", "scale_half", "trunc_add"),
     "vck": ("Box", "ShatteringCertificate", "VcResult", "check_shattered",
-            "sauer_shelah_bound", "trace_count", "vc_k", "vc_k_slicewise", "vc_profile",
-            "verify_certificate", "zarankiewicz"),
+            "sauer_shelah_bound", "trace_count", "vc_k", "vc_k_slicewise",
+            "verify_certificate"),
     "gowers": ("BoxNormReport", "box_norm", "cylinder_correlation", "dual_function"),
     "fibalg": ("AtomPartition", "FiberFamilySpec", "FuzzinessWitness", "atoms", "dyadics",
                "fiber_family", "fuzziness", "project_simple", "round_to_cells",

@@ -1,0 +1,171 @@
+"""Shattering certificate checker on the standard library alone.
+
+``vck-lab verify`` runs this module and nothing of the search it checks: it
+imports no numpy, no ``space`` and no ``vck``.  It reads the instance and
+certificate documents itself and refuses everything the library's loaders
+refuse, with the same record names in the message:
+
+- unknown keys, part weights that are negative, non-finite or do not sum to
+  1 within ``WEIGHT_SUM_TOL``, duplicate part names;
+- integer fields (part ``size``, ``signature`` entries, box vertices, subset
+  points, ``distinguished``, ``witness``) that are not JSON integers;
+- function values that are non-finite, of the wrong count, or outside
+  [0, 1] ([-1, 1] if signed) by more than ``POINTWISE_TOL``;
+- empty or duplicate box sides, grids over ``GRID_CAP_MAX`` points, and
+  subset points outside the box.
+
+Values within tolerance are clipped as the function model clips them, and
+each witness condition is the same float test, f <= r on the subset and
+f >= s off it.  Anything else wrong with a certificate makes it invalid.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+from .defaults import GRID_CAP_MAX, POINTWISE_TOL, WEIGHT_SUM_TOL
+from .errors import InvalidArgumentError
+from .serialize import check_keys, json_int, parse_fraction, reading
+
+
+class Certificate:
+    """A certificate document as read: the box sides, the distinguished
+    coordinate, the thresholds and one (subset mask, witness) pair per
+    record, bit i of a mask being grid point i in row-major order."""
+
+    __slots__ = ("box", "distinguished", "r", "s", "witnesses")
+
+    def __init__(self, box, distinguished, r, s, witnesses):
+        self.box, self.distinguished, self.r, self.s = box, distinguished, r, s
+        self.witnesses = witnesses
+
+
+class Function:
+    """A function record as read: its row-major values, clipped to range."""
+
+    __slots__ = ("name", "signature", "shape", "values")
+
+    def __init__(self, name, signature, shape, values):
+        self.name, self.signature, self.shape, self.values = name, signature, shape, values
+
+
+@reading("certificate document")
+def read_certificate(doc) -> Certificate:
+    box = tuple(_box_side(side) for side in doc["box"])
+    g = math.prod(len(side) for side in box)
+    if g > GRID_CAP_MAX:
+        raise InvalidArgumentError(f"certificate box has {g} grid "
+                                   f"points (at most {GRID_CAP_MAX})")
+    grid_index = {point: i for i, point in enumerate(itertools.product(*box))}
+    witnesses = []
+    for rec in doc["witnesses"]:
+        mask = 0
+        for pt in rec["subset"]:
+            point = tuple(json_int(v, "subset point coordinate") for v in pt)
+            if point not in grid_index:
+                raise InvalidArgumentError(f"subset point {pt} lies outside the box")
+            mask |= 1 << grid_index[point]
+        witnesses.append((mask, json_int(rec["witness"], "witness")))
+    return Certificate(box, json_int(doc["distinguished"], "distinguished"),
+                       float(parse_fraction(doc["r"])), float(parse_fraction(doc["s"])),
+                       witnesses)
+
+
+def _box_side(side) -> tuple:
+    side = tuple(json_int(v, "box vertex") for v in side)
+    if not side:
+        raise InvalidArgumentError("box sides must be non-empty")
+    if len(set(side)) != len(side):
+        raise InvalidArgumentError(f"duplicate vertices in box side {side}")
+    return side
+
+
+@reading("space document")
+def read_instance(doc) -> list:
+    """Every function of an instance document, each checked."""
+    check_keys(doc, {"parts", "functions"}, "space document")
+    names, sizes = [], []
+    for i, rec in enumerate(doc["parts"]):
+        with reading(f"part record {i}"):
+            check_keys(rec, {"name", "size", "weights"}, "part record")
+            name, size = rec["name"], json_int(rec["size"], "size")
+            _check_weights(name, size, tuple(float(w) for w in rec["weights"]))
+        names.append(name)
+        sizes.append(size)
+    if len(set(names)) != len(names):
+        raise InvalidArgumentError(f"duplicate part names: {names}")
+    functions = []
+    for i, rec in enumerate(doc.get("functions", [])):
+        with reading(f"function record {i}"):
+            check_keys(rec, {"name", "signature", "values", "signed"}, "function record")
+            signature = tuple(json_int(p, "signature entry") for p in rec["signature"])
+            for p in signature:
+                if not 0 <= p < len(sizes):
+                    raise InvalidArgumentError(f"signature index {p} out of range")
+            shape = tuple(sizes[p] for p in signature)
+            values = [float(v) for v in rec["values"]]
+            if len(values) != math.prod(shape):
+                raise ValueError(f"{len(values)} values for shape {shape}")
+            signed = bool(rec.get("signed", False))
+            name = rec["name"]
+            functions.append(Function(name, signature, shape,
+                                      _checked_values(name, values, signed)))
+    return functions
+
+
+def _check_weights(name, size: int, weights: tuple) -> None:
+    if size < 1:
+        raise InvalidArgumentError(f"part {name!r}: size must be >= 1")
+    if len(weights) != size:
+        raise InvalidArgumentError(f"part {name!r}: {len(weights)} weights for size {size}")
+    if not all(math.isfinite(w) and w >= 0 for w in weights):
+        raise InvalidArgumentError(f"part {name!r}: negative or non-finite weight")
+    total = math.fsum(weights)
+    if abs(total - 1) > WEIGHT_SUM_TOL:
+        raise InvalidArgumentError(f"part {name!r}: weights sum to {total}, not 1")
+
+
+def _checked_values(name, values: list, signed: bool) -> list:
+    """The values, finite and in range up to tolerance, clipped."""
+    if not all(map(math.isfinite, values)):
+        raise InvalidArgumentError(f"{name}: non-finite values")
+    lo, hi = (-1.0, 1.0) if signed else (0.0, 1.0)
+    low, high = min(values), max(values)
+    if low < lo - POINTWISE_TOL or high > hi + POINTWISE_TOL:
+        raise InvalidArgumentError(f"{name}: values outside [{lo}, {hi}] beyond tolerance "
+                                   f"(min {low}, max {high})")
+    if low < lo or high > hi:
+        values = [min(max(v, lo), hi) for v in values]
+    return values
+
+
+def shatters(values, shape, box, distinguished, r, s, witnesses) -> bool:
+    """True when the (mask, witness) pairs list every subset of the box grid
+    once and each witness b has f <= r on its subset and f >= s off it,
+    where f is read from its row-major ``values`` of the given shape.  A
+    box, distinguished coordinate or witness out of range makes it false."""
+    g = math.prod(len(side) for side in box)
+    masks = [mask for mask, _ in witnesses]
+    if len(masks) != 1 << g or set(masks) != set(range(1 << g)):
+        return False
+    arity = len(shape)
+    if not 0 <= distinguished < arity:
+        return False
+    positions = [p for p in range(arity) if p != distinguished]
+    if len(box) != len(positions):
+        return False
+    if any(not 0 <= v < shape[p] for side, p in zip(box, positions) for v in side):
+        return False
+    strides = [math.prod(shape[p + 1:]) for p in range(arity)]
+    offsets = [sum(v * strides[p] for v, p in zip(point, positions))
+               for point in itertools.product(*box)]
+    for mask, b in witnesses:
+        if not 0 <= b < shape[distinguished]:
+            return False
+        base = b * strides[distinguished]
+        for i, offset in enumerate(offsets):
+            value = values[base + offset]
+            if not (value <= r if mask >> i & 1 else value >= s):
+                return False
+    return True

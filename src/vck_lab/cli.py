@@ -21,7 +21,6 @@ from .errors import InvalidArgumentError, VckLabError
 from .serialize import (dumps_canonical, find_function, format_float,
                         functions_from_doc, functions_to_doc, load_json,
                         write_canonical)
-from .space import PartiteSpace
 
 
 def _emit_report(command: str, config: dict, results, seed, out, started: float,
@@ -93,6 +92,7 @@ def _load_function(args):
 def _cmd_gen(args) -> int:
     from .gen import (boolean_of_lower_arity, check_grid, membership_gadget,
                       parity_triple, quasirandom)
+    from .space import PartiteSpace
     started = time.perf_counter()
     kinds = {
         "membership": {"d": int, "k": int},
@@ -243,14 +243,13 @@ def _cmd_adversary(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .vck import ShatteringCertificate, verify_certificate
+    # the checker alone: a verify process imports no numpy and no search code
+    from .check import read_certificate, read_instance, shatters
     started = time.perf_counter()
-    cert_doc = load_json(args.certificate)
-    cert = ShatteringCertificate.from_doc(cert_doc)
-    doc = load_json(args.instance)
-    _, functions = functions_from_doc(doc)
-    f = find_function(functions, name=args.function)
-    valid = verify_certificate(f, cert)
+    cert = read_certificate(load_json(args.certificate))
+    f = find_function(read_instance(load_json(args.instance)), name=args.function)
+    valid = shatters(f.values, f.shape, cert.box, cert.distinguished, cert.r, cert.s,
+                     cert.witnesses)
     config = {"certificate": args.certificate, "instance": args.instance,
               "function": f.name}
     _emit_report("verify", config, {"valid": valid}, 0, args.out, started)

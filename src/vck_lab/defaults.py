@@ -2,12 +2,15 @@
 
 GRID_CAP, DYADIC_HEIGHT, ALS_ITERS, SCORE_RESTARTS, FUZZINESS_HEIGHT_CAP and
 GADGET_SIZE_CAP are defaults that a call or CLI flag can override; the rest
-are fixed.  Two tolerances live elsewhere: ``space._WEIGHT_SUM_TOL`` and the
-1e-14 ALS stop of the weighted fitter (``decomp.fit_weighted_restarts``).
+are fixed.  One tolerance lives elsewhere: the 1e-14 ALS stop of the weighted
+fitter (``decomp.fit_weighted_restarts``).
 """
 
 # Pointwise value checks (range membership at construction time).
 POINTWISE_TOL = 1e-12
+
+# A part's weights must sum to 1 within this.
+WEIGHT_SUM_TOL = 1e-12
 
 # Integral identities (Fubini, inner-product identities, projection checks).
 INTEGRAL_TOL = 1e-9
@@ -47,9 +50,6 @@ FUZZINESS_HEIGHT_CAP = 8
 # Generator: membership gadget witness-part size cap (the part holds one
 # vertex per subset of the box grid).
 GADGET_SIZE_CAP = 1 << 16
-
-# Zarankiewicz exhaustive search feasibility: per-arity maximum part size.
-ZARANKIEWICZ_LIMITS = {1: 16, 2: 4, 3: 2}
 
 # Alternating-minimization fitter defaults.
 ALS_ITERS = 25

@@ -6,6 +6,11 @@ round-trip form (``repr``), which parses back to the same float64 bit for
 bit on every platform; files in the earlier 17-significant-digit spelling
 load to the same doubles.  Keys are sorted, so re-serializing a loaded
 document reproduces it byte for byte.
+
+The module imports no numpy and no ``space`` at load time: the certificate
+checker (``check``) reads documents through its helpers, and only the
+loaders that build library objects import them, when called.  Every field
+the schema makes an integer must be a JSON integer (:func:`json_int`).
 """
 
 from __future__ import annotations
@@ -15,10 +20,7 @@ import json
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import InvalidArgumentError
-from .space import MeasuredFunction, Part, PartiteSpace, Relation
 
 
 def format_float(x: float) -> str:
@@ -38,14 +40,14 @@ def dumps_canonical(obj) -> str:
 
 
 def _plain(obj):
-    """The JSON-native form of the numpy and Fraction values reports carry."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
+    """The JSON-native form of the numpy and Fraction values reports carry:
+    numpy arrays and scalars convert themselves with ``tolist``."""
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
-    raise InvalidArgumentError(f"cannot serialize {type(obj).__name__}")
+    tolist = getattr(obj, "tolist", None)
+    if tolist is None:
+        raise InvalidArgumentError(f"cannot serialize {type(obj).__name__}")
+    return tolist()
 
 
 def write_canonical(path, obj):
@@ -86,10 +88,19 @@ def reading(record: str):
         raise InvalidArgumentError(f"{record}: {exc}") from exc
 
 
-def _check_keys(record, allowed, context):
+def check_keys(record, allowed, context):
     unknown = set(record) - set(allowed)
     if unknown:
         raise InvalidArgumentError(f"{context}: unknown keys {sorted(unknown)}")
+
+
+def json_int(value, what: str) -> int:
+    """An integer field of a document, which must be a JSON integer: a
+    float or a bool is refused, never truncated.  The TypeError is reported
+    with its record by :func:`reading`."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r:.40}")
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -121,24 +132,29 @@ def functions_to_doc(space: PartiteSpace, functions) -> dict:
 
 @reading("space document")
 def space_from_doc(doc) -> PartiteSpace:
-    _check_keys(doc, {"parts", "functions"}, "space document")
+    from .space import Part, PartiteSpace
+    check_keys(doc, {"parts", "functions"}, "space document")
     parts = []
     for i, rec in enumerate(doc["parts"]):
         with reading(f"part record {i}"):
-            _check_keys(rec, {"name", "size", "weights"}, "part record")
-            parts.append(Part(rec["name"], int(rec["size"]),
+            check_keys(rec, {"name", "size", "weights"}, "part record")
+            parts.append(Part(rec["name"], json_int(rec["size"], "size"),
                               tuple(float(w) for w in rec["weights"])))
     return PartiteSpace(tuple(parts))
 
 
 @reading("space document")
 def functions_from_doc(doc, space: PartiteSpace | None = None):
+    import numpy as np
+
+    from .space import MeasuredFunction
     space = space or space_from_doc(doc)
     out = []
     for i, rec in enumerate(doc.get("functions", [])):
         with reading(f"function record {i}"):
-            _check_keys(rec, {"name", "signature", "values", "signed"}, "function record")
-            sig = space.validate_signature(rec["signature"])
+            check_keys(rec, {"name", "signature", "values", "signed"}, "function record")
+            sig = space.validate_signature(
+                [json_int(p, "signature entry") for p in rec["signature"]])
             vals = np.array([float(v) for v in rec["values"]],
                             dtype=np.float64).reshape(space.sizes(sig))
             signed = bool(rec.get("signed", False))
@@ -150,6 +166,9 @@ def functions_from_doc(doc, space: PartiteSpace | None = None):
 
 
 def _relation_or_function(vals) -> type:
+    import numpy as np
+
+    from .space import MeasuredFunction, Relation
     return Relation if np.all((vals == 0.0) | (vals == 1.0)) else MeasuredFunction
 
 

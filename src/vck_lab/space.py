@@ -24,12 +24,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import defaults
-from .defaults import GRID_CAP_MAX, INTEGRAL_TOL, POINTWISE_TOL
+from .defaults import GRID_CAP_MAX, INTEGRAL_TOL, POINTWISE_TOL, WEIGHT_SUM_TOL
 from .errors import InvalidArgumentError, ResourceLimitError
 
 Signature = tuple  # tuple[int, ...]: part index per coordinate, repetition allowed
-
-_WEIGHT_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +80,7 @@ class Part:
             total = weighted_sum([float(w) for w in weights])
         else:
             raise InvalidArgumentError(f"part {self.name!r}: negative or non-finite weight")
-        if abs(total - 1) > _WEIGHT_SUM_TOL:
+        if abs(total - 1) > WEIGHT_SUM_TOL:
             raise InvalidArgumentError(
                 f"part {self.name!r}: weights sum to {total}, not 1")
         object.__setattr__(self, "weights", tuple(self.weights))

@@ -7,22 +7,24 @@ iterates box size d upward, enumerating boxes lexicographically; a batched
 count of each box's distinct witness masks skips boxes that cannot be
 shattered, and check_shattered decides the rest: witnesses are located
 through per-vertex trace bitmaps over the grid, so the subset-cover test is
-set membership over integer masks.
+set membership over integer masks.  Certificates are checked by ``check``,
+which shares no code with the search.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import defaults
+from .check import shatters
 from .errors import InvalidArgumentError, ResourceLimitError
-from .space import MeasuredFunction, dyadics, fiber, grid_masks, mask_bits
-from .serialize import parse_fraction, reading
+from .space import MeasuredFunction, fiber, grid_masks, mask_bits
 
 
 @dataclass(frozen=True)
@@ -32,7 +34,10 @@ class Box:
     subsets: tuple
 
     def __post_init__(self):
-        subs = tuple(tuple(int(v) for v in side) for side in self.subsets)
+        try:
+            subs = tuple(tuple(operator.index(v) for v in side) for side in self.subsets)
+        except TypeError as exc:
+            raise InvalidArgumentError(f"box vertices must be integers: {exc}") from None
         for side in subs:
             if not side:
                 raise InvalidArgumentError("box sides must be non-empty")
@@ -78,26 +83,6 @@ class ShatteringCertificate:
                 "distinguished": self.distinguished,
                 "r": Fraction(self.r), "s": Fraction(self.s),
                 "witnesses": entries}
-
-    @staticmethod
-    @reading("certificate document")
-    def from_doc(doc) -> "ShatteringCertificate":
-        box = Box(tuple(tuple(side) for side in doc["box"]))
-        if box.grid_size > defaults.GRID_CAP_MAX:
-            raise InvalidArgumentError(f"certificate box has {box.grid_size} grid "
-                                       f"points (at most {defaults.GRID_CAP_MAX})")
-        grid_index = {tuple(pt): i for i, pt in enumerate(box.grid())}
-        witnesses = {}
-        for rec in doc["witnesses"]:
-            mask = 0
-            for pt in rec["subset"]:
-                if tuple(pt) not in grid_index:
-                    raise InvalidArgumentError(f"subset point {pt} lies outside the box")
-                mask |= 1 << grid_index[tuple(pt)]
-            witnesses[mask] = int(rec["witness"])
-        return ShatteringCertificate(box, int(doc["distinguished"]),
-                                     float(parse_fraction(doc["r"])),
-                                     float(parse_fraction(doc["s"])), witnesses)
 
 
 @dataclass(frozen=True)
@@ -174,20 +159,10 @@ def check_shattered(f: MeasuredFunction, box: Box, distinguished: int,
 
 def verify_certificate(f: MeasuredFunction, cert: ShatteringCertificate) -> bool:
     """Recompute every witness condition; exact comparisons, no tolerance.
-    A box or witness vertex out of range makes the certificate invalid."""
-    g = cert.box.grid_size
-    if len(cert.witnesses) != 1 << g or set(cert.witnesses) != set(range(1 << g)):
-        return False
-    try:
-        table = _grid_value_table(f, cert.box, cert.distinguished)
-    except InvalidArgumentError:
-        return False
-    witnesses = np.array(list(cert.witnesses.values()))
-    if np.any((witnesses < 0) | (witnesses >= table.shape[1])):
-        return False
-    inside = mask_bits(list(cert.witnesses), g)
-    cols = table[:, witnesses]
-    return bool(np.all(np.where(inside, cols <= cert.r, cols >= cert.s)))
+    A box or witness vertex out of range makes the certificate invalid.
+    The test is ``check.shatters``, the one ``vck-lab verify`` runs."""
+    return shatters(f.values.ravel().tolist(), f.shape, cert.box.subsets, cert.distinguished,
+                    cert.r, cert.s, list(cert.witnesses.items()))
 
 
 # Box x witness keys held per batch of a level scan: bounds its memory.
@@ -206,6 +181,10 @@ class _LevelScan:
     ``lo`` holds the f <= r bits.  ``ties`` tells whether some cell equals
     r = s: such a witness covers a subset with or without that cell, so
     neither the count bound nor the filter applies and every box is checked.
+    The filter runs only when there are at least 2**g witnesses for a g-point
+    box grid (else the log-size bound ends the search), so the per-box
+    seen-bitmap of 2**g flags it counts with is never larger than the box's
+    row of witness keys.
     """
 
     def __init__(self, f: MeasuredFunction, distinguished: int, r: float, s: float):
@@ -221,7 +200,8 @@ class _LevelScan:
         """Per box of a (boxes, k, d) batch, the number of distinct <= r
         masks of its witnesses over the box grid.  Without ties a witness
         covers at most its own mask (none if a value lies inside (r, s)), so
-        this bounds the grid subsets covered."""
+        this bounds the grid subsets covered.  Each box's masks are keys in
+        the narrowest unsigned dtype, counted by the flags they set."""
         n, k, d = combos.shape
         cells = np.zeros((n,) + (1,) * k, dtype=np.int64)
         for j in range(k):
@@ -229,11 +209,16 @@ class _LevelScan:
             shape[j + 1] = d
             cells = cells + (combos[:, j, :] * self.strides[j]).reshape(shape)
         cells = cells.reshape(n, -1)
-        keys = np.zeros((n, self.witnesses), dtype=np.int64)
-        for i in range(cells.shape[1]):
-            keys |= self.lo[cells[:, i]].astype(np.int64) << i
-        keys.sort(axis=1)
-        return 1 + np.count_nonzero(keys[:, 1:] != keys[:, :-1], axis=1)
+        g = cells.shape[1]
+        # keys stop below bit 62, so a 64-bit key is signed: it adds to the
+        # int64 row offsets without promotion to float
+        dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.int64)
+                     if g <= 8 * np.dtype(t).itemsize)
+        bits = (np.ones(1, dtype=dtype) << np.arange(g, dtype=dtype))[:, None]
+        keys = (self.lo[cells] * bits).sum(axis=1, dtype=dtype)
+        seen = np.zeros(n << g, dtype=bool)
+        seen[keys + (np.arange(n, dtype=np.int64) << g)[:, None]] = True
+        return np.count_nonzero(seen.reshape(n, 1 << g), axis=1)
 
 
 @dataclass(frozen=True)
@@ -334,43 +319,3 @@ def sauer_shelah_bound(m: int, k: int, z: int) -> int:
         raise InvalidArgumentError("need m >= 1 and z >= 1")
     cells = m ** k
     return sum(math.comb(cells, i) for i in range(z))
-
-
-def zarankiewicz(m: int, a: int, k: int) -> int:
-    """Minimal z forcing a complete k-partite a-box, by exhausting all
-    k-partite k-uniform hypergraphs with parts of size m."""
-    limit = defaults.ZARANKIEWICZ_LIMITS.get(k)
-    if limit is None or m > limit:
-        raise ResourceLimitError(
-            f"zarankiewicz exhaustive search infeasible for k={k}, m={m} "
-            f"(limits: {defaults.ZARANKIEWICZ_LIMITS})")
-    if a > m:
-        raise InvalidArgumentError(f"a={a} exceeds part size m={m}")
-    cells = list(itertools.product(*[range(m)] * k))
-    cell_bit = {c: i for i, c in enumerate(cells)}
-    box_masks = []
-    for sides in itertools.product(*[itertools.combinations(range(m), a)
-                                     for _ in range(k)]):
-        mask = 0
-        for cell in itertools.product(*sides):
-            mask |= 1 << cell_bit[cell]
-        box_masks.append(mask)
-    best_free = 0
-    for graph in range(1 << len(cells)):
-        if any(graph & bm == bm for bm in box_masks):
-            continue
-        best_free = max(best_free, graph.bit_count())
-    return best_free + 1
-
-
-def vc_profile(f: MeasuredFunction, k: int, distinguished: int,
-               height: int = defaults.DYADIC_HEIGHT,
-               cap: int = defaults.GRID_CAP) -> dict:
-    """vc_k on every dyadic threshold pair r < s of the given height, as
-    ``{(Fraction r, Fraction s): VcResult}``."""
-    qs = dyadics(height)
-    entries = {}
-    for i, r in enumerate(qs):
-        for s in qs[i + 1:]:
-            entries[(r, s)] = vc_k(f, k, distinguished, float(r), float(s), cap=cap)
-    return entries

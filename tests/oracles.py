@@ -1,9 +1,10 @@
 """Independent definition-literal oracles shared by module and acceptance tests.
 
 These implementations stay deliberately naive (set enumeration, quadruple
-loops) and never call the library code paths they are used to check.  Four
+loops) and never call the library code paths they are used to check.  Five
 exceptions build on one library piece each: :func:`vc_k_oracle` asks
-``check_shattered`` about every box in turn,
+``check_shattered`` about every box in turn, :func:`covered_bound_oracle`
+counts on a level scan's witness table by sorting,
 :func:`inapproximability_score_oracle` runs every restart fit in turn,
 :func:`fit_weighted_cylinders_oracle`, the fitter's full-grid form, solves
 its coefficients with ``bounded_least_squares``, which is checked against
@@ -212,6 +213,24 @@ def verify_certificate_oracle(f, cert) -> bool:
             elif not value >= cert.s:
                 return False
     return True
+
+
+def covered_bound_oracle(scan, combos) -> np.ndarray:
+    """``_LevelScan.covered_bound`` by sorting: per box of a (boxes, k, d)
+    batch, its witnesses' <= r masks over the box grid as int64 keys, one bit
+    per grid cell, counted as 1 plus the changes along each sorted row."""
+    n, k, d = combos.shape
+    cells = np.zeros((n,) + (1,) * k, dtype=np.int64)
+    for j in range(k):
+        shape = [n] + [1] * k
+        shape[j + 1] = d
+        cells = cells + (combos[:, j, :] * scan.strides[j]).reshape(shape)
+    cells = cells.reshape(n, -1)
+    keys = np.zeros((n, scan.witnesses), dtype=np.int64)
+    for i in range(cells.shape[1]):
+        keys |= scan.lo[cells[:, i]].astype(np.int64) << i
+    keys.sort(axis=1)
+    return 1 + np.count_nonzero(keys[:, 1:] != keys[:, :-1], axis=1)
 
 
 def vc_k_oracle(f, k, distinguished, r=0.5, s=0.5, cap=16):

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -12,11 +13,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vck_lab import Box, adversary, check_shattered, membership_gadget, random_pattern
+from vck_lab.check import read_certificate, read_instance
 from vck_lab.cli import main
-from vck_lab.errors import NumericalFailureError
-from vck_lab.serialize import dumps_canonical, load_json, write_canonical
+from vck_lab.errors import InvalidArgumentError, NumericalFailureError
+from vck_lab.serialize import dumps_canonical, functions_from_doc, load_json, write_canonical
+from vck_lab.vck import ShatteringCertificate
 
-from oracles import inapproximability_score_oracle
+from oracles import inapproximability_score_oracle, verify_certificate_oracle
 
 
 def comparable_bytes(path) -> bytes:
@@ -156,10 +159,61 @@ def test_malformed_certificate_exits_2(tmp_path, gadget_doc, capsys, cert_doc, m
     assert f"certificate document: {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("edit, record", [(_drop_parts, "space document"),
-                                          (_short_values, "function record 0"),
-                                          (_letter_weights, "part record 0")])
+def _set(path, value):
+    """An edit that sets the entry at ``path`` (keys and indices) to value."""
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+def _add_key(path, key):
+    def edit(doc):
+        node = doc
+        for step in path:
+            node = node[step]
+        node[key] = 0
+    return edit
+
+
+def _duplicate_part_name(doc):
+    doc["parts"][1]["name"] = doc["parts"][0]["name"]
+
+
+def _drop_function_name(doc):
+    del doc["functions"][0]["name"]
+
+
+def _drop_functions(doc):
+    del doc["functions"]
+
+
+@pytest.mark.parametrize("edit, record", [
+    (_drop_parts, "space document"), (_short_values, "function record 0"),
+    (_letter_weights, "part record 0"),
+    (_add_key([], "extra"), "space document: unknown keys"),
+    (_add_key(["parts", 0], "extra"), "part record: unknown keys"),
+    (_add_key(["functions", 0], "extra"), "function record: unknown keys"),
+    (_set(["parts", 0, "weights"], [0.5, 0.4]), "part 'V1': weights sum"),
+    (_set(["parts", 0, "weights"], [0.5, 0.5 + 1e-10]), "part 'V1': weights sum"),
+    (_set(["parts", 0, "weights"], [1.5, -0.5]), "part 'V1': negative"),
+    (_set(["parts", 0, "size"], 0), "part 'V1': size"),
+    (_set(["parts", 0, "size"], 3), "part 'V1': 2 weights for size 3"),
+    (_set(["parts", 0, "size"], 2.5), "part record 0: size must be an integer"),
+    (_duplicate_part_name, "duplicate part names"),
+    (_set(["functions", 0, "signature"], [0, 2]), "signature index 2"),
+    (_set(["functions", 0, "signature"], [0.2, 1.9]), "function record 0: signature entry"),
+    (_set(["functions", 0, "signature"], [0, 0]), "function record 0"),
+    (_set(["functions", 0, "values", 1], 1.5), "values outside [0.0, 1.0]"),
+    (_set(["functions", 0, "values", 1], -0.5), "values outside [0.0, 1.0]"),
+    (_set(["functions", 0, "values", 0], "x"), "function record 0"),
+    (_set(["functions", 0, "values"], 3), "function record 0"),
+    (_drop_function_name, "function record 0: missing key 'name'")])
 def test_malformed_instance_exits_2(tmp_path, gadget_doc, capsys, edit, record):
+    # the checker's reader and the library's loader refuse alike, naming
+    # the same record
     cert_path = tmp_path / "cert.json"
     write_canonical(cert_path, _gadget_certificate())
     doc = load_json(gadget_doc)
@@ -170,6 +224,84 @@ def test_malformed_instance_exits_2(tmp_path, gadget_doc, capsys, edit, record):
     assert run("verify", str(cert_path), str(inst)) == 2
     assert run("gowers", "--input", str(inst)) == 2
     assert record in capsys.readouterr().err
+    for load in (functions_from_doc, read_instance):
+        with pytest.raises(InvalidArgumentError, match=re.escape(record)):
+            load(doc)
+
+
+@pytest.mark.parametrize("edit", [
+    _set(["parts", 0, "weights"], [0.5, 0.5 + 1e-13]),
+    _set(["functions", 0, "values", 1], 1 + 1e-13),
+    _set(["functions", 0, "values", 0], -1e-13),
+    _set(["functions", 0, "values", 3], 0.75),
+    _set(["functions", 0, "signed"], True), _drop_functions])
+def test_tolerated_instances_load_alike(tmp_path, gadget_doc, edit):
+    # both loaders accept these, with the same values, clipped to range;
+    # verify's exit follows the oracle's verdict
+    cert_doc = _gadget_certificate()
+    cert_path = tmp_path / "cert.json"
+    write_canonical(cert_path, cert_doc)
+    doc = load_json(gadget_doc)
+    edit(doc)
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    _, functions = functions_from_doc(doc)
+    assert [(f.name, f.signature, f.values.ravel().tolist()) for f in functions] == [
+        (f.name, f.signature, f.values) for f in read_instance(doc)]
+    codes = (run("verify", str(cert_path), str(inst)), run("gowers", "--input", str(inst)))
+    if not functions:
+        assert codes == (2, 2)  # no stored function to select
+        return
+    cert = read_certificate(cert_doc)
+    valid = verify_certificate_oracle(functions[0], ShatteringCertificate(
+        Box(cert.box), cert.distinguished, cert.r, cert.s, dict(cert.witnesses)))
+    assert codes == (0 if valid else 2, 0)
+
+
+_INTEGER_FIELDS = {
+    "part size": ("instance", ["parts", 0, "size"]),
+    "signature entry": ("instance", ["functions", 0, "signature", 1]),
+    "box vertex": ("certificate", ["box", 0, 1]),
+    "subset point": ("certificate", ["witnesses", 2, "subset", 0, 0]),
+    "distinguished": ("certificate", ["distinguished"]),
+    "witness": ("certificate", ["witnesses", 2, "witness"]),
+}
+
+
+@pytest.mark.parametrize("change", ["float", "fraction", "bool"])
+@pytest.mark.parametrize("field", sorted(_INTEGER_FIELDS))
+def test_integer_fields_must_be_json_integers(tmp_path, gadget_doc, capsys, field, change):
+    # 1 as 1.0, 1.5 or true was once truncated by int() and accepted
+    which, path = _INTEGER_FIELDS[field]
+    docs = {"instance": load_json(gadget_doc), "certificate": _gadget_certificate()}
+    node = docs[which]
+    for key in path[:-1]:
+        node = node[key]
+    value = node[path[-1]]
+    assert type(value) is int
+    node[path[-1]] = {"float": float(value), "fraction": value + 0.5, "bool": True}[change]
+    cert_path, inst_path = tmp_path / "cert.json", tmp_path / "inst.json"
+    cert_path.write_text(json.dumps(docs["certificate"]))
+    inst_path.write_text(json.dumps(docs["instance"]))
+    capsys.readouterr()
+    assert run("verify", str(cert_path), str(inst_path)) == 2
+    if which == "instance":
+        assert run("gowers", "--input", str(inst_path)) == 2
+    err = capsys.readouterr().err
+    assert err.count("must be an integer") == (2 if which == "instance" else 1), err
+
+
+def test_certificate_listing_a_subset_twice_is_invalid(tmp_path, gadget_doc):
+    # a later record once replaced an earlier one for the same subset, so
+    # a wrong witness could hide behind a right one
+    cert_doc = _gadget_certificate()
+    wrong = dict(cert_doc["witnesses"][0], witness=(cert_doc["witnesses"][0]["witness"] + 1) % 4)
+    cert_doc["witnesses"].insert(0, wrong)
+    cert_path = tmp_path / "cert.json"
+    write_canonical(cert_path, cert_doc)
+    out = tmp_path / "v.json"
+    assert run("verify", str(cert_path), str(gadget_doc), "--out", str(out)) == 2
+    assert load_json(out)["comparable"]["results"]["valid"] is False
 
 
 _json = st.recursive(
@@ -329,12 +461,13 @@ def test_verify_loads_only_its_own_modules(tmp_path):
     cert.write_text(json.dumps(load_json(report)["comparable"]["results"]["certificate"]))
     argv = ["verify", str(cert), str(inst), "--out", str(tmp_path / "v.json")]
     code = (f"import sys; from vck_lab.cli import main; rc = main({argv!r}); "
-            "print(rc, sorted(m for m in sys.modules if m.startswith('vck_lab.')))")
-    rc, loaded = _python(code).split(" ", 1)
-    assert rc == "0"
-    for module in ("decomp", "adversary", "fibalg", "gen", "gowers"):
+            "print(rc, 'numpy' in sys.modules, "
+            "sorted(m for m in sys.modules if m.startswith('vck_lab.')))")
+    rc, numpy_loaded, loaded = _python(code).split(" ", 2)
+    assert (rc, numpy_loaded) == ("0", "False")
+    for module in ("decomp", "adversary", "fibalg", "gen", "gowers", "space", "vck"):
         assert f"'vck_lab.{module}'" not in loaded
-    assert "'vck_lab.vck'" in loaded
+    assert "'vck_lab.check'" in loaded
 
 
 def test_star_import_binds_every_public_name():

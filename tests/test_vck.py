@@ -2,7 +2,10 @@
 
 import dataclasses
 import itertools
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -12,11 +15,14 @@ from hypothesis import strategies as st
 from vck_lab import (Box, MeasuredFunction, PartiteSpace, Relation,
                      check_shattered, membership_gadget, parity_triple, permute,
                      sauer_shelah_bound, trace_count, vc_k, vc_k_slicewise,
-                     vc_profile, verify_certificate, zarankiewicz)
+                     verify_certificate)
+from vck_lab.check import read_certificate, read_instance, shatters
+from vck_lab.cli import main
 from vck_lab.errors import InvalidArgumentError, ResourceLimitError
-from vck_lab.vck import ShatteringCertificate
+from vck_lab.serialize import dumps_canonical, functions_to_doc, write_canonical
+from vck_lab.vck import ShatteringCertificate, _LevelScan
 
-from oracles import vc_k_oracle, verify_certificate_oracle
+from oracles import covered_bound_oracle, vc_k_oracle, verify_certificate_oracle
 
 
 def vc1_oracle(matrix) -> int:
@@ -71,6 +77,14 @@ def test_equality_relation_two_box_unshatterable():
     assert check_shattered(eq, box, 1, 0.5, 0.5) is None
 
 
+@pytest.mark.parametrize("side", [(0, 1.5), (0, 1.0), (0, "1")])
+def test_box_vertices_must_be_integers(side):
+    # int() once truncated 1.5 to vertex 1
+    with pytest.raises(InvalidArgumentError, match="box vertices must be integers"):
+        Box((side,))
+    assert Box(((np.int64(0), 1),)).subsets == ((0, 1),)
+
+
 def test_check_shattered_cap_is_explicit():
     g = membership_gadget(2, 1)
     with pytest.raises(ResourceLimitError):
@@ -78,14 +92,13 @@ def test_check_shattered_cap_is_explicit():
 
 
 def test_certificate_round_trip():
-    from vck_lab.serialize import dumps_canonical
-    from vck_lab.vck import ShatteringCertificate
     g = membership_gadget(2, 1)
     cert = check_shattered(g, Box(((0, 1),)), 1, 0.5, 0.5)
-    doc = cert.to_doc()
-    back = ShatteringCertificate.from_doc(doc)
-    assert back == cert
-    assert dumps_canonical(back.to_doc()) == dumps_canonical(doc)
+    back = read_certificate(json.loads(dumps_canonical(cert.to_doc())))
+    assert (back.box, back.distinguished, back.r, back.s) == (
+        cert.box.subsets, cert.distinguished, cert.r, cert.s)
+    assert dict(back.witnesses) == cert.witnesses
+    assert sorted(mask for mask, _ in back.witnesses) == list(range(4))
 
 
 @settings(max_examples=100, deadline=None)
@@ -155,16 +168,30 @@ def test_verify_matches_per_bit_oracle(data):
         cert = dataclasses.replace(cert, box=Box(tuple(
             tuple(data.draw(st.lists(st.integers(-1, 3), min_size=1, max_size=3,
                                      unique=True))) for _ in range(data.draw(st.integers(1, 2))))))
-    assert verify_certificate(f, cert) is verify_certificate_oracle(f, cert)
+    expected = verify_certificate_oracle(f, cert)
+    assert verify_certificate(f, cert) is expected
+    # as documents, through the checker's reader and `vck-lab verify`; an
+    # extra mask is written as a subset listed twice, which is invalid too
+    cert_doc = json.loads(dumps_canonical(cert.to_doc()))
+    inst_doc = json.loads(dumps_canonical(functions_to_doc(f.space, [f])))
+    function = read_instance(inst_doc)[0]
+    read = read_certificate(cert_doc)
+    assert shatters(function.values, function.shape, read.box, read.distinguished, read.r,
+                    read.s, read.witnesses) is expected
+    with tempfile.TemporaryDirectory() as tmp:
+        cert_path, inst_path = os.path.join(tmp, "cert.json"), os.path.join(tmp, "inst.json")
+        write_canonical(cert_path, cert_doc)
+        write_canonical(inst_path, inst_doc)
+        assert main(["verify", cert_path, inst_path, "--out", os.path.join(tmp, "v.json")]) \
+            == (0 if expected else 2)
 
 
 def test_certificate_subset_outside_box_rejected():
-    from vck_lab.vck import ShatteringCertificate
     g = membership_gadget(2, 1)
     doc = check_shattered(g, Box(((0, 1),)), 1, 0.5, 0.5).to_doc()
     doc["witnesses"][-1]["subset"].append([5])
-    with pytest.raises(InvalidArgumentError):
-        ShatteringCertificate.from_doc(doc)
+    with pytest.raises(InvalidArgumentError, match="lies outside the box"):
+        read_certificate(doc)
 
 
 def test_cap_beyond_int64_bitmask_refused():
@@ -232,17 +259,6 @@ def test_threshold_narrowing_never_shrinks_dimension():
         assert wide <= inner_pair
 
 
-def test_vc_profile_monotone_in_widening():
-    vals = np.random.default_rng(77).random((4, 5))
-    f = MeasuredFunction(PartiteSpace.uniform([4, 5]), (0, 1), vals)
-    profile = vc_profile(f, 1, 1, height=1)
-    from fractions import Fraction
-    half = Fraction(1, 2)
-    # widening thresholds (smaller r, larger s) never increases the dimension
-    assert profile[(0, 1)].dimension <= profile[(0, half)].dimension
-    assert profile[(0, 1)].dimension <= profile[(half, 1)].dimension
-
-
 # -- slicewise -----------------------------------------------------------------
 
 def test_slicewise_matches_max_over_distinguished_at_base_arity():
@@ -304,36 +320,6 @@ def test_sauer_shelah_big_integers():
     # far beyond 128-bit
     val = sauer_shelah_bound(50, 3, 40)
     assert val > 2 ** 200
-
-
-def zarankiewicz_oracle_bipartite(m: int, a: int) -> int:
-    """Independent exhaustive oracle over edge subsets of K_{m,m}."""
-    edges = list(itertools.product(range(m), range(m)))
-    best_free = 0
-    for bits in range(1 << len(edges)):
-        graph = {edges[i] for i in range(len(edges)) if bits >> i & 1}
-        has_box = any(
-            all((x, y) in graph for x in rows for y in cols)
-            for rows in itertools.combinations(range(m), a)
-            for cols in itertools.combinations(range(m), a))
-        if not has_box:
-            best_free = max(best_free, len(graph))
-    return best_free + 1
-
-
-def test_zarankiewicz_bipartite_against_oracle():
-    assert zarankiewicz(2, 2, 2) == zarankiewicz_oracle_bipartite(2, 2) == 4
-    assert zarankiewicz(3, 2, 2) == zarankiewicz_oracle_bipartite(3, 2) == 7
-
-
-def test_zarankiewicz_unary_is_a():
-    # z_1(m, d+1) = d + 1
-    assert zarankiewicz(6, 3, 1) == 3
-
-
-def test_zarankiewicz_feasibility_guard():
-    with pytest.raises(ResourceLimitError):
-        zarankiewicz(5, 2, 2)
 
 
 # -- permutation bound and parity sentinel ---------------------------------------
@@ -403,6 +389,28 @@ def test_vc_k_matches_per_box_oracle(problem):
         assert result.certificate.to_doc() == cert.to_doc()
     assert [level.d for level in result.levels] == list(range(1, len(result.levels) + 1))
     assert all(level.checked <= level.boxes for level in result.levels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_covered_bound_matches_sort_oracle(data):
+    # random <= r tables: values 0 or 1 against r = 0.5, batches of sorted
+    # vertex combinations per side, keys of 1 to 9 bits (uint8 and uint16)
+    k = data.draw(st.sampled_from((1, 2)))
+    d = data.draw(st.integers(1, 9 if k == 1 else 3))
+    sides = [data.draw(st.integers(d, d + 3)) for _ in range(k)]
+    witnesses = data.draw(st.integers(1, 70))
+    bits = data.draw(st.lists(st.booleans(), min_size=math.prod(sides) * witnesses,
+                              max_size=math.prod(sides) * witnesses))
+    values = np.array(bits, dtype=np.float64).reshape(sides + [witnesses])
+    f = MeasuredFunction(PartiteSpace.uniform(sides + [witnesses]), tuple(range(k + 1)),
+                         values)
+    scan = _LevelScan(f, k, 0.5, 0.5)
+    boxes = data.draw(st.lists(st.tuples(*[
+        st.lists(st.integers(0, n - 1), min_size=d, max_size=d, unique=True).map(sorted)
+        for n in sides]), min_size=1, max_size=12))
+    combos = np.array(boxes, dtype=np.int64)
+    assert scan.covered_bound(combos).tolist() == covered_bound_oracle(scan, combos).tolist()
 
 
 def test_count_bound_ends_search_without_scanning():
