@@ -19,13 +19,12 @@ _EXPORTS = {
             "sauer_shelah_bound", "trace_count", "vc_k", "vc_k_slicewise",
             "verify_certificate"),
     "gowers": ("BoxNormReport", "box_norm", "cylinder_correlation", "dual_function"),
-    "fibalg": ("AtomPartition", "FiberFamilySpec", "FuzzinessWitness", "atoms", "dyadics",
-               "fiber_family", "fuzziness", "project_simple", "round_to_cells",
-               "smooth_indicator", "threshold_witness"),
+    "fibalg": ("AtomPartition", "FiberApproxReport", "FiberFamilySpec", "FuzzinessWitness",
+               "approx_by_fibers", "atoms", "dyadics", "fiber_family", "fuzziness",
+               "project_simple", "round_to_cells", "smooth_indicator", "threshold_witness"),
     "decomp": ("BooleanCylinderExpr", "CylinderDecomposition", "CylinderTerm",
-               "FiberApproxReport", "FitReport", "PoolLeaf", "approx_by_fibers",
-               "fit_boolean_cylinders", "fit_weighted_cylinders", "fit_weighted_restarts",
-               "index_sets",
+               "FitReport", "PoolLeaf", "fit_boolean_cylinders", "fit_weighted_cylinders",
+               "fit_weighted_restarts", "index_sets",
                "l2_error", "sample_fiber_pool", "sym_diff"),
     "adversary": ("AdversarialInstance", "build_instance", "inapproximability_score",
                   "inapproximability_scores", "pattern_norm", "quasirandomness_curve",

@@ -22,7 +22,6 @@ from .gen import check_grid
 from .gowers import box_norm
 from .space import (MeasuredFunction, Part, PartiteSpace, Relation, grid_masks,
                     weighted_sum)
-from .vck import ShatteringCertificate
 
 
 def random_pattern(d: int, k: int, p: float, seed: int, trial: int = 0) -> Relation:
@@ -58,6 +57,9 @@ def build_instance(f: MeasuredFunction, cert, H: Relation,
     pattern slice) or an explicit mapping {coordinate -> vertex tuple}.
     Anchor vertices get unit point mass on every non-embedded coordinate.
     """
+    # imported here: the adversary sweep itself never reads a certificate
+    from .vck import ShatteringCertificate
+
     d = H.shape[0]
     if any(s != d for s in H.shape):
         raise InvalidArgumentError("pattern must have equal part sizes")
@@ -157,26 +159,32 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _function_fits(task) -> tuple:
-    """(best error, ALS sweeps, BVLS steps) of all restarts of one function:
-    one batched weighted fit."""
-    f, k, N, restart_args = task
-    reports = [report for _, report in fit_weighted_restarts(f, k, N, restart_args)]
-    return (min(report.error for report in reports),
-            sum(report.iterations for report in reports),
-            sum(report.bvls_steps for report in reports))
+def _group_fits(task) -> list:
+    """Per function of one group, (best error, ALS sweeps, BVLS steps) over
+    its restarts: one batched weighted fit of every restart of every
+    function."""
+    fs, k, N, restart_args = task
+    results = []
+    for fits in fit_weighted_restarts(fs, k, N, restart_args):
+        reports = [report for _, report in fits]
+        results.append((min(report.error for report in reports),
+                        sum(report.iterations for report in reports),
+                        sum(report.bvls_steps for report in reports)))
+    return results
 
 
 def inapproximability_scores(functions, k: int, N: int, seed: int = 0,
                              restarts: int = defaults.SCORE_RESTARTS) -> tuple:
     """:func:`inapproximability_score` of each function, fitted together.
 
-    The restarts of one function are one batched weighted fit
+    The functions that share a space and a signature form one group, and
+    all restarts of all of a group's functions are one batched weighted fit
     (:func:`~vck_lab.decomp.fit_weighted_restarts`, every restart in
-    lockstep, each equal to its serial fit bit for bit), and each function
-    is one independent, deterministic task.  The tasks are spread over the
-    CPUs this process may run on, one forked worker per CPU up to one per
-    function, and their results taken back in task order: the scores do not
+    lockstep, each equal to its serial fit bit for bit).  Each group is one
+    independent, deterministic task, and the tasks run largest grid first,
+    so the longest fits start earliest.  They are spread over the CPUs this
+    process may run on, one forked worker per CPU up to one per group, and
+    the scores are returned in the order of ``functions``: they do not
     depend on how many workers ran.  Returns ``(scores, diagnostics)``; the
     diagnostics hold the ``workers`` used, the ``fits`` made (functions
     times restarts), the ``als_sweeps`` they took and the ``bvls_steps`` of
@@ -186,10 +194,15 @@ def inapproximability_scores(functions, k: int, N: int, seed: int = 0,
         raise InvalidArgumentError(f"need restarts >= 1, got {restarts}")
     restart_args = [(int(rng.raw64(seed, rng.STREAM_SCORE, 1, r)[0]),
                      "auto" if r == 0 else "random") for r in range(restarts)]
-    tasks = [(f, k, N, restart_args) for f in functions]
+    functions = list(functions)
+    groups = {}  # (space, signature) -> indices into functions, in order
+    for i, f in enumerate(functions):
+        groups.setdefault((f.space, tuple(f.signature)), []).append(i)
+    members = sorted(groups.values(), key=lambda idx: -functions[idx[0]].values.size)
+    tasks = [([functions[i] for i in idx], k, N, restart_args) for idx in members]
     workers = max(1, min(_cpu_count(), len(tasks)))
     if workers == 1:
-        results = list(map(_function_fits, tasks))
+        results = list(map(_group_fits, tasks))
     else:
         # imported here, so that commands without a pool do not pay for it
         import multiprocessing
@@ -199,11 +212,15 @@ def inapproximability_scores(functions, k: int, N: int, seed: int = 0,
         # fits.  The library starts no threads; OpenBLAS stops its own
         # around a fork.
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_function_fits, tasks, chunksize=1)
-    scores = [float(error) for error, _, _ in results]
-    diagnostics = {"workers": workers, "fits": len(tasks) * restarts,
-                   "als_sweeps": sum(sweeps for _, sweeps, _ in results),
-                   "bvls_steps": sum(steps for _, _, steps in results)}
+            results = pool.map(_group_fits, tasks, chunksize=1)
+    by_function = [None] * len(functions)
+    for idx, fits in zip(members, results):
+        for i, fit in zip(idx, fits):
+            by_function[i] = fit
+    scores = [float(error) for error, _, _ in by_function]
+    diagnostics = {"workers": workers, "fits": len(functions) * restarts,
+                   "als_sweeps": sum(sweeps for _, sweeps, _ in by_function),
+                   "bvls_steps": sum(steps for _, _, steps in by_function)}
     return scores, diagnostics
 
 

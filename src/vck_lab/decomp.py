@@ -25,10 +25,9 @@ import numpy as np
 
 from . import defaults, rng
 from .errors import InvalidArgumentError, NumericalFailureError
-from .fibalg import FiberFamilySpec, atoms, fiber_family, project_simple
-from .space import (MeasuredFunction, Relation, cylinder, cylinder_product, dyadics,
-                    fiber, index_sets, integrate, level_set, weighted_l2, weighted_sum)
-from .serialize import parse_fraction, reading, space_from_doc, space_to_doc
+from .space import (MeasuredFunction, Relation, cylinder, cylinder_product, fiber,
+                    index_sets, integrate, weighted_l2, weighted_sum)
+from .serialize import json_int, parse_fraction, reading, space_from_doc, space_to_doc
 
 
 @dataclass(frozen=True)
@@ -104,14 +103,14 @@ class CylinderDecomposition:
         for rec in doc["terms"]:
             factors = {}
             for frec in rec["factors"]:
-                positions = tuple(int(p) for p in frec["positions"])
+                positions = tuple(json_int(p, "factor position") for p in frec["positions"])
                 fsig = tuple(sig[p] for p in positions)
                 vals = np.array([float(v) for v in frec["values"]],
                                 dtype=np.float64).reshape(space.sizes(fsig))
                 factors[positions] = MeasuredFunction(space, fsig, vals,
                                                       name=frec["name"])
             terms.append(CylinderTerm(parse_fraction(rec["gamma"]), factors))
-        return CylinderDecomposition(space, sig, int(doc["k"]), tuple(terms))
+        return CylinderDecomposition(space, sig, json_int(doc["k"], "k"), tuple(terms))
 
 
 @dataclass(frozen=True)
@@ -325,50 +324,65 @@ def fit_boolean_cylinders(E: MeasuredFunction, k: int, n_max: int,
 # weighted fitting
 
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
 class BoxSolution(NamedTuple):
     x: np.ndarray       # the minimizer, in [0, 1]
     residual: float     # ||A x - b||
     steps: int          # active-set steps taken
 
 
+def _clip(v: float) -> float:
+    """``np.clip(v, 0.0, 1.0)`` on one float: -0.0 and NaN pass unchanged."""
+    return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+
+
 def _box_solve(Rb: np.ndarray, x0=None) -> BoxSolution:
     """The active-set half of :func:`bounded_least_squares`, on the
-    triangular factor ``Rb`` of [A b]."""
+    triangular factor ``Rb`` of [A b].  The bookkeeping (free set, ratio
+    test, clipping, optimality check) runs on Python floats, which at these
+    sizes cost far less than numpy calls; every product and solve is a numpy
+    call, so the rounding is numpy's."""
     n = Rb.shape[1] - 1
     R, d = Rb[:n, :n], Rb[:n, n]
     rho = float(Rb[n, n]) if Rb.shape[0] > n else 0.0
-    if x0 is None:
-        x = np.clip(np.linalg.lstsq(R, d, rcond=None)[0], 0.0, 1.0)
-    else:
-        x = np.clip(np.array(x0, dtype=np.float64), 0.0, 1.0)
-    pinned = (x == 0.0) | (x == 1.0)
+    start = (np.linalg.lstsq(R, d, rcond=None)[0] if x0 is None
+             else np.asarray(x0, dtype=np.float64))
+    x = [_clip(v) for v in start.tolist()]
+    pinned = [v == 0.0 or v == 1.0 for v in x]
     # gradients below what lstsq's rank cutoff can resolve are rounding noise;
     # norms by hypot, whose squares cannot underflow to a zero tolerance
-    r_norm, d_norm = math.hypot(*R.ravel()), math.hypot(*d)
-    noise = 8 * max(R.shape) * np.finfo(np.float64).eps * r_norm
-    for steps in range(1, defaults.BVLS_STEP_CAP * (x.size + 1) + 1):
-        free = np.flatnonzero(~pinned)
+    r_norm, d_norm = math.hypot(*R.ravel().tolist()), math.hypot(*d.tolist())
+    noise = 8 * max(R.shape) * _EPS * r_norm
+    for steps in range(1, defaults.BVLS_STEP_CAP * (len(x) + 1) + 1):
+        free = [i for i, p in enumerate(pinned) if not p]
         # the free minimizer itself, not x plus a step: its rounding is then
         # independent of where x started
-        target = np.linalg.lstsq(R[:, free], d - R @ np.where(pinned, x, 0.0),
-                                 rcond=None)[0]
-        step = target - x[free]
-        leaving = (target < 0.0) | (target > 1.0)
-        if leaving.any():
-            room = np.where(step < 0.0, x[free], 1.0 - x[free])
-            ratio = np.where(leaving, room / np.where(leaving, np.abs(step), 1.0), np.inf)
-            hit = ratio == ratio.min()
-            x[free] = np.clip(x[free] + ratio.min() * step, 0.0, 1.0)
-            x[free[hit]] = step[hit] > 0.0
-            pinned[free[hit]] = True
+        fixed = np.array([v if p else 0.0 for v, p in zip(x, pinned)])
+        target = np.linalg.lstsq(R[:, free], d - R @ fixed, rcond=None)[0].tolist()
+        leaving = [t < 0.0 or t > 1.0 for t in target]
+        if any(leaving):
+            step = [t - x[i] for t, i in zip(target, free)]
+            ratio = [(x[i] if s < 0.0 else 1.0 - x[i]) / abs(s) if out else math.inf
+                     for i, s, out in zip(free, step, leaving)]
+            least = min(ratio)
+            for i, s, r in zip(free, step, ratio):
+                if r == least:
+                    x[i], pinned[i] = (1.0 if s > 0.0 else 0.0), True
+                else:
+                    x[i] = _clip(x[i] + least * s)
             continue
-        x[free] = target
-        fit = R @ x - d
-        gradient = R.T @ fit
-        violation = np.where(pinned, np.where(x == 0.0, -gradient, gradient), 0.0)
-        if violation.max() <= noise * (r_norm * math.hypot(*x) + d_norm):
-            return BoxSolution(x, math.hypot(*fit, rho), steps)
-        pinned[np.argmax(violation)] = False
+        for i, t in zip(free, target):
+            x[i] = t
+        xs = np.array(x)
+        fit = R @ xs - d
+        violation = [(-g if v == 0.0 else g) if p else 0.0
+                     for g, v, p in zip((R.T @ fit).tolist(), x, pinned)]
+        worst = max(violation)
+        if worst <= noise * (r_norm * math.hypot(*x) + d_norm):
+            return BoxSolution(xs, math.hypot(*fit.tolist(), rho), steps)
+        pinned[violation.index(worst)] = False
     raise NumericalFailureError("bounded least squares did not converge")
 
 
@@ -381,7 +395,7 @@ def bounded_least_squares(A: np.ndarray, b: np.ndarray, x0=None) -> BoxSolution:
     outside A's range.  So each solve is at most n x n and the condition
     number is A's, not its square as with the normal equations (which lose
     near-exact fits).  The weighted fitter factors the problems of all its
-    restarts in one stacked call.  Then the active-set solve on that factor,
+    rows (restarts of one or more targets) in one stacked call.  Then the active-set solve on that factor,
     one problem at a time.  It starts from x0 clipped to the box, or else
     from the clipped unconstrained solution.  Each step heads for the
     minimizer over the free variables by a minimum-norm solve, so
@@ -395,9 +409,10 @@ def bounded_least_squares(A: np.ndarray, b: np.ndarray, x0=None) -> BoxSolution:
 
 @dataclass
 class _Run:
-    """One restart of a weighted fit: its seed, init mode and counters.  Its
-    factors live in a row of a :class:`_Batch`."""
+    """One restart of a weighted fit: the index of its target, its seed, init
+    mode and counters.  Its factors live in a row of a :class:`_Batch`."""
 
+    target: int
     seed: int
     mode: str
     iterations: int = 0
@@ -405,6 +420,11 @@ class _Run:
     sweeps_per_term: list = field(default_factory=list)
     sweep_errors: list = field(default_factory=list)
     rival_of: "_Run | None" = None  # the auto run whose constant first term this is
+
+
+def _targets(runs) -> list:
+    """Each run's target index, to gather per-target arrays by row."""
+    return [run.target for run in runs]
 
 
 def _batched(positions) -> tuple:
@@ -448,20 +468,25 @@ class _Batch:
 
 
 class _WeightedFit:
-    """What the restarts of one weighted fit share (target, measure, term
-    budget) and the steps they take in lockstep, each on a whole batch."""
+    """What the restarts of weighted fits on one space and signature share
+    (measure, term budget), each target's values, mean, baseline and b, and
+    the steps the restarts take in lockstep, each on a whole batch.  A row
+    reads its target's data through its run's ``target`` index."""
 
-    def __init__(self, f: MeasuredFunction, k: int, n_max: int, als_iters: int, init):
-        self.f, self.k, self.n_max, self.als_iters, self.init = f, k, n_max, als_iters, init
+    def __init__(self, fs, k: int, n_max: int, als_iters: int, init):
+        f = fs[0]
+        self.fs, self.k, self.n_max, self.als_iters, self.init = fs, k, n_max, als_iters, init
         self.k_prime = f.arity
         self.shape = f.shape
         self.sets = index_sets(self.k_prime, k)
         self.w = f.space.weight_tensor(f.signature)
-        self.target = f.values
-        self.mean = min(1.0, max(0.0, integrate(f)))
-        self.baseline = weighted_l2(self.w, self.target - self.mean)
+        self.targets = np.stack([g.values for g in fs])
+        self.means = [min(1.0, max(0.0, integrate(g))) for g in fs]
+        self.baselines = [weighted_l2(self.w, g.values - mean)
+                          for g, mean in zip(fs, self.means)]
+        self.centered = self.targets - np.reshape(self.means, (-1,) + (1,) * self.k_prime)
         self.sw = np.sqrt(self.w).ravel()
-        self.b = self.target.ravel() * self.sw
+        self.b = self.targets.reshape(len(fs), -1) * self.sw
         self.weight_vectors = [f.space.weight_vector(part) for part in f.signature]
         # per coordinate, the index that views a (rows, size) array as its
         # cylinder on the batched grid
@@ -505,26 +530,29 @@ class _WeightedFit:
 
     def start(self, runs) -> _Batch:
         """Rows for fresh runs, holding the init terms, if any."""
-        rows = len(runs)
-        batch = _Batch(runs, [], np.zeros((rows, 0)), np.zeros((rows, self.target.size, 0)),
-                       np.repeat(self.target[None], rows, axis=0), np.zeros(rows))
+        rows, which = len(runs), _targets(runs)
+        batch = _Batch(runs, [], np.zeros((rows, 0)), np.zeros((rows, self.sw.size, 0)),
+                       self.targets[which], np.zeros(rows))
         for factors, gamma in self.init_terms:
             self.add_term(batch, {pos: np.repeat(v[None], rows, axis=0)
                                   for pos, v in factors.items()}, np.full(rows, gamma))
-        batch.err = np.full(rows, weighted_l2(self.w, batch.resid[0]))
+        err = {}
+        for t, resid in zip(which, batch.resid):
+            if t not in err:  # rows of one target start from one residual
+                err[t] = weighted_l2(self.w, resid)
+        batch.err = np.array([err[t] for t in which])
         return batch
 
     def constant(self, runs) -> _Batch:
-        """Rows holding one constant term at the mean, which start exactly
-        at the baseline."""
-        rows = len(runs)
+        """Rows holding one constant term at their target's mean, which
+        start exactly at its baseline."""
+        rows, which = len(runs), _targets(runs)
         const = {pos: np.ones((rows,) + tuple(self.shape[p] for p in pos)) for pos in self.sets}
         for run in runs:
             run.sweeps_per_term.append(0)
-        return _Batch(runs, [const], np.full((rows, 1), self.mean),
-                      self.product(const).reshape(rows, -1, 1),
-                      np.repeat((self.target - self.mean)[None], rows, axis=0),
-                      np.full(rows, self.baseline))
+        return _Batch(runs, [const], np.array([[self.means[t]] for t in which]),
+                      self.product(const).reshape(rows, -1, 1), self.centered[which],
+                      np.array([self.baselines[t] for t in which]))
 
     def seeded_term(self, run: _Run, resid: np.ndarray, counter: int) -> dict:
         """A new term's factors: the dominant pattern of the positive
@@ -554,14 +582,15 @@ class _WeightedFit:
         from its last ones: one stacked QR, then one active-set solve per
         row.  The residuals are rebuilt from them; returns the rows'
         errors, their solves' residual norms."""
-        P = batch.P
+        P, which = batch.P, _targets(batch.runs)
         Ab = np.empty(P.shape[:2] + (P.shape[2] + 1,))
         np.multiply(P, self.sw[:, None], out=Ab[:, :, :-1])
-        Ab[:, :, -1] = self.b
+        Ab[:, :, -1] = self.b[which]
         solutions = [_box_solve(Rb, g)
                      for Rb, g in zip(np.linalg.qr(Ab, mode="r"), batch.gammas)]
         batch.gammas = np.array([s.x for s in solutions])
-        batch.resid = self.target - (P @ batch.gammas[:, :, None]).reshape(batch.resid.shape)
+        batch.resid = (self.targets[which]
+                       - (P @ batch.gammas[:, :, None]).reshape(batch.resid.shape))
         for run, s in zip(batch.runs, solutions):
             run.bvls_steps += s.steps
         return np.array([s.residual for s in solutions])
@@ -703,7 +732,7 @@ class _WeightedFit:
             auto = [run for run in batch.runs if run.mode == "auto"]
             if len(batch.factors) == 1 and self.init is None and auto:
                 # the constant first term joins the lockstep as a rival row
-                rivals = self.constant([_Run(run.seed, run.mode, rival_of=run)
+                rivals = self.constant([_Run(run.target, run.seed, run.mode, rival_of=run)
                                         for run in auto])
                 batch = self.keep_better_first_terms(
                     self.als(_Batch.join([batch, rivals]), self.als_iters))
@@ -716,8 +745,9 @@ class _WeightedFit:
         run that ends above the constant baseline falls back to the constant
         fit, alone."""
         run = batch.runs[i]
+        baseline = self.baselines[run.target]
         decomposition, final_err = self.decomposition_and_error(batch, i)
-        if (final_err > self.baseline + defaults.MONOTONE_SLACK and self.init is None
+        if (final_err > baseline + defaults.MONOTONE_SLACK and self.init is None
                 and run.mode == "random"):
             # random factors refined by too few sweeps need not beat the mean;
             # the constant fit is never worse.  Auto mode already kept the better
@@ -725,15 +755,15 @@ class _WeightedFit:
             run.sweeps_per_term[:] = []
             decomposition, final_err = self.decomposition_and_error(
                 self.als(self.constant([run]), self.als_iters), 0)
-        if final_err > self.baseline + defaults.MONOTONE_SLACK:
+        if final_err > baseline + defaults.MONOTONE_SLACK:
             raise NumericalFailureError(
-                f"weighted fit error {final_err} exceeds constant baseline {self.baseline}")
+                f"weighted fit error {final_err} exceeds constant baseline {baseline}")
         return decomposition, FitReport(
-            final_err, len(decomposition.terms), run.iterations, run.seed, self.baseline,
+            final_err, len(decomposition.terms), run.iterations, run.seed, baseline,
             run.bvls_steps, tuple(run.sweeps_per_term), tuple(run.sweep_errors))
 
     def decomposition_and_error(self, batch: _Batch, i: int) -> tuple:
-        f = self.f
+        f = self.fs[batch.runs[i].target]
         final_terms = tuple(
             CylinderTerm(Fraction(float(g)),
                          {pos: MeasuredFunction(f.space,
@@ -746,24 +776,34 @@ class _WeightedFit:
         return decomposition, l2_error(f, decomposition)
 
 
-def fit_weighted_restarts(f: MeasuredFunction, k: int, n_max: int, restarts,
+def fit_weighted_restarts(fs, k: int, n_max: int, restarts,
                           als_iters: int = defaults.ALS_ITERS, init=None) -> list:
-    """Weighted fits of one target, one per (seed, init_mode) pair of
-    ``restarts``, run in lockstep: every factor step, residual update and
-    coefficient QR is one numpy call for all of them.  Returns one
-    ``(decomposition, report)`` pair per restart, in order, each the fit
-    that :func:`fit_weighted_cylinders` makes of that restart alone, bit for
-    bit.  Each batch builds at most ARRAY_CAP entries (rows times grid
-    cells times n_max + 1, the coefficient problem's columns); more
-    restarts run in consecutive batches.
+    """Weighted fits of the targets ``fs``, which share one space and
+    signature, one per target and (seed, init_mode) pair of ``restarts``,
+    run in lockstep: every factor step, residual update and coefficient QR
+    is one numpy call for all of them, and each row reads its own target,
+    mean, baseline and b.  Returns per target a list of one ``(decomposition,
+    report)`` pair per restart, in order, each the fit that
+    :func:`fit_weighted_cylinders` makes of that target and restart alone,
+    bit for bit.  Each batch builds at most ARRAY_CAP entries (rows times
+    grid cells times n_max + 1, the coefficient problem's columns); more
+    fits run in consecutive batches, target by target, restart by restart.
     """
+    fs = list(fs)
+    if not fs:
+        raise InvalidArgumentError("need at least one target")
+    f = fs[0]
+    if any(g.space != f.space or tuple(g.signature) != tuple(f.signature) for g in fs):
+        raise InvalidArgumentError("targets fitted together need one space and signature")
     if f.arity <= k:
         raise InvalidArgumentError(f"target arity {f.arity} must exceed k={k}")
     if n_max < 1 or als_iters < 0:
         raise InvalidArgumentError(f"need n_max >= 1 and als_iters >= 0, got "
                                    f"n_max={n_max}, als_iters={als_iters}")
-    fit = _WeightedFit(f, k, n_max, als_iters, init)
-    runs = [_Run(int(seed), mode) for seed, mode in restarts]
+    fit = _WeightedFit(fs, k, n_max, als_iters, init)
+    per_target = [[_Run(t, int(seed), mode) for seed, mode in restarts]
+                  for t in range(len(fs))]
+    runs = [run for target_runs in per_target for run in target_runs]
     # an auto run brings its constant-first-term rival into the first round
     width = [2 if run.mode == "auto" and init is None else 1 for run in runs]
     room = max(1, defaults.ARRAY_CAP // (math.prod(f.shape) * (n_max + 1)))
@@ -777,7 +817,7 @@ def fit_weighted_restarts(f: MeasuredFunction, k: int, n_max: int, restarts,
             for i, run in enumerate(batch.runs):
                 results[id(run)] = fit.report(batch, i)
         start = stop
-    return [results[id(run)] for run in runs]
+    return [[results[id(run)] for run in target_runs] for target_runs in per_target]
 
 
 def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
@@ -807,66 +847,6 @@ def fit_weighted_cylinders(f: MeasuredFunction, k: int, n_max: int,
 
     ``init`` may carry a decomposition to refine (oracle initialization);
     its terms are taken verbatim before any greedy additions.  This is the
-    one-restart case of :func:`fit_weighted_restarts`.
+    one-target, one-restart case of :func:`fit_weighted_restarts`.
     """
-    return fit_weighted_restarts(f, k, n_max, [(seed, init_mode)], als_iters, init)[0]
-
-
-# --------------------------------------------------------------------------
-# anchor selection for fiber approximation
-
-
-@dataclass(frozen=True)
-class FiberApproxReport:
-    anchors: tuple
-    max_error: float
-    met_epsilon: bool
-    per_fiber: tuple  # (vertex, error) pairs for the final anchor set
-
-    def to_doc(self) -> dict:
-        return {"anchors": list(self.anchors), "max_error": self.max_error,
-                "met_epsilon": self.met_epsilon,
-                "per_fiber": [{"vertex": v, "error": e} for v, e in self.per_fiber]}
-
-
-def approx_by_fibers(f: MeasuredFunction, eps: float, anchors_budget: int,
-                     spec: FiberFamilySpec) -> FiberApproxReport:
-    """Greedy anchor selection until every fiber projects within eps.
-
-    For each candidate vertex x of the distinguished (last) coordinate, the
-    fiber of f at x is projected onto the algebra generated by the cylinder
-    fiber family at (anchors + x) together with the dyadic level sets of the
-    anchors' own fibers.  The worst-approximated x joins the anchor list;
-    the report is flagged when the budget runs out above eps.
-    """
-    dist = f.arity - 1
-    k = f.arity - 1
-    if k < 1:
-        raise InvalidArgumentError("need arity >= 2")
-    part_size = f.shape[dist]
-    anchors: list = []
-
-    def projection_error(x, current):
-        generators = fiber_family(
-            f, FiberFamilySpec(spec.height, tuple(current) + (x,), spec.params))
-        for a in current:
-            fa = fiber(f, {dist: a})
-            for q in dyadics(spec.height):
-                generators.append(level_set(fa, float(q), "<",
-                                            name=f"{f.name}[b={a}]<{q}"))
-        partition = atoms(generators) if generators else atoms(
-            [], space=f.space, signature=f.signature[:k])
-        fx = fiber(f, {dist: x})
-        _, err = project_simple(fx, partition)
-        return err
-
-    while True:
-        errors = [(projection_error(x, anchors), x) for x in range(part_size)]
-        worst_err, worst_x = max(errors, key=lambda t: (t[0], -t[1]))
-        if worst_err <= eps:
-            return FiberApproxReport(tuple(anchors), worst_err, True,
-                                     tuple((x, e) for e, x in errors))
-        if len(anchors) >= anchors_budget:
-            return FiberApproxReport(tuple(anchors), worst_err, False,
-                                     tuple((x, e) for e, x in errors))
-        anchors.append(worst_x)
+    return fit_weighted_restarts([f], k, n_max, [(seed, init_mode)], als_iters, init)[0][0]

@@ -20,7 +20,7 @@ import numpy as np
 from . import defaults
 from .errors import DiagnosticFailureError, InvalidArgumentError, ResourceLimitError
 from .space import (MeasuredFunction, Relation, check_array_cap, cylinder, dyadics,
-                    fiber, index_sets, l2_distance, monus, saturating_repeat,
+                    fiber, index_sets, l2_distance, level_set, monus, saturating_repeat,
                     weighted_sum)
 
 
@@ -322,3 +322,63 @@ def round_to_cells(f: MeasuredFunction, partition: AtomPartition,
     return Relation.from_bool(f.space, f.signature,
                               (means > threshold)[partition.labels].reshape(f.shape),
                               name=f"cells({f.name}>{threshold})")
+
+
+# --------------------------------------------------------------------------
+# anchor selection for fiber approximation
+
+
+@dataclass(frozen=True)
+class FiberApproxReport:
+    anchors: tuple
+    max_error: float
+    met_epsilon: bool
+    per_fiber: tuple  # (vertex, error) pairs for the final anchor set
+
+    def to_doc(self) -> dict:
+        return {"anchors": list(self.anchors), "max_error": self.max_error,
+                "met_epsilon": self.met_epsilon,
+                "per_fiber": [{"vertex": v, "error": e} for v, e in self.per_fiber]}
+
+
+def approx_by_fibers(f: MeasuredFunction, eps: float, anchors_budget: int,
+                     spec: FiberFamilySpec) -> FiberApproxReport:
+    """Greedy anchor selection until every fiber projects within eps.
+
+    For each candidate vertex x of the distinguished (last) coordinate, the
+    fiber of f at x is projected onto the algebra generated by the cylinder
+    fiber family at (anchors + x) together with the dyadic level sets of the
+    anchors' own fibers.  The worst-approximated x joins the anchor list;
+    the report is flagged when the budget runs out above eps.
+    """
+    dist = f.arity - 1
+    k = f.arity - 1
+    if k < 1:
+        raise InvalidArgumentError("need arity >= 2")
+    part_size = f.shape[dist]
+    anchors: list = []
+
+    def projection_error(x, current):
+        generators = fiber_family(
+            f, FiberFamilySpec(spec.height, tuple(current) + (x,), spec.params))
+        for a in current:
+            fa = fiber(f, {dist: a})
+            for q in dyadics(spec.height):
+                generators.append(level_set(fa, float(q), "<",
+                                            name=f"{f.name}[b={a}]<{q}"))
+        partition = atoms(generators) if generators else atoms(
+            [], space=f.space, signature=f.signature[:k])
+        fx = fiber(f, {dist: x})
+        _, err = project_simple(fx, partition)
+        return err
+
+    while True:
+        errors = [(projection_error(x, anchors), x) for x in range(part_size)]
+        worst_err, worst_x = max(errors, key=lambda t: (t[0], -t[1]))
+        if worst_err <= eps:
+            return FiberApproxReport(tuple(anchors), worst_err, True,
+                                     tuple((x, e) for e, x in errors))
+        if len(anchors) >= anchors_budget:
+            return FiberApproxReport(tuple(anchors), worst_err, False,
+                                     tuple((x, e) for e, x in errors))
+        anchors.append(worst_x)

@@ -16,6 +16,7 @@ import collections
 import functools
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,7 +125,11 @@ class PartiteSpace:
         return PartiteSpace(tuple(Part.uniform(n, s) for n, s in zip(names, sizes)))
 
     def validate_signature(self, signature) -> tuple:
-        sig = tuple(int(i) for i in signature)
+        # operator.index refuses floats, which int() would truncate
+        try:
+            sig = tuple(operator.index(i) for i in signature)
+        except TypeError as exc:
+            raise InvalidArgumentError(f"signature entries must be integers: {exc}") from None
         for i in sig:
             if not 0 <= i < len(self.parts):
                 raise InvalidArgumentError(f"signature index {i} out of range")

@@ -9,7 +9,9 @@ counts on a level scan's witness table by sorting,
 :func:`fit_weighted_cylinders_oracle`, the fitter's full-grid form, solves
 its coefficients with ``bounded_least_squares``, which is checked against
 :func:`bounded_lstsq_oracle`, and :func:`fiber_family_oracle` cuts its
-fibers with ``fiber``.
+fibers with ``fiber``.  :func:`box_solve_oracle` is the fitter's active-set
+solve with its bookkeeping on numpy arrays, the reference for the one on
+Python floats.
 """
 
 import itertools
@@ -134,6 +136,47 @@ def bounded_lstsq_oracle(A, b):
             if res < best_res:
                 best_x, best_res = x, res
     return best_x, best_res
+
+
+def box_solve_oracle(Rb, x0=None):
+    """The active-set solve of ``bounded_least_squares`` with its bookkeeping
+    on numpy arrays: ``(x, residual, steps)``.  ``decomp._box_solve`` keeps
+    the same products and solves and must match it bit for bit."""
+    from vck_lab import defaults
+    from vck_lab.errors import NumericalFailureError
+
+    n = Rb.shape[1] - 1
+    R, d = Rb[:n, :n], Rb[:n, n]
+    rho = float(Rb[n, n]) if Rb.shape[0] > n else 0.0
+    if x0 is None:
+        x = np.clip(np.linalg.lstsq(R, d, rcond=None)[0], 0.0, 1.0)
+    else:
+        x = np.clip(np.array(x0, dtype=np.float64), 0.0, 1.0)
+    pinned = (x == 0.0) | (x == 1.0)
+    r_norm, d_norm = math.hypot(*R.ravel()), math.hypot(*d)
+    noise = 8 * max(R.shape) * np.finfo(np.float64).eps * r_norm
+    for steps in range(1, defaults.BVLS_STEP_CAP * (x.size + 1) + 1):
+        free = np.flatnonzero(~pinned)
+        target = np.linalg.lstsq(R[:, free], d - R @ np.where(pinned, x, 0.0),
+                                 rcond=None)[0]
+        step = target - x[free]
+        leaving = (target < 0.0) | (target > 1.0)
+        if leaving.any():
+            room = np.where(step < 0.0, x[free], 1.0 - x[free])
+            ratio = np.where(leaving, room / np.where(leaving, np.abs(step), 1.0), np.inf)
+            hit = ratio == ratio.min()
+            x[free] = np.clip(x[free] + ratio.min() * step, 0.0, 1.0)
+            x[free[hit]] = step[hit] > 0.0
+            pinned[free[hit]] = True
+            continue
+        x[free] = target
+        fit = R @ x - d
+        gradient = R.T @ fit
+        violation = np.where(pinned, np.where(x == 0.0, -gradient, gradient), 0.0)
+        if violation.max() <= noise * (r_norm * math.hypot(*x) + d_norm):
+            return x, math.hypot(*fit, rho), steps
+        pinned[np.argmax(violation)] = False
+    raise NumericalFailureError("bounded least squares did not converge")
 
 
 def decomposition_value_oracle(decomposition, point) -> float:

@@ -195,8 +195,8 @@ def test_scores_equal_serial_restart_loop(k, group, N, restarts, pattern_seed, f
     expected = [inapproximability_score_oracle(H, k, N, seed=fit_seed, restarts=restarts)
                 for H in patterns]
     assert scores == [score for score, _, _ in expected]
-    # one task per function, all of its restarts
-    assert diagnostics == {"workers": min(3, len(patterns)),
+    # one task per pattern size, all restarts of all of its patterns
+    assert diagnostics == {"workers": min(3, len({d for d, _ in group})),
                            "fits": len(patterns) * restarts,
                            "als_sweeps": sum(sweeps for _, sweeps, _ in expected),
                            "bvls_steps": sum(steps for _, _, steps in expected)}
@@ -204,15 +204,34 @@ def test_scores_equal_serial_restart_loop(k, group, N, restarts, pattern_seed, f
 
 
 def test_one_worker_equals_pool():
-    patterns = [random_pattern(d, 1, 0.5, 8, t) for d in (3, 5) for t in range(2)]
+    # four sizes, so four tasks: one per pattern size, never one per pattern
+    patterns = [random_pattern(d, 1, 0.5, 8, t) for d in (3, 5, 2, 4) for t in range(2)]
     runs = {}
-    for cpus in (1, 2, 4):
+    for cpus in (1, 2, 4, 8):
         with mock.patch.object(adversary, "_cpu_count", lambda: cpus):
             runs[cpus] = inapproximability_scores(patterns, 1, 3, seed=4, restarts=2)
-    assert [diag["workers"] for _, diag in runs.values()] == [1, 2, 4]
-    assert runs[1][0] == runs[2][0] == runs[4][0]
-    assert runs[1][1]["als_sweeps"] == runs[2][1]["als_sweeps"] == runs[4][1]["als_sweeps"]
-    assert runs[1][1]["bvls_steps"] == runs[2][1]["bvls_steps"] == runs[4][1]["bvls_steps"]
+    assert [diag["workers"] for _, diag in runs.values()] == [1, 2, 4, 4]
+    serial_scores, serial = runs[1]
+    for scores, diag in runs.values():
+        assert scores == serial_scores
+        assert (diag["als_sweeps"], diag["bvls_steps"]) == (serial["als_sweeps"],
+                                                            serial["bvls_steps"])
+
+
+def test_groups_run_largest_grid_first():
+    # the longest fits start earliest; the scores keep the input order
+    patterns = [random_pattern(d, 1, 0.5, 2, t) for t in range(2) for d in (2, 4, 3)]
+    real, sizes = adversary._group_fits, []
+
+    def recording(task):
+        sizes.append([f.shape for f in task[0]])
+        return real(task)
+
+    with mock.patch.object(adversary, "_cpu_count", lambda: 1), \
+            mock.patch.object(adversary, "_group_fits", recording):
+        scores, _ = inapproximability_scores(patterns, 1, 2, seed=1, restarts=2)
+    assert sizes == [[(4, 4)] * 2, [(3, 3)] * 2, [(2, 2)] * 2]
+    assert scores == [inapproximability_score(H, 1, 2, seed=1, restarts=2) for H in patterns]
 
 
 def test_adversary_csv_equals_the_serial_restart_loop_golden(tmp_path, capsys):
@@ -231,7 +250,9 @@ def test_scores_do_not_depend_on_the_batch_split():
     with mock.patch.object(adversary, "_cpu_count", lambda: 1):
         whole = inapproximability_scores(patterns, 1, 4, seed=6)
         # 64 cells x 5 columns fit twice at most: every batch of the largest
-        # patterns splits, down to one restart per batch
-        for cap in (64 * 5 * 2, 1):
+        # patterns splits, down to one restart per batch.  Five and eight
+        # rows end a batch inside the second pattern's restarts (each
+        # pattern's auto restart brings a rival row: six rows per pattern)
+        for cap in (64 * 5 * 2, 64 * 5 * 5, 64 * 5 * 8, 1):
             with mock.patch.object(defaults, "ARRAY_CAP", cap):
                 assert inapproximability_scores(patterns, 1, 4, seed=6) == whole

@@ -470,6 +470,26 @@ def test_verify_loads_only_its_own_modules(tmp_path):
     assert "'vck_lab.check'" in loaded
 
 
+@pytest.mark.parametrize("command", [
+    ["decompose", "--k", "1", "--n-max", "2", "--input", "{inst}"],
+    ["decompose", "--k", "1", "--n-max", "2", "--mode", "boolean", "--input", "{inst}"],
+    ["adversary", "--k", "1", "--d", "2,3", "--trials", "2", "--out", "{out}"]])
+def test_fit_commands_load_no_search_or_fiber_modules(tmp_path, command):
+    # a fit never runs the shattering search, the certificate checker or the
+    # fiber algebras, so its process does not import them
+    inst = tmp_path / "inst.json"
+    assert run("gen", "--kind", "boolcomb", "--params", "sizes=3x3x3",
+               "--out", str(inst)) == 0
+    argv = [arg.format(inst=inst, out=tmp_path / "curve.csv") for arg in command]
+    code = (f"import sys; from vck_lab.cli import main; rc = main({argv!r}); "
+            "print(rc, sorted(m for m in sys.modules if m.startswith('vck_lab.')))")
+    # the report goes to stdout first
+    rc, loaded = _python(code).splitlines()[-1].split(" ", 1)
+    assert rc == "0" and "'vck_lab.decomp'" in loaded
+    for module in ("fibalg", "vck", "check"):
+        assert f"'vck_lab.{module}'" not in loaded
+
+
 def test_star_import_binds_every_public_name():
     import vck_lab
     namespace = {}
@@ -509,16 +529,24 @@ def test_adversary_bad_counts_exit_2(tmp_path, flags, monkeypatch, capsys):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_adversary_fit_failure_in_any_worker_exits_4(tmp_path, monkeypatch, capsys, cpus):
-    def failing_fit(*args, **kwargs):
-        raise NumericalFailureError("injected fit failure")
+    real_fit = adversary.fit_weighted_restarts
+    failing = []
+
+    def failing_fit(fs, *args, **kwargs):
+        if fs[0].shape[0] in failing:
+            raise NumericalFailureError("injected fit failure")
+        return real_fit(fs, *args, **kwargs)
 
     # patched before the pool forks, so every worker inherits it
     monkeypatch.setattr(adversary, "fit_weighted_restarts", failing_fit)
     monkeypatch.setattr(adversary, "_cpu_count", lambda: cpus)
-    assert run("adversary", "--k", "1", "--d", "2,4", "--trials", "2",
-               "--restarts", "2", "--out", str(tmp_path / "curve.csv")) == 4
-    assert capsys.readouterr().err == "error: injected fit failure\n"
-    assert multiprocessing.active_children() == []
+    # one task per pattern size; the task of either size fails alone
+    for failing_d in (2, 4):
+        failing[:] = [failing_d]
+        assert run("adversary", "--k", "1", "--d", "2,4", "--trials", "2",
+                   "--restarts", "2", "--out", str(tmp_path / "curve.csv")) == 4
+        assert capsys.readouterr().err == "error: injected fit failure\n"
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("flags", [

@@ -21,7 +21,7 @@ from vck_lab import defaults
 from vck_lab.decomp import bounded_least_squares, fit_weighted_restarts
 from vck_lab.errors import InvalidArgumentError, NumericalFailureError
 
-from oracles import (bounded_lstsq_oracle, decomposition_value_oracle,
+from oracles import (bounded_lstsq_oracle, box_solve_oracle, decomposition_value_oracle,
                      expression_leaf_count, expression_oracle, fit_weighted_cylinders_oracle)
 
 
@@ -168,9 +168,13 @@ def test_malformed_decomposition_document_rejected():
     space = uniform_space([2, 2])
     d = CylinderDecomposition(space, (0, 1), 1, (
         make_term(space, (0, 1), Fraction(1, 2), {(0,): [1, 0], (1,): [0, 1]}),))
-    doc = json.loads(dumps_canonical(d.to_doc()))
-    del doc["terms"][0]["gamma"]
-    for bad in ({}, [], doc):
+    text = dumps_canonical(d.to_doc())
+    no_gamma, float_k, float_position = (json.loads(text) for _ in range(3))
+    del no_gamma["terms"][0]["gamma"]
+    # integer fields must be JSON integers, never truncated by int()
+    float_k["k"] = 1.7
+    float_position["terms"][0]["factors"][0]["positions"] = [0.9]
+    for bad in ({}, [], no_gamma, float_k, float_position):
         with pytest.raises(InvalidArgumentError, match="decomposition document"):
             CylinderDecomposition.from_doc(bad)
 
@@ -449,6 +453,43 @@ def test_bounded_least_squares_warm_start_and_residual(problem, start):
     assert abs(solution.residual - res) <= 1e-12 * (1.0 + float(np.linalg.norm(b)))
 
 
+@st.composite
+def box_factors(draw):
+    """(the triangular factor of [A b], a start) for up to 6 columns:
+    duplicated, zero and combined columns (rank-deficient A), m < n, cold
+    starts and warm ones with entries exactly at a bound (pinned)."""
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 6))
+    A = np.array(draw(st.lists(_entries, min_size=m * n, max_size=m * n))).reshape(m, n)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2)):
+        A[:, i] = A[:, j]
+    if n >= 3 and draw(st.booleans()):
+        A[:, 2] = A[:, 0] + 0.5 * A[:, 1]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=1)):
+        A[:, i] = 0.0
+    if draw(st.booleans()):
+        b = A @ np.array(draw(st.lists(st.floats(-0.5, 1.5), min_size=n, max_size=n)))
+    else:
+        b = np.array(draw(st.lists(_entries, min_size=m, max_size=m)))
+    entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5]), st.floats(-0.5, 1.5))
+    start = draw(st.one_of(st.none(), st.lists(entry, min_size=n, max_size=n)))
+    return np.linalg.qr(np.column_stack([A, b]), mode="r"), start
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_factors())
+def test_box_solve_equals_its_numpy_oracle_bit_for_bit(problem):
+    # the bookkeeping on Python floats feeds numpy the same products and
+    # solves, so x, the residual and the step count match exactly
+    import vck_lab.decomp as decomp
+    Rb, start = problem
+    solution = decomp._box_solve(Rb, start)
+    x, residual, steps = box_solve_oracle(Rb, start)
+    assert solution.x.tobytes() == x.tobytes()
+    assert solution.residual.hex() == residual.hex()
+    assert solution.steps == steps
+
+
 def test_weighted_fit_survives_tiny_negative_coefficient():
     # the bounded solve once returned a gamma of -2**-55 here, which
     # CylinderTerm refuses; the adversary sweep then exited 2
@@ -559,13 +600,15 @@ def _fit_bits(decomposition, report) -> tuple:
             tuple(e.hex() for e in report.sweep_errors))
 
 
-def _assert_members_equal_single_fits(f, k, n_max, restarts, als_iters=25):
-    batched = fit_weighted_restarts(f, k, n_max, restarts, als_iters=als_iters)
-    assert len(batched) == len(restarts)
-    for (seed, mode), fit in zip(restarts, batched):
-        single = fit_weighted_cylinders(f, k, n_max, als_iters=als_iters, seed=seed,
-                                        init_mode=mode)
-        assert _fit_bits(*fit) == _fit_bits(*single)
+def _assert_members_equal_single_fits(fs, k, n_max, restarts, als_iters=25):
+    batched = fit_weighted_restarts(fs, k, n_max, restarts, als_iters=als_iters)
+    assert len(batched) == len(fs)
+    for f, fits in zip(fs, batched):
+        assert len(fits) == len(restarts)
+        for (seed, mode), fit in zip(restarts, fits):
+            single = fit_weighted_cylinders(f, k, n_max, als_iters=als_iters, seed=seed,
+                                            init_mode=mode)
+            assert _fit_bits(*fit) == _fit_bits(*single)
 
 
 @st.composite
@@ -590,27 +633,55 @@ def lockstep_targets(draw):
     return MeasuredFunction(PartiteSpace(tuple(parts)), tuple(range(len(sizes))), values)
 
 
+@st.composite
+def lockstep_groups(draw):
+    """One to three targets on one space and signature: a lockstep target
+    and further values on its grid, Boolean ones beside a pattern."""
+    f = draw(lockstep_targets())
+    group = [f]
+    for seed in draw(st.lists(st.integers(0, 2 ** 16), max_size=2)):
+        values = np.random.default_rng(seed).random(f.shape)
+        if isinstance(f, Relation):
+            group.append(Relation(f.space, f.signature, (values < 0.5).astype(float)))
+        else:
+            group.append(MeasuredFunction(f.space, f.signature, values))
+    return group
+
+
 @settings(max_examples=60, deadline=None)
-@given(f=lockstep_targets(), n_max=st.integers(1, 5),
+@given(fs=lockstep_groups(), n_max=st.integers(1, 5),
        als_iters=st.sampled_from([0, 1, 3, 25]),
        restarts=st.lists(st.tuples(st.integers(0, 2 ** 63 - 1),
                                    st.sampled_from(["auto", "random"])),
                          min_size=1, max_size=6))
-@example(f=random_pattern(2, 1, 0.5, 21000, trial=2), n_max=4, als_iters=25,
+@example(fs=[random_pattern(2, 1, 0.5, 21000, trial=2)], n_max=4, als_iters=25,
          restarts=[(1101169394970103031, "random"), (3, "auto"), (4, "random")])
-def test_lockstep_members_equal_their_single_fits(f, n_max, als_iters, restarts):
-    _assert_members_equal_single_fits(f, 1, n_max, restarts, als_iters)
+@example(fs=[random_pattern(8, 1, 0.5, 9201, trial) for trial in range(3)], n_max=4,
+         als_iters=25, restarts=[(0, "auto"), (1, "random"), (2, "random")])
+def test_lockstep_members_equal_their_single_fits(fs, n_max, als_iters, restarts):
+    _assert_members_equal_single_fits(fs, 1, n_max, restarts, als_iters)
 
 
 def test_lockstep_members_diverge_and_still_equal_single_fits():
     # d = 2 patterns turn exact before 4 terms, so members stop at different
-    # rounds; the parity fit is k = 2
+    # rounds, within one target and across the targets of one group; the
+    # parity fits are k = 2
     restarts = [(0, "auto"), (1, "random"), (2, "random"), (3, "random"), (4, "auto")]
-    for trial in range(4):
-        _assert_members_equal_single_fits(random_pattern(2, 1, 0.5, 3, trial), 1, 4, restarts)
     _assert_members_equal_single_fits(
-        boolean_of_lower_arity(3, 1, 4, (6, 6, 6), seed=3).relation, 1, 6, restarts)
-    _assert_members_equal_single_fits(parity_triple(4, seed=1).relation, 2, 4, restarts[:3])
+        [random_pattern(2, 1, 0.5, 3, trial) for trial in range(4)], 1, 4, restarts)
+    _assert_members_equal_single_fits(
+        [boolean_of_lower_arity(3, 1, 4, (6, 6, 6), seed=3).relation], 1, 6, restarts)
+    _assert_members_equal_single_fits(
+        [parity_triple(4, seed=seed).relation for seed in (1, 2)], 2, 4, restarts[:3])
+
+
+def test_lockstep_targets_must_share_space_and_signature():
+    f = random_pattern(3, 1, 0.5, 5)
+    other_grid = random_pattern(4, 1, 0.5, 5)
+    transposed = MeasuredFunction(f.space, (1, 0), f.values)
+    for fs in ([], [f, other_grid], [f, transposed]):
+        with pytest.raises(InvalidArgumentError):
+            fit_weighted_restarts(fs, 1, 2, [(0, "auto")])
 
 
 def test_lockstep_random_fallback_runs_for_its_member_alone():
@@ -619,8 +690,8 @@ def test_lockstep_random_fallback_runs_for_its_member_alone():
     space = PartiteSpace.uniform([2, 3, 2])
     f = MeasuredFunction(space, (0, 1, 2), np.random.default_rng(1).random((2, 3, 2)))
     restarts = [(0, "auto"), (0, "random"), (5, "random")]
-    _assert_members_equal_single_fits(f, 2, 3, restarts, als_iters=0)
-    (_, auto), (fallback, random_fit), _ = fit_weighted_restarts(f, 2, 3, restarts, 0)
+    _assert_members_equal_single_fits([f], 2, 3, restarts, als_iters=0)
+    (_, auto), (fallback, random_fit), _ = fit_weighted_restarts([f], 2, 3, restarts, 0)[0]
     assert fallback.terms[0].gamma == Fraction(integrate(f)) and random_fit.n == 1
     assert auto.n > 1
 
@@ -629,7 +700,7 @@ def test_lockstep_batches_split_at_the_array_cap(monkeypatch):
     import vck_lab.decomp as decomp
     f = random_pattern(4, 1, 0.5, 17, 0)
     restarts = [(seed, "auto" if seed == 0 else "random") for seed in range(5)]
-    whole = [_fit_bits(*fit) for fit in fit_weighted_restarts(f, 1, 4, restarts)]
+    whole = [_fit_bits(*fit) for fit in fit_weighted_restarts([f], 1, 4, restarts)[0]]
     sizes = []
     real_run = decomp._WeightedFit.run
 
@@ -642,7 +713,7 @@ def test_lockstep_batches_split_at_the_array_cap(monkeypatch):
     for cap, expected in ((3 * per_member, [2, 3]), (per_member, [1] * 5), (1, [1] * 5)):
         sizes.clear()
         monkeypatch.setattr(defaults, "ARRAY_CAP", cap)
-        assert [_fit_bits(*fit) for fit in fit_weighted_restarts(f, 1, 4, restarts)] == whole
+        assert [_fit_bits(*fit) for fit in fit_weighted_restarts([f], 1, 4, restarts)[0]] == whole
         assert sizes == expected  # the auto run brings its constant rival
 
 

@@ -55,6 +55,18 @@ def test_non_finite_values_rejected(bad):
         MeasuredFunction(space, (0,), np.array([0.5, bad]))
 
 
+def test_signature_entries_must_be_integers():
+    # int() would truncate (0.7, 1.9) to (0, 1); numpy integers still pass
+    space = PartiteSpace.uniform([2, 3])
+    for bad in ((0.7, 1.9), (0, 1.0), ("0", 1)):
+        with pytest.raises(InvalidArgumentError, match="integers"):
+            MeasuredFunction(space, bad, np.zeros((2, 3)))
+    f = MeasuredFunction(space, (np.int64(0), np.uint8(1)), np.zeros((2, 3)))
+    assert f.signature == (0, 1) and all(type(i) is int for i in f.signature)
+    with pytest.raises(InvalidArgumentError, match="out of range"):
+        space.validate_signature([np.int32(2)])
+
+
 def test_parts_and_spaces_hash_like_their_json_round_trip():
     from fractions import Fraction
     from vck_lab import Part
