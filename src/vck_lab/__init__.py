@@ -12,16 +12,15 @@ __version__ = "0.1.0"
 # submodule -> the public names it provides
 _EXPORTS = {
     "space": ("MeasuredFunction", "Part", "PartiteSpace", "Relation", "all_traversals",
-              "average_out", "complement", "continuous_combine", "fiber", "inner",
-              "integrate", "l2_distance", "level_set", "monus", "permute",
-              "saturating_repeat", "scale_half", "trunc_add"),
+              "average_out", "complement", "fiber", "inner", "integrate", "l2_distance",
+              "level_set"),
     "vck": ("Box", "ShatteringCertificate", "VcResult", "check_shattered",
             "sauer_shelah_bound", "trace_count", "vc_k", "vc_k_slicewise",
             "verify_certificate"),
     "gowers": ("BoxNormReport", "box_norm", "cylinder_correlation", "dual_function"),
     "fibalg": ("AtomPartition", "FiberApproxReport", "FiberFamilySpec", "FuzzinessWitness",
                "approx_by_fibers", "atoms", "dyadics", "fiber_family", "fuzziness",
-               "project_simple", "round_to_cells", "smooth_indicator", "threshold_witness"),
+               "project_simple", "round_to_cells"),
     "decomp": ("BooleanCylinderExpr", "CylinderDecomposition", "CylinderTerm",
                "FitReport", "PoolLeaf", "fit_boolean_cylinders", "fit_weighted_cylinders",
                "fit_weighted_restarts", "index_sets",

@@ -44,9 +44,6 @@ class AdversarialInstance:
     replacement: PartiteSpace       # new measures, exact rational weights
     function: MeasuredFunction      # base values on the replacement space
 
-    def weight_fractions(self) -> list:
-        return [p.weights for p in self.replacement.parts]
-
 
 def build_instance(f: MeasuredFunction, cert, H: Relation,
                    anchors=None) -> AdversarialInstance:

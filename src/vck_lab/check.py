@@ -8,7 +8,8 @@ refuse, with the same record names in the message:
 - unknown keys, part weights that are negative, non-finite or do not sum to
   1 within ``WEIGHT_SUM_TOL``, duplicate part names;
 - integer fields (part ``size``, ``signature`` entries, box vertices, subset
-  points, ``distinguished``, ``witness``) that are not JSON integers;
+  points, ``distinguished``, ``witness``) that are not JSON integers, and a
+  ``signed`` flag that is not a JSON boolean;
 - function values that are non-finite, of the wrong count, or outside
   [0, 1] ([-1, 1] if signed) by more than ``POINTWISE_TOL``;
 - empty or duplicate box sides, grids over ``GRID_CAP_MAX`` points, and
@@ -26,7 +27,7 @@ import math
 
 from .defaults import GRID_CAP_MAX, POINTWISE_TOL, WEIGHT_SUM_TOL
 from .errors import InvalidArgumentError
-from .serialize import check_keys, json_int, parse_fraction, reading
+from .serialize import check_keys, json_bool, json_int, parse_fraction, reading
 
 
 class Certificate:
@@ -107,7 +108,7 @@ def read_instance(doc) -> list:
             values = [float(v) for v in rec["values"]]
             if len(values) != math.prod(shape):
                 raise ValueError(f"{len(values)} values for shape {shape}")
-            signed = bool(rec.get("signed", False))
+            signed = json_bool(rec.get("signed", False), "signed")
             name = rec["name"]
             functions.append(Function(name, signature, shape,
                                       _checked_values(name, values, signed)))

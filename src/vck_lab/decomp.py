@@ -27,7 +27,7 @@ from . import defaults, rng
 from .errors import InvalidArgumentError, NumericalFailureError
 from .space import (MeasuredFunction, Relation, cylinder, cylinder_product, fiber,
                     index_sets, integrate, weighted_l2, weighted_sum)
-from .serialize import json_int, parse_fraction, reading, space_from_doc, space_to_doc
+from .serialize import space_to_doc
 
 
 @dataclass(frozen=True)
@@ -93,24 +93,6 @@ class CylinderDecomposition:
             } for term in self.terms],
         })
         return doc
-
-    @staticmethod
-    @reading("decomposition document")
-    def from_doc(doc) -> "CylinderDecomposition":
-        space = space_from_doc({"parts": doc["parts"]})
-        sig = space.validate_signature(doc["target_signature"])
-        terms = []
-        for rec in doc["terms"]:
-            factors = {}
-            for frec in rec["factors"]:
-                positions = tuple(json_int(p, "factor position") for p in frec["positions"])
-                fsig = tuple(sig[p] for p in positions)
-                vals = np.array([float(v) for v in frec["values"]],
-                                dtype=np.float64).reshape(space.sizes(fsig))
-                factors[positions] = MeasuredFunction(space, fsig, vals,
-                                                      name=frec["name"])
-            terms.append(CylinderTerm(parse_fraction(rec["gamma"]), factors))
-        return CylinderDecomposition(space, sig, json_int(doc["k"], "k"), tuple(terms))
 
 
 @dataclass(frozen=True)

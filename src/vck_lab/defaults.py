@@ -12,9 +12,6 @@ POINTWISE_TOL = 1e-12
 # A part's weights must sum to 1 within this.
 WEIGHT_SUM_TOL = 1e-12
 
-# Integral identities (Fubini, inner-product identities, projection checks).
-INTEGRAL_TOL = 1e-9
-
 # Shattering search: maximum number of grid points in a box, i.e. up to
 # 2**GRID_CAP subsets need witnesses.
 GRID_CAP = 16

@@ -20,8 +20,7 @@ import numpy as np
 from . import defaults
 from .errors import DiagnosticFailureError, InvalidArgumentError, ResourceLimitError
 from .space import (MeasuredFunction, Relation, check_array_cap, cylinder, dyadics,
-                    fiber, index_sets, l2_distance, level_set, monus, saturating_repeat,
-                    weighted_sum)
+                    fiber, index_sets, l2_distance, level_set, weighted_sum)
 
 
 @dataclass(frozen=True)
@@ -247,73 +246,6 @@ def fuzziness(f: MeasuredFunction, partition: AtomPartition, eps: float,
         f"error {err} >= {eps}", trace)
 
 
-def threshold_witness(f0: MeasuredFunction, f1: MeasuredFunction):
-    """Rationals r < s with mu(f0 < r) > mu(f1 < s) whenever the mean of f1
-    exceeds the mean of f0; None otherwise.
-
-    Both step functions change only at attained values, so scanning the
-    merged breakpoint intervals in lexicographic order finds the first
-    witness; the returned pair is verified by direct measure comparison.
-    """
-    if f0.signature != f1.signature:
-        raise InvalidArgumentError("threshold_witness needs a shared signature")
-    w = f0.space.weight_tensor(f0.signature).ravel()
-    v0, v1 = f0.values.ravel(), f1.values.ravel()
-    mean0 = weighted_sum(w, v0)
-    mean1 = weighted_sum(w, v1)
-    if mean1 <= mean0:
-        return None
-    points = sorted({0.0, 1.0, *v0.tolist(), *v1.tolist()})
-
-    def mu_below(vals, thr):
-        return weighted_sum(w[vals < thr])
-
-    for ia in range(len(points) - 1):
-        for ib in range(ia, len(points) - 1):
-            # representative thresholds inside (points[i], points[i+1]]
-            mu0 = mu_below(v0, points[ia + 1])
-            mu1 = mu_below(v1, points[ib + 1])
-            if mu0 > mu1:
-                if ia < ib:
-                    r, s = Fraction(points[ia + 1]), Fraction(points[ib + 1])
-                else:
-                    lo, hi = Fraction(points[ia]), Fraction(points[ia + 1])
-                    r = lo + (hi - lo) / 3
-                    s = lo + (hi - lo) * 2 / 3
-                if mu_below(v0, float(r)) > mu_below(v1, float(s)):
-                    return r, s
-    return None
-
-
-def smooth_indicator(f: MeasuredFunction, g: MeasuredFunction, eps: float):
-    """Saturated multiple of the truncated difference approximating the
-    strict-inequality indicator of {f < g} within eps in L2.
-
-    The repeat count p is ceil(1/gap) for the largest attained positive gap
-    whose strictly-smaller gap mass stays below eps**2; points at or above
-    that gap saturate to exactly 1, so the error is carried entirely by the
-    small-gap mass.
-    """
-    if eps <= 0:
-        raise InvalidArgumentError("eps must be positive")
-    if f.signature != g.signature:
-        raise InvalidArgumentError("smooth_indicator needs a shared signature")
-    w = f.space.weight_tensor(f.signature).ravel()
-    gap = (g.values - f.values).ravel()
-    positive = sorted(set(gap[gap > 0].tolist()))
-    if not positive:
-        return saturating_repeat(monus(g, f), 1), 1
-    chosen = positive[0]
-    for gamma in reversed(positive):
-        below = weighted_sum(w[(gap > 0) & (gap < gamma)])
-        if below < eps * eps:
-            chosen = gamma
-            break
-    p = max(1, math.ceil(1.0 / chosen))
-    h = saturating_repeat(monus(g, f), p)
-    return h, p
-
-
 def round_to_cells(f: MeasuredFunction, partition: AtomPartition,
                    threshold: float) -> Relation:
     """Union of the cells whose conditional mean of f exceeds the threshold."""
@@ -364,8 +296,7 @@ def approx_by_fibers(f: MeasuredFunction, eps: float, anchors_budget: int,
         for a in current:
             fa = fiber(f, {dist: a})
             for q in dyadics(spec.height):
-                generators.append(level_set(fa, float(q), "<",
-                                            name=f"{f.name}[b={a}]<{q}"))
+                generators.append(level_set(fa, float(q), name=f"{f.name}[b={a}]<{q}"))
         partition = atoms(generators) if generators else atoms(
             [], space=f.space, signature=f.signature[:k])
         fx = fiber(f, {dist: x})

@@ -10,7 +10,8 @@ document reproduces it byte for byte.
 The module imports no numpy and no ``space`` at load time: the certificate
 checker (``check``) reads documents through its helpers, and only the
 loaders that build library objects import them, when called.  Every field
-the schema makes an integer must be a JSON integer (:func:`json_int`).
+the schema makes an integer must be a JSON integer (:func:`json_int`), and
+``signed`` must be a JSON boolean (:func:`json_bool`).
 """
 
 from __future__ import annotations
@@ -103,6 +104,14 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_bool(value, what: str) -> bool:
+    """A boolean field of a document, which must be JSON ``true`` or
+    ``false``: a string such as ``"false"`` is refused, never read by truth."""
+    if type(value) is not bool:
+        raise TypeError(f"{what} must be true or false, got {value!r:.40}")
+    return value
+
+
 # --------------------------------------------------------------------------
 # PartiteSpace + functions document
 #
@@ -147,7 +156,7 @@ def space_from_doc(doc) -> PartiteSpace:
 def functions_from_doc(doc, space: PartiteSpace | None = None):
     import numpy as np
 
-    from .space import MeasuredFunction
+    from .space import MeasuredFunction, Relation
     space = space or space_from_doc(doc)
     out = []
     for i, rec in enumerate(doc.get("functions", [])):
@@ -157,19 +166,11 @@ def functions_from_doc(doc, space: PartiteSpace | None = None):
                 [json_int(p, "signature entry") for p in rec["signature"]])
             vals = np.array([float(v) for v in rec["values"]],
                             dtype=np.float64).reshape(space.sizes(sig))
-            signed = bool(rec.get("signed", False))
-            cls = MeasuredFunction if signed else _relation_or_function(vals)
-            out.append(cls(space, sig, vals, name=rec["name"], signed=signed)
-                       if cls is MeasuredFunction
-                       else cls(space, sig, vals, name=rec["name"]))
+            signed = json_bool(rec.get("signed", False), "signed")
+            boolean = not signed and np.all((vals == 0.0) | (vals == 1.0))
+            cls = Relation if boolean else MeasuredFunction
+            out.append(cls(space, sig, vals, name=rec["name"], signed=signed))
     return space, out
-
-
-def _relation_or_function(vals) -> type:
-    import numpy as np
-
-    from .space import MeasuredFunction, Relation
-    return Relation if np.all((vals == 0.0) | (vals == 1.0)) else MeasuredFunction
 
 
 def find_function(functions, name=None, signature=None):

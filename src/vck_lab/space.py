@@ -17,15 +17,14 @@ import functools
 import itertools
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import defaults
-from .defaults import GRID_CAP_MAX, INTEGRAL_TOL, POINTWISE_TOL, WEIGHT_SUM_TOL
+from .defaults import GRID_CAP_MAX, POINTWISE_TOL, WEIGHT_SUM_TOL
 from .errors import InvalidArgumentError, ResourceLimitError
 
 Signature = tuple  # tuple[int, ...]: part index per coordinate, repetition allowed
@@ -153,14 +152,6 @@ class PartiteSpace:
             w.flags.writeable = False
             cache[sig] = w
         return cache[sig]
-
-    def point_weight(self, signature, point) -> float:
-        """Product weight of one point; Fubini makes this the point's mass."""
-        sig = self.validate_signature(signature)
-        prod = 1.0
-        for i, v in zip(sig, point):
-            prod *= float(self.parts[i].weights[v])
-        return prod
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,24 +361,9 @@ def _check_same_grid(f, g):
 # elementary transforms
 
 
-def level_set(f: MeasuredFunction, r: float, mode: str = "<", q: float | None = None,
-              name: str | None = None) -> Relation:
-    """Threshold relation: mode ``"<"`` is {f < r}, ``">="`` is {f >= r},
-    ``"interval"`` is {r <= f < q}."""
-    if mode == "<":
-        mask = f.values < r
-        label = f"{f.name}<{r}"
-    elif mode == ">=":
-        mask = f.values >= r
-        label = f"{f.name}>={r}"
-    elif mode == "interval":
-        if q is None or not r < q:
-            raise InvalidArgumentError(f"interval mode needs r < q, got r={r}, q={q}")
-        mask = (f.values >= r) & (f.values < q)
-        label = f"{f.name}in[{r},{q})"
-    else:
-        raise InvalidArgumentError(f"unknown level-set mode {mode!r}")
-    return Relation.from_bool(f.space, f.signature, mask, name=name or label)
+def level_set(f: MeasuredFunction, r: float, *, name: str | None = None) -> Relation:
+    """Threshold relation {f < r}."""
+    return Relation.from_bool(f.space, f.signature, f.values < r, name=name or f"{f.name}<{r}")
 
 
 def fiber(f: MeasuredFunction, fixed: Mapping[int, int]) -> MeasuredFunction:
@@ -408,72 +384,8 @@ def fiber(f: MeasuredFunction, fixed: Mapping[int, int]) -> MeasuredFunction:
     return _same_kind(f, residual, np.array(f.values[index]), f"{f.name}[{label}]")
 
 
-def permute(f: MeasuredFunction, sigma: Sequence[int]) -> MeasuredFunction:
-    """Reindex coordinates: output position i reads f's coordinate sigma[i]."""
-    sigma = tuple(int(s) for s in sigma)
-    if sorted(sigma) != list(range(f.arity)):
-        raise InvalidArgumentError(f"{sigma} is not a permutation of 0..{f.arity - 1}")
-    new_sig = tuple(f.signature[s] for s in sigma)
-    return _same_kind(f, new_sig, np.array(np.transpose(f.values, axes=sigma)),
-                      f"{f.name}^perm")
-
-
-def monus(f: MeasuredFunction, g: MeasuredFunction) -> MeasuredFunction:
-    """Truncated subtraction max{0, f - g}, exact range [0, 1]."""
-    _check_same_grid(f, g)
-    return MeasuredFunction(f.space, f.signature, np.maximum(0.0, f.values - g.values),
-                            name=f"({f.name}monus{g.name})")
-
-
-def trunc_add(f: MeasuredFunction, g: MeasuredFunction) -> MeasuredFunction:
-    """Saturating addition min{1, f + g}."""
-    _check_same_grid(f, g)
-    return MeasuredFunction(f.space, f.signature, np.minimum(1.0, f.values + g.values),
-                            name=f"({f.name}+.{g.name})")
-
-
-def scale_half(f: MeasuredFunction) -> MeasuredFunction:
-    return MeasuredFunction(f.space, f.signature, f.values * 0.5, name=f"({f.name}/2)")
-
-
 def complement(f: MeasuredFunction) -> MeasuredFunction:
     return _same_kind(f, f.signature, 1.0 - f.values, f"(1-{f.name})")
-
-
-def saturating_repeat(f: MeasuredFunction, p: int) -> MeasuredFunction:
-    """p-fold saturating self-addition: min{1, p * f}."""
-    if p < 0:
-        raise InvalidArgumentError("repeat count must be non-negative")
-    return MeasuredFunction(f.space, f.signature, np.minimum(1.0, p * f.values),
-                            name=f"({p}x.{f.name})")
-
-
-def continuous_combine(fs: Sequence[MeasuredFunction],
-                       g: Callable) -> MeasuredFunction:
-    """Pointwise g(f1(x), ..., fn(x)), clipped to [0, 1].
-
-    Emits a warning when g strays out of [0, 1] by more than the integral
-    tolerance; the clip is silent below that.
-    """
-    if not fs:
-        raise InvalidArgumentError("continuous_combine needs at least one function")
-    first = fs[0]
-    for other in fs[1:]:
-        _check_same_grid(first, other)
-    flat = [f.values.ravel() for f in fs]
-    try:
-        out = np.asarray(g(*[f.values for f in fs]), dtype=np.float64)
-        if out.shape != first.shape:
-            raise ValueError
-    except Exception:
-        out = np.array([float(g(*vals)) for vals in zip(*flat)],
-                       dtype=np.float64).reshape(first.shape)
-    overshoot = max(0.0, float(np.max(out)) - 1.0, -float(np.min(out)))
-    if overshoot > INTEGRAL_TOL:
-        warnings.warn(f"continuous_combine output strayed {overshoot:.3e} outside [0,1]; clipped",
-                      stacklevel=2)
-    return MeasuredFunction(first.space, first.signature, np.clip(out, 0.0, 1.0),
-                            name="g(" + ",".join(f.name for f in fs) + ")")
 
 
 def average_out(f: MeasuredFunction, position: int) -> MeasuredFunction:

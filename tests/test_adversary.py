@@ -68,7 +68,7 @@ def test_instance_weights_sum_exactly_to_one():
     cert = check_shattered(g, Box(((0, 1),)), 1, 0.5, 0.5)
     H = random_pattern(2, 1, 0.5, seed=5)
     inst = build_instance(g, cert, H)
-    for weights in inst.weight_fractions():
+    for weights in (p.weights for p in inst.replacement.parts):
         assert sum(weights, Fraction(0)) == 1
 
 
@@ -80,7 +80,7 @@ def test_membership_gadget_level_set_measure_matches_pattern():
     for seed in range(5):
         H = random_pattern(d, 1, 0.5, seed=seed)
         inst = build_instance(g, cert, H)
-        low = level_set(inst.function, 0.5, "<")
+        low = level_set(inst.function, 0.5)
         got = Fraction(integrate(low)).limit_denominator(d ** 2)
         assert got == Fraction(int(H.values.sum()), d ** 2)
 
@@ -93,7 +93,7 @@ def test_half_pattern_gives_exactly_half_measure():
     vals[0, 0] = vals[1, 1] = 1.0  # |H| = d**2 / 2
     H = Relation(PartiteSpace.uniform([d, d], ["P1", "P2"]), (0, 1), vals)
     inst = build_instance(g, cert, H)
-    low = level_set(inst.function, 0.5, "<")
+    low = level_set(inst.function, 0.5)
     assert integrate(low) == 0.5
 
 

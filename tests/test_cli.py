@@ -210,7 +210,10 @@ def _drop_functions(doc):
     (_set(["functions", 0, "values", 1], -0.5), "values outside [0.0, 1.0]"),
     (_set(["functions", 0, "values", 0], "x"), "function record 0"),
     (_set(["functions", 0, "values"], 3), "function record 0"),
-    (_drop_function_name, "function record 0: missing key 'name'")])
+    (_drop_function_name, "function record 0: missing key 'name'"),
+    # a flag must be JSON true or false, never read by its truth value
+    (_set(["functions", 0, "signed"], "false"), "function record 0: signed must be true or false"),
+    (_set(["functions", 0, "signed"], 0), "function record 0: signed must be true or false")])
 def test_malformed_instance_exits_2(tmp_path, gadget_doc, capsys, edit, record):
     # the checker's reader and the library's loader refuse alike, naming
     # the same record
@@ -360,16 +363,6 @@ def test_generated_instance_round_trips(tmp_path, gadget_doc):
     doc = load_json(gadget_doc)
     space, funcs = functions_from_doc(doc)
     assert dumps_canonical(functions_to_doc(space, funcs)) == dumps_canonical(doc)
-
-
-def test_decompose_report_round_trips(tmp_path, gadget_doc):
-    from vck_lab.decomp import CylinderDecomposition
-    report = tmp_path / "dec.json"
-    assert run("decompose", "--input", str(gadget_doc), "--k", "1",
-               "--n-max", "3", "--seed", "5", "--report", str(report)) == 0
-    doc = load_json(report)["comparable"]["results"]["decomposition"]
-    back = CylinderDecomposition.from_doc(doc)
-    assert dumps_canonical(back.to_doc()) == dumps_canonical(doc)
 
 
 def test_gowers_report_fields(tmp_path, gadget_doc):

@@ -1,7 +1,6 @@
 """Edge paths: diagnostic failures, tie thresholds, stream stability."""
 
 import json
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vck_lab import (Box, MeasuredFunction, PartiteSpace, Relation, atoms,
-                     check_shattered, continuous_combine,
+                     check_shattered,
                      fuzziness, random_pattern, verify_certificate)
 from vck_lab import rng as _rng_mod
 from vck_lab.errors import DiagnosticFailureError, InvalidArgumentError
@@ -49,16 +48,6 @@ def test_unknown_document_keys_rejected():
     with pytest.raises(InvalidArgumentError):
         space_from_doc({"parts": [{"name": "V", "size": 1, "weights": [1.0],
                                    "extra": 2}]})
-
-
-def test_continuous_combine_overshoot_warns():
-    space = PartiteSpace.uniform([3])
-    f = MeasuredFunction.constant(space, (0,), 0.9)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = continuous_combine([f], lambda a: a * 1.5)
-    assert any("clipped" in str(w.message) for w in caught)
-    assert np.all(out.values == 1.0)
 
 
 def test_non_finite_values_cannot_serialize():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from vck_lab import (FiberFamilySpec, MeasuredFunction, PartiteSpace, Relation,
                      atoms, fiber_family, fuzziness, integrate,
                      l2_distance, membership_gadget, project_simple,
-                     round_to_cells, smooth_indicator, threshold_witness)
+                     round_to_cells)
 from vck_lab.fibalg import conditional_means, family_size
 from vck_lab.errors import InvalidArgumentError
 
@@ -290,73 +290,6 @@ def test_fuzziness_witness_verifies():
             if min(lo, hi) >= w.delta:
                 fuzzy_mass += wsum
         assert fuzzy_mass >= w.delta
-
-
-# -- threshold witness ---------------------------------------------------------------------
-
-def test_threshold_witness_extremes():
-    space = PartiteSpace.uniform([3])
-    f0 = MeasuredFunction.constant(space, (0,), 0.0)
-    f1 = MeasuredFunction.constant(space, (0,), 1.0)
-    r, s = threshold_witness(f0, f1)
-    assert 0 < float(r) < float(s) <= 1
-
-
-def test_threshold_witness_equal_functions_none():
-    f = random_function([4], 9)
-    assert threshold_witness(f, f) is None
-
-
-def test_threshold_witness_verified_on_random_pairs():
-    found = 0
-    for seed in range(30):
-        f0 = random_function([6], seed)
-        f1_vals = np.clip(f0.values + 0.1, 0.0, 1.0)
-        f1 = MeasuredFunction(f0.space, (0,), f1_vals)
-        if integrate(f1) <= integrate(f0):
-            continue
-        out = threshold_witness(f0, f1)
-        assert out is not None
-        r, s = out
-        assert r < s
-        w = f0.space.weight_tensor((0,)).ravel()
-        mu0 = math.fsum(w[f0.values.ravel() < float(r)].tolist())
-        mu1 = math.fsum(w[f1.values.ravel() < float(s)].tolist())
-        assert mu0 > mu1
-        found += 1
-    assert found > 10
-
-
-# -- smoothed indicator ----------------------------------------------------------------------
-
-def test_smooth_indicator_extremes():
-    space = PartiteSpace.uniform([3])
-    f = MeasuredFunction.constant(space, (0,), 0.0)
-    g = MeasuredFunction.constant(space, (0,), 1.0)
-    h, p = smooth_indicator(f, g, 0.1)
-    assert p == 1
-    assert np.all(h.values == 1.0)
-
-
-def test_smooth_indicator_equal_functions():
-    f = random_function([4], 10)
-    h, p = smooth_indicator(f, f, 0.1)
-    assert np.all(h.values == 0.0)
-
-
-def test_smooth_indicator_certified_error():
-    for seed in range(10):
-        f = random_function([5, 5], seed)
-        g = random_function([5, 5], 1000 + seed)
-        g = MeasuredFunction(f.space, f.signature, g.values)
-        eps = 0.25
-        h, p = smooth_indicator(f, g, eps)
-        chi = (f.values < g.values).astype(np.float64)
-        w = f.space.weight_tensor(f.signature)
-        diff = chi - h.values
-        err = math.sqrt(math.fsum((w * diff * diff).ravel().tolist()))
-        assert err < eps
-        assert p >= 1
 
 
 # -- union-of-cells rounding ---------------------------------------------------------------

@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vck_lab import (MeasuredFunction, PartiteSpace, Relation, all_traversals,
-                     average_out, complement, continuous_combine,
-                     fiber, integrate, level_set, monus, permute,
-                     saturating_repeat, scale_half, trunc_add)
+                     average_out, complement, fiber, integrate, l2_distance,
+                     level_set)
 from vck_lab.errors import InvalidArgumentError
 
 
@@ -165,9 +164,7 @@ def test_point_mass_sums_to_one():
     space = PartiteSpace([__import__("vck_lab").Part("V1", 3, (0.2, 0.3, 0.5)),
                           __import__("vck_lab").Part("V2", 2, (0.9, 0.1))])
     for sig in [(0,), (0, 1), (1, 0, 0)]:
-        total = math.fsum(space.point_weight(sig, pt)
-                          for pt in itertools.product(*[range(space.parts[i].size)
-                                                        for i in sig]))
+        total = math.fsum(space.weight_tensor(sig).ravel().tolist())
         assert abs(total - 1.0) < 1e-9
 
 
@@ -182,25 +179,21 @@ def test_zero_weight_vertices_allowed():
 
 def test_level_set_constant_below_threshold():
     f = MeasuredFunction.constant(PartiteSpace.uniform([3, 3]), (0, 1), 0.5)
-    assert np.all(level_set(f, 0.6, "<").values == 1.0)
+    assert np.all(level_set(f, 0.6).values == 1.0)
 
 
 def test_level_set_strict_inequality():
     f = MeasuredFunction.constant(PartiteSpace.uniform([3, 3]), (0, 1), 0.5)
-    assert np.all(level_set(f, 0.5, "<").values == 0.0)
+    assert np.all(level_set(f, 0.5).values == 0.0)
 
 
 def test_level_set_ge_on_indicator():
+    # {f >= r} is the complement of the strict level set
     space = PartiteSpace.uniform([2, 2])
     f = Relation.from_bool(space, (0, 1), np.eye(2) == 1)
-    out = level_set(f, 1.0, ">=")
+    out = complement(level_set(f, 1.0))
+    assert isinstance(out, Relation)
     assert np.array_equal(out.values, np.eye(2))
-
-
-def test_level_set_interval_requires_r_below_q():
-    f = MeasuredFunction.constant(PartiteSpace.uniform([2]), (0,), 0.5)
-    with pytest.raises(InvalidArgumentError):
-        level_set(f, 0.7, "interval", q=0.7)
 
 
 # -- fibers -------------------------------------------------------------------
@@ -230,52 +223,7 @@ def test_fiber_out_of_range():
         fiber(f, {1: 9})
 
 
-# -- permutations -------------------------------------------------------------
-
-def test_permute_identity():
-    f = random_function([2, 3], 3)
-    assert np.array_equal(permute(f, (0, 1)).values, f.values)
-
-
-def test_permute_transpose():
-    f = random_function([2, 3], 4)
-    g = permute(f, (1, 0))
-    assert g.shape == (3, 2)
-    for i in range(2):
-        for j in range(3):
-            assert g.values[j, i] == f.values[i, j]
-
-
-def test_permute_inverse_composition():
-    f = random_function([2, 3, 4], 5)
-    sigma = (2, 0, 1)
-    inverse = tuple(np.argsort(sigma))
-    back = permute(permute(f, sigma), inverse)
-    assert back.signature == f.signature
-    assert np.array_equal(back.values, f.values)
-
-
-def test_permute_rejects_non_bijection():
-    f = random_function([2, 3], 6)
-    with pytest.raises(InvalidArgumentError):
-        permute(f, (0, 0))
-
-
 # -- bounded arithmetic -------------------------------------------------------
-
-def test_monus_values():
-    space = PartiteSpace.uniform([2])
-    a = MeasuredFunction.constant(space, (0,), 0.7)
-    b = MeasuredFunction.constant(space, (0,), 0.3)
-    assert np.all(monus(a, b).values == np.float64(0.7) - np.float64(0.3))
-    assert monus(a, b).values[0] == pytest.approx(0.4, abs=1e-15)
-    assert np.all(monus(b, a).values == 0.0)
-
-
-def test_saturating_repeat():
-    f = MeasuredFunction.constant(PartiteSpace.uniform([2]), (0,), 0.4)
-    assert np.all(saturating_repeat(f, 3).values == 1.0)
-
 
 def test_bounded_arith_dispatch_and_mismatch():
     space = PartiteSpace.uniform([2])
@@ -283,50 +231,17 @@ def test_bounded_arith_dispatch_and_mismatch():
     g = MeasuredFunction.constant(PartiteSpace.uniform([3]), (0,), 0.5)
     assert np.all(complement(f).values == 0.5)
     with pytest.raises(InvalidArgumentError):
-        monus(f, g)
+        l2_distance(f, g)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(0, 1), min_size=4, max_size=4),
-       st.lists(st.floats(0, 1), min_size=4, max_size=4),
-       st.integers(0, 7))
-def test_bounded_arith_range_exact(xs, ys, p):
-    space = PartiteSpace.uniform([4])
-    f = MeasuredFunction(space, (0,), np.array(xs))
-    g = MeasuredFunction(space, (0,), np.array(ys))
-    for out in (monus(f, g), trunc_add(f, g), scale_half(f), complement(f),
-                saturating_repeat(f, p)):
-        assert out.values.min() >= 0.0
-        assert out.values.max() <= 1.0
-
-
-# -- continuous combination ----------------------------------------------------
-
-def test_continuous_combine_min():
-    f = random_function([3, 3], 7)
-    out = continuous_combine([f, complement(f)], min)
-    assert np.allclose(out.values, np.minimum(f.values, 1 - f.values), atol=0)
-
-
-def test_continuous_combine_projection():
-    f = random_function([3, 3], 8)
-    g = random_function([3, 3], 9)
-    g = MeasuredFunction(f.space, f.signature, g.values)
-    out = continuous_combine([f, g], lambda a, b: a)
-    assert np.array_equal(out.values, f.values)
-
-
-def test_continuous_combine_product_of_indicators():
-    space = PartiteSpace.uniform([4])
-    a = Relation.from_bool(space, (0,), np.array([1, 1, 0, 0]) == 1)
-    b = Relation.from_bool(space, (0,), np.array([1, 0, 1, 0]) == 1)
-    out = continuous_combine([a, b], lambda x, y: x * y)
-    assert np.array_equal(out.values, np.array([1.0, 0, 0, 0]))
-
-
-def test_continuous_combine_empty_rejected():
-    with pytest.raises(InvalidArgumentError):
-        continuous_combine([], min)
+@given(st.lists(st.floats(0, 1), min_size=4, max_size=4))
+def test_bounded_arith_range_exact(xs):
+    f = MeasuredFunction(PartiteSpace.uniform([4]), (0,), np.array(xs))
+    out = complement(f)
+    assert out.values.min() >= 0.0
+    assert out.values.max() <= 1.0
+    assert np.array_equal(out.values, 1.0 - f.values)
 
 
 # -- averaging ----------------------------------------------------------------
@@ -380,7 +295,7 @@ def test_fubini_any_order(seed):
 def test_symmetry_exact_under_permutation():
     for seed in range(10):
         f = random_function([3, 3, 2], seed, signature=(0, 0, 1))
-        g = permute(f, (1, 0, 2))
+        g = MeasuredFunction(f.space, (0, 0, 1), np.transpose(f.values, (1, 0, 2)))
         assert integrate(g) == integrate(f)
 
 

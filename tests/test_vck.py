@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vck_lab import (Box, MeasuredFunction, PartiteSpace, Relation,
-                     check_shattered, membership_gadget, parity_triple, permute,
+                     check_shattered, membership_gadget, parity_triple,
                      sauer_shelah_bound, trace_count, vc_k, vc_k_slicewise,
                      verify_certificate)
 from vck_lab.check import read_certificate, read_instance, shatters
@@ -334,7 +334,7 @@ def test_permutation_dimension_bound():
         d = vc_k(f, 2, 2, r, s).dimension
         bound = 2 ** (d ** 2) if d > 0 else 1
         for sigma in itertools.permutations(range(3)):
-            g = permute(f, sigma)
+            g = MeasuredFunction(space, (0, 1, 2), np.transpose(vals, sigma))
             dg = vc_k(g, 2, 2, r, s).dimension
             assert dg <= bound, (seed, sigma, d, dg)
 
