@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import defaults, rng
 from .decomp import fit_weighted_restarts
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, indices
 from .gen import check_grid
 from .gowers import box_norm
 from .space import (MeasuredFunction, Part, PartiteSpace, Relation, grid_masks,
@@ -78,7 +78,9 @@ def build_instance(f: MeasuredFunction, cert, H: Relation,
         embedding = {pos: side for pos, side in zip(box_positions, cert.box.subsets)}
         embedding[cert.distinguished] = tuple(cert.witnesses[mask] for mask in masks)
     else:
-        embedding = {int(p): tuple(int(v) for v in side) for p, side in dict(cert).items()}
+        given = dict(cert)
+        embedding = dict(zip(indices(given, "embedding coordinates"),
+                             (indices(side, "embedded vertices") for side in given.values())))
         if len(embedding) != len(H.shape):
             raise InvalidArgumentError(
                 f"embedding fixes {len(embedding)} coordinates for a "

@@ -1,15 +1,16 @@
 """Shattering certificate checker on the standard library alone.
 
 ``vck-lab verify`` runs this module and nothing of the search it checks: it
-imports no numpy, no ``space`` and no ``vck``.  It reads the instance and
-certificate documents itself and refuses everything the library's loaders
-refuse, with the same record names in the message:
+imports no numpy, no ``space`` and no ``vck``.  It reads the certificate
+itself and the instance through the library loader's own parse
+(``serialize.parse_instance``), and refuses everything the library refuses,
+with the same record names in the message:
 
 - unknown keys, part weights that are negative, non-finite or do not sum to
   1 within ``WEIGHT_SUM_TOL``, duplicate part names;
 - integer fields (part ``size``, ``signature`` entries, box vertices, subset
-  points, ``distinguished``, ``witness``) that are not JSON integers, and a
-  ``signed`` flag that is not a JSON boolean;
+  points, ``distinguished``, ``witness``) that are not JSON integers, a
+  ``signed`` flag that is not a JSON boolean, and an ``r`` or ``s`` that is;
 - function values that are non-finite, of the wrong count, or outside
   [0, 1] ([-1, 1] if signed) by more than ``POINTWISE_TOL``;
 - empty or duplicate box sides, grids over ``GRID_CAP_MAX`` points, and
@@ -27,7 +28,7 @@ import math
 
 from .defaults import GRID_CAP_MAX, POINTWISE_TOL, WEIGHT_SUM_TOL
 from .errors import InvalidArgumentError
-from .serialize import check_keys, json_bool, json_int, parse_fraction, reading
+from .serialize import json_int, parse_fraction, parse_instance, reading
 
 
 class Certificate:
@@ -82,49 +83,29 @@ def _box_side(side) -> tuple:
     return side
 
 
-@reading("space document")
 def read_instance(doc) -> list:
     """Every function of an instance document, each checked."""
-    check_keys(doc, {"parts", "functions"}, "space document")
-    names, sizes = [], []
-    for i, rec in enumerate(doc["parts"]):
-        with reading(f"part record {i}"):
-            check_keys(rec, {"name", "size", "weights"}, "part record")
-            name, size = rec["name"], json_int(rec["size"], "size")
-            _check_weights(name, size, tuple(float(w) for w in rec["weights"]))
-        names.append(name)
-        sizes.append(size)
+    return parse_instance(doc, _check_parts, _checked_function)[1]
+
+
+def _check_parts(parts) -> None:
+    for name, size, weights in parts:
+        if size < 1:
+            raise InvalidArgumentError(f"part {name!r}: size must be >= 1")
+        if len(weights) != size:
+            raise InvalidArgumentError(f"part {name!r}: {len(weights)} weights for size {size}")
+        if not all(math.isfinite(w) and w >= 0 for w in weights):
+            raise InvalidArgumentError(f"part {name!r}: negative or non-finite weight")
+        total = math.fsum(weights)
+        if abs(total - 1) > WEIGHT_SUM_TOL:
+            raise InvalidArgumentError(f"part {name!r}: weights sum to {total}, not 1")
+    names = [name for name, _, _ in parts]
     if len(set(names)) != len(names):
         raise InvalidArgumentError(f"duplicate part names: {names}")
-    functions = []
-    for i, rec in enumerate(doc.get("functions", [])):
-        with reading(f"function record {i}"):
-            check_keys(rec, {"name", "signature", "values", "signed"}, "function record")
-            signature = tuple(json_int(p, "signature entry") for p in rec["signature"])
-            for p in signature:
-                if not 0 <= p < len(sizes):
-                    raise InvalidArgumentError(f"signature index {p} out of range")
-            shape = tuple(sizes[p] for p in signature)
-            values = [float(v) for v in rec["values"]]
-            if len(values) != math.prod(shape):
-                raise ValueError(f"{len(values)} values for shape {shape}")
-            signed = json_bool(rec.get("signed", False), "signed")
-            name = rec["name"]
-            functions.append(Function(name, signature, shape,
-                                      _checked_values(name, values, signed)))
-    return functions
 
 
-def _check_weights(name, size: int, weights: tuple) -> None:
-    if size < 1:
-        raise InvalidArgumentError(f"part {name!r}: size must be >= 1")
-    if len(weights) != size:
-        raise InvalidArgumentError(f"part {name!r}: {len(weights)} weights for size {size}")
-    if not all(math.isfinite(w) and w >= 0 for w in weights):
-        raise InvalidArgumentError(f"part {name!r}: negative or non-finite weight")
-    total = math.fsum(weights)
-    if abs(total - 1) > WEIGHT_SUM_TOL:
-        raise InvalidArgumentError(f"part {name!r}: weights sum to {total}, not 1")
+def _checked_function(_space, name, signature, shape, values, signed) -> Function:
+    return Function(name, signature, shape, _checked_values(name, values, signed))
 
 
 def _checked_values(name, values: list, signed: bool) -> list:

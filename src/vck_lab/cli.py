@@ -89,20 +89,21 @@ def _load_function(args):
 # loads only its own subcommand's code
 
 
+# gen kinds and the type of each --params key (list: 'x'-separated integers)
+_GEN_KINDS = {
+    "membership": {"d": int, "k": int},
+    "boolcomb": {"kprime": int, "k": int, "m": int, "sizes": list},
+    "parity": {"n": int},
+    "quasirandom": {"sizes": list, "signature": list, "p": float},
+}
+
+
 def _cmd_gen(args) -> int:
     from .gen import (boolean_of_lower_arity, check_grid, membership_gadget,
                       parity_triple, quasirandom)
     from .space import PartiteSpace
     started = time.perf_counter()
-    kinds = {
-        "membership": {"d": int, "k": int},
-        "boolcomb": {"kprime": int, "k": int, "m": int, "sizes": list},
-        "parity": {"n": int},
-        "quasirandom": {"sizes": list, "signature": list, "p": float},
-    }
-    if args.kind not in kinds:
-        raise InvalidArgumentError(f"unknown kind {args.kind!r}")
-    params = _parse_params(args.params, kinds[args.kind])
+    params = _parse_params(args.params, _GEN_KINDS[args.kind])
     if args.kind == "membership":
         rel = membership_gadget(params.get("d", 2), params.get("k", 1))
         functions = [rel]
@@ -273,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--signature", default=None, help="select by signature, e.g. 0,0,1")
 
     p = sub.add_parser("gen", help="generate a seeded instance")
-    p.add_argument("--kind", required=True,
-                   choices=["membership", "boolcomb", "parity", "quasirandom"])
+    p.add_argument("--kind", required=True, choices=list(_GEN_KINDS))
     p.add_argument("--params", default="",
                    help="key=value pairs, comma separated; lists use 'x' (sizes=5x5x5)")
     p.add_argument("--seed", type=int, default=0)

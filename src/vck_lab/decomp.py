@@ -579,6 +579,8 @@ class _WeightedFit:
 
     def outer(self, vectors) -> np.ndarray:
         """Every row's outer product of one vector per coordinate."""
+        # not cylinder_product: on the k = 1 fits' small grids its per-factor
+        # transpose and reshape cost more than these precomputed views
         return functools.reduce(np.multiply, (v[a] for v, a in zip(vectors, self.along)))
 
     def update_vectors(self, batch: _Batch, ti: int) -> None:

@@ -1,8 +1,7 @@
 """Central configuration layer: caps, tolerances, and dyadic heights.
 
-GRID_CAP, DYADIC_HEIGHT, ALS_ITERS, SCORE_RESTARTS, FUZZINESS_HEIGHT_CAP and
-GADGET_SIZE_CAP are defaults that a call or CLI flag can override; the rest
-are fixed.  One tolerance lives elsewhere: the 1e-14 ALS stop of the weighted
+GRID_CAP, DYADIC_HEIGHT, ALS_ITERS, SCORE_RESTARTS and FUZZINESS_HEIGHT_CAP
+are defaults that a call or CLI flag can override; the rest are fixed.  One tolerance lives elsewhere: the 1e-14 ALS stop of the weighted
 fitter (``decomp.fit_weighted_restarts``).
 """
 

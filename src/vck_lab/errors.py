@@ -4,6 +4,8 @@ Every error carries the process exit code the CLI maps it to:
 2 = invalid input, 3 = resource limit, 4 = numerical failure.
 """
 
+import operator
+
 
 class VckLabError(Exception):
     exit_code = 1
@@ -33,3 +35,12 @@ class DiagnosticFailureError(NumericalFailureError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace or []
+
+
+def indices(values, what: str) -> tuple:
+    """The values as ints by ``operator.index``: numpy integers pass, and a
+    float is refused, where ``int()`` would truncate it."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise InvalidArgumentError(f"{what} must be integers: {exc}") from None

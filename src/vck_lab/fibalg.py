@@ -18,7 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import defaults
-from .errors import DiagnosticFailureError, InvalidArgumentError, ResourceLimitError
+from .errors import (DiagnosticFailureError, InvalidArgumentError, ResourceLimitError,
+                     indices)
 from .space import (MeasuredFunction, Relation, check_array_cap, cylinder, dyadics,
                     fiber, index_sets, l2_distance, level_set, weighted_sum)
 
@@ -40,9 +41,9 @@ class FiberFamilySpec:
     def __post_init__(self):
         if self.height < 1:
             raise InvalidArgumentError("dyadic height must be >= 1")
-        object.__setattr__(self, "anchors", tuple(int(a) for a in self.anchors))
+        object.__setattr__(self, "anchors", indices(self.anchors, "anchors"))
         object.__setattr__(self, "params",
-                           tuple(tuple(int(v) for v in row) for row in self.params))
+                           tuple(indices(row, "parameter vertices") for row in self.params))
 
 
 def fiber_family(f: MeasuredFunction, spec: FiberFamilySpec) -> list:
@@ -154,21 +155,16 @@ def atoms(generators, space=None, signature=None) -> AtomPartition:
                          tuple(g.name for g in generators))
 
 
-def project_simple(f: MeasuredFunction, partition: AtomPartition,
-                   round_height: int | None = None):
+def project_simple(f: MeasuredFunction, partition: AtomPartition):
     """L2-optimal partition-measurable approximant and its error.
 
     The value on each cell is the measure-weighted mean of f there (cells of
-    measure zero get 0).  ``round_height`` optionally rounds the cell values
-    to dyadic rationals of that height (round-half-even).
+    measure zero get 0).
     """
     if partition.signature != f.signature or not partition.covers(f.shape):
         raise InvalidArgumentError("partition does not cover the function grid")
     wflat = f.space.weight_tensor(f.signature).ravel()
     means = conditional_means(f.values.ravel(), partition, wflat)
-    if round_height is not None:
-        scale = 2 ** round_height
-        means = np.round(means * scale) / scale
     g = MeasuredFunction(f.space, f.signature, means[partition.labels].reshape(f.shape),
                          name=f"proj({f.name})")
     return g, l2_distance(f, g)

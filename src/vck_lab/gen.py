@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults, rng
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InvalidArgumentError, ResourceLimitError, indices
 from .space import PartiteSpace, Relation, check_array_cap, cylinder, index_sets, mask_bits
 
 
@@ -25,8 +25,7 @@ def check_grid(sizes, arrays: int = 1) -> None:
     check_array_cap(arrays * math.prod(sizes), "generated instance")
 
 
-def membership_gadget(d: int, k: int,
-                      size_cap: int = defaults.GADGET_SIZE_CAP) -> Relation:
+def membership_gadget(d: int, k: int) -> Relation:
     """Relation on [d]^k x P([d]^k) relating a grid point to the subsets
     containing it; shatters the full k-dimensional d-box by construction.
 
@@ -36,10 +35,11 @@ def membership_gadget(d: int, k: int,
     if d < 1 or k < 1:
         raise InvalidArgumentError("need d >= 1 and k >= 1")
     # 2**g > cap iff g reaches the cap's bit length; d**k (d > 1) does once k does
-    grid_points = d ** min(k, size_cap.bit_length())
-    if grid_points >= size_cap.bit_length():
+    cap = defaults.GADGET_SIZE_CAP
+    grid_points = d ** min(k, cap.bit_length())
+    if grid_points >= cap.bit_length():
         raise ResourceLimitError(
-            f"witness part would hold 2**({d}**{k}) vertices (cap {size_cap})")
+            f"witness part would hold 2**({d}**{k}) vertices (cap {cap})")
     n_subsets = 1 << grid_points
     parts = [f"V{i + 1}" for i in range(k)] + ["W"]
     space = PartiteSpace.uniform([d] * k + [n_subsets], parts)
@@ -75,7 +75,7 @@ def boolean_of_lower_arity(k_prime: int, k: int, m: int, sizes,
         raise InvalidArgumentError(f"need k >= 1 and m >= 0, got k={k}, m={m}")
     if k_prime <= k:
         raise InvalidArgumentError(f"k'={k_prime} must exceed k={k}")
-    sizes = tuple(int(s) for s in sizes)
+    sizes = indices(sizes, "part sizes")
     if len(sizes) != k_prime:
         raise InvalidArgumentError(f"need {k_prime} part sizes, got {len(sizes)}")
     # a full-grid mask per node of the combining tree (2m - 1 of them, or
@@ -150,7 +150,8 @@ class ParityTriple:
 def parity_relation(F: Relation, G: Relation, H: Relation,
                     name: str = "parity") -> Relation:
     """Triples where an odd number of (x,y) in F, (x,z) in G, (y,z) in H hold."""
-    total = (F.values[:, :, None] + G.values[:, None, :] + H.values[None, :, :])
+    total = (cylinder(F.values, (0, 1), 3) + cylinder(G.values, (0, 2), 3)
+             + cylinder(H.values, (1, 2), 3))
     return Relation(F.space, (0, 1, 2), np.mod(total, 2.0), name=name)
 
 

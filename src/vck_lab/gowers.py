@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults
-from .errors import InvalidArgumentError, NumericalFailureError, ResourceLimitError
+from .errors import InvalidArgumentError, NumericalFailureError, ResourceLimitError, indices
 from .space import (MeasuredFunction, check_array_cap, cylinder_product, integrate,
                     weighted_sum, weighted_sum_rows)
 
@@ -139,7 +139,7 @@ def multiply_cylinders(f: MeasuredFunction, cylinders) -> MeasuredFunction:
     """
     factors = []
     for rel, positions in cylinders:
-        positions = tuple(int(p) for p in positions)
+        positions = indices(positions, "cylinder positions")
         if len(positions) >= f.arity:
             raise InvalidArgumentError(
                 "cylinder element must depend on a strict subset of coordinates")

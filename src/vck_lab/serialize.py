@@ -7,9 +7,10 @@ bit on every platform; files in the earlier 17-significant-digit spelling
 load to the same doubles.  Keys are sorted, so re-serializing a loaded
 document reproduces it byte for byte.
 
-The module imports no numpy and no ``space`` at load time: the certificate
-checker (``check``) reads documents through its helpers, and only the
-loaders that build library objects import them, when called.  Every field
+The module imports no numpy and no ``space`` at load time: instance
+documents are read by one parse (:func:`parse_instance`) that the certificate
+checker (``check``) and the library's loader each finish with their own
+constructors, and only the loader imports numpy, when called.  Every field
 the schema makes an integer must be a JSON integer (:func:`json_int`), and
 ``signed`` must be a JSON boolean (:func:`json_bool`).
 """
@@ -21,7 +22,7 @@ import json
 import math
 from fractions import Fraction
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, indices
 
 
 def format_float(x: float) -> str:
@@ -71,6 +72,9 @@ def _reject_constant(name):
 
 
 def parse_fraction(text) -> Fraction:
+    """A number, or "p/q" text; JSON ``true`` is refused, never read as 1."""
+    if type(text) is bool:
+        raise TypeError(f"expected a number or fraction, got {text!r}")
     if isinstance(text, str) and "/" in text:
         num, den = text.split("/", 1)
         return Fraction(int(num), int(den))
@@ -140,37 +144,51 @@ def functions_to_doc(space: PartiteSpace, functions) -> dict:
 
 
 @reading("space document")
-def space_from_doc(doc) -> PartiteSpace:
-    from .space import Part, PartiteSpace
+def parse_instance(doc, make_space, make_function) -> tuple:
+    """(space, functions) of an instance document, after the format's checks:
+    keys, JSON integers and booleans, signature range, value count.  The
+    caller's ``make_space`` gets every part's (name, size, weights) before any
+    function record is read; ``make_function(space, name, signature, shape,
+    values, signed)`` builds each record, its errors reported with it."""
     check_keys(doc, {"parts", "functions"}, "space document")
     parts = []
     for i, rec in enumerate(doc["parts"]):
         with reading(f"part record {i}"):
             check_keys(rec, {"name", "size", "weights"}, "part record")
-            parts.append(Part(rec["name"], json_int(rec["size"], "size"),
-                              tuple(float(w) for w in rec["weights"])))
-    return PartiteSpace(tuple(parts))
-
-
-@reading("space document")
-def functions_from_doc(doc, space: PartiteSpace | None = None):
-    import numpy as np
-
-    from .space import MeasuredFunction, Relation
-    space = space or space_from_doc(doc)
-    out = []
+            parts.append((rec["name"], json_int(rec["size"], "size"),
+                          tuple(float(w) for w in rec["weights"])))
+    space = make_space(parts)
+    functions = []
     for i, rec in enumerate(doc.get("functions", [])):
         with reading(f"function record {i}"):
             check_keys(rec, {"name", "signature", "values", "signed"}, "function record")
-            sig = space.validate_signature(
-                [json_int(p, "signature entry") for p in rec["signature"]])
-            vals = np.array([float(v) for v in rec["values"]],
-                            dtype=np.float64).reshape(space.sizes(sig))
-            signed = json_bool(rec.get("signed", False), "signed")
-            boolean = not signed and np.all((vals == 0.0) | (vals == 1.0))
-            cls = Relation if boolean else MeasuredFunction
-            out.append(cls(space, sig, vals, name=rec["name"], signed=signed))
-    return space, out
+            signature = tuple(json_int(p, "signature entry") for p in rec["signature"])
+            for p in signature:
+                if not 0 <= p < len(parts):
+                    raise InvalidArgumentError(f"signature index {p} out of range")
+            shape = tuple(parts[p][1] for p in signature)
+            values = [float(v) for v in rec["values"]]
+            if len(values) != math.prod(shape):
+                raise ValueError(f"{len(values)} values for shape {shape}")
+            functions.append(make_function(space, rec["name"], signature, shape, values,
+                                           json_bool(rec.get("signed", False), "signed")))
+    return space, functions
+
+
+def functions_from_doc(doc) -> tuple:
+    """(PartiteSpace, functions) of a document; unsigned 0/1 ones are Relations."""
+    import numpy as np
+
+    from .space import MeasuredFunction, Part, PartiteSpace, Relation
+
+    def function(space, name, signature, shape, values, signed):
+        vals = np.array(values, dtype=np.float64).reshape(shape)
+        boolean = not signed and np.all((vals == 0.0) | (vals == 1.0))
+        cls = Relation if boolean else MeasuredFunction
+        return cls(space, signature, vals, name=name, signed=signed)
+
+    return parse_instance(doc, lambda parts: PartiteSpace(tuple(Part(*p) for p in parts)),
+                          function)
 
 
 def find_function(functions, name=None, signature=None):
@@ -179,7 +197,7 @@ def find_function(functions, name=None, signature=None):
     if name is not None:
         candidates = [f for f in candidates if f.name == name]
     if signature is not None:
-        sig = tuple(int(i) for i in signature)
+        sig = indices(signature, "signature entries")
         candidates = [f for f in candidates if f.signature == sig]
     if not candidates:
         raise InvalidArgumentError(

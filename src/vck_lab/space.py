@@ -16,7 +16,6 @@ import collections
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import defaults
 from .defaults import GRID_CAP_MAX, POINTWISE_TOL, WEIGHT_SUM_TOL
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InvalidArgumentError, ResourceLimitError, indices
 
 Signature = tuple  # tuple[int, ...]: part index per coordinate, repetition allowed
 
@@ -124,11 +123,7 @@ class PartiteSpace:
         return PartiteSpace(tuple(Part.uniform(n, s) for n, s in zip(names, sizes)))
 
     def validate_signature(self, signature) -> tuple:
-        # operator.index refuses floats, which int() would truncate
-        try:
-            sig = tuple(operator.index(i) for i in signature)
-        except TypeError as exc:
-            raise InvalidArgumentError(f"signature entries must be integers: {exc}") from None
+        sig = indices(signature, "signature entries")
         for i in sig:
             if not 0 <= i < len(self.parts):
                 raise InvalidArgumentError(f"signature index {i} out of range")
@@ -145,10 +140,8 @@ class PartiteSpace:
         sig = self.validate_signature(signature)
         cache = self._weight_cache
         if sig not in cache:
-            w = np.ones((), dtype=np.float64)
-            for i in sig:
-                w = np.multiply.outer(w, self.weight_vector(i))
-            w = w.reshape(self.sizes(sig))
+            w = cylinder_product((((axis,), self.weight_vector(i))
+                                  for axis, i in enumerate(sig)), self.sizes(sig))
             w.flags.writeable = False
             cache[sig] = w
         return cache[sig]
@@ -279,13 +272,15 @@ def cylinder(values: np.ndarray, positions, ndim: int) -> np.ndarray:
 
 def cylinder_product(factors, shape, start=1.0) -> np.ndarray:
     """``start`` times the cylinders of ``factors``, (positions, values)
-    pairs, on a grid of the given shape, multiplied left to right: the one
-    product of cylinders.  ``start`` is a scalar or a tensor of that shape.
-    A shape of ones gives the product on the factors' broadcast shape."""
-    prod = np.full(shape, start, dtype=np.float64)
+    pairs, on a grid of the given shape, multiplied onto ``start`` left to
+    right: the one product of cylinders.  ``start`` is a scalar or a tensor
+    that broadcasts to that shape; a shape of ones gives the product on the
+    factors' broadcast shape.  Axes no factor covers are a read-only view."""
+    shape, prod = tuple(shape), np.asarray(start, dtype=np.float64)
     for positions, values in factors:
         prod = prod * cylinder(values, positions, len(shape))
-    return prod
+    return prod if prod.shape == shape else np.broadcast_to(
+        prod, np.broadcast_shapes(prod.shape, shape))
 
 
 def check_array_cap(entries: int, what: str) -> None:
@@ -409,7 +404,7 @@ def all_traversals(f: MeasuredFunction, counts: Sequence[int],
 
     For a relation R this is the set of grids all of whose cells lie in R.
     """
-    counts = tuple(int(c) for c in counts)
+    counts = indices(counts, "counts")
     if len(counts) != f.arity or any(c < 1 for c in counts):
         raise InvalidArgumentError(f"need one positive count per coordinate, got {counts}")
     new_sig = tuple(p for p, c in zip(f.signature, counts) for _ in range(c))

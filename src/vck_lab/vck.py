@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -23,8 +22,8 @@ import numpy as np
 
 from . import defaults
 from .check import shatters
-from .errors import InvalidArgumentError, ResourceLimitError
-from .space import MeasuredFunction, fiber, grid_masks, mask_bits
+from .errors import InvalidArgumentError, ResourceLimitError, indices
+from .space import MeasuredFunction, cylinder, fiber, grid_masks, mask_bits
 
 
 @dataclass(frozen=True)
@@ -34,10 +33,7 @@ class Box:
     subsets: tuple
 
     def __post_init__(self):
-        try:
-            subs = tuple(tuple(operator.index(v) for v in side) for side in self.subsets)
-        except TypeError as exc:
-            raise InvalidArgumentError(f"box vertices must be integers: {exc}") from None
+        subs = tuple(indices(side, "box vertices") for side in self.subsets)
         for side in subs:
             if not side:
                 raise InvalidArgumentError("box sides must be non-empty")
@@ -203,12 +199,8 @@ class _LevelScan:
         this bounds the grid subsets covered.  Each box's masks are keys in
         the narrowest unsigned dtype, counted by the flags they set."""
         n, k, d = combos.shape
-        cells = np.zeros((n,) + (1,) * k, dtype=np.int64)
-        for j in range(k):
-            shape = [n] + [1] * k
-            shape[j + 1] = d
-            cells = cells + (combos[:, j, :] * self.strides[j]).reshape(shape)
-        cells = cells.reshape(n, -1)
+        cells = sum(cylinder(combos[:, j, :] * self.strides[j], (0, j + 1), k + 1)
+                    for j in range(k)).reshape(n, -1)
         g = cells.shape[1]
         # keys stop below bit 62, so a 64-bit key is signed: it adds to the
         # int64 row offsets without promotion to float

@@ -151,12 +151,17 @@ def _letter_weights(doc):
 
 @pytest.mark.parametrize("cert_doc, message", [
     ({}, "missing key 'box'"), ({"box": [[0, 1]]}, "missing key 'witnesses'"),
-    ([], "list indices"), ({"box": 3}, "'int' object is not iterable")])
+    ([], "list indices"), ({"box": 3}, "'int' object is not iterable"),
+    # a JSON true threshold was once read as 1, and the certificate passed
+    (dict(_gadget_certificate(), r=True, s=True), "expected a number or fraction, got True"),
+    (dict(_gadget_certificate(), s=True), "expected a number or fraction, got True")])
 def test_malformed_certificate_exits_2(tmp_path, gadget_doc, capsys, cert_doc, message):
     cert_path = tmp_path / "cert.json"
     cert_path.write_text(json.dumps(cert_doc))
     assert run("verify", str(cert_path), str(gadget_doc)) == 2
     assert f"certificate document: {message}" in capsys.readouterr().err
+    with pytest.raises(InvalidArgumentError, match=re.escape(f"certificate document: {message}")):
+        read_certificate(cert_doc)
 
 
 def _set(path, value):
@@ -229,6 +234,25 @@ def test_malformed_instance_exits_2(tmp_path, gadget_doc, capsys, edit, record):
     assert record in capsys.readouterr().err
     for load in (functions_from_doc, read_instance):
         with pytest.raises(InvalidArgumentError, match=re.escape(record)):
+            load(doc)
+
+
+def test_part_rules_refuse_before_any_function_record(tmp_path, gadget_doc, capsys):
+    # both loaders refuse a space before they read its functions
+    doc = load_json(gadget_doc)
+    doc["parts"][0]["weights"] = [0.5, 0.4]
+    doc["functions"][0]["values"] = 3
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(doc))
+    cert_path = tmp_path / "cert.json"
+    write_canonical(cert_path, _gadget_certificate())
+    capsys.readouterr()
+    assert run("verify", str(cert_path), str(inst)) == 2
+    assert run("gowers", "--input", str(inst)) == 2
+    err = capsys.readouterr().err
+    assert err.count("part 'V1': weights sum") == 2 and "function record" not in err
+    for load in (functions_from_doc, read_instance):
+        with pytest.raises(InvalidArgumentError, match="part 'V1': weights sum"):
             load(doc)
 
 

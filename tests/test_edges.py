@@ -15,7 +15,7 @@ from vck_lab import (Box, MeasuredFunction, PartiteSpace, Relation, atoms,
 from vck_lab import rng as _rng_mod
 from vck_lab.errors import DiagnosticFailureError, InvalidArgumentError
 from vck_lab.rng import STREAM_PATTERN, raw64, uniforms
-from vck_lab.serialize import dumps_canonical, format_float, space_from_doc
+from vck_lab.serialize import dumps_canonical, format_float, functions_from_doc
 
 
 def test_fuzziness_height_cap_raises_with_trace():
@@ -44,10 +44,10 @@ def test_equal_thresholds_enumerate_free_subsets():
 
 def test_unknown_document_keys_rejected():
     with pytest.raises(InvalidArgumentError):
-        space_from_doc({"parts": [], "bogus": 1})
+        functions_from_doc({"parts": [], "bogus": 1})
     with pytest.raises(InvalidArgumentError):
-        space_from_doc({"parts": [{"name": "V", "size": 1, "weights": [1.0],
-                                   "extra": 2}]})
+        functions_from_doc({"parts": [{"name": "V", "size": 1, "weights": [1.0],
+                                       "extra": 2}]})
 
 
 def test_non_finite_values_cannot_serialize():
@@ -109,3 +109,35 @@ def test_pattern_reproducible_after_module_reload():
     importlib.reload(_rng_mod)
     b = random_pattern(4, 1, 0.5, seed=123).values.tobytes()
     assert a == b
+
+
+def _integer_entry_points():
+    from vck_lab import (FiberFamilySpec, all_traversals, boolean_of_lower_arity,
+                         build_instance)
+    from vck_lab.gowers import multiply_cylinders
+    from vck_lab.serialize import find_function
+    space = PartiteSpace.uniform([2, 2])
+    E = Relation(space, (0, 1), np.eye(2), name="E")
+    row = Relation(space, (0,), np.ones(2), name="row")
+    H = random_pattern(2, 1, 0.5, 0)
+    # name -> (call, an integer argument it accepts)
+    return {
+        "fiber anchors": (lambda i: FiberFamilySpec(1, (i,), ((0,),)), 0),
+        "fiber params": (lambda i: FiberFamilySpec(1, (0,), ((i,),)), 0),
+        "find_function": (lambda i: find_function([E], signature=[0, i]), 1),
+        "multiply_cylinders": (lambda i: multiply_cylinders(E, [(row, [i])]), 0),
+        "all_traversals": (lambda i: all_traversals(E, [i, 1]), 1),
+        "boolean_of_lower_arity": (lambda i: boolean_of_lower_arity(2, 1, 1, [i, 2]), 2),
+        "embedding coordinate": (lambda i: build_instance(E, {i: (0, 1), 1: (0, 1)}, H), 0),
+        "embedded vertex": (lambda i: build_instance(E, {0: (i, 1), 1: (0, 1)}, H), 0),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_integer_entry_points()))
+def test_integer_arguments_refuse_floats(entry):
+    # int() once truncated these: anchor 0.9 became 0, signature [0.2, 1.9]
+    # matched (0, 1); numpy integers still pass
+    call, good = _integer_entry_points()[entry]
+    call(np.int64(good))
+    with pytest.raises(InvalidArgumentError, match="must be integers"):
+        call(good + 0.2)

@@ -1,7 +1,6 @@
 """Fiber families, atom partitions, projections, and the diagnostic lemmas."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -234,14 +233,6 @@ def test_projection_first_order_optimality():
                                      perturbed.reshape(f.shape))
                 if not np.array_equal(h.values, g.values):
                     assert l2_distance(f, h) > err
-
-
-def test_project_dyadic_rounding():
-    f = random_function([4, 4], 8)
-    part = atoms([random_relation([4, 4], 80)])
-    g, _ = project_simple(f, part, round_height=3)
-    for v in np.unique(g.values):
-        assert Fraction(v).limit_denominator(8) == Fraction(v)
 
 
 # -- fuzziness --------------------------------------------------------------------------

@@ -69,10 +69,10 @@ def test_signature_entries_must_be_integers():
 def test_parts_and_spaces_hash_like_their_json_round_trip():
     from fractions import Fraction
     from vck_lab import Part
-    from vck_lab.serialize import space_from_doc, space_to_doc
+    from vck_lab.serialize import functions_from_doc, space_to_doc
     exact = PartiteSpace((Part("a", 3, (Fraction(1, 3), Fraction(1, 6), Fraction(1, 2))),
                           Part.uniform("b", 2)))
-    loaded = space_from_doc(space_to_doc(exact))
+    loaded, _ = functions_from_doc(space_to_doc(exact))
     assert loaded == exact and hash(loaded) == hash(exact)
     assert hash(Part("a", 2, (0.5, 0.5))) == hash(Part.uniform("a", 2))
     assert len({exact, loaded, PartiteSpace.uniform([3, 2])}) == 2
@@ -95,7 +95,7 @@ def test_fraction_weights_sum_exactly():
 def test_large_uniform_part_is_quick_and_round_trips():
     import time
     from fractions import Fraction
-    from vck_lab.serialize import dumps_canonical, space_from_doc, space_to_doc
+    from vck_lab.serialize import dumps_canonical, functions_from_doc, space_to_doc
     started = time.perf_counter()
     space = PartiteSpace.uniform([10 ** 6])
     assert time.perf_counter() - started < 1.0
@@ -103,8 +103,9 @@ def test_large_uniform_part_is_quick_and_round_trips():
     small = PartiteSpace.uniform([3, 7])
     doc = space_to_doc(small)
     assert doc["parts"][0]["weights"] == [1 / 3] * 3
-    assert space_from_doc(doc) == small
-    assert dumps_canonical(space_to_doc(space_from_doc(doc))) == dumps_canonical(doc)
+    loaded, functions = functions_from_doc(doc)
+    assert loaded == small and functions == []
+    assert dumps_canonical(space_to_doc(loaded)) == dumps_canonical(doc)
 
 
 def test_weight_array_is_built_once_and_read_only():
