@@ -14,9 +14,9 @@ _EXPORTS = {
     "space": ("MeasuredFunction", "Part", "PartiteSpace", "Relation", "all_traversals",
               "average_out", "complement", "fiber", "inner", "integrate", "l2_distance",
               "level_set"),
-    "vck": ("Box", "ShatteringCertificate", "VcResult", "check_shattered",
-            "sauer_shelah_bound", "trace_count", "vc_k", "vc_k_slicewise",
-            "verify_certificate"),
+    "check": ("ShatteringCertificate",),
+    "vck": ("Box", "VcResult", "check_shattered", "sauer_shelah_bound", "trace_count",
+            "vc_k", "vc_k_slicewise", "verify_certificate"),
     "gowers": ("BoxNormReport", "box_norm", "cylinder_correlation", "dual_function"),
     "fibalg": ("AtomPartition", "FiberApproxReport", "FiberFamilySpec", "FuzzinessWitness",
                "approx_by_fibers", "atoms", "dyadics", "fiber_family", "fuzziness",

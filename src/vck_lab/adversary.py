@@ -55,7 +55,7 @@ def build_instance(f: MeasuredFunction, cert, H: Relation,
     Anchor vertices get unit point mass on every non-embedded coordinate.
     """
     # imported here: the adversary sweep itself never reads a certificate
-    from .vck import ShatteringCertificate
+    from .check import ShatteringCertificate
 
     d = H.shape[0]
     if any(s != d for s in H.shape):
@@ -64,19 +64,20 @@ def build_instance(f: MeasuredFunction, cert, H: Relation,
 
     if isinstance(cert, ShatteringCertificate):
         box_positions = [p for p in range(f.arity) if p != cert.distinguished]
-        if len(H.shape) != len(box_positions) + 1:
+        if len(H.shape) != len(box_positions) + 1 or len(cert.box) != len(box_positions):
             raise InvalidArgumentError(
                 f"pattern arity {len(H.shape)} does not match certificate "
-                f"box dimension {len(box_positions)} + 1")
-        if any(len(side) != d for side in cert.box.subsets):
+                f"box dimension {len(cert.box)} + 1")
+        if any(len(side) != d for side in cert.box):
             raise InvalidArgumentError("certificate box sides must match pattern size")
-        masks = grid_masks(H.values.reshape(cert.box.grid_size, d) == 1.0)
-        if any(mask not in cert.witnesses for mask in masks):
+        masks = grid_masks(H.values.reshape(-1, d) == 1.0)
+        witnesses = dict(cert.witnesses)
+        if any(mask not in witnesses for mask in masks):
             raise InvalidArgumentError(
                 "certificate does not cover every pattern slice; "
                 "it must witness all subsets of the box grid")
-        embedding = {pos: side for pos, side in zip(box_positions, cert.box.subsets)}
-        embedding[cert.distinguished] = tuple(cert.witnesses[mask] for mask in masks)
+        embedding = dict(zip(box_positions, cert.box))
+        embedding[cert.distinguished] = tuple(witnesses[mask] for mask in masks)
     else:
         given = dict(cert)
         embedding = dict(zip(indices(given, "embedding coordinates"),
@@ -201,7 +202,8 @@ def inapproximability_scores(functions, k: int, N: int, seed: int = 0,
     tasks = [([functions[i] for i in idx], k, N, restart_args) for idx in members]
     workers = max(1, min(_cpu_count(), len(tasks)))
     if workers == 1:
-        results = list(map(_group_fits, tasks))
+        # not map, which a StopIteration leaking from a fit would end silently
+        results = [_group_fits(task) for task in tasks]
     else:
         # imported here, so that commands without a pool do not pay for it
         import multiprocessing

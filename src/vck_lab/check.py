@@ -1,8 +1,10 @@
-"""Shattering certificate checker on the standard library alone.
+"""Shattering certificates and their checker, on the standard library alone.
 
-``vck-lab verify`` runs this module and nothing of the search it checks: it
-imports no numpy, no ``space`` and no ``vck``.  It reads the certificate
-itself and the instance through the library loader's own parse
+The certificate type lives here: the search (``vck``) builds it, and this
+module writes it (``to_doc``), reads it (:func:`read_certificate`) and rules
+on it (:func:`shatters`).  ``vck-lab verify`` runs this module and nothing
+of the search it checks: it imports no numpy, no ``space`` and no ``vck``.
+It reads the instance through the library loader's own parse
 (``serialize.parse_instance``), and refuses everything the library refuses,
 with the same record names in the message:
 
@@ -13,8 +15,8 @@ with the same record names in the message:
   ``signed`` flag that is not a JSON boolean, and an ``r`` or ``s`` that is;
 - function values that are non-finite, of the wrong count, or outside
   [0, 1] ([-1, 1] if signed) by more than ``POINTWISE_TOL``;
-- empty or duplicate box sides, grids over ``GRID_CAP_MAX`` points, and
-  subset points outside the box.
+- empty or duplicate box sides, thresholds with r > s, grids over
+  ``GRID_CAP_MAX`` points, and subset points outside the box.
 
 Values within tolerance are clipped as the function model clips them, and
 each witness condition is the same float test, f <= r on the subset and
@@ -25,22 +27,57 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 from .defaults import GRID_CAP_MAX, POINTWISE_TOL, WEIGHT_SUM_TOL
-from .errors import InvalidArgumentError
-from .serialize import json_int, parse_fraction, parse_instance, reading
+from .errors import InvalidArgumentError, indices
+from .serialize import check_keys, json_int, parse_fraction, parse_instance, reading
 
 
-class Certificate:
-    """A certificate document as read: the box sides, the distinguished
-    coordinate, the thresholds and one (subset mask, witness) pair per
-    record, bit i of a mask being grid point i in row-major order."""
+class ShatteringCertificate:
+    """Claim that a box is (r, s)-shattered: the box sides as vertex tuples,
+    the distinguished coordinate, the thresholds and one (subset mask,
+    witness) pair per subset in mask order, bit i of a mask being grid point
+    i in row-major order.  Its sides obey :func:`box_side` and its
+    thresholds :func:`thresholds`; :func:`shatters` rules on the claim."""
 
     __slots__ = ("box", "distinguished", "r", "s", "witnesses")
 
     def __init__(self, box, distinguished, r, s, witnesses):
-        self.box, self.distinguished, self.r, self.s = box, distinguished, r, s
-        self.witnesses = witnesses
+        self.box = tuple(map(box_side, box))
+        self.distinguished = distinguished
+        self.r, self.s = thresholds(r, s)
+        self.witnesses = tuple(sorted(witnesses))
+
+    @property
+    def dimension(self) -> int:
+        return len(self.box[0])
+
+    def to_doc(self) -> dict:
+        grid = list(itertools.product(*self.box))
+        return {"box": [list(side) for side in self.box],
+                "distinguished": self.distinguished,
+                "r": Fraction(self.r), "s": Fraction(self.s),
+                "witnesses": [{"subset": [list(point) for i, point in enumerate(grid)
+                                          if mask >> i & 1],
+                               "witness": b} for mask, b in self.witnesses]}
+
+
+def box_side(side) -> tuple:
+    """A box side as a tuple of vertices, refused if empty or repeating one."""
+    side = indices(side, "box vertices")
+    if not side:
+        raise InvalidArgumentError("box sides must be non-empty")
+    if len(set(side)) != len(side):
+        raise InvalidArgumentError(f"duplicate vertices in box side {side}")
+    return side
+
+
+def thresholds(r, s) -> tuple:
+    """(r, s) as floats, refused unless both are finite and r <= s."""
+    if not (math.isfinite(r) and math.isfinite(s) and r <= s):
+        raise InvalidArgumentError(f"thresholds must be finite with r <= s, got r={r}, s={s}")
+    return float(r), float(s)
 
 
 class Function:
@@ -53,15 +90,17 @@ class Function:
 
 
 @reading("certificate document")
-def read_certificate(doc) -> Certificate:
-    box = tuple(_box_side(side) for side in doc["box"])
+def read_certificate(doc) -> ShatteringCertificate:
+    check_keys(doc, {"box", "distinguished", "r", "s", "witnesses"}, "certificate document")
+    box = tuple(box_side([json_int(v, "box vertex") for v in side]) for side in doc["box"])
     g = math.prod(len(side) for side in box)
     if g > GRID_CAP_MAX:
         raise InvalidArgumentError(f"certificate box has {g} grid "
                                    f"points (at most {GRID_CAP_MAX})")
     grid_index = {point: i for i, point in enumerate(itertools.product(*box))}
     witnesses = []
-    for rec in doc["witnesses"]:
+    for j, rec in enumerate(doc["witnesses"]):
+        check_keys(rec, {"subset", "witness"}, f"certificate document: witness record {j}")
         mask = 0
         for pt in rec["subset"]:
             point = tuple(json_int(v, "subset point coordinate") for v in pt)
@@ -69,18 +108,9 @@ def read_certificate(doc) -> Certificate:
                 raise InvalidArgumentError(f"subset point {pt} lies outside the box")
             mask |= 1 << grid_index[point]
         witnesses.append((mask, json_int(rec["witness"], "witness")))
-    return Certificate(box, json_int(doc["distinguished"], "distinguished"),
-                       float(parse_fraction(doc["r"])), float(parse_fraction(doc["s"])),
-                       witnesses)
-
-
-def _box_side(side) -> tuple:
-    side = tuple(json_int(v, "box vertex") for v in side)
-    if not side:
-        raise InvalidArgumentError("box sides must be non-empty")
-    if len(set(side)) != len(side):
-        raise InvalidArgumentError(f"duplicate vertices in box side {side}")
-    return side
+    return ShatteringCertificate(box, json_int(doc["distinguished"], "distinguished"),
+                                 parse_fraction(doc["r"]), parse_fraction(doc["s"]),
+                                 witnesses)
 
 
 def read_instance(doc) -> list:
@@ -122,13 +152,15 @@ def _checked_values(name, values: list, signed: bool) -> list:
     return values
 
 
-def shatters(values, shape, box, distinguished, r, s, witnesses) -> bool:
-    """True when the (mask, witness) pairs list every subset of the box grid
-    once and each witness b has f <= r on its subset and f >= s off it,
-    where f is read from its row-major ``values`` of the given shape.  A
-    box, distinguished coordinate or witness out of range makes it false."""
+def shatters(values, shape, cert: ShatteringCertificate) -> bool:
+    """True when the certificate's (mask, witness) pairs list every subset
+    of its box grid once and each witness b has f <= r on its subset and
+    f >= s off it, where f is read from its row-major ``values`` of the
+    given shape.  A box, distinguished coordinate or witness out of range
+    makes it false."""
+    box, distinguished, r, s = cert.box, cert.distinguished, cert.r, cert.s
     g = math.prod(len(side) for side in box)
-    masks = [mask for mask, _ in witnesses]
+    masks = [mask for mask, _ in cert.witnesses]
     if len(masks) != 1 << g or set(masks) != set(range(1 << g)):
         return False
     arity = len(shape)
@@ -142,7 +174,7 @@ def shatters(values, shape, box, distinguished, r, s, witnesses) -> bool:
     strides = [math.prod(shape[p + 1:]) for p in range(arity)]
     offsets = [sum(v * strides[p] for v, p in zip(point, positions))
                for point in itertools.product(*box)]
-    for mask, b in witnesses:
+    for mask, b in cert.witnesses:
         if not 0 <= b < shape[distinguished]:
             return False
         base = b * strides[distinguished]

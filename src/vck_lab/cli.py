@@ -213,7 +213,7 @@ def _cmd_adversary(args) -> int:
     from .adversary import inapproximability_scores, quasirandomness_curve, random_pattern
     started = time.perf_counter()
     # refused before any work; the fits that also check them run last
-    for flag, value in (("--score-trials", args.score_trials),
+    for flag, value in (("--k", args.k), ("--score-trials", args.score_trials),
                         ("--restarts", args.restarts), ("--n-terms", args.n_terms)):
         if value < 1:
             raise InvalidArgumentError(f"need {flag} >= 1, got {value}")
@@ -249,8 +249,7 @@ def _cmd_verify(args) -> int:
     started = time.perf_counter()
     cert = read_certificate(load_json(args.certificate))
     f = find_function(read_instance(load_json(args.instance)), name=args.function)
-    valid = shatters(f.values, f.shape, cert.box, cert.distinguished, cert.r, cert.s,
-                     cert.witnesses)
+    valid = shatters(f.values, f.shape, cert)
     config = {"certificate": args.certificate, "instance": args.instance,
               "function": f.name}
     _emit_report("verify", config, {"valid": valid}, 0, args.out, started)

@@ -229,8 +229,8 @@ def fit_boolean_cylinders(E: MeasuredFunction, k: int, n_max: int,
     """
     if not E.is_boolean():
         raise InvalidArgumentError("fit_boolean_cylinders needs a Boolean relation")
-    if E.arity <= k:
-        raise InvalidArgumentError(f"target arity {E.arity} must exceed k={k}")
+    if not 1 <= k < E.arity:
+        raise InvalidArgumentError(f"need 1 <= k < target arity {E.arity}, got k={k}")
     if n_max < 1:
         raise InvalidArgumentError(f"need n_max >= 1, got n_max={n_max}")
     if pool is None:
@@ -779,8 +779,8 @@ def fit_weighted_restarts(fs, k: int, n_max: int, restarts,
     f = fs[0]
     if any(g.space != f.space or tuple(g.signature) != tuple(f.signature) for g in fs):
         raise InvalidArgumentError("targets fitted together need one space and signature")
-    if f.arity <= k:
-        raise InvalidArgumentError(f"target arity {f.arity} must exceed k={k}")
+    if not 1 <= k < f.arity:
+        raise InvalidArgumentError(f"need 1 <= k < target arity {f.arity}, got k={k}")
     if n_max < 1 or als_iters < 0:
         raise InvalidArgumentError(f"need n_max >= 1 and als_iters >= 0, got "
                                    f"n_max={n_max}, als_iters={als_iters}")

@@ -18,6 +18,10 @@ GRID_CAP = 16
 # Largest grid a cap may allow: grid subsets are int64 bitmasks.
 GRID_CAP_MAX = 62
 
+# Most coordinates a generated grid may have: numpy 1.x's axis limit, fixed
+# so that what is refused does not depend on the installed numpy (2.x: 64).
+MAX_AXES = 32
+
 # Box norms: maximum total degree n (the corner product has 2**n factors).
 DEGREE_CAP = 6
 

@@ -39,8 +39,10 @@ class FiberFamilySpec:
     params: tuple
 
     def __post_init__(self):
-        if self.height < 1:
+        height, = indices((self.height,), "dyadic height")
+        if height < 1:
             raise InvalidArgumentError("dyadic height must be >= 1")
+        object.__setattr__(self, "height", height)
         object.__setattr__(self, "anchors", indices(self.anchors, "anchors"))
         object.__setattr__(self, "params",
                            tuple(indices(row, "parameter vertices") for row in self.params))

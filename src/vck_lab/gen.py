@@ -14,14 +14,19 @@ import numpy as np
 
 from . import defaults, rng
 from .errors import InvalidArgumentError, ResourceLimitError, indices
-from .space import PartiteSpace, Relation, check_array_cap, cylinder, index_sets, mask_bits
+from .space import PartiteSpace, Relation, check_array_cap, cylinder, index_sets
 
 
 def check_grid(sizes, arrays: int = 1) -> None:
-    """Refuse, before any part or tensor is built, a grid with an empty part
-    or one whose ``arrays`` full-grid arrays would pass the array cap."""
+    """Refuse, before any part or tensor is built, a grid with a part size
+    that is no integer or below 1, with more than ``MAX_AXES`` coordinates,
+    or whose ``arrays`` full-grid arrays would pass the array cap."""
+    sizes = indices(sizes, "part sizes")
     if min(sizes, default=1) < 1:
         raise InvalidArgumentError(f"part sizes must be >= 1, got {list(sizes)}")
+    if len(sizes) > defaults.MAX_AXES:
+        raise ResourceLimitError(f"a grid of {len(sizes)} coordinates has more axes "
+                                 f"than arrays may have ({defaults.MAX_AXES})")
     check_array_cap(arrays * math.prod(sizes), "generated instance")
 
 
@@ -32,6 +37,7 @@ def membership_gadget(d: int, k: int) -> Relation:
     The witness part enumerates subsets by bitmask over the row-major grid,
     so vertex j contains grid point i exactly when bit i of j is set.
     """
+    d, k = indices((d, k), "d and k")
     if d < 1 or k < 1:
         raise InvalidArgumentError("need d >= 1 and k >= 1")
     # 2**g > cap iff g reaches the cap's bit length; d**k (d > 1) does once k does
@@ -41,14 +47,12 @@ def membership_gadget(d: int, k: int) -> Relation:
         raise ResourceLimitError(
             f"witness part would hold 2**({d}**{k}) vertices (cap {cap})")
     n_subsets = 1 << grid_points
+    check_grid([d] * k + [n_subsets])
     parts = [f"V{i + 1}" for i in range(k)] + ["W"]
     space = PartiteSpace.uniform([d] * k + [n_subsets], parts)
-    try:
-        vals = mask_bits(range(n_subsets), grid_points).reshape((d,) * k + (n_subsets,))
-    except ValueError as exc:  # d = 1 keeps the grid small at any k
-        raise ResourceLimitError(f"a {k + 1}-ary relation has more axes than "
-                                 f"numpy arrays allow") from exc
-    return Relation(space, tuple(range(k + 1)), vals, name=f"membership{d}x{k}")
+    vals = np.arange(n_subsets) >> np.arange(grid_points)[:, None] & 1
+    return Relation(space, tuple(range(k + 1)), vals.reshape((d,) * k + (n_subsets,)),
+                    name=f"membership{d}x{k}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,7 @@ def boolean_of_lower_arity(k_prime: int, k: int, m: int, sizes,
     Stream layout: counter 3*i for leaf i's coordinate set, 3*i+1 for its
     tensor, 3*i+2 for tree shaping bits.
     """
+    k_prime, k, m = indices((k_prime, k, m), "k', k and m")
     if k < 1 or m < 0:
         raise InvalidArgumentError(f"need k >= 1 and m >= 0, got k={k}, m={m}")
     if k_prime <= k:

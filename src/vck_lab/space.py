@@ -119,6 +119,7 @@ class PartiteSpace:
 
     @staticmethod
     def uniform(sizes: Sequence[int], names: Sequence[str] | None = None) -> "PartiteSpace":
+        sizes = indices(sizes, "part sizes")
         names = names or [f"V{i + 1}" for i in range(len(sizes))]
         return PartiteSpace(tuple(Part.uniform(n, s) for n, s in zip(names, sizes)))
 
@@ -299,13 +300,6 @@ def grid_masks(hits: np.ndarray) -> list:
                                  f"bitmask (at most {GRID_CAP_MAX})")
     bits = 1 << np.arange(hits.shape[0], dtype=np.int64)
     return (hits.T @ bits).astype(np.int64).tolist()
-
-
-def mask_bits(masks, g: int) -> np.ndarray:
-    """Inverse of :func:`grid_masks`: the (g, len(masks)) boolean table whose
-    column j holds the bits of masks[j] over grid points 0..g-1."""
-    masks = np.asarray(masks, dtype=np.int64).reshape(1, -1)
-    return ((masks >> np.arange(g, dtype=np.int64)[:, None]) & 1).astype(bool)
 
 
 def index_sets(n: int, k: int) -> list:

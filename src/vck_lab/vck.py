@@ -7,23 +7,22 @@ iterates box size d upward, enumerating boxes lexicographically; a batched
 count of each box's distinct witness masks skips boxes that cannot be
 shattered, and check_shattered decides the rest: witnesses are located
 through per-vertex trace bitmaps over the grid, so the subset-cover test is
-set membership over integer masks.  Certificates are checked by ``check``,
-which shares no code with the search.
+set membership over integer masks.  Certificates are of ``check``'s type,
+which that module writes, reads and rules on without the search.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
-from fractions import Fraction
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import defaults
-from .check import shatters
-from .errors import InvalidArgumentError, ResourceLimitError, indices
-from .space import MeasuredFunction, cylinder, fiber, grid_masks, mask_bits
+from .check import ShatteringCertificate, box_side, shatters, thresholds
+from .errors import InvalidArgumentError, ResourceLimitError
+from .space import MeasuredFunction, cylinder, fiber, grid_masks
 
 
 @dataclass(frozen=True)
@@ -33,52 +32,11 @@ class Box:
     subsets: tuple
 
     def __post_init__(self):
-        subs = tuple(indices(side, "box vertices") for side in self.subsets)
-        for side in subs:
-            if not side:
-                raise InvalidArgumentError("box sides must be non-empty")
-            if len(set(side)) != len(side):
-                raise InvalidArgumentError(f"duplicate vertices in box side {side}")
-        object.__setattr__(self, "subsets", subs)
+        object.__setattr__(self, "subsets", tuple(map(box_side, self.subsets)))
 
     @property
     def grid_size(self) -> int:
         return math.prod(len(side) for side in self.subsets)
-
-    def grid(self) -> list:
-        """Row-major list of grid points (tuples of vertices)."""
-        return list(itertools.product(*self.subsets))
-
-
-@dataclass(frozen=True)
-class ShatteringCertificate:
-    """Witness map proving a box is (r, s)-shattered.
-
-    ``witnesses`` maps each subset of the box grid, encoded as a bitmask in
-    row-major grid order, to a vertex of the distinguished coordinate whose
-    values are <= r on the subset and >= s on its complement.
-    """
-
-    box: Box
-    distinguished: int
-    r: float
-    s: float
-    witnesses: dict = field(repr=False)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.box.subsets[0])
-
-    def to_doc(self) -> dict:
-        grid = self.box.grid()
-        masks = sorted(self.witnesses)
-        inside = mask_bits(masks, len(grid))
-        entries = [{"subset": [list(grid[i]) for i in np.flatnonzero(inside[:, j])],
-                    "witness": self.witnesses[mask]} for j, mask in enumerate(masks)]
-        return {"box": [list(side) for side in self.box.subsets],
-                "distinguished": self.distinguished,
-                "r": Fraction(self.r), "s": Fraction(self.s),
-                "witnesses": entries}
 
 
 @dataclass(frozen=True)
@@ -111,10 +69,7 @@ def _grid_value_table(f: MeasuredFunction, box: Box, distinguished: int) -> np.n
 
 
 def _check_search_args(r: float, s: float, cap: int) -> None:
-    if not (math.isfinite(r) and math.isfinite(s)):
-        raise InvalidArgumentError(f"thresholds must be finite, got r={r}, s={s}")
-    if r > s:
-        raise InvalidArgumentError(f"thresholds must satisfy r <= s, got {r} > {s}")
+    thresholds(r, s)
     if not 1 <= cap <= defaults.GRID_CAP_MAX:
         raise InvalidArgumentError(
             f"cap {cap} outside 1..{defaults.GRID_CAP_MAX} (int64 bitmasks)")
@@ -149,7 +104,7 @@ def check_shattered(f: MeasuredFunction, box: Box, distinguished: int,
                 break
             sub = (sub - 1) & free
         if len(witnesses) == needed:
-            return ShatteringCertificate(box, distinguished, float(r), float(s), witnesses)
+            return ShatteringCertificate(box.subsets, distinguished, r, s, witnesses.items())
     return None
 
 
@@ -157,8 +112,7 @@ def verify_certificate(f: MeasuredFunction, cert: ShatteringCertificate) -> bool
     """Recompute every witness condition; exact comparisons, no tolerance.
     A box or witness vertex out of range makes the certificate invalid.
     The test is ``check.shatters``, the one ``vck-lab verify`` runs."""
-    return shatters(f.values.ravel().tolist(), f.shape, cert.box.subsets, cert.distinguished,
-                    cert.r, cert.s, list(cert.witnesses.items()))
+    return shatters(f.values.ravel().tolist(), f.shape, cert)
 
 
 # Box x witness keys held per batch of a level scan: bounds its memory.

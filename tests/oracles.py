@@ -234,16 +234,17 @@ def atom_cells_oracle(generators, total: int) -> list:
 def verify_certificate_oracle(f, cert) -> bool:
     """Every witness condition checked bit by bit against f's values:
     witness b has f <= r on the grid points of its subset, f >= s off it."""
-    dist, sides = cert.distinguished, cert.box.subsets
+    dist, sides = cert.distinguished, cert.box
     positions = [p for p in range(f.arity) if p != dist]
     grid = list(itertools.product(*sides))
-    if set(cert.witnesses) != set(range(1 << len(grid))):
+    masks = [mask for mask, _ in cert.witnesses]
+    if sorted(masks) != list(range(1 << len(grid))):
         return False
     if not 0 <= dist < f.arity or len(positions) != len(sides):
         return False
     if any(not 0 <= v < f.shape[p] for p, side in zip(positions, sides) for v in side):
         return False
-    for mask, b in cert.witnesses.items():
+    for mask, b in cert.witnesses:
         if not 0 <= b < f.shape[dist]:
             return False
         for i, point in enumerate(grid):

@@ -17,7 +17,6 @@ from vck_lab.check import read_certificate, read_instance
 from vck_lab.cli import main
 from vck_lab.errors import InvalidArgumentError, NumericalFailureError
 from vck_lab.serialize import dumps_canonical, functions_from_doc, load_json, write_canonical
-from vck_lab.vck import ShatteringCertificate
 
 from oracles import inapproximability_score_oracle, verify_certificate_oracle
 
@@ -149,12 +148,21 @@ def _letter_weights(doc):
     doc["parts"][0]["weights"] = "ab"
 
 
+def _witness_key_certificate() -> dict:
+    cert_doc = _gadget_certificate()
+    cert_doc["witnesses"][0]["bar"] = 2
+    return cert_doc
+
+
 @pytest.mark.parametrize("cert_doc, message", [
     ({}, "missing key 'box'"), ({"box": [[0, 1]]}, "missing key 'witnesses'"),
     ([], "list indices"), ({"box": 3}, "'int' object is not iterable"),
     # a JSON true threshold was once read as 1, and the certificate passed
     (dict(_gadget_certificate(), r=True, s=True), "expected a number or fraction, got True"),
-    (dict(_gadget_certificate(), s=True), "expected a number or fraction, got True")])
+    (dict(_gadget_certificate(), s=True), "expected a number or fraction, got True"),
+    # unknown keys once passed, at the top level and in a witness record
+    (dict(_gadget_certificate(), foo=1), "unknown keys ['foo']"),
+    (_witness_key_certificate(), "witness record 0: unknown keys ['bar']")])
 def test_malformed_certificate_exits_2(tmp_path, gadget_doc, capsys, cert_doc, message):
     cert_path = tmp_path / "cert.json"
     cert_path.write_text(json.dumps(cert_doc))
@@ -279,9 +287,7 @@ def test_tolerated_instances_load_alike(tmp_path, gadget_doc, edit):
     if not functions:
         assert codes == (2, 2)  # no stored function to select
         return
-    cert = read_certificate(cert_doc)
-    valid = verify_certificate_oracle(functions[0], ShatteringCertificate(
-        Box(cert.box), cert.distinguished, cert.r, cert.s, dict(cert.witnesses)))
+    valid = verify_certificate_oracle(functions[0], read_certificate(cert_doc))
     assert codes == (0 if valid else 2, 0)
 
 
@@ -531,7 +537,7 @@ def test_vcdim_bad_thresholds_or_cap_exit_2(gadget_doc, flags, capsys):
 @pytest.mark.parametrize("flags", [
     ("--trials", "0"), ("--trials", "-1"), ("--restarts", "0"),
     ("--score-trials", "0"), ("--score-trials", "-2"), ("--n-terms", "0"),
-    ("--d", "2,x"), ("--d", ","), ("--d", "2,0")])
+    ("--d", "2,x"), ("--d", ","), ("--d", "2,0"), ("--k", "0"), ("--k", "-1")])
 def test_adversary_bad_counts_exit_2(tmp_path, flags, monkeypatch, capsys):
     def no_work(*args, **kwargs):
         raise AssertionError("a refused sweep started its curve")
@@ -568,9 +574,12 @@ def test_adversary_fit_failure_in_any_worker_exits_4(tmp_path, monkeypatch, caps
 
 @pytest.mark.parametrize("flags", [
     ("--n-max", "0"), ("--als-iters", "-1"),
-    ("--mode", "boolean", "--n-max", "0"), ("--mode", "boolean", "--n-max", "-3")])
-def test_decompose_bad_counts_exit_2(gadget_doc, flags):
+    ("--mode", "boolean", "--n-max", "0"), ("--mode", "boolean", "--n-max", "-3"),
+    # k = 0 once ended in a StopIteration traceback (weighted)
+    ("--k", "0"), ("--mode", "boolean", "--k", "0")])
+def test_decompose_bad_counts_exit_2(gadget_doc, flags, capsys):
     assert run("decompose", "--input", str(gadget_doc), "--k", "1", *flags) == 2
+    assert _one_error_line(capsys.readouterr().err)
 
 
 def _one_error_line(err: str) -> bool:
@@ -581,8 +590,10 @@ def _one_error_line(err: str) -> bool:
     ("quasirandom", "sizes=4xq", 2), ("quasirandom", "p=abc", 2), ("membership", "d=x", 2),
     ("boolcomb", "k=0,m=2", 2), ("boolcomb", "m=-1", 2), ("quasirandom", "sizes=3x0", 2),
     ("membership", "d=1000,k=1000", 3), ("boolcomb", "m=100000", 3),
-    # one vertex per part keeps the grid tiny, but an array has at most 64 axes
-    ("membership", "d=1,k=64", 3),
+    # one vertex per part keeps the grid tiny, but a grid has at most 32 axes
+    ("membership", "d=1,k=64", 3), ("quasirandom", "sizes=1,signature=" + "x".join("0" * 33), 3),
+    ("quasirandom", "sizes=1,signature=" + "x".join("0" * 65), 3),
+    ("boolcomb", "kprime=70,sizes=" + "x".join("1" * 70), 3),
     ("boolcomb", "sizes=100000x100000x100000", 3), ("parity", "n=257", 3),
     # one cell over the array cap: a missing check costs seconds, not a hang
     ("quasirandom", "sizes=4096x4097", 3)])

@@ -38,7 +38,7 @@ def test_equal_thresholds_enumerate_free_subsets():
     f = MeasuredFunction(space, (0, 1), np.full((2, 1), 0.5))
     cert = check_shattered(f, Box(((0, 1),)), 1, 0.5, 0.5)
     assert cert is not None
-    assert set(cert.witnesses) == {0, 1, 2, 3}
+    assert [mask for mask, _ in cert.witnesses] == [0, 1, 2, 3]
     assert verify_certificate(f, cert)
 
 
@@ -113,7 +113,7 @@ def test_pattern_reproducible_after_module_reload():
 
 def _integer_entry_points():
     from vck_lab import (FiberFamilySpec, all_traversals, boolean_of_lower_arity,
-                         build_instance)
+                         build_instance, fiber_family, membership_gadget, parity_triple)
     from vck_lab.gowers import multiply_cylinders
     from vck_lab.serialize import find_function
     space = PartiteSpace.uniform([2, 2])
@@ -130,6 +130,13 @@ def _integer_entry_points():
         "boolean_of_lower_arity": (lambda i: boolean_of_lower_arity(2, 1, 1, [i, 2]), 2),
         "embedding coordinate": (lambda i: build_instance(E, {i: (0, 1), 1: (0, 1)}, H), 0),
         "embedded vertex": (lambda i: build_instance(E, {0: (i, 1), 1: (0, 1)}, H), 0),
+        # counts, which once failed with a bare TypeError deep inside
+        "fiber height": (lambda i: fiber_family(E, FiberFamilySpec(i, (0,), ((0,),))), 2),
+        "membership_gadget": (lambda i: membership_gadget(i, 1), 2),
+        "parity_triple": (lambda i: parity_triple(i), 3),
+        "uniform part sizes": (lambda i: PartiteSpace.uniform([i]), 2),
+        "boolean_of_lower_arity leaves": (
+            lambda i: boolean_of_lower_arity(3, 1, i, [2, 2, 2]), 1),
     }
 
 

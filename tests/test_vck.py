@@ -1,6 +1,5 @@
 """Shattering search, certificates, trace counts, and combinatorial bounds."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vck_lab import (Box, MeasuredFunction, PartiteSpace, Relation,
+from vck_lab import (Box, MeasuredFunction, PartiteSpace, Relation, ShatteringCertificate,
                      check_shattered, membership_gadget, parity_triple,
                      sauer_shelah_bound, trace_count, vc_k, vc_k_slicewise,
                      verify_certificate)
@@ -20,7 +19,7 @@ from vck_lab.check import read_certificate, read_instance, shatters
 from vck_lab.cli import main
 from vck_lab.errors import InvalidArgumentError, ResourceLimitError
 from vck_lab.serialize import dumps_canonical, functions_to_doc, write_canonical
-from vck_lab.vck import ShatteringCertificate, _LevelScan
+from vck_lab.vck import _LevelScan
 
 from oracles import covered_bound_oracle, vc_k_oracle, verify_certificate_oracle
 
@@ -95,10 +94,40 @@ def test_certificate_round_trip():
     g = membership_gadget(2, 1)
     cert = check_shattered(g, Box(((0, 1),)), 1, 0.5, 0.5)
     back = read_certificate(json.loads(dumps_canonical(cert.to_doc())))
-    assert (back.box, back.distinguished, back.r, back.s) == (
-        cert.box.subsets, cert.distinguished, cert.r, cert.s)
-    assert dict(back.witnesses) == cert.witnesses
-    assert sorted(mask for mask, _ in back.witnesses) == list(range(4))
+    assert _fields(back) == _fields(cert)
+    assert [mask for mask, _ in back.witnesses] == list(range(4))
+
+
+def _fields(cert) -> tuple:
+    return cert.box, cert.distinguished, cert.r, cert.s, cert.witnesses
+
+
+def _replace(cert, **changes) -> ShatteringCertificate:
+    """The certificate with some fields changed, built anew under its rules."""
+    fields = dict(zip(("box", "distinguished", "r", "s", "witnesses"), _fields(cert)))
+    return ShatteringCertificate(**{**fields, **changes})
+
+
+def _verify_exit(cert_doc, f) -> int:
+    """The exit code of `vck-lab verify` on the certificate document and f."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cert_path, inst_path = os.path.join(tmp, "cert.json"), os.path.join(tmp, "inst.json")
+        write_canonical(cert_path, cert_doc)
+        write_canonical(inst_path, functions_to_doc(f.space, [f]))
+        return main(["verify", cert_path, inst_path, "--out", os.path.join(tmp, "v.json")])
+
+
+def test_certificate_with_r_above_s_is_refused():
+    # verify once accepted r = 1, s = 0 with one witness for every subset
+    g = membership_gadget(2, 1)
+    cert = check_shattered(g, Box(((0, 1),)), 1, 0.5, 0.5)
+    with pytest.raises(InvalidArgumentError, match="r <= s"):
+        _replace(cert, r=1.0, s=0.0)
+    cert_doc = dict(cert.to_doc(), r="1/1", s="0/1",
+                    witnesses=[dict(rec, witness=0) for rec in cert.to_doc()["witnesses"]])
+    with pytest.raises(InvalidArgumentError, match="r <= s"):
+        read_certificate(cert_doc)
+    assert _verify_exit(cert_doc, g) == 2
 
 
 @settings(max_examples=100, deadline=None)
@@ -113,10 +142,10 @@ def test_tampered_certificate_is_false_never_raises(witnesses, box, distinguishe
     g = membership_gadget(2, 1)
     cert = check_shattered(g, Box(((0, 1),)), 1, 0.5, 0.5)
     sides = tuple(tuple(dict.fromkeys(side)) for side in box)
-    for tampered in (dataclasses.replace(cert, witnesses={**cert.witnesses, **witnesses}),
-                     dataclasses.replace(cert, box=Box(sides)),
-                     dataclasses.replace(cert, distinguished=distinguished)):
-        if tampered == cert:
+    for tampered in (_replace(cert, witnesses={**dict(cert.witnesses), **witnesses}.items()),
+                     _replace(cert, box=sides),
+                     _replace(cert, distinguished=distinguished)):
+        if _fields(tampered) == _fields(cert):
             continue
         assert verify_certificate(g, tampered) is False
 
@@ -144,46 +173,44 @@ def test_verify_matches_per_bit_oracle(data):
     witness = st.integers(-2, f.shape[k] + 1)
     cert = check_shattered(f, box, k, r, s)
     if cert is None:
-        cert = ShatteringCertificate(box, k, r, s, {
-            mask: data.draw(witness) for mask in range(1 << box.grid_size)})
-    masks = st.sampled_from(sorted(cert.witnesses))
+        cert = ShatteringCertificate(box.subsets, k, r, s, [
+            (mask, data.draw(witness)) for mask in range(1 << box.grid_size)])
+    witnesses = dict(cert.witnesses)
+    masks = st.sampled_from(sorted(witnesses))
     tamper = data.draw(st.sampled_from(["none", "witness", "drop", "extra", "r", "s",
                                         "distinguished", "box"]))
     if tamper == "witness":
-        cert = dataclasses.replace(cert, witnesses={**cert.witnesses,
-                                                    data.draw(masks): data.draw(witness)})
+        cert = _replace(cert, witnesses={**witnesses,
+                                         data.draw(masks): data.draw(witness)}.items())
     elif tamper == "drop":
         drop = data.draw(masks)
-        cert = dataclasses.replace(cert, witnesses={m: b for m, b in cert.witnesses.items()
-                                                    if m != drop})
+        cert = _replace(cert, witnesses=[(m, b) for m, b in cert.witnesses if m != drop])
     elif tamper == "extra":
-        cert = dataclasses.replace(cert, witnesses={**cert.witnesses,
-                                                    1 << cert.box.grid_size: 0})
+        cert = _replace(cert, witnesses=cert.witnesses + ((1 << box.grid_size, 0),))
     elif tamper in ("r", "s"):
-        cert = dataclasses.replace(cert, **{tamper: data.draw(
-            st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))})
+        thresholds = {"r": cert.r, "s": cert.s,
+                      tamper: data.draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))}
+        if thresholds["r"] > thresholds["s"]:
+            # no certificate has r > s: none is built, and verify refuses one
+            with pytest.raises(InvalidArgumentError, match="r <= s"):
+                _replace(cert, **thresholds)
+            assert _verify_exit(dict(cert.to_doc(), **thresholds), f) == 2
+            return
+        cert = _replace(cert, **thresholds)
     elif tamper == "distinguished":
-        cert = dataclasses.replace(cert, distinguished=data.draw(st.integers(-1, k + 1)))
+        cert = _replace(cert, distinguished=data.draw(st.integers(-1, k + 1)))
     elif tamper == "box":
-        cert = dataclasses.replace(cert, box=Box(tuple(
+        cert = _replace(cert, box=tuple(
             tuple(data.draw(st.lists(st.integers(-1, 3), min_size=1, max_size=3,
-                                     unique=True))) for _ in range(data.draw(st.integers(1, 2))))))
+                                     unique=True))) for _ in range(data.draw(st.integers(1, 2)))))
     expected = verify_certificate_oracle(f, cert)
     assert verify_certificate(f, cert) is expected
     # as documents, through the checker's reader and `vck-lab verify`; an
     # extra mask is written as a subset listed twice, which is invalid too
     cert_doc = json.loads(dumps_canonical(cert.to_doc()))
-    inst_doc = json.loads(dumps_canonical(functions_to_doc(f.space, [f])))
-    function = read_instance(inst_doc)[0]
-    read = read_certificate(cert_doc)
-    assert shatters(function.values, function.shape, read.box, read.distinguished, read.r,
-                    read.s, read.witnesses) is expected
-    with tempfile.TemporaryDirectory() as tmp:
-        cert_path, inst_path = os.path.join(tmp, "cert.json"), os.path.join(tmp, "inst.json")
-        write_canonical(cert_path, cert_doc)
-        write_canonical(inst_path, inst_doc)
-        assert main(["verify", cert_path, inst_path, "--out", os.path.join(tmp, "v.json")]) \
-            == (0 if expected else 2)
+    function = read_instance(json.loads(dumps_canonical(functions_to_doc(f.space, [f]))))[0]
+    assert shatters(function.values, function.shape, read_certificate(cert_doc)) is expected
+    assert _verify_exit(cert_doc, f) == (0 if expected else 2)
 
 
 def test_certificate_subset_outside_box_rejected():
