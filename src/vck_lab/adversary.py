@@ -10,6 +10,8 @@ random pattern, hence are quasirandom and resist low-arity approximation.
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 import statistics
 import warnings
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 from . import defaults, rng
 from .decomp import fit_weighted_restarts
-from .errors import InvalidArgumentError, indices
+from .errors import InvalidArgumentError, ResourceLimitError, indices
 from .gen import check_grid
 from .gowers import box_norm
 from .space import (MeasuredFunction, Part, PartiteSpace, Relation, grid_masks,
@@ -26,6 +28,7 @@ from .space import (MeasuredFunction, Part, PartiteSpace, Relation, grid_masks,
 
 def random_pattern(d: int, k: int, p: float, seed: int, trial: int = 0) -> Relation:
     """I.i.d. Bernoulli(p) (k+1)-partite pattern on [d]^(k+1), uniform parts."""
+    d, k = indices((d, k), "d and k")
     if not 0.0 <= p <= 1.0:
         raise InvalidArgumentError(f"p={p} outside [0, 1]")
     check_grid([d] * (k + 1))
@@ -133,6 +136,7 @@ def quasirandomness_curve(k: int, d_values, trials: int, seed: int,
     are flagged against one standard deviation, never fatal).
     Returns rows ``{"d", "mean_norm", "std_norm"}``.
     """
+    k, trials = indices((k, trials), "k and trials")
     if trials < 1:
         raise InvalidArgumentError(f"need trials >= 1, got {trials}")
     rows = []
@@ -173,23 +177,108 @@ def _group_fits(task) -> list:
     return results
 
 
+_RECORD = 4  # bytes per group number in the queue
+
+
+def _take_groups(tasks, processes: int, queue: tuple):
+    """Yield (group number, its fits) for each group this process takes
+    from the queue.  The queue pipe holds one number per process: whoever
+    takes group g puts back g + processes, so each number is taken once,
+    in order but for races between the processes, and the numbers from
+    len(tasks) on stop one process each."""
+    read_end, write_end = queue
+    while True:
+        g = int.from_bytes(os.read(read_end, _RECORD), "little")
+        if g >= len(tasks):
+            return
+        os.write(write_end, (g + processes).to_bytes(_RECORD, "little"))
+        yield g, _group_fits(tasks[g])
+
+
+def _fit_in_child(tasks, processes: int, queue: tuple, out: int) -> None:
+    """A forked child's life: fit the groups it takes, send back its fits
+    or the exception that stopped it, and exit without returning into the
+    parent's stack."""
+    try:
+        try:
+            payload = dict(_take_groups(tasks, processes, queue))
+        except Exception as exc:  # re-raised in the parent
+            payload = exc
+        with open(out, "wb") as pipe:
+            pickle.dump(payload, pipe)
+    finally:
+        os._exit(0)
+
+
+def _fit_groups(tasks, processes: int, meanwhile) -> list:
+    """Each task's fits, in task order, made by this process and processes
+    - 1 forked children, which take group numbers, largest grid first, from
+    one pipe.  ``meanwhile`` runs here while the children start fitting.
+    A child's exception is raised here, and every child is reaped on every
+    path."""
+    queue = os.pipe()
+    children = {}  # pid -> read end of the pipe its fits come back on
+    try:
+        os.write(queue[1], b"".join(g.to_bytes(_RECORD, "little") for g in range(processes)))
+        for _ in range(processes - 1):
+            read_end, write_end = os.pipe()
+            # fork, not spawn or forkserver: those import numpy and the
+            # library again in every child, about 0.25 s each, the time of
+            # several fits.  The library starts no threads; OpenBLAS stops
+            # its own around a fork.
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_end)
+                _fit_in_child(tasks, processes, queue, write_end)
+            os.close(write_end)
+            children[pid] = read_end
+        if meanwhile is not None:
+            meanwhile()
+        fits = dict(_take_groups(tasks, processes, queue))
+        for pid, read_end in list(children.items()):
+            with open(read_end, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            os.close(read_end)
+            del children[pid]
+            if not data:
+                raise ResourceLimitError(f"a fit process ended without its fits (exit "
+                                         f"{os.waitstatus_to_exitcode(status)})")
+            payload = pickle.loads(data)  # written by the child above
+            if isinstance(payload, Exception):
+                raise payload
+            fits.update(payload)
+        return [fits[g] for g in range(len(tasks))]
+    finally:
+        for pid, read_end in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_end)
+        for end in queue:
+            os.close(end)
+
+
 def inapproximability_scores(functions, k: int, N: int, seed: int = 0,
-                             restarts: int = defaults.SCORE_RESTARTS) -> tuple:
+                             restarts: int = defaults.SCORE_RESTARTS,
+                             meanwhile=None) -> tuple:
     """:func:`inapproximability_score` of each function, fitted together.
 
     The functions that share a space and a signature form one group, and
     all restarts of all of a group's functions are one batched weighted fit
     (:func:`~vck_lab.decomp.fit_weighted_restarts`, every restart in
     lockstep, each equal to its serial fit bit for bit).  Each group is one
-    independent, deterministic task, and the tasks run largest grid first,
-    so the longest fits start earliest.  They are spread over the CPUs this
-    process may run on, one forked worker per CPU up to one per group, and
-    the scores are returned in the order of ``functions``: they do not
-    depend on how many workers ran.  Returns ``(scores, diagnostics)``; the
-    diagnostics hold the ``workers`` used, the ``fits`` made (functions
-    times restarts), the ``als_sweeps`` they took and the ``bvls_steps`` of
-    their coefficient solves.
+    independent, deterministic task, and the tasks are taken largest grid
+    first, so the longest fits start earliest.  One process fits per CPU
+    this process may run on, at most one per group: this one and forked
+    children.  ``meanwhile``, if given, is called with no arguments in this
+    process while the children start fitting, before it fits itself.  The
+    scores are returned in the order of ``functions``: they do not depend on
+    how many processes ran.  Returns ``(scores, diagnostics)``; the
+    diagnostics hold the ``workers`` (processes that fitted), the ``fits``
+    made (functions times restarts), the ``als_sweeps`` they took and the
+    ``bvls_steps`` of their coefficient solves.
     """
+    k, N, restarts = indices((k, N, restarts), "k, N and restarts")
     if restarts < 1:
         raise InvalidArgumentError(f"need restarts >= 1, got {restarts}")
     restart_args = [(int(rng.raw64(seed, rng.STREAM_SCORE, 1, r)[0]),
@@ -201,21 +290,8 @@ def inapproximability_scores(functions, k: int, N: int, seed: int = 0,
     members = sorted(groups.values(), key=lambda idx: -functions[idx[0]].values.size)
     tasks = [([functions[i] for i in idx], k, N, restart_args) for idx in members]
     workers = max(1, min(_cpu_count(), len(tasks)))
-    if workers == 1:
-        # not map, which a StopIteration leaking from a fit would end silently
-        results = [_group_fits(task) for task in tasks]
-    else:
-        # imported here, so that commands without a pool do not pay for it
-        import multiprocessing
-
-        # fork, not spawn or forkserver: those import numpy and the library
-        # again in every worker, about 0.25 s each, the time of several
-        # fits.  The library starts no threads; OpenBLAS stops its own
-        # around a fork.
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_group_fits, tasks, chunksize=1)
     by_function = [None] * len(functions)
-    for idx, fits in zip(members, results):
+    for idx, fits in zip(members, _fit_groups(tasks, workers, meanwhile)):
         for i, fit in zip(idx, fits):
             by_function[i] = fit
     scores = [float(error) for error, _, _ in by_function]

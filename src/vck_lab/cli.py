@@ -213,19 +213,23 @@ def _cmd_adversary(args) -> int:
     from .adversary import inapproximability_scores, quasirandomness_curve, random_pattern
     started = time.perf_counter()
     # refused before any work; the fits that also check them run last
-    for flag, value in (("--k", args.k), ("--score-trials", args.score_trials),
+    for flag, value in (("--k", args.k), ("--trials", args.trials),
+                        ("--score-trials", args.score_trials),
                         ("--restarts", args.restarts), ("--n-terms", args.n_terms)):
         if value < 1:
             raise InvalidArgumentError(f"need {flag} >= 1, got {value}")
     d_values = _ints(args.d, "--d")
     if not d_values or min(d_values) < 1:
         raise InvalidArgumentError(f"--d needs one or more sizes >= 1, got {args.d!r}")
-    rows = quasirandomness_curve(args.k, d_values, args.trials, args.seed, p=args.p)
     score_trials = min(args.score_trials, args.trials)
     patterns = [random_pattern(d, args.k, args.p, args.seed, trial=(di << 16) | t)
                 for di, d in enumerate(d_values) for t in range(score_trials)]
+    rows = []
+    # the curve runs here while forked children start on the fits
     scores, diagnostics = inapproximability_scores(
-        patterns, args.k, args.n_terms, seed=args.seed, restarts=args.restarts)
+        patterns, args.k, args.n_terms, seed=args.seed, restarts=args.restarts,
+        meanwhile=lambda: rows.extend(quasirandomness_curve(
+            args.k, d_values, args.trials, args.seed, p=args.p)))
     for di, row in enumerate(rows):
         trial_scores = scores[di * score_trials:(di + 1) * score_trials]
         row["mean_score"] = sum(trial_scores) / len(trial_scores)

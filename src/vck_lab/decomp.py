@@ -22,9 +22,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import defaults, rng
-from .errors import InvalidArgumentError, NumericalFailureError
+from .errors import InvalidArgumentError, NumericalFailureError, indices
 from .space import (MeasuredFunction, Relation, cylinder, cylinder_product, fiber,
                     index_sets, integrate, weighted_l2, weighted_sum)
 from .serialize import space_to_doc
@@ -315,56 +316,109 @@ class BoxSolution(NamedTuple):
     steps: int          # active-set steps taken
 
 
-def _clip(v: float) -> float:
-    """``np.clip(v, 0.0, 1.0)`` on one float: -0.0 and NaN pass unchanged."""
-    return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+def _svd_failed(err, flag):
+    raise NumericalFailureError("SVD did not converge in linear least squares")
 
 
-def _box_solve(Rb: np.ndarray, x0=None) -> BoxSolution:
-    """The active-set half of :func:`bounded_least_squares`, on the
-    triangular factor ``Rb`` of [A b].  The bookkeeping (free set, ratio
-    test, clipping, optimality check) runs on Python floats, which at these
-    sizes cost far less than numpy calls; every product and solve is a numpy
-    call, so the rounding is numpy's."""
-    n = Rb.shape[1] - 1
-    R, d = Rb[:n, :n], Rb[:n, n]
-    rho = float(Rb[n, n]) if Rb.shape[0] > n else 0.0
-    start = (np.linalg.lstsq(R, d, rcond=None)[0] if x0 is None
-             else np.asarray(x0, dtype=np.float64))
-    x = [_clip(v) for v in start.tolist()]
-    pinned = [v == 0.0 or v == 1.0 for v in x]
-    # gradients below what lstsq's rank cutoff can resolve are rounding noise;
-    # norms by hypot, whose squares cannot underflow to a zero tolerance
-    r_norm, d_norm = math.hypot(*R.ravel().tolist()), math.hypot(*d.tolist())
+def _lstsq(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solutions of a stack of problems A x = B,
+    in one call of the LAPACK routine (dgelsd) that ``np.linalg.lstsq`` calls
+    on each of them, with its default cutoff and error state: bit for bit
+    its solutions, without its per-call wrapper."""
+    with np.errstate(call=_svd_failed, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return _umath_linalg.lstsq(A, B, _EPS * max(A.shape[-2:]), signature="ddd->ddid")[0]
+
+
+def _tolerance(R: np.ndarray, d: np.ndarray, x: np.ndarray) -> float:
+    """The largest violation of optimality that counts as 0 for one
+    problem: gradients below what lstsq's rank cutoff can resolve are
+    rounding noise.  Norms by hypot, whose squares cannot underflow to a
+    zero tolerance."""
+    r_norm = math.hypot(*R.ravel().tolist())
     noise = 8 * max(R.shape) * _EPS * r_norm
-    for steps in range(1, defaults.BVLS_STEP_CAP * (len(x) + 1) + 1):
-        free = [i for i, p in enumerate(pinned) if not p]
-        # the free minimizer itself, not x plus a step: its rounding is then
-        # independent of where x started
-        fixed = np.array([v if p else 0.0 for v, p in zip(x, pinned)])
-        target = np.linalg.lstsq(R[:, free], d - R @ fixed, rcond=None)[0].tolist()
-        leaving = [t < 0.0 or t > 1.0 for t in target]
-        if any(leaving):
-            step = [t - x[i] for t, i in zip(target, free)]
-            ratio = [(x[i] if s < 0.0 else 1.0 - x[i]) / abs(s) if out else math.inf
-                     for i, s, out in zip(free, step, leaving)]
-            least = min(ratio)
-            for i, s, r in zip(free, step, ratio):
-                if r == least:
-                    x[i], pinned[i] = (1.0 if s > 0.0 else 0.0), True
-                else:
-                    x[i] = _clip(x[i] + least * s)
-            continue
-        for i, t in zip(free, target):
-            x[i] = t
-        xs = np.array(x)
-        fit = R @ xs - d
-        violation = [(-g if v == 0.0 else g) if p else 0.0
-                     for g, v, p in zip((R.T @ fit).tolist(), x, pinned)]
-        worst = max(violation)
-        if worst <= noise * (r_norm * math.hypot(*x) + d_norm):
-            return BoxSolution(xs, math.hypot(*fit.tolist(), rho), steps)
-        pinned[violation.index(worst)] = False
+    return noise * (r_norm * math.hypot(*x.tolist()) + math.hypot(*d.tolist()))
+
+
+def _box_solve(Rb: np.ndarray, x0=None) -> tuple:
+    """The active-set half of :func:`bounded_least_squares` for a stack of
+    problems at once, on the triangular factors ``Rb`` of their [A b]:
+    ``(x, residuals, steps)``, a row of ``x`` and an entry of each list per
+    problem.  All rows step together until each is optimal.  At each step
+    the rows with as many free variables make one stacked solve, and the
+    ratio test, clipping, pinning and optimality check run on all rows at
+    once.  Every row's products and solves are the ones numpy makes for
+    that row alone, so each row equals its own solve bit for bit."""
+    rows, n = Rb.shape[0], Rb.shape[2] - 1
+    R, d = Rb[:, :n, :n], Rb[:, :n, n]
+    rho = Rb[:, n, n].tolist() if Rb.shape[1] > n else [0.0] * rows
+    start = _lstsq(R, d[:, :, None])[:, :, 0] if x0 is None else np.asarray(x0, np.float64)
+    x = start.clip(0.0, 1.0)
+    pinned = (x == 0.0) | (x == 1.0)
+    solved, residuals, steps = [None] * rows, [0.0] * rows, [0] * rows
+    live = list(range(rows))  # the rows still stepping, in order
+    for step in range(1, defaults.BVLS_STEP_CAP * (n + 1) + 1):
+        free = ~pinned
+        any_pinned = not free.all()
+        if not any_pinned:
+            # nothing pinned: d - R @ 0 is d exactly
+            target = _lstsq(R, d[:, :, None])[:, :, 0]
+        else:
+            # the free minimizer itself, not x plus a step: its rounding is
+            # then independent of where x started
+            rhs = d - (R @ np.where(pinned, x, 0.0)[:, :, None])[:, :, 0]
+            target = x.copy()  # pinned entries stay put
+            # rows with as many free variables solve together, each on its
+            # own free columns, in order
+            counts = free.sum(axis=1)
+            sizes = set(counts.tolist()) - {0}
+            for count in sizes:
+                members = counts == count
+                cells = free & members[:, None] if len(sizes) > 1 else free
+                A = R.transpose(0, 2, 1)[cells].reshape(-1, count, R.shape[1])
+                target[cells] = _lstsq(A.transpose(0, 2, 1),
+                                       rhs[members][:, :, None])[:, :, 0].ravel()
+        leaving = (target < 0.0) | (target > 1.0)
+        if leaving.any():
+            # a variable leaving the box stops its row's step and is pinned
+            # exactly; rows without one take their target
+            moving = leaving.any(axis=1)
+            delta = target - x
+            room = np.where(delta < 0.0, x, 1.0 - x)
+            ratio = np.where(leaving, room / np.where(leaving, np.abs(delta), 1.0), np.inf)
+            least = ratio.min(axis=1, keepdims=True)
+            hit = (ratio == least) & moving[:, None]
+            least[~moving] = 0.0
+            stepped = np.where(pinned, x, (x + least * delta).clip(0.0, 1.0))
+            stepped[hit] = delta[hit] > 0.0
+            x = np.where(moving[:, None], stepped, target)
+            pinned |= hit
+            keep, any_pinned = moving.tolist(), True
+        else:
+            x, keep = target, [False] * len(live)
+        fit = (R @ x[:, :, None])[:, :, 0] - d
+        if any_pinned:
+            gradient = (R.transpose(0, 2, 1) @ fit[:, :, None])[:, :, 0]
+            violation = np.where(pinned, np.where(x == 0.0, -gradient, gradient), 0.0)
+            worst = violation.max(axis=1).tolist()
+        else:
+            worst = [0.0] * len(live)
+        for i, (row, fit_row, rho_row, moved) in enumerate(zip(live, fit.tolist(), rho, keep)):
+            if moved:
+                continue
+            # a worst violation of 0 meets any tolerance
+            if worst[i] <= 0.0 or worst[i] <= _tolerance(R[i], d[i], x[i]):
+                solved[row], residuals[row] = x[i], math.hypot(*fit_row, rho_row)
+                steps[row] = step
+            else:  # free the pinned variable that violates optimality most
+                pinned[i, int(violation[i].argmax())] = False
+                keep[i] = True
+        if not any(keep):
+            return np.array(solved), residuals, steps
+        if not all(keep):
+            kept = np.array(keep)
+            R, d, x, pinned = R[kept], d[kept], x[kept], pinned[kept]
+            live, rho = ([v for v, k in zip(seq, keep) if k] for seq in (live, rho))
     raise NumericalFailureError("bounded least squares did not converge")
 
 
@@ -376,17 +430,20 @@ def bounded_least_squares(A: np.ndarray, b: np.ndarray, x0=None) -> BoxSolution:
     holds R (A = QR), d = Q^T b and, below d, rho, the length of b's part
     outside A's range.  So each solve is at most n x n and the condition
     number is A's, not its square as with the normal equations (which lose
-    near-exact fits).  The weighted fitter factors the problems of all its
-    rows (restarts of one or more targets) in one stacked call.  Then the active-set solve on that factor,
-    one problem at a time.  It starts from x0 clipped to the box, or else
-    from the clipped unconstrained solution.  Each step heads for the
-    minimizer over the free variables by a minimum-norm solve, so
-    rank-deficient A is fine; a variable leaving the box stops it and is
+    near-exact fits).  Then the active-set solve on that factor.  The
+    weighted fitter factors the problems of all its rows (restarts of one or
+    more targets) in one stacked call and solves them together, each row
+    bit for bit as this one-problem case would.  It starts from x0 clipped
+    to the box, or else from the clipped unconstrained solution.  Each step
+    heads for the minimizer over the free variables by a minimum-norm solve,
+    so rank-deficient A is fine; a variable leaving the box stops it and is
     pinned exactly to 0 or 1.  There, the pinned variable most violating
     optimality is freed; none means optimal.  The residual is returned as
     sqrt(||R x - d||^2 + rho^2), with no pass over A's rows.
     """
-    return _box_solve(np.linalg.qr(np.column_stack([A, b]), mode="r"), x0)
+    x, residuals, steps = _box_solve(np.linalg.qr(np.column_stack([A, b]), mode="r")[None],
+                                     None if x0 is None else [x0])
+    return BoxSolution(x[0], residuals[0], steps[0])
 
 
 @dataclass
@@ -561,21 +618,21 @@ class _WeightedFit:
 
     def solve(self, batch: _Batch) -> np.ndarray:
         """Every row's coefficients by bounded least squares, warm-started
-        from its last ones: one stacked QR, then one active-set solve per
-        row.  The residuals are rebuilt from them; returns the rows'
+        from its last ones: one stacked QR, then one active-set solve for
+        all rows.  The residuals are rebuilt from them; returns the rows'
         errors, their solves' residual norms."""
         P, which = batch.P, _targets(batch.runs)
-        Ab = np.empty(P.shape[:2] + (P.shape[2] + 1,))
-        np.multiply(P, self.sw[:, None], out=Ab[:, :, :-1])
-        Ab[:, :, -1] = self.b[which]
-        solutions = [_box_solve(Rb, g)
-                     for Rb, g in zip(np.linalg.qr(Ab, mode="r"), batch.gammas)]
-        batch.gammas = np.array([s.x for s in solutions])
+        # [A b] of every row, column by column as LAPACK reads it
+        Ab = np.empty((P.shape[0], P.shape[2] + 1, P.shape[1]))
+        np.multiply(P.transpose(0, 2, 1), self.sw, out=Ab[:, :-1])
+        Ab[:, -1] = self.b[which]
+        batch.gammas, residuals, steps = _box_solve(
+            np.linalg.qr(Ab.transpose(0, 2, 1), mode="r"), batch.gammas)
         batch.resid = (self.targets[which]
                        - (P @ batch.gammas[:, :, None]).reshape(batch.resid.shape))
-        for run, s in zip(batch.runs, solutions):
-            run.bvls_steps += s.steps
-        return np.array([s.residual for s in solutions])
+        for run, s in zip(batch.runs, steps):
+            run.bvls_steps += s
+        return np.array(residuals)
 
     def outer(self, vectors) -> np.ndarray:
         """Every row's outer product of one vector per coordinate."""
@@ -765,11 +822,11 @@ def fit_weighted_restarts(fs, k: int, n_max: int, restarts,
     """Weighted fits of the targets ``fs``, which share one space and
     signature, one per target and (seed, init_mode) pair of ``restarts``,
     run in lockstep: every factor step, residual update and coefficient QR
-    is one numpy call for all of them, and each row reads its own target,
-    mean, baseline and b.  Returns per target a list of one ``(decomposition,
-    report)`` pair per restart, in order, each the fit that
-    :func:`fit_weighted_cylinders` makes of that target and restart alone,
-    bit for bit.  Each batch builds at most ARRAY_CAP entries (rows times
+    is one numpy call for all of them, their coefficient solves step
+    together, and each row reads its own target, mean, baseline and b.
+    Returns per target a list of one ``(decomposition, report)`` pair per
+    restart, in order, each the fit that :func:`fit_weighted_cylinders`
+    makes of that target and restart alone, bit for bit.  Each batch builds at most ARRAY_CAP entries (rows times
     grid cells times n_max + 1, the coefficient problem's columns); more
     fits run in consecutive batches, target by target, restart by restart.
     """
@@ -779,13 +836,16 @@ def fit_weighted_restarts(fs, k: int, n_max: int, restarts,
     f = fs[0]
     if any(g.space != f.space or tuple(g.signature) != tuple(f.signature) for g in fs):
         raise InvalidArgumentError("targets fitted together need one space and signature")
+    k, n_max, als_iters = indices((k, n_max, als_iters), "k, n_max and als_iters")
     if not 1 <= k < f.arity:
         raise InvalidArgumentError(f"need 1 <= k < target arity {f.arity}, got k={k}")
     if n_max < 1 or als_iters < 0:
         raise InvalidArgumentError(f"need n_max >= 1 and als_iters >= 0, got "
                                    f"n_max={n_max}, als_iters={als_iters}")
     fit = _WeightedFit(fs, k, n_max, als_iters, init)
-    per_target = [[_Run(t, int(seed), mode) for seed, mode in restarts]
+    restarts = list(restarts)
+    seeds = indices([seed for seed, _ in restarts], "restart seeds")
+    per_target = [[_Run(t, seed, mode) for seed, (_, mode) in zip(seeds, restarts)]
                   for t in range(len(fs))]
     runs = [run for target_runs in per_target for run in target_runs]
     # an auto run brings its constant-first-term rival into the first round

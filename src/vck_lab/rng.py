@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import indices
+
 STREAM_PATTERN = 1      # adversary.random_pattern trials
 STREAM_QUASIRANDOM = 2  # gen.quasirandom tensors
 STREAM_BOOLCOMB = 3     # gen.boolean_of_lower_arity (leaves, shapes, tensors)
@@ -28,6 +30,7 @@ _U53 = float(2**-53)
 
 
 def _bit_generator(seed: int, stream: int, counter: int = 0) -> np.random.Philox:
+    seed, stream, counter = indices((seed, stream, counter), "seeds, streams and counters")
     key = np.array([seed & (2**64 - 1), ((stream << 32) | counter) & (2**64 - 1)],
                    dtype=np.uint64)
     return np.random.Philox(key=key)

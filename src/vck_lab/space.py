@@ -304,11 +304,13 @@ def grid_masks(hits: np.ndarray) -> list:
 
 def index_sets(n: int, k: int) -> list:
     """Non-empty subsets of range(n) of size at most k, by size, then lexicographic."""
+    n, k = indices((n, k), "n and k")
     return [I for size in range(1, k + 1) for I in itertools.combinations(range(n), size)]
 
 
 def dyadics(height: int) -> list:
     """All dyadic rationals of the given height in [0, 1], ascending."""
+    height, = indices((height,), "dyadic height")
     return [Fraction(i, 2 ** height) for i in range(2 ** height + 1)]
 
 

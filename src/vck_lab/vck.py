@@ -21,7 +21,7 @@ import numpy as np
 
 from . import defaults
 from .check import ShatteringCertificate, box_side, shatters, thresholds
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InvalidArgumentError, ResourceLimitError, indices
 from .space import MeasuredFunction, cylinder, fiber, grid_masks
 
 
@@ -70,6 +70,7 @@ def _grid_value_table(f: MeasuredFunction, box: Box, distinguished: int) -> np.n
 
 def _check_search_args(r: float, s: float, cap: int) -> None:
     thresholds(r, s)
+    indices((cap,), "cap")
     if not 1 <= cap <= defaults.GRID_CAP_MAX:
         raise InvalidArgumentError(
             f"cap {cap} outside 1..{defaults.GRID_CAP_MAX} (int64 bitmasks)")
@@ -79,6 +80,7 @@ def check_shattered(f: MeasuredFunction, box: Box, distinguished: int,
                     r: float, s: float,
                     cap: int = defaults.GRID_CAP) -> ShatteringCertificate | None:
     """Full certificate if every subset of the box grid has a witness, else None."""
+    distinguished, = indices((distinguished,), "distinguished coordinate")
     _check_search_args(r, s, cap)
     g = box.grid_size
     if g > cap:
@@ -196,6 +198,7 @@ def vc_k(f: MeasuredFunction, k: int, distinguished: int,
     before candidates are exhausted the result carries ``complete=False``
     and is a certified lower bound.
     """
+    k, distinguished = indices((k, distinguished), "k and distinguished")
     if k < 1 or f.arity != k + 1:
         raise InvalidArgumentError(f"vc_k needs k >= 1 and arity k+1, got k={k} "
                                    f"and arity {f.arity}")

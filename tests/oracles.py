@@ -10,8 +10,8 @@ counts on a level scan's witness table by sorting,
 its coefficients with ``bounded_least_squares``, which is checked against
 :func:`bounded_lstsq_oracle`, and :func:`fiber_family_oracle` cuts its
 fibers with ``fiber``.  :func:`box_solve_oracle` is the fitter's active-set
-solve with its bookkeeping on numpy arrays, the reference for the one on
-Python floats.
+solve on one problem at a time, the reference for the one that steps a
+whole stack of problems together.
 """
 
 import itertools
@@ -139,9 +139,10 @@ def bounded_lstsq_oracle(A, b):
 
 
 def box_solve_oracle(Rb, x0=None):
-    """The active-set solve of ``bounded_least_squares`` with its bookkeeping
-    on numpy arrays: ``(x, residual, steps)``.  ``decomp._box_solve`` keeps
-    the same products and solves and must match it bit for bit."""
+    """The active-set solve of ``bounded_least_squares`` on one problem:
+    ``(x, residual, steps)``.  ``decomp._box_solve`` steps a stack of
+    problems together, with the same products and solves for each, and must
+    match it on every row bit for bit."""
     from vck_lab import defaults
     from vck_lab.errors import NumericalFailureError
 

@@ -1,7 +1,8 @@
 """Adversarial replacement measures and quasirandomness measurement."""
 
-import multiprocessing
+import os
 import pathlib
+import select
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -17,7 +18,7 @@ from vck_lab import (Box, MeasuredFunction, PartiteSpace, defaults,
                      membership_gadget, pattern_norm, quasirandomness_curve,
                      random_pattern)
 from vck_lab.adversary import inapproximability_scores
-from vck_lab.errors import InvalidArgumentError
+from vck_lab.errors import InvalidArgumentError, NumericalFailureError
 
 from oracles import inapproximability_score_oracle
 
@@ -188,7 +189,7 @@ def test_score_refuses_no_restarts():
        pattern_seed=st.integers(0, 2 ** 16), fit_seed=st.integers(0, 2 ** 16))
 def test_scores_equal_serial_restart_loop(k, group, N, restarts, pattern_seed, fit_seed):
     patterns = [random_pattern(d, k, 0.5, pattern_seed, trial) for d, trial in group]
-    # three workers whatever this machine has, so the pool is what runs
+    # three workers whatever this machine has, so forked children fit too
     with mock.patch.object(adversary, "_cpu_count", lambda: 3):
         scores, diagnostics = inapproximability_scores(patterns, k, N, seed=fit_seed,
                                                        restarts=restarts)
@@ -200,7 +201,12 @@ def test_scores_equal_serial_restart_loop(k, group, N, restarts, pattern_seed, f
                            "fits": len(patterns) * restarts,
                            "als_sweeps": sum(sweeps for _, sweeps, _ in expected),
                            "bvls_steps": sum(steps for _, _, steps in expected)}
-    assert multiprocessing.active_children() == []
+    assert_no_children()
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_one_worker_equals_pool():
@@ -216,6 +222,49 @@ def test_one_worker_equals_pool():
         assert scores == serial_scores
         assert (diag["als_sweeps"], diag["bvls_steps"]) == (serial["als_sweeps"],
                                                             serial["bvls_steps"])
+
+
+def test_more_groups_than_a_byte_numbers_all_run_in_order():
+    # 300 spaces, so 300 groups: the queue's group numbers need two bytes
+    spaces = [PartiteSpace.uniform([2, 2], [f"A{i}", "B"]) for i in range(300)]
+    functions = [MeasuredFunction(space, (0, 1), np.full((2, 2), i / 300))
+                 for i, space in enumerate(spaces)]
+
+    def stub(task):  # each function's value as its score
+        return [(float(f.values[0, 0]), 1, 2) for f in task[0]]
+
+    with mock.patch.object(adversary, "_cpu_count", lambda: 3), \
+            mock.patch.object(adversary, "_group_fits", stub):
+        scores, diagnostics = inapproximability_scores(functions, 1, 2, restarts=1)
+    assert scores == [i / 300 for i in range(300)]
+    assert diagnostics == {"workers": 3, "fits": 300, "als_sweeps": 300, "bvls_steps": 600}
+    assert_no_children()
+
+
+def test_a_failure_in_a_child_is_raised_here_and_no_child_is_left():
+    parent = os.getpid()
+    read_end, write_end = os.pipe()
+
+    def stub(task):
+        if os.getpid() != parent:
+            os.write(write_end, b"x")
+            raise NumericalFailureError("injected in a child")
+        return [(0.0, 0, 0)] * len(task[0])
+
+    def until_a_child_has_failed():
+        assert select.select([read_end], [], [], 30)[0]
+
+    patterns = [random_pattern(d, 1, 0.5, 1) for d in (4, 3, 2)]
+    try:
+        with mock.patch.object(adversary, "_cpu_count", lambda: 2), \
+                mock.patch.object(adversary, "_group_fits", stub), \
+                pytest.raises(NumericalFailureError, match="injected in a child"):
+            inapproximability_scores(patterns, 1, 2, restarts=1,
+                                     meanwhile=until_a_child_has_failed)
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert_no_children()
 
 
 def test_groups_run_largest_grid_first():

@@ -1,7 +1,6 @@
 """CLI behavior: exit codes, schemas, reproducibility."""
 
 import json
-import multiprocessing
 import os
 import pathlib
 import re
@@ -552,24 +551,25 @@ def test_adversary_bad_counts_exit_2(tmp_path, flags, monkeypatch, capsys):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_adversary_fit_failure_in_any_worker_exits_4(tmp_path, monkeypatch, capsys, cpus):
-    real_fit = adversary.fit_weighted_restarts
+    real_group_fits = adversary._group_fits
     failing = []
 
-    def failing_fit(fs, *args, **kwargs):
-        if fs[0].shape[0] in failing:
+    def failing_group_fits(task):
+        if task[0][0].shape[0] in failing:
             raise NumericalFailureError("injected fit failure")
-        return real_fit(fs, *args, **kwargs)
+        return real_group_fits(task)
 
-    # patched before the pool forks, so every worker inherits it
-    monkeypatch.setattr(adversary, "fit_weighted_restarts", failing_fit)
+    # patched before the children fork, so every one inherits it
+    monkeypatch.setattr(adversary, "_group_fits", failing_group_fits)
     monkeypatch.setattr(adversary, "_cpu_count", lambda: cpus)
-    # one task per pattern size; the task of either size fails alone
+    # one group per pattern size; the group of either size fails alone
     for failing_d in (2, 4):
         failing[:] = [failing_d]
         assert run("adversary", "--k", "1", "--d", "2,4", "--trials", "2",
                    "--restarts", "2", "--out", str(tmp_path / "curve.csv")) == 4
         assert capsys.readouterr().err == "error: injected fit failure\n"
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("flags", [

@@ -430,12 +430,9 @@ def test_bounded_least_squares_warm_start_and_residual(problem, start):
     assert abs(solution.residual - res) <= 1e-12 * (1.0 + float(np.linalg.norm(b)))
 
 
-@st.composite
-def box_factors(draw):
-    """(the triangular factor of [A b], a start) for up to 6 columns:
-    duplicated, zero and combined columns (rank-deficient A), m < n, cold
-    starts and warm ones with entries exactly at a bound (pinned)."""
-    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 6))
+def _one_box_factor(draw, m, n):
+    """The triangular factor of one [A b] with A m x n: duplicated, zero and
+    combined columns (rank-deficient A), and b in A's range or not."""
     A = np.array(draw(st.lists(_entries, min_size=m * n, max_size=m * n))).reshape(m, n)
     for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                               max_size=2)):
@@ -448,23 +445,47 @@ def box_factors(draw):
         b = A @ np.array(draw(st.lists(st.floats(-0.5, 1.5), min_size=n, max_size=n)))
     else:
         b = np.array(draw(st.lists(_entries, min_size=m, max_size=m)))
+    return np.linalg.qr(np.column_stack([A, b]), mode="r")
+
+
+@st.composite
+def box_factor_stacks(draw):
+    """(1 to 20 factors of one shape, stacked, their starts): up to 6
+    columns, m < n among them; all starts cold, or all warm with entries
+    exactly at a bound (pinned) in mixed patterns."""
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 6))
+    rows = draw(st.integers(1, 20))
+    Rb = np.stack([_one_box_factor(draw, m, n) for _ in range(rows)])
+    if draw(st.booleans()):
+        return Rb, None
     entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5]), st.floats(-0.5, 1.5))
-    start = draw(st.one_of(st.none(), st.lists(entry, min_size=n, max_size=n)))
-    return np.linalg.qr(np.column_stack([A, b]), mode="r"), start
+    return Rb, [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(rows)]
 
 
-@settings(max_examples=300, deadline=None)
-@given(box_factors())
+def _stack(problems, starts):
+    return (np.stack([np.linalg.qr(np.column_stack([A, b]), mode="r") for A, b in problems]),
+            starts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(box_factor_stacks())
+# rows that take one, two and four steps, side by side
+@example(_stack([(np.eye(2), np.array([0.5, 0.5])), (np.eye(2), np.array([2.0, -1.0])),
+                 (np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([-1.0, 2.0]))],
+                [[0.5, 0.5], [0.5, 0.5], [1.0, 0.0]]))
 def test_box_solve_equals_its_numpy_oracle_bit_for_bit(problem):
-    # the bookkeeping on Python floats feeds numpy the same products and
-    # solves, so x, the residual and the step count match exactly
+    # every row of the stack feeds numpy the same products and solves as
+    # the oracle does for it alone, so x, the residual and the step count
+    # match exactly, whatever the other rows do
     import vck_lab.decomp as decomp
-    Rb, start = problem
-    solution = decomp._box_solve(Rb, start)
-    x, residual, steps = box_solve_oracle(Rb, start)
-    assert solution.x.tobytes() == x.tobytes()
-    assert solution.residual.hex() == residual.hex()
-    assert solution.steps == steps
+    Rb, starts = problem
+    x, residuals, steps = decomp._box_solve(Rb, starts)
+    for i, Rb_i in enumerate(Rb):
+        want_x, want_residual, want_steps = box_solve_oracle(
+            Rb_i, None if starts is None else starts[i])
+        assert x[i].tobytes() == want_x.tobytes()
+        assert residuals[i].hex() == want_residual.hex()
+        assert steps[i] == want_steps
 
 
 def test_weighted_fit_survives_tiny_negative_coefficient():

@@ -113,8 +113,11 @@ def test_pattern_reproducible_after_module_reload():
 
 def _integer_entry_points():
     from vck_lab import (FiberFamilySpec, all_traversals, boolean_of_lower_arity,
-                         build_instance, fiber_family, membership_gadget, parity_triple)
+                         build_instance, fiber_family, fit_weighted_cylinders,
+                         membership_gadget, parity_triple, quasirandomness_curve, vc_k)
+    from vck_lab.adversary import inapproximability_scores
     from vck_lab.gowers import multiply_cylinders
+    from vck_lab.space import dyadics, index_sets
     from vck_lab.serialize import find_function
     space = PartiteSpace.uniform([2, 2])
     E = Relation(space, (0, 1), np.eye(2), name="E")
@@ -137,6 +140,24 @@ def _integer_entry_points():
         "uniform part sizes": (lambda i: PartiteSpace.uniform([i]), 2),
         "boolean_of_lower_arity leaves": (
             lambda i: boolean_of_lower_arity(3, 1, i, [2, 2, 2]), 1),
+        # counts and seeds that were truncated or failed with a bare TypeError
+        "fit k": (lambda i: fit_weighted_cylinders(H, i, 2), 1),
+        "fit terms": (lambda i: fit_weighted_cylinders(H, 1, i), 2),
+        "fit sweeps": (lambda i: fit_weighted_cylinders(H, 1, 2, als_iters=i), 2),
+        "fit seed": (lambda i: fit_weighted_cylinders(H, 1, 2, seed=i), 3),
+        "score terms": (lambda i: inapproximability_scores([H], 1, i), 2),
+        "score restarts": (lambda i: inapproximability_scores([H], 1, 2, restarts=i), 2),
+        "pattern arity": (lambda i: random_pattern(2, i, 0.5, 0), 1),
+        "pattern seed": (lambda i: random_pattern(2, 1, 0.5, i), 0),
+        "pattern trial": (lambda i: random_pattern(2, 1, 0.5, 0, i), 1),
+        "curve trials": (lambda i: quasirandomness_curve(1, [2], i, 0), 2),
+        "vc_k k": (lambda i: vc_k(E, i, 1), 1),
+        "vc_k distinguished": (lambda i: vc_k(E, 1, i), 1),
+        "vc_k cap": (lambda i: vc_k(E, 1, 1, cap=i), 4),
+        "check_shattered distinguished": (
+            lambda i: check_shattered(E, Box(((0, 1),)), i, 0.5, 0.5), 1),
+        "dyadics": (lambda i: dyadics(i), 2),
+        "index_sets": (lambda i: index_sets(i, 1), 3),
     }
 
 
