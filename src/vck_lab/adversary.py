@@ -20,10 +20,9 @@ from fractions import Fraction
 from . import defaults, rng
 from .decomp import fit_weighted_restarts
 from .errors import InvalidArgumentError, ResourceLimitError, indices
-from .gen import check_grid
 from .gowers import box_norm
-from .space import (MeasuredFunction, Part, PartiteSpace, Relation, grid_masks,
-                    weighted_sum)
+from .space import (MeasuredFunction, Part, PartiteSpace, Relation, check_grid,
+                    grid_masks, weighted_sum)
 
 
 def random_pattern(d: int, k: int, p: float, seed: int, trial: int = 0) -> Relation:

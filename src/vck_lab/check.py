@@ -4,33 +4,27 @@ The certificate type lives here: the search (``vck``) builds it, and this
 module writes it (``to_doc``), reads it (:func:`read_certificate`) and rules
 on it (:func:`shatters`).  ``vck-lab verify`` runs this module and nothing
 of the search it checks: it imports no numpy, no ``space`` and no ``vck``.
-It reads the instance through the library loader's own parse
-(``serialize.parse_instance``), and refuses everything the library refuses,
-with the same record names in the message:
-
-- unknown keys, part weights that are negative, non-finite or do not sum to
-  1 within ``WEIGHT_SUM_TOL``, duplicate part names;
-- integer fields (part ``size``, ``signature`` entries, box vertices, subset
-  points, ``distinguished``, ``witness``) that are not JSON integers, a
-  ``signed`` flag that is not a JSON boolean, and an ``r`` or ``s`` that is;
-- function values that are non-finite, of the wrong count, or outside
-  [0, 1] ([-1, 1] if signed) by more than ``POINTWISE_TOL``;
-- empty or duplicate box sides, thresholds with r > s, grids over
-  ``GRID_CAP_MAX`` points, and subset points outside the box.
-
-Values within tolerance are clipped as the function model clips them, and
-each witness condition is the same float test, f <= r on the subset and
-f >= s off it.  Anything else wrong with a certificate makes it invalid.
+The instance is read by the library loader's own parse
+(``serialize.parse_instance``) and checked by the instance rules the
+function model applies (``errors.part_weights``, ``distinct_names`` and
+``value_bounds``), shared, not restated: both refuse alike, with one message,
+and clip values within tolerance alike.  A certificate's integer fields must
+be JSON integers, its sides and thresholds obey :func:`box_side` and
+:func:`thresholds`, its grid has at most ``GRID_CAP_MAX`` points, and its
+subset points lie in the box.  Each witness condition is the same float test,
+f <= r on the subset and f >= s off it; anything else wrong makes it invalid.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from fractions import Fraction
 
-from .defaults import GRID_CAP_MAX, POINTWISE_TOL, WEIGHT_SUM_TOL
-from .errors import InvalidArgumentError, indices
+from .defaults import GRID_CAP_MAX
+from .errors import (InvalidArgumentError, distinct_names, indices, part_weights,
+                     value_bounds)
 from .serialize import check_keys, json_int, parse_fraction, parse_instance, reading
 
 
@@ -80,13 +74,8 @@ def thresholds(r, s) -> tuple:
     return float(r), float(s)
 
 
-class Function:
-    """A function record as read: its row-major values, clipped to range."""
-
-    __slots__ = ("name", "signature", "shape", "values")
-
-    def __init__(self, name, signature, shape, values):
-        self.name, self.signature, self.shape, self.values = name, signature, shape, values
+# a function record as read: its row-major values, clipped to range
+Function = collections.namedtuple("Function", "name signature shape values")
 
 
 @reading("certificate document")
@@ -119,37 +108,18 @@ def read_instance(doc) -> list:
 
 
 def _check_parts(parts) -> None:
-    for name, size, weights in parts:
-        if size < 1:
-            raise InvalidArgumentError(f"part {name!r}: size must be >= 1")
-        if len(weights) != size:
-            raise InvalidArgumentError(f"part {name!r}: {len(weights)} weights for size {size}")
-        if not all(math.isfinite(w) and w >= 0 for w in weights):
-            raise InvalidArgumentError(f"part {name!r}: negative or non-finite weight")
-        total = math.fsum(weights)
-        if abs(total - 1) > WEIGHT_SUM_TOL:
-            raise InvalidArgumentError(f"part {name!r}: weights sum to {total}, not 1")
-    names = [name for name, _, _ in parts]
-    if len(set(names)) != len(names):
-        raise InvalidArgumentError(f"duplicate part names: {names}")
+    for part in parts:
+        part_weights(*part)
+    distinct_names([name for name, _, _ in parts])
 
 
 def _checked_function(_space, name, signature, shape, values, signed) -> Function:
-    return Function(name, signature, shape, _checked_values(name, values, signed))
-
-
-def _checked_values(name, values: list, signed: bool) -> list:
-    """The values, finite and in range up to tolerance, clipped."""
-    if not all(map(math.isfinite, values)):
-        raise InvalidArgumentError(f"{name}: non-finite values")
-    lo, hi = (-1.0, 1.0) if signed else (0.0, 1.0)
+    """The function with its values clipped to range, as the function model clips them."""
     low, high = min(values), max(values)
-    if low < lo - POINTWISE_TOL or high > hi + POINTWISE_TOL:
-        raise InvalidArgumentError(f"{name}: values outside [{lo}, {hi}] beyond tolerance "
-                                   f"(min {low}, max {high})")
+    lo, hi = value_bounds(name, all(map(math.isfinite, values)), low, high, signed)
     if low < lo or high > hi:
         values = [min(max(v, lo), hi) for v in values]
-    return values
+    return Function(name, signature, shape, values)
 
 
 def shatters(values, shape, cert: ShatteringCertificate) -> bool:

@@ -6,13 +6,15 @@ byte-identical across reruns with the same configuration and seed; wall time
 and the ``diagnostics`` block (deterministic search counters) live outside
 it.  Sweeps additionally emit CSV.  Exit codes: 0 success,
 2 invalid input (unreadable paths included), 3 resource limit, 4 numerical
-failure.
+failure.  A process runs one BLAS thread unless ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` is set.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -99,9 +101,8 @@ _GEN_KINDS = {
 
 
 def _cmd_gen(args) -> int:
-    from .gen import (boolean_of_lower_arity, check_grid, membership_gadget,
-                      parity_triple, quasirandom)
-    from .space import PartiteSpace
+    from .gen import boolean_of_lower_arity, membership_gadget, parity_triple, quasirandom
+    from .space import PartiteSpace, check_grid
     started = time.perf_counter()
     params = _parse_params(args.params, _GEN_KINDS[args.kind])
     if args.kind == "membership":
@@ -338,7 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the thread counts of OpenBLAS, OpenMP and MKL, whichever numpy was built with
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def main(argv=None) -> int:
+    # one BLAS thread unless the caller chose, set before numpy loads: the
+    # matrices here are small, and a spare thread only costs start-up CPU
+    if not any(var in os.environ for var in BLAS_THREAD_VARS):
+        os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,10 +1,15 @@
-"""Exception hierarchy shared by the library and the CLI.
+"""Exception hierarchy shared by the library and the CLI, and the instance
+rules that the function model (``space``) and the checker (``check``) both
+apply, so that each refusal has one message everywhere.
 
 Every error carries the process exit code the CLI maps it to:
 2 = invalid input, 3 = resource limit, 4 = numerical failure.
 """
 
+import math
 import operator
+
+from .defaults import POINTWISE_TOL, WEIGHT_SUM_TOL
 
 
 class VckLabError(Exception):
@@ -44,3 +49,53 @@ def indices(values, what: str) -> tuple:
         return tuple(map(operator.index, values))
     except TypeError as exc:
         raise InvalidArgumentError(f"{what} must be integers: {exc}") from None
+
+
+def part_weights(name, size: int, weights: tuple) -> list:
+    """A part's weights as floats: one per vertex, at least one, finite,
+    non-negative, and summing (``math.fsum``) to 1 within ``WEIGHT_SUM_TOL``."""
+    if size < 1:
+        raise InvalidArgumentError(f"part {name!r}: size must be >= 1")
+    if len(weights) != size:
+        raise InvalidArgumentError(f"part {name!r}: {len(weights)} weights for size {size}")
+    try:  # Part.uniform's vertices share one weight, converted once
+        floats = ([float(weights[0])] * size if weights.count(weights[0]) == size
+                  else list(map(float, weights)))
+    except OverflowError:  # an exact weight beyond the float range
+        floats = [math.inf]
+    # a negative weight too small for a float rounds to -0.0, so a zero
+    # float takes its sign from the original values
+    if (not all(map(math.isfinite, floats)) or min(floats) < 0
+            or (0.0 in floats and any(w < 0 for w in weights))):
+        raise InvalidArgumentError(f"part {name!r}: negative or non-finite weight")
+    total = math.fsum(floats)
+    if abs(total - 1) > WEIGHT_SUM_TOL:
+        raise InvalidArgumentError(f"part {name!r}: weights sum to {total}, not 1")
+    return floats
+
+
+def distinct_names(names: list) -> None:
+    """Refuse parts that share a name."""
+    if len(set(names)) != len(names):
+        raise InvalidArgumentError(f"duplicate part names: {names}")
+
+
+def signature_range(signature: tuple, n_parts: int) -> tuple:
+    """The signature, refused unless each entry indexes one of the parts."""
+    for i in signature:
+        if not 0 <= i < n_parts:
+            raise InvalidArgumentError(f"signature index {i} out of range")
+    return signature
+
+
+def value_bounds(name, finite: bool, low, high, signed: bool) -> tuple:
+    """The range (lo, hi), [0, 1] or [-1, 1] if signed, that a function's
+    values are clipped to: they must be finite, with min and max in range up to
+    ``POINTWISE_TOL``."""
+    if not finite:
+        raise InvalidArgumentError(f"{name}: non-finite values")
+    lo, hi = (-1.0, 1.0) if signed else (0.0, 1.0)
+    if low < lo - POINTWISE_TOL or high > hi + POINTWISE_TOL:
+        raise InvalidArgumentError(f"{name}: values outside [{lo}, {hi}] beyond tolerance "
+                                   f"(min {low}, max {high})")
+    return lo, hi

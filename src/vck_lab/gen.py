@@ -7,27 +7,13 @@ instances on any platform.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import defaults, rng
 from .errors import InvalidArgumentError, ResourceLimitError, indices
-from .space import PartiteSpace, Relation, check_array_cap, cylinder, index_sets
-
-
-def check_grid(sizes, arrays: int = 1) -> None:
-    """Refuse, before any part or tensor is built, a grid with a part size
-    that is no integer or below 1, with more than ``MAX_AXES`` coordinates,
-    or whose ``arrays`` full-grid arrays would pass the array cap."""
-    sizes = indices(sizes, "part sizes")
-    if min(sizes, default=1) < 1:
-        raise InvalidArgumentError(f"part sizes must be >= 1, got {list(sizes)}")
-    if len(sizes) > defaults.MAX_AXES:
-        raise ResourceLimitError(f"a grid of {len(sizes)} coordinates has more axes "
-                                 f"than arrays may have ({defaults.MAX_AXES})")
-    check_array_cap(arrays * math.prod(sizes), "generated instance")
+from .space import PartiteSpace, Relation, check_grid, cylinder, index_sets
 
 
 def membership_gadget(d: int, k: int) -> Relation:

@@ -22,7 +22,7 @@ import json
 import math
 from fractions import Fraction
 
-from .errors import InvalidArgumentError, indices
+from .errors import InvalidArgumentError, indices, signature_range
 
 
 def format_float(x: float) -> str:
@@ -162,10 +162,8 @@ def parse_instance(doc, make_space, make_function) -> tuple:
     for i, rec in enumerate(doc.get("functions", [])):
         with reading(f"function record {i}"):
             check_keys(rec, {"name", "signature", "values", "signed"}, "function record")
-            signature = tuple(json_int(p, "signature entry") for p in rec["signature"])
-            for p in signature:
-                if not 0 <= p < len(parts):
-                    raise InvalidArgumentError(f"signature index {p} out of range")
+            signature = signature_range(tuple(json_int(p, "signature entry")
+                                              for p in rec["signature"]), len(parts))
             shape = tuple(parts[p][1] for p in signature)
             values = [float(v) for v in rec["values"]]
             if len(values) != math.prod(shape):

@@ -12,7 +12,6 @@ reduction order.  The package's shared kernels live here, one copy each.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -23,8 +22,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import defaults
-from .defaults import GRID_CAP_MAX, POINTWISE_TOL, WEIGHT_SUM_TOL
-from .errors import InvalidArgumentError, ResourceLimitError, indices
+from .defaults import GRID_CAP_MAX, POINTWISE_TOL
+from .errors import (InvalidArgumentError, ResourceLimitError, distinct_names, indices,
+                     part_weights, signature_range, value_bounds)
 
 Signature = tuple  # tuple[int, ...]: part index per coordinate, repetition allowed
 
@@ -58,42 +58,20 @@ class Part:
         return {key: self.__dict__[key] for key in ("name", "size", "weights")}
 
     def __post_init__(self):
-        if self.size < 1:
-            raise InvalidArgumentError(f"part {self.name!r}: size must be >= 1")
-        if len(self.weights) != self.size:
-            raise InvalidArgumentError(
-                f"part {self.name!r}: {len(self.weights)} weights for size {self.size}")
-        weights = self.weights
-        if all(isinstance(w, Fraction) for w in weights):
-            # exact, as integer numerators over the lcm of the denominators,
-            # each value once with its multiplicity (Part.uniform's vertices
-            # share one Fraction, which tuple.count matches by identity)
-            values = ({weights[0]: len(weights)} if weights.count(weights[0]) == len(weights)
-                      else collections.Counter(weights))
-            if any(w < 0 for w in values):
-                raise InvalidArgumentError(f"part {self.name!r}: negative weight")
-            den = math.lcm(*(w.denominator for w in values))
-            total = Fraction(sum(n * w.numerator * (den // w.denominator)
-                                 for w, n in values.items()), den)
-        elif all(math.isfinite(w) and w >= 0 for w in weights):
-            total = weighted_sum([float(w) for w in weights])
-        else:
-            raise InvalidArgumentError(f"part {self.name!r}: negative or non-finite weight")
-        if abs(total - 1) > WEIGHT_SUM_TOL:
-            raise InvalidArgumentError(
-                f"part {self.name!r}: weights sum to {total}, not 1")
         object.__setattr__(self, "weights", tuple(self.weights))
+        self.weight_array  # the part rule checks the weights as it converts them
 
     @functools.cached_property
     def weight_array(self) -> np.ndarray:
-        """The weights as float64, built on first use (read-only)."""
-        array = np.array([float(w) for w in self.weights], dtype=np.float64)
+        """The weights as float64 (read-only), as the part rule converts them:
+        built with the part, and on first use where a pickled part is loaded."""
+        array = np.array(part_weights(self.name, self.size, self.weights), dtype=np.float64)
         array.flags.writeable = False
         return array
 
     @staticmethod
     def uniform(name: str, size: int) -> "Part":
-        return Part(name, size, (Fraction(1, size),) * size)
+        return Part(name, size, (Fraction(1, size),) * size if size > 0 else ())
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,9 +90,7 @@ class PartiteSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
-        names = [p.name for p in self.parts]
-        if len(set(names)) != len(names):
-            raise InvalidArgumentError(f"duplicate part names: {names}")
+        distinct_names([p.name for p in self.parts])
         object.__setattr__(self, "_weight_cache", {})
 
     @staticmethod
@@ -124,11 +100,7 @@ class PartiteSpace:
         return PartiteSpace(tuple(Part.uniform(n, s) for n, s in zip(names, sizes)))
 
     def validate_signature(self, signature) -> tuple:
-        sig = indices(signature, "signature entries")
-        for i in sig:
-            if not 0 <= i < len(self.parts):
-                raise InvalidArgumentError(f"signature index {i} out of range")
-        return sig
+        return signature_range(indices(signature, "signature entries"), len(self.parts))
 
     def sizes(self, signature) -> tuple:
         return tuple(self.parts[i].size for i in signature)
@@ -182,13 +154,8 @@ class MeasuredFunction:
     def _checked(self, vals: np.ndarray) -> np.ndarray:
         """The values as float64, finite and in range up to tolerance, clipped."""
         vals = np.asarray(vals, dtype=np.float64)
-        if not np.all(np.isfinite(vals)):
-            raise InvalidArgumentError(f"{self.name}: non-finite values")
-        lo, hi = (-1.0, 1.0) if self.signed else (0.0, 1.0)
-        if vals.size and (vals.min() < lo - POINTWISE_TOL or vals.max() > hi + POINTWISE_TOL):
-            raise InvalidArgumentError(
-                f"{self.name}: values outside [{lo}, {hi}] beyond tolerance "
-                f"(min {vals.min()}, max {vals.max()})")
+        lo, hi = value_bounds(self.name, bool(np.all(np.isfinite(vals))), vals.min(),
+                              vals.max(), self.signed)
         return np.asarray(np.clip(vals, lo, hi), dtype=np.float64)
 
     @property
@@ -290,6 +257,19 @@ def check_array_cap(entries: int, what: str) -> None:
     if entries > defaults.ARRAY_CAP:
         raise ResourceLimitError(
             f"{what} would build {entries} entries (cap {defaults.ARRAY_CAP})")
+
+
+def check_grid(sizes, arrays: int = 1) -> None:
+    """Refuse, before any part or tensor is built, a grid with a part size
+    that is no integer or below 1, with more than ``MAX_AXES`` coordinates,
+    or whose ``arrays`` full-grid arrays would pass the array cap."""
+    sizes = indices(sizes, "part sizes")
+    if min(sizes, default=1) < 1:
+        raise InvalidArgumentError(f"part sizes must be >= 1, got {list(sizes)}")
+    if len(sizes) > defaults.MAX_AXES:
+        raise ResourceLimitError(f"a grid of {len(sizes)} coordinates has more axes "
+                                 f"than arrays may have ({defaults.MAX_AXES})")
+    check_array_cap(arrays * math.prod(sizes), "generated instance")
 
 
 def grid_masks(hits: np.ndarray) -> list:

@@ -7,13 +7,15 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vck_lab import Box, adversary, check_shattered, membership_gadget, random_pattern
+from vck_lab import (Box, MeasuredFunction, Part, PartiteSpace, adversary, check_shattered,
+                     membership_gadget, random_pattern)
 from vck_lab.check import read_certificate, read_instance
-from vck_lab.cli import main
+from vck_lab.cli import BLAS_THREAD_VARS, main
 from vck_lab.errors import InvalidArgumentError, NumericalFailureError
 from vck_lab.serialize import dumps_canonical, functions_from_doc, load_json, write_canonical
 
@@ -239,9 +241,33 @@ def test_malformed_instance_exits_2(tmp_path, gadget_doc, capsys, edit, record):
     assert run("verify", str(cert_path), str(inst)) == 2
     assert run("gowers", "--input", str(inst)) == 2
     assert record in capsys.readouterr().err
-    for load in (functions_from_doc, read_instance):
-        with pytest.raises(InvalidArgumentError, match=re.escape(record)):
-            load(doc)
+    builds = [functions_from_doc, read_instance]
+    if record.startswith(_RULE_RECORDS):
+        builds.append(_construct)
+    messages = set()
+    for build in builds:
+        with pytest.raises(InvalidArgumentError, match=re.escape(record)) as refused:
+            build(doc)
+        messages.add(str(refused.value))
+    assert len(messages) == 1, messages
+
+
+# the refusals of the shared instance rules, which the constructors apply too
+_RULE_RECORDS = ("part 'V1'", "duplicate part names", "signature index", "values outside")
+
+
+def _construct(doc):
+    """The document's space and functions built by Part, PartiteSpace and
+    MeasuredFunction themselves, with no loader."""
+    space = PartiteSpace([Part(rec["name"], rec["size"], tuple(rec["weights"]))
+                          for rec in doc["parts"]])
+    for rec in doc["functions"]:
+        # an out-of-range signature entry takes the rest of the values, so
+        # that the constructor sees the signature
+        shape = [doc["parts"][p]["size"] if p < len(doc["parts"]) else -1
+                 for p in rec["signature"]]
+        MeasuredFunction(space, rec["signature"], np.reshape(rec["values"], shape),
+                         name=rec["name"])
 
 
 def test_part_rules_refuse_before_any_function_record(tmp_path, gadget_doc, capsys):
@@ -472,6 +498,41 @@ def _python(code: str) -> str:
 def test_cli_import_loads_no_scipy():
     code = "import sys, vck_lab.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     assert _python(code).strip() == "False"
+
+
+def test_cli_import_loads_no_numpy():
+    assert _python("import sys, vck_lab.cli; print('numpy' in sys.modules)").strip() == "False"
+
+
+def test_cli_runs_one_blas_thread_unless_the_caller_chose(tmp_path, monkeypatch):
+    inst = tmp_path / "inst.json"
+    gen = ["gen", "--kind", "membership", "--params", "d=2,k=1", "--out", str(inst)]
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    assert run(*gen) == 0
+    assert [os.environ[var] for var in BLAS_THREAD_VARS] == ["1"] * 3
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var)
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    assert run(*gen) == 0
+    assert [os.environ.get(var) for var in BLAS_THREAD_VARS] == [None, "2", None]
+    if not os.path.isdir("/proc/self/task"):
+        return
+    # a fresh process with no variable set: numpy loads after the default
+    # is set, and no BLAS worker thread is started
+    monkeypatch.delenv("OMP_NUM_THREADS")
+    argv = ["gowers", "--input", str(inst), "--out", str(tmp_path / "norm.json")]
+    code = (f"import os, sys; from vck_lab.cli import main; rc = main({argv!r}); "
+            "print(rc, 'numpy' in sys.modules, len(os.listdir('/proc/self/task')))")
+    assert _python(code).split() == ["0", "True", "1"]
+
+
+def test_adversary_loads_no_generator_module(tmp_path):
+    argv = ["adversary", "--k", "1", "--d", "2", "--trials", "1", "--score-trials", "1",
+            "--restarts", "1", "--out", str(tmp_path / "curve.csv")]
+    code = (f"import sys; from vck_lab.cli import main; rc = main({argv!r}); "
+            "print(rc, 'vck_lab.gen' in sys.modules)")
+    assert _python(code).split()[-2:] == ["0", "False"]
 
 
 def test_verify_loads_only_its_own_modules(tmp_path):

@@ -34,6 +34,11 @@ def test_duplicate_part_names_rejected():
         PartiteSpace((Part.uniform("V", 2), Part.uniform("V", 3)))
 
 
+def test_uniform_part_of_size_zero_is_refused_by_the_part_rule():
+    with pytest.raises(InvalidArgumentError, match="part 'V1': size must be >= 1"):
+        PartiteSpace.uniform([0, 2])
+
+
 def test_values_out_of_range_rejected():
     space = PartiteSpace.uniform([2])
     with pytest.raises(InvalidArgumentError):
@@ -90,6 +95,22 @@ def test_fraction_weights_sum_exactly():
         Part("a", 3, (Fraction(1, 2), Fraction(-1, 6), Fraction(2, 3)))
     mixed = Part("a", 4, (Fraction(1, 6), Fraction(1, 6), Fraction(1, 3), Fraction(1, 3)))
     assert mixed.weight_array.sum() == pytest.approx(1.0)
+
+
+def test_fraction_weights_keep_their_sign_and_bits():
+    from fractions import Fraction
+    from vck_lab import Part
+    # too small for a float: it rounds to -0.0, and is still refused as negative
+    tiny = Fraction(-1, 10 ** 400)
+    assert math.copysign(1.0, float(tiny)) == -1.0
+    with pytest.raises(InvalidArgumentError, match="part 'a': negative or non-finite weight"):
+        Part("a", 2, (tiny, Fraction(1)))
+    Part("a", 2, (Fraction(1, 10 ** 400), Fraction(1)))
+    # an exact part summing to 1 is accepted, each weight rounded once to float64
+    weights = (Fraction(1, 3), Fraction(1, 7), Fraction(11, 21), Fraction(0))
+    for part in (Part("b", 4, weights), Part.uniform("c", 7)):
+        expected = np.array([float(w) for w in part.weights], dtype=np.float64)
+        assert part.weight_array.tobytes() == expected.tobytes()
 
 
 def test_large_uniform_part_is_quick_and_round_trips():
