@@ -344,8 +344,8 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 
 def main(argv=None) -> int:
-    # one BLAS thread unless the caller chose, set before numpy loads: the
-    # matrices here are small, and a spare thread only costs start-up CPU
+    # one BLAS thread unless the caller chose, set before numpy loads: most
+    # matrices here are small, and each spare thread costs start-up CPU
     if not any(var in os.environ for var in BLAS_THREAD_VARS):
         os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     parser = build_parser()
