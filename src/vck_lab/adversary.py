@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import defaults, rng
 from .decomp import fit_weighted_restarts
-from .errors import InvalidArgumentError, ResourceLimitError, indices
+from .errors import InvalidArgumentError, ResourceLimitError, indices, probability
 from .gowers import box_norm
 from .space import (MeasuredFunction, Part, PartiteSpace, Relation, check_grid,
                     grid_masks, weighted_sum)
@@ -28,8 +28,7 @@ from .space import (MeasuredFunction, Part, PartiteSpace, Relation, check_grid,
 def random_pattern(d: int, k: int, p: float, seed: int, trial: int = 0) -> Relation:
     """I.i.d. Bernoulli(p) (k+1)-partite pattern on [d]^(k+1), uniform parts."""
     d, k = indices((d, k), "d and k")
-    if not 0.0 <= p <= 1.0:
-        raise InvalidArgumentError(f"p={p} outside [0, 1]")
+    probability(p)
     check_grid([d] * (k + 1))
     space = PartiteSpace.uniform([d] * (k + 1),
                                  [f"P{i + 1}" for i in range(k + 1)])
@@ -55,6 +54,7 @@ def build_instance(f: MeasuredFunction, cert, H: Relation,
     supply the embedded vertices of the distinguished coordinate, one per
     pattern slice) or an explicit mapping {coordinate -> vertex tuple}.
     Anchor vertices get unit point mass on every non-embedded coordinate.
+    Every coordinate and vertex must lie in f's grid.
     """
     # imported here: the adversary sweep itself never reads a certificate
     from .check import ShatteringCertificate
@@ -63,6 +63,8 @@ def build_instance(f: MeasuredFunction, cert, H: Relation,
     if any(s != d for s in H.shape):
         raise InvalidArgumentError("pattern must have equal part sizes")
     anchors = dict(anchors or {})
+    anchors = dict(zip(indices(anchors, "anchor coordinates"),
+                       indices(anchors.values(), "anchor vertices")))
 
     if isinstance(cert, ShatteringCertificate):
         box_positions = [p for p in range(f.arity) if p != cert.distinguished]
@@ -94,6 +96,10 @@ def build_instance(f: MeasuredFunction, cert, H: Relation,
     missing = set(range(f.arity)) - set(embedding) - set(anchors)
     if missing:
         raise InvalidArgumentError(f"anchors must cover coordinates {sorted(missing)}")
+    for p, vertices in [*embedding.items(), *((p, (v,)) for p, v in anchors.items())]:
+        if not 0 <= p < f.arity or any(not 0 <= v < f.shape[p] for v in vertices):
+            raise InvalidArgumentError(f"coordinate {p}, vertices {vertices}: outside the "
+                                       f"grid of shape {f.shape}")
 
     new_parts = []
     for pos, part in enumerate(f.space.parts):

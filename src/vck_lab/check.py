@@ -43,10 +43,6 @@ class ShatteringCertificate:
         self.r, self.s = thresholds(r, s)
         self.witnesses = tuple(sorted(witnesses))
 
-    @property
-    def dimension(self) -> int:
-        return len(self.box[0])
-
     def to_doc(self) -> dict:
         grid = list(itertools.product(*self.box))
         return {"box": [list(side) for side in self.box],

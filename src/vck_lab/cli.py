@@ -1,13 +1,13 @@
 """Command-line front end: experiment orchestration and report emission.
 
-Every subcommand writes a JSON report whose ``comparable`` section is
-canonical (sorted keys, shortest round-trip floats) and therefore
-byte-identical across reruns with the same configuration and seed; wall time
-and the ``diagnostics`` block (deterministic search counters) live outside
-it.  Sweeps additionally emit CSV.  Exit codes: 0 success,
-2 invalid input (unreadable paths included), 3 resource limit, 4 numerical
-failure.  A process runs one BLAS thread unless ``OPENBLAS_NUM_THREADS``,
-``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` is set.
+:func:`main` writes every subcommand's JSON report, to ``--out`` (``--report``
+for decompose, stdout for gen and adversary).  Its ``comparable`` section is
+canonical (sorted keys, shortest round-trip floats), so byte-identical across
+reruns with the same configuration and seed; wall time and the ``diagnostics``
+block (deterministic search counters) live outside it.  Sweeps also emit CSV.
+Exit codes: 0 success, 2 invalid input (unreadable paths included),
+3 resource limit, 4 numerical failure.  A process runs one BLAS thread unless
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` is set.
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ def _load_function(args):
 
 # --------------------------------------------------------------------------
 # subcommand handlers; each imports the modules it runs, so one process
-# loads only its own subcommand's code
+# loads only its own subcommand's code, and returns its report's (config,
+# results, diagnostics or None, exit code) for main to write
 
 
 # gen kinds and the type of each --params key (list: 'x'-separated integers)
@@ -100,10 +101,9 @@ _GEN_KINDS = {
 }
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple:
     from .gen import boolean_of_lower_arity, membership_gadget, parity_triple, quasirandom
     from .space import PartiteSpace, check_grid
-    started = time.perf_counter()
     params = _parse_params(args.params, _GEN_KINDS[args.kind])
     if args.kind == "membership":
         rel = membership_gadget(params.get("d", 2), params.get("k", 1))
@@ -124,15 +124,12 @@ def _cmd_gen(args) -> int:
         functions = [quasirandom(space, signature, params.get("p", 0.5),
                                  seed=args.seed)]
     write_canonical(args.out, functions_to_doc(functions[0].space, functions))
-    _emit_report("gen", {"kind": args.kind, "params": args.params or "",
-                         "out": args.out},
-                 {"functions": [f.name for f in functions]}, args.seed, None, started)
-    return 0
+    return ({"kind": args.kind, "params": args.params or "", "out": args.out},
+            {"functions": [f.name for f in functions]}, None, 0)
 
 
-def _cmd_vcdim(args) -> int:
+def _cmd_vcdim(args) -> tuple:
     from .vck import vc_k
-    started = time.perf_counter()
     f = _load_function(args)
     k = args.k if args.k is not None else f.arity - 1
     distinguished = args.distinguished if args.distinguished is not None else f.arity - 1
@@ -145,29 +142,23 @@ def _cmd_vcdim(args) -> int:
     config = {"input": args.input, "function": f.name, "k": k,
               "distinguished": distinguished, "r": args.r, "s": args.s,
               "cap": args.cap}
-    _emit_report("vcdim", config, results, 0, args.out, started,
-                 {"levels": [level.to_doc() for level in result.levels]})
     if not result.complete:
         print("warning: search capped; dimension is a certified lower bound",
               file=sys.stderr)
-        return 3
-    return 0
+    return (config, results, {"levels": [level.to_doc() for level in result.levels]},
+            0 if result.complete else 3)
 
 
-def _cmd_gowers(args) -> int:
+def _cmd_gowers(args) -> tuple:
     from .gowers import box_norm
-    started = time.perf_counter()
     f = _load_function(args)
-    report = box_norm(f)
     config = {"input": args.input, "function": f.name,
               "signature": args.signature or ""}
-    _emit_report("gowers", config, report.to_doc(), 0, args.out, started)
-    return 0
+    return config, box_norm(f).to_doc(), None, 0
 
 
-def _cmd_fibers(args) -> int:
+def _cmd_fibers(args) -> tuple:
     from .fibalg import FiberFamilySpec, atoms, fiber_family
-    started = time.perf_counter()
     f = _load_function(args)
     anchors = _ints(args.anchors, "--anchors")
     if args.params:
@@ -183,13 +174,11 @@ def _cmd_fibers(args) -> int:
     }
     config = {"input": args.input, "function": f.name, "t": args.t,
               "anchors": args.anchors, "params": args.params or ""}
-    _emit_report("fibers", config, results, 0, args.out, started)
-    return 0
+    return config, results, None, 0
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> tuple:
     from .decomp import fit_boolean_cylinders, fit_weighted_cylinders
-    started = time.perf_counter()
     f = _load_function(args)
     config = {"input": args.input, "function": f.name, "k": args.k,
               "n_max": args.n_max, "mode": args.mode, "als_iters": args.als_iters}
@@ -205,14 +194,11 @@ def _cmd_decompose(args) -> int:
     else:
         expr, report = fit_boolean_cylinders(f, args.k, args.n_max, seed=args.seed)
         results = {"fit": report.to_doc(), "expression": expr.to_doc()}
-    _emit_report("decompose", config, results, args.seed, args.report, started,
-                 diagnostics)
-    return 0
+    return config, results, diagnostics, 0
 
 
-def _cmd_adversary(args) -> int:
+def _cmd_adversary(args) -> tuple:
     from .adversary import inapproximability_scores, quasirandomness_curve, random_pattern
-    started = time.perf_counter()
     # refused before any work; the fits that also check them run last
     for flag, value in (("--k", args.k), ("--trials", args.trials),
                         ("--score-trials", args.score_trials),
@@ -243,22 +229,18 @@ def _cmd_adversary(args) -> int:
     config = {"k": args.k, "d": args.d, "trials": args.trials, "p": args.p,
               "n_terms": args.n_terms, "score_trials": score_trials,
               "restarts": args.restarts, "out": args.out}
-    _emit_report("adversary", config, {"curve": rows}, args.seed, None, started,
-                 diagnostics)
-    return 0
+    return config, {"curve": rows}, diagnostics, 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     # the checker alone: a verify process imports no numpy and no search code
     from .check import read_certificate, read_instance, shatters
-    started = time.perf_counter()
     cert = read_certificate(load_json(args.certificate))
     f = find_function(read_instance(load_json(args.instance)), name=args.function)
     valid = shatters(f.values, f.shape, cert)
     config = {"certificate": args.certificate, "instance": args.instance,
               "function": f.name}
-    _emit_report("verify", config, {"valid": valid}, 0, args.out, started)
-    return 0 if valid else 2
+    return config, {"valid": valid}, None, 0 if valid else 2
 
 
 # --------------------------------------------------------------------------
@@ -270,6 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Shattering dimension, box norms, and cylinder decompositions "
                     "on finite measured multipartite spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # every subcommand writes its report to args.report: the path of --out or
+    # --report, or None for stdout (gen and adversary, whose --out is data)
 
     # subcommands that read one function of an instance file
     source = argparse.ArgumentParser(add_help=False)
@@ -283,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="key=value pairs, comma separated; lists use 'x' (sizes=5x5x5)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(func=_cmd_gen, report=None)
 
     p = sub.add_parser("vcdim", parents=[source], help="certified shattering dimension")
     p.add_argument("--k", type=int, default=None)
@@ -291,12 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=0.5)
     p.add_argument("--s", type=float, default=0.5)
     p.add_argument("--cap", type=int, default=defaults.GRID_CAP)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", dest="report", metavar="OUT", default=None)
     p.set_defaults(func=_cmd_vcdim)
 
     p = sub.add_parser("gowers", parents=[source],
                        help="box norm report for a stored function")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", dest="report", metavar="OUT", default=None)
     p.set_defaults(func=_cmd_gowers)
 
     p = sub.add_parser("fibers", parents=[source], help="fiber family and atom partition")
@@ -304,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anchors", required=True, help="comma-separated vertices")
     p.add_argument("--params", default=None,
                    help="per-coordinate vertex rows: '0,1;2,3' (default: all)")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", dest="report", metavar="OUT", default=None)
     p.set_defaults(func=_cmd_fibers)
 
     p = sub.add_parser("decompose", parents=[source],
@@ -327,13 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=defaults.SCORE_RESTARTS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="CSV path (d,mean_norm,std,mean_score)")
-    p.set_defaults(func=_cmd_adversary)
+    p.set_defaults(func=_cmd_adversary, report=None)
 
     p = sub.add_parser("verify", help="check a shattering certificate")
     p.add_argument("certificate")
     p.add_argument("instance")
     p.add_argument("--function", default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", dest="report", metavar="OUT", default=None)
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -351,7 +335,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        started = time.perf_counter()
+        config, results, diagnostics, code = args.func(args)
+        # a subcommand without --seed draws nothing at random: seed 0
+        _emit_report(args.command, config, results, getattr(args, "seed", 0), args.report,
+                     started, diagnostics)
+        return code
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON at line {exc.lineno} column {exc.colno}: "
               f"{exc.msg}", file=sys.stderr)

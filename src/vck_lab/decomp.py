@@ -25,7 +25,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from . import defaults, rng
-from .errors import InvalidArgumentError, NumericalFailureError, indices
+from .errors import InvalidArgumentError, NumericalFailureError, indices, positions_in
 from .space import (MeasuredFunction, Relation, cylinder, cylinder_product, fiber,
                     index_sets, integrate, weighted_l2, weighted_sum)
 from .serialize import space_to_doc
@@ -56,11 +56,7 @@ class CylinderDecomposition:
         object.__setattr__(self, "target_signature", tuple(self.target_signature))
         for term in self.terms:
             for positions, factor in term.factors.items():
-                if (any(p not in range(len(self.target_signature)) for p in positions)
-                        or list(positions) != sorted(set(positions))):
-                    raise InvalidArgumentError(
-                        f"factor positions {positions} are not strictly increasing "
-                        f"in range({len(self.target_signature)})")
+                positions_in(positions, len(self.target_signature))
                 if len(positions) > self.k:
                     raise InvalidArgumentError(
                         f"factor on {positions} exceeds max arity {self.k}")
@@ -217,6 +213,17 @@ def sample_fiber_pool(E: MeasuredFunction, k: int, seed: int) -> list:
     return leaves
 
 
+def _budget(arity: int, k, n_max) -> tuple:
+    """A fitter's (k, n_max) as ints, refused unless 1 <= k < the target's
+    arity and n_max >= 1."""
+    k, n_max = indices((k, n_max), "k and n_max")
+    if not 1 <= k < arity:
+        raise InvalidArgumentError(f"need 1 <= k < target arity {arity}, got k={k}")
+    if n_max < 1:
+        raise InvalidArgumentError(f"need n_max >= 1, got n_max={n_max}")
+    return k, n_max
+
+
 def fit_boolean_cylinders(E: MeasuredFunction, k: int, n_max: int,
                           pool=None, seed: int = 0) -> tuple:
     """Greedy decision-list fit of a relation by cylinder-fiber leaves.
@@ -230,10 +237,7 @@ def fit_boolean_cylinders(E: MeasuredFunction, k: int, n_max: int,
     """
     if not E.is_boolean():
         raise InvalidArgumentError("fit_boolean_cylinders needs a Boolean relation")
-    if not 1 <= k < E.arity:
-        raise InvalidArgumentError(f"need 1 <= k < target arity {E.arity}, got k={k}")
-    if n_max < 1:
-        raise InvalidArgumentError(f"need n_max >= 1, got n_max={n_max}")
+    k, n_max = _budget(E.arity, k, n_max)
     if pool is None:
         pool = sample_fiber_pool(E, k, seed)
     pool = list(pool)
@@ -523,7 +527,6 @@ class _WeightedFit:
         self.means = [min(1.0, max(0.0, integrate(g))) for g in fs]
         self.baselines = [weighted_l2(self.w, g.values - mean)
                           for g, mean in zip(fs, self.means)]
-        self.centered = self.targets - np.reshape(self.means, (-1,) + (1,) * self.k_prime)
         self.sw = np.sqrt(self.w).ravel()
         self.b = self.targets.reshape(len(fs), -1) * self.sw
         self.weight_vectors = [f.space.weight_vector(part) for part in f.signature]
@@ -567,31 +570,22 @@ class _WeightedFit:
         for run in batch.runs:
             run.sweeps_per_term.append(0)
 
-    def start(self, runs) -> _Batch:
-        """Rows for fresh runs, holding the init terms, if any."""
+    def start(self, runs, constant: bool = False) -> _Batch:
+        """Rows for fresh runs, holding the init terms, if any, then, if
+        ``constant``, one constant term at their target's mean: without init
+        terms such a row starts exactly at its target's baseline."""
         rows, which = len(runs), _targets(runs)
         batch = _Batch(runs, [], np.zeros((rows, 0)), np.zeros((rows, self.sw.size, 0)),
                        self.targets[which], np.zeros(rows))
         for factors, gamma in self.init_terms:
             self.add_term(batch, {pos: np.repeat(v[None], rows, axis=0)
                                   for pos, v in factors.items()}, np.full(rows, gamma))
-        err = {}
-        for t, resid in zip(which, batch.resid):
-            if t not in err:  # rows of one target start from one residual
-                err[t] = weighted_l2(self.w, resid)
-        batch.err = np.array([err[t] for t in which])
+        if constant:
+            self.add_term(batch, {pos: np.ones((rows,) + tuple(self.shape[p] for p in pos))
+                                  for pos in self.sets},
+                          np.array([self.means[t] for t in which]))
+        batch.err = np.array([weighted_l2(self.w, resid) for resid in batch.resid])
         return batch
-
-    def constant(self, runs) -> _Batch:
-        """Rows holding one constant term at their target's mean, which
-        start exactly at its baseline."""
-        rows, which = len(runs), _targets(runs)
-        const = {pos: np.ones((rows,) + tuple(self.shape[p] for p in pos)) for pos in self.sets}
-        for run in runs:
-            run.sweeps_per_term.append(0)
-        return _Batch(runs, [const], np.array([[self.means[t]] for t in which]),
-                      self.product(const).reshape(rows, -1, 1), self.centered[which],
-                      np.array([self.baselines[t] for t in which]))
 
     def seeded_term(self, run: _Run, resid: np.ndarray, counter: int) -> dict:
         """A new term's factors: the dominant pattern of the positive
@@ -773,8 +767,8 @@ class _WeightedFit:
             auto = [run for run in batch.runs if run.mode == "auto"]
             if len(batch.factors) == 1 and self.init is None and auto:
                 # the constant first term joins the lockstep as a rival row
-                rivals = self.constant([_Run(run.target, run.seed, run.mode, rival_of=run)
-                                        for run in auto])
+                rivals = self.start([_Run(run.target, run.seed, run.mode, rival_of=run)
+                                     for run in auto], constant=True)
                 batch = self.keep_better_first_terms(
                     self.als(_Batch.join([batch, rivals]), self.als_iters))
             else:
@@ -795,7 +789,7 @@ class _WeightedFit:
             # of the two, so there an error above the baseline is a failure.
             run.sweeps_per_term[:] = []
             decomposition, final_err = self.decomposition_and_error(
-                self.als(self.constant([run]), self.als_iters), 0)
+                self.als(self.start([run], constant=True), self.als_iters), 0)
         if final_err > baseline + defaults.MONOTONE_SLACK:
             raise NumericalFailureError(
                 f"weighted fit error {final_err} exceeds constant baseline {baseline}")
@@ -836,12 +830,10 @@ def fit_weighted_restarts(fs, k: int, n_max: int, restarts,
     f = fs[0]
     if any(g.space != f.space or tuple(g.signature) != tuple(f.signature) for g in fs):
         raise InvalidArgumentError("targets fitted together need one space and signature")
-    k, n_max, als_iters = indices((k, n_max, als_iters), "k, n_max and als_iters")
-    if not 1 <= k < f.arity:
-        raise InvalidArgumentError(f"need 1 <= k < target arity {f.arity}, got k={k}")
-    if n_max < 1 or als_iters < 0:
-        raise InvalidArgumentError(f"need n_max >= 1 and als_iters >= 0, got "
-                                   f"n_max={n_max}, als_iters={als_iters}")
+    k, n_max = _budget(f.arity, k, n_max)
+    als_iters, = indices((als_iters,), "als_iters")
+    if als_iters < 0:
+        raise InvalidArgumentError(f"need als_iters >= 0, got als_iters={als_iters}")
     fit = _WeightedFit(fs, k, n_max, als_iters, init)
     restarts = list(restarts)
     seeds = indices([seed for seed, _ in restarts], "restart seeds")

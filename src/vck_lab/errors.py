@@ -51,6 +51,22 @@ def indices(values, what: str) -> tuple:
         raise InvalidArgumentError(f"{what} must be integers: {exc}") from None
 
 
+def positions_in(positions, arity: int) -> tuple:
+    """Factor positions on an ``arity``-coordinate grid as ints, refused
+    unless strictly increasing in ``range(arity)``."""
+    positions = indices(positions, "factor positions")
+    if sorted(set(positions)) != list(positions) or any(not 0 <= p < arity for p in positions):
+        raise InvalidArgumentError(f"factor positions {positions} are not strictly "
+                                   f"increasing in range({arity})")
+    return positions
+
+
+def probability(p) -> None:
+    """Refuse a probability p outside [0, 1]."""
+    if not 0.0 <= p <= 1.0:
+        raise InvalidArgumentError(f"p={p} outside [0, 1]")
+
+
 def part_weights(name, size: int, weights: tuple) -> list:
     """A part's weights as floats: one per vertex, at least one, finite,
     non-negative, and summing (``math.fsum``) to 1 within ``WEIGHT_SUM_TOL``."""

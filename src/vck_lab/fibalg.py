@@ -265,11 +265,6 @@ class FiberApproxReport:
     met_epsilon: bool
     per_fiber: tuple  # (vertex, error) pairs for the final anchor set
 
-    def to_doc(self) -> dict:
-        return {"anchors": list(self.anchors), "max_error": self.max_error,
-                "met_epsilon": self.met_epsilon,
-                "per_fiber": [{"vertex": v, "error": e} for v, e in self.per_fiber]}
-
 
 def approx_by_fibers(f: MeasuredFunction, eps: float, anchors_budget: int,
                      spec: FiberFamilySpec) -> FiberApproxReport:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults, rng
-from .errors import InvalidArgumentError, ResourceLimitError, indices
+from .errors import InvalidArgumentError, ResourceLimitError, indices, probability
 from .space import PartiteSpace, Relation, check_grid, cylinder, index_sets
 
 
@@ -164,8 +164,7 @@ def parity_triple(n: int, seed: int = 0) -> ParityTriple:
 def quasirandom(space: PartiteSpace, signature, p: float, seed: int = 0,
                 name: str = "R") -> Relation:
     """I.i.d. Bernoulli(p) relation on the given signature."""
-    if not 0.0 <= p <= 1.0:
-        raise InvalidArgumentError(f"p={p} outside [0, 1]")
+    probability(p)
     sig = space.validate_signature(signature)
     check_grid(space.sizes(sig))
     vals = rng.bernoulli(seed, rng.STREAM_QUASIRANDOM, space.sizes(sig), p)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults
-from .errors import InvalidArgumentError, NumericalFailureError, ResourceLimitError, indices
+from .errors import (InvalidArgumentError, NumericalFailureError, ResourceLimitError,
+                     positions_in)
 from .space import (MeasuredFunction, check_array_cap, cylinder_product, integrate,
                     weighted_sum, weighted_sum_rows)
 
@@ -133,18 +134,16 @@ def multiply_cylinders(f: MeasuredFunction, cylinders) -> MeasuredFunction:
     """f times the product of cylinder indicators, as a function.
 
     ``cylinders`` is a sequence of (relation, positions) pairs: the relation
-    lives on the sub-signature of f at ``positions`` (strictly increasing)
-    and is extended cylindrically over the omitted coordinates.  Each element
-    must omit at least one coordinate.
+    lives on the sub-signature of f at ``positions`` (strictly increasing,
+    in ``range(f.arity)``) and is extended cylindrically over the omitted
+    coordinates.  Each element must omit at least one coordinate.
     """
     factors = []
     for rel, positions in cylinders:
-        positions = indices(positions, "cylinder positions")
+        positions = positions_in(positions, f.arity)
         if len(positions) >= f.arity:
             raise InvalidArgumentError(
                 "cylinder element must depend on a strict subset of coordinates")
-        if sorted(set(positions)) != list(positions):
-            raise InvalidArgumentError(f"positions {positions} must be strictly increasing")
         expected = tuple(f.signature[p] for p in positions)
         if rel.signature != expected:
             raise InvalidArgumentError(

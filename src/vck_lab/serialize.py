@@ -11,8 +11,9 @@ The module imports no numpy and no ``space`` at load time: instance
 documents are read by one parse (:func:`parse_instance`) that the certificate
 checker (``check``) and the library's loader each finish with their own
 constructors, and only the loader imports numpy, when called.  Every field
-the schema makes an integer must be a JSON integer (:func:`json_int`), and
-``signed`` must be a JSON boolean (:func:`json_bool`).
+the schema makes an integer must be a JSON integer (:func:`json_int`), every
+weight and value a JSON number (:func:`json_numbers`), and ``signed`` a JSON
+boolean (:func:`json_bool`).
 """
 
 from __future__ import annotations
@@ -116,6 +117,16 @@ def json_bool(value, what: str) -> bool:
     return value
 
 
+def json_numbers(values, what: str) -> list:
+    """A list field of numbers, as floats: each must be a JSON number, so
+    ``true`` or a numeric string such as ``"1"`` is refused, never read as
+    1.  The TypeError is reported with its record by :func:`reading`."""
+    if not set(map(type, values)) <= {int, float}:
+        bad = next(v for v in values if type(v) not in (int, float))
+        raise TypeError(f"{what} must be numbers, got {bad!r:.40}")
+    return list(map(float, values))
+
+
 # --------------------------------------------------------------------------
 # PartiteSpace + functions document
 #
@@ -146,7 +157,7 @@ def functions_to_doc(space: PartiteSpace, functions) -> dict:
 @reading("space document")
 def parse_instance(doc, make_space, make_function) -> tuple:
     """(space, functions) of an instance document, after the format's checks:
-    keys, JSON integers and booleans, signature range, value count.  The
+    keys, JSON integers, numbers and booleans, signature range, value count.  The
     caller's ``make_space`` gets every part's (name, size, weights) before any
     function record is read; ``make_function(space, name, signature, shape,
     values, signed)`` builds each record, its errors reported with it."""
@@ -156,7 +167,7 @@ def parse_instance(doc, make_space, make_function) -> tuple:
         with reading(f"part record {i}"):
             check_keys(rec, {"name", "size", "weights"}, "part record")
             parts.append((rec["name"], json_int(rec["size"], "size"),
-                          tuple(float(w) for w in rec["weights"])))
+                          tuple(json_numbers(rec["weights"], "weights"))))
     space = make_space(parts)
     functions = []
     for i, rec in enumerate(doc.get("functions", [])):
@@ -165,7 +176,7 @@ def parse_instance(doc, make_space, make_function) -> tuple:
             signature = signature_range(tuple(json_int(p, "signature entry")
                                               for p in rec["signature"]), len(parts))
             shape = tuple(parts[p][1] for p in signature)
-            values = [float(v) for v in rec["values"]]
+            values = json_numbers(rec["values"], "values")
             if len(values) != math.prod(shape):
                 raise ValueError(f"{len(values)} values for shape {shape}")
             functions.append(make_function(space, rec["name"], signature, shape, values,

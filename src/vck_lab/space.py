@@ -26,8 +26,6 @@ from .defaults import GRID_CAP_MAX, POINTWISE_TOL
 from .errors import (InvalidArgumentError, ResourceLimitError, distinct_names, indices,
                      part_weights, signature_range, value_bounds)
 
-Signature = tuple  # tuple[int, ...]: part index per coordinate, repetition allowed
-
 
 @dataclass(frozen=True, eq=False)
 class Part:
@@ -74,19 +72,11 @@ class Part:
         return Part(name, size, (Fraction(1, size),) * size if size > 0 else ())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PartiteSpace:
     """Finite vertex parts, each with an atomic probability measure."""
 
     parts: tuple
-
-    def __eq__(self, other):
-        if not isinstance(other, PartiteSpace):
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
@@ -342,6 +332,8 @@ def fiber(f: MeasuredFunction, fixed: Mapping[int, int]) -> MeasuredFunction:
 
     The result lives on the residual signature, original coordinate order.
     """
+    fixed = dict(zip(indices(fixed, "fiber positions"),
+                     indices(fixed.values(), "fiber vertices")))
     arity = f.arity
     for pos, v in fixed.items():
         if not 0 <= pos < arity:

@@ -242,9 +242,10 @@ def vc_k(f: MeasuredFunction, k: int, distinguished: int,
 def vc_k_slicewise(f: MeasuredFunction, k: int, r: float = 0.5, s: float = 0.5,
                    cap: int = defaults.GRID_CAP) -> int:
     """Supremum of vc_k over all (k+1)-ary fibers and distinguished choices."""
+    k, = indices((k,), "k")
     arity = f.arity
-    if arity < k + 1:
-        raise InvalidArgumentError(f"arity {arity} below k+1 = {k + 1}")
+    if not 1 <= k < arity:
+        raise InvalidArgumentError(f"need 1 <= k < arity {arity}, got k={k}")
     best = 0
     for fixed_positions in itertools.combinations(range(arity), arity - (k + 1)):
         ranges = [range(f.shape[p]) for p in fixed_positions]
@@ -264,7 +265,8 @@ def trace_count(E: MeasuredFunction, box: Box, distinguished: int) -> int:
 
 def sauer_shelah_bound(m: int, k: int, z: int) -> int:
     """Sum of binomials C(m**k, i) for i < z, exact integer arithmetic."""
-    if m < 1 or z < 1:
-        raise InvalidArgumentError("need m >= 1 and z >= 1")
+    m, k, z = indices((m, k, z), "m, k and z")
+    if m < 1 or k < 0 or z < 1:
+        raise InvalidArgumentError("need m >= 1, k >= 0 and z >= 1")
     cells = m ** k
     return sum(math.comb(cells, i) for i in range(z))

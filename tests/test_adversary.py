@@ -108,6 +108,18 @@ def test_anchor_coverage_enforced():
     assert float(inst.replacement.parts[2].weights[1]) == 1.0
 
 
+@pytest.mark.parametrize("embedding, anchors", [
+    ({0: (0, -1), 1: (0, 1)}, {2: 0}), ({0: (0, 1), 1: (0, 7)}, {2: 0}),
+    ({0: (0, 1), 1: (0, 1)}, {2: -1}), ({0: (0, 1), 1: (0, 1)}, {2: 3}),
+    ({0: (0, 1), 5: (0, 1)}, {1: 0, 2: 0})])
+def test_vertices_outside_their_part_rejected(embedding, anchors):
+    # -1 once read as the part's last vertex, and 7 raised a bare IndexError
+    space = PartiteSpace.uniform([4, 4, 3])
+    f = MeasuredFunction.constant(space, (0, 1, 2), 0.5)
+    with pytest.raises(InvalidArgumentError, match="outside the grid"):
+        build_instance(f, embedding, random_pattern(2, 1, 0.5, 0), anchors=anchors)
+
+
 # -- quasirandomness curve -----------------------------------------------------------
 
 def test_single_cell_pattern_norm_is_half():

@@ -223,6 +223,10 @@ def _drop_functions(doc):
     (_set(["functions", 0, "values", 1], 1.5), "values outside [0.0, 1.0]"),
     (_set(["functions", 0, "values", 1], -0.5), "values outside [0.0, 1.0]"),
     (_set(["functions", 0, "values", 0], "x"), "function record 0"),
+    # a weight or value must be a JSON number, never read as 1 from true or "1"
+    (_set(["parts", 0, "weights"], [True, False]), "part record 0: weights must be numbers"),
+    (_set(["functions", 0, "values", 1], "1"), "function record 0: values must be numbers"),
+    (_set(["functions", 0, "values", 1], True), "function record 0: values must be numbers"),
     (_set(["functions", 0, "values"], 3), "function record 0"),
     (_drop_function_name, "function record 0: missing key 'name'"),
     # a flag must be JSON true or false, never read by its truth value

@@ -116,13 +116,17 @@ def _integer_entry_points():
                          build_instance, fiber_family, fit_weighted_cylinders,
                          membership_gadget, parity_triple, quasirandomness_curve, vc_k)
     from vck_lab.adversary import inapproximability_scores
+    from vck_lab.decomp import fit_boolean_cylinders
     from vck_lab.gowers import multiply_cylinders
-    from vck_lab.space import dyadics, index_sets
+    from vck_lab.space import dyadics, fiber, index_sets
     from vck_lab.serialize import find_function
+    from vck_lab.vck import sauer_shelah_bound, vc_k_slicewise
     space = PartiteSpace.uniform([2, 2])
     E = Relation(space, (0, 1), np.eye(2), name="E")
     row = Relation(space, (0,), np.ones(2), name="row")
     H = random_pattern(2, 1, 0.5, 0)
+    # a 3-ary relation with a Boolean fit to make and a coordinate to anchor
+    E3 = boolean_of_lower_arity(3, 1, 2, [6, 6, 6], seed=2).relation
     # name -> (call, an integer argument it accepts)
     return {
         "fiber anchors": (lambda i: FiberFamilySpec(1, (i,), ((0,),)), 0),
@@ -133,6 +137,12 @@ def _integer_entry_points():
         "boolean_of_lower_arity": (lambda i: boolean_of_lower_arity(2, 1, 1, [i, 2]), 2),
         "embedding coordinate": (lambda i: build_instance(E, {i: (0, 1), 1: (0, 1)}, H), 0),
         "embedded vertex": (lambda i: build_instance(E, {0: (i, 1), 1: (0, 1)}, H), 0),
+        "anchor vertex": (
+            lambda i: build_instance(E3, {0: (0, 1), 1: (0, 1)}, H, anchors={2: i}), 0),
+        "fiber position": (lambda i: fiber(E, {i: 0}), 1),
+        "fiber vertex": (lambda i: fiber(E, {0: i}), 1),
+        "vc_k_slicewise k": (lambda i: vc_k_slicewise(E, i), 1),
+        "sauer_shelah_bound": (lambda i: sauer_shelah_bound(i, 1, 2), 2),
         # counts, which once failed with a bare TypeError deep inside
         "fiber height": (lambda i: fiber_family(E, FiberFamilySpec(i, (0,), ((0,),))), 2),
         "membership_gadget": (lambda i: membership_gadget(i, 1), 2),
@@ -145,6 +155,9 @@ def _integer_entry_points():
         "fit terms": (lambda i: fit_weighted_cylinders(H, 1, i), 2),
         "fit sweeps": (lambda i: fit_weighted_cylinders(H, 1, 2, als_iters=i), 2),
         "fit seed": (lambda i: fit_weighted_cylinders(H, 1, 2, seed=i), 3),
+        # the Boolean fitter once fitted 3 rules for n_max = 2.5
+        "boolean fit k": (lambda i: fit_boolean_cylinders(E3, i, 2), 1),
+        "boolean fit terms": (lambda i: fit_boolean_cylinders(E3, 1, i), 2),
         "score terms": (lambda i: inapproximability_scores([H], 1, i), 2),
         "score restarts": (lambda i: inapproximability_scores([H], 1, 2, restarts=i), 2),
         "pattern arity": (lambda i: random_pattern(2, i, 0.5, 0), 1),

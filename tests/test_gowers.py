@@ -181,6 +181,15 @@ def test_full_arity_cylinder_rejected():
         cylinder_correlation(f, [(E, (0, 1))])
 
 
+@pytest.mark.parametrize("position", [-1, 2])
+def test_cylinder_positions_outside_the_grid_rejected(position):
+    # -1 once read as the last coordinate, and 2 raised a bare IndexError
+    f = random_function([3, 3], 1)
+    A = Relation.from_bool(f.space, (f.signature[-1],), np.ones(3, dtype=bool))
+    with pytest.raises(InvalidArgumentError, match="strictly increasing in range"):
+        multiply_cylinders(f, [(A, (position,))])
+
+
 def test_positive_correlation_implies_positive_norm():
     # one concrete direction of the positivity equivalence
     rng = np.random.default_rng(5)

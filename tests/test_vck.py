@@ -300,6 +300,14 @@ def test_slicewise_constant_is_zero():
     assert vc_k_slicewise(f, 2, 0.25, 0.75) == 0
 
 
+@pytest.mark.parametrize("k", [-1, 0, 2])
+def test_slicewise_refuses_k_outside_the_arity(k):
+    # k = -1 once pinned every coordinate and read 0
+    E = Relation(PartiteSpace.uniform([2, 2]), (0, 1), np.eye(2), name="E")
+    with pytest.raises(InvalidArgumentError, match="need 1 <= k < arity"):
+        vc_k_slicewise(E, k)
+
+
 def test_slicewise_boolean_combination_reported():
     # ternary Boolean combination of binary relations has a finite value
     from vck_lab import boolean_of_lower_arity
