@@ -22,9 +22,9 @@ _EXPORTS = {
                "approx_by_fibers", "atoms", "dyadics", "fiber_family", "fuzziness",
                "project_simple", "round_to_cells"),
     "decomp": ("BooleanCylinderExpr", "CylinderDecomposition", "CylinderTerm",
-               "FitReport", "PoolLeaf", "fit_boolean_cylinders", "fit_weighted_cylinders",
-               "fit_weighted_restarts", "index_sets",
-               "l2_error", "sample_fiber_pool", "sym_diff"),
+               "FitReport", "PoolLeaf", "fiber_pool", "fit_boolean_cylinders",
+               "fit_weighted_cylinders", "fit_weighted_restarts", "index_sets", "l2_error",
+               "sym_diff"),
     "adversary": ("AdversarialInstance", "build_instance", "inapproximability_score",
                   "inapproximability_scores", "pattern_norm", "quasirandomness_curve",
                   "random_pattern"),

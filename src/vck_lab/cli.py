@@ -179,6 +179,8 @@ def _cmd_fibers(args) -> tuple:
 
 def _cmd_decompose(args) -> tuple:
     from .decomp import fit_boolean_cylinders, fit_weighted_cylinders
+    if args.mode == "boolean" and args.seed != 0:
+        raise InvalidArgumentError("--seed: the boolean fit draws nothing at random")
     f = _load_function(args)
     config = {"input": args.input, "function": f.name, "k": args.k,
               "n_max": args.n_max, "mode": args.mode, "als_iters": args.als_iters}
@@ -192,7 +194,7 @@ def _cmd_decompose(args) -> tuple:
                        "sweeps_per_term": list(report.sweeps_per_term),
                        "sweep_errors": list(report.sweep_errors)}
     else:
-        expr, report = fit_boolean_cylinders(f, args.k, args.n_max, seed=args.seed)
+        expr, report = fit_boolean_cylinders(f, args.k, args.n_max)
         results = {"fit": report.to_doc(), "expression": expr.to_doc()}
     return config, results, diagnostics, 0
 
@@ -335,6 +337,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if [] in vars(args).values():  # Python < 3.12 reads the value "--" as []
+            raise InvalidArgumentError("an option's value cannot be '--'")
         started = time.perf_counter()
         config, results, diagnostics, code = args.func(args)
         # a subcommand without --seed draws nothing at random: seed 0

@@ -5,9 +5,9 @@ Two approximation routes for a k'-ary target using only (<= k)-ary material:
 * weighted: g = sum_i gamma_i * prod_I f_i_I(x_I), fitted by greedy term
   addition plus projected alternating least squares (factors clipped to
   [0, 1], coefficients solved by :func:`bounded_least_squares`);
-* Boolean: a decision list over cylinder fibers of the target relation,
-  grown greedily by symmetric-difference reduction and emitted as an
-  and/or/not expression tree.
+* Boolean: a decision list over the first distinct cylinder fibers of the
+  target relation, grown greedily by symmetric-difference reduction and
+  emitted as an and/or/not expression tree; nothing is drawn at random.
 
 The existential term counts behind these forms are non-constructive, so the
 fitters take explicit budgets and report achieved error.
@@ -26,8 +26,8 @@ from numpy.linalg import _umath_linalg
 
 from . import defaults, rng
 from .errors import InvalidArgumentError, NumericalFailureError, indices, positions_in
-from .space import (MeasuredFunction, Relation, cylinder, cylinder_product, fiber,
-                    index_sets, integrate, weighted_l2, weighted_sum)
+from .space import (MeasuredFunction, Relation, cylinder, cylinder_product, index_sets,
+                    integrate, row_labels, weighted_l2, weighted_sum)
 from .serialize import space_to_doc
 
 
@@ -177,39 +177,28 @@ def sym_diff(E: MeasuredFunction, expr: BooleanCylinderExpr) -> float:
     return weighted_sum(E.space.weight_tensor(E.signature), diff)
 
 
-_POOL_TUPLES_PER_SET = 8
+_POOL_FIBERS_PER_SET = 8
 
 
-def sample_fiber_pool(E: MeasuredFunction, k: int, seed: int) -> list:
-    """Candidate leaves: low-arity fibers of E at seeded parameter tuples.
-
-    For each coordinate set I, eight distinct tuples fixing the
-    complementary coordinates are drawn (all of them when there are fewer);
-    duplicate fiber relations keep their first occurrence, so the pool order
-    is deterministic for the tie-breaking rule.
-    """
-    k_prime = E.arity
+def fiber_pool(E: MeasuredFunction, k: int) -> list:
+    """Candidate leaves: per coordinate set I, in ``index_sets`` order, the
+    first distinct fibers of E at the tuples that fix the other coordinates,
+    in row-major tuple order, at most ``_POOL_FIBERS_PER_SET`` of them."""
+    if not E.is_boolean():
+        raise InvalidArgumentError("fiber_pool needs a Boolean relation")
     leaves = []
-    for counter, I in enumerate(index_sets(k_prime, k)):
-        other = [p for p in range(k_prime) if p not in I]
-        extents = [E.shape[p] for p in other]
-        n_tuples = math.prod(extents)
-        if n_tuples <= _POOL_TUPLES_PER_SET:
-            flat_picks = range(n_tuples)
-        else:
-            draws = rng.integers(seed, rng.STREAM_POOL, 4 * _POOL_TUPLES_PER_SET,
-                                 n_tuples, counter).tolist()
-            flat_picks = sorted(dict.fromkeys(draws))[:_POOL_TUPLES_PER_SET]
-        seen = set()
-        for flat in flat_picks:
-            tup = tuple(int(v) for v in np.unravel_index(int(flat), extents))
-            sub = fiber(E, dict(zip(other, tup)))
-            if sub.values.tobytes() in seen:
-                continue
-            seen.add(sub.values.tobytes())
+    for I in index_sets(E.arity, k):
+        other = [p for p in range(E.arity) if p not in I]
+        # one row per tuple of the other coordinates, the fiber there as columns
+        rows = np.moveaxis(E.values == 1.0, other, range(len(other))).reshape(
+            -1, math.prod(E.shape[p] for p in I))
+        _, firsts = np.unique(row_labels(rows), return_index=True)
+        for flat in firsts[:_POOL_FIBERS_PER_SET].tolist():
+            tup = np.unravel_index(flat, [E.shape[p] for p in other])
             name = f"fib|I={','.join(map(str, I))}|w={','.join(map(str, tup))}"
-            leaves.append(PoolLeaf(I, Relation(E.space, sub.signature, sub.values,
-                                               name=name), name))
+            leaves.append(PoolLeaf(I, Relation.from_bool(
+                E.space, tuple(E.signature[p] for p in I),
+                rows[flat].reshape([E.shape[p] for p in I]), name=name), name))
     return leaves
 
 
@@ -224,8 +213,7 @@ def _budget(arity: int, k, n_max) -> tuple:
     return k, n_max
 
 
-def fit_boolean_cylinders(E: MeasuredFunction, k: int, n_max: int,
-                          pool=None, seed: int = 0) -> tuple:
+def fit_boolean_cylinders(E: MeasuredFunction, k: int, n_max: int, pool=None) -> tuple:
     """Greedy decision-list fit of a relation by cylinder-fiber leaves.
 
     Rules (leaf, polarity, output bit) are appended front to back.  While a
@@ -234,13 +222,12 @@ def fit_boolean_cylinders(E: MeasuredFunction, k: int, n_max: int,
     on ties; this reaches zero error whenever the target is a decision list
     over the pool.  Otherwise the rule with the largest symmetric-difference
     reduction is taken, and fitting stops when no rule strictly improves.
+    The pool defaults to :func:`fiber_pool`; nothing is random, so the seed is 0.
     """
     if not E.is_boolean():
         raise InvalidArgumentError("fit_boolean_cylinders needs a Boolean relation")
     k, n_max = _budget(E.arity, k, n_max)
-    if pool is None:
-        pool = sample_fiber_pool(E, k, seed)
-    pool = list(pool)
+    pool = fiber_pool(E, k) if pool is None else list(pool)
     if not pool:
         raise InvalidArgumentError("empty candidate pool")
 
@@ -259,13 +246,10 @@ def fit_boolean_cylinders(E: MeasuredFunction, k: int, n_max: int,
     rules = []
 
     def default_err(region):
-        in_e = mu(region & target)
-        out_e = mu(region & ~target)
-        return min(in_e, out_e)
+        return min(mu(region & target), mu(region & ~target))
 
     iterations = 0
-    baseline = default_err(remaining)
-    current = decided_err + default_err(remaining)
+    current = baseline = default_err(remaining)
     while len(rules) < n_max and current > 0.0:
         iterations += 1
         best_homog = None   # ((reduction, cover), candidate)
@@ -304,7 +288,7 @@ def fit_boolean_cylinders(E: MeasuredFunction, k: int, n_max: int,
     if current > baseline + defaults.MONOTONE_SLACK:
         raise NumericalFailureError(
             f"boolean fit error {current} exceeds constant baseline {baseline}")
-    return expr, FitReport(current, len(rules), iterations, seed, baseline)
+    return expr, FitReport(current, len(rules), iterations, 0, baseline)
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,7 @@ Every error carries the process exit code the CLI maps it to:
 
 import math
 import operator
+from numbers import Real
 
 from .defaults import POINTWISE_TOL, WEIGHT_SUM_TOL
 
@@ -61,19 +62,32 @@ def positions_in(positions, arity: int) -> tuple:
     return positions
 
 
+def real_numbers(values, what: str, error=InvalidArgumentError) -> None:
+    """Refuse the values unless each is a real number and no bool (Python or
+    numpy): ``True`` or ``"1"`` is never read as 1, a ``Fraction`` or a numpy
+    float passes.  Loaders raise TypeError, reported with the record."""
+    if set(map(type, values)) <= {int, float}:  # the common case, at C speed
+        return
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, Real):
+            raise error(f"{what} must be numbers, got {v!r:.40}")
+
+
 def probability(p) -> None:
-    """Refuse a probability p outside [0, 1]."""
+    """Refuse a probability p that is no number or lies outside [0, 1]."""
+    real_numbers([p], "probabilities")
     if not 0.0 <= p <= 1.0:
         raise InvalidArgumentError(f"p={p} outside [0, 1]")
 
 
 def part_weights(name, size: int, weights: tuple) -> list:
-    """A part's weights as floats: one per vertex, at least one, finite,
-    non-negative, and summing (``math.fsum``) to 1 within ``WEIGHT_SUM_TOL``."""
+    """A part's weights as floats: one per vertex, at least one, real numbers,
+    finite, non-negative, and summing (``math.fsum``) to 1 within ``WEIGHT_SUM_TOL``."""
     if size < 1:
         raise InvalidArgumentError(f"part {name!r}: size must be >= 1")
     if len(weights) != size:
         raise InvalidArgumentError(f"part {name!r}: {len(weights)} weights for size {size}")
+    real_numbers(weights, f"part {name!r}: weights")
     try:  # Part.uniform's vertices share one weight, converted once
         floats = ([float(weights[0])] * size if weights.count(weights[0]) == size
                   else list(map(float, weights)))

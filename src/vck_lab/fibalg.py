@@ -21,7 +21,7 @@ from . import defaults
 from .errors import (DiagnosticFailureError, InvalidArgumentError, ResourceLimitError,
                      indices)
 from .space import (MeasuredFunction, Relation, check_array_cap, cylinder, dyadics,
-                    fiber, index_sets, l2_distance, level_set, weighted_sum)
+                    fiber, index_sets, l2_distance, level_set, row_labels, weighted_sum)
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,7 @@ def atoms(generators, space=None, signature=None) -> AtomPartition:
     """
     generators = list(generators)
     if generators:
-        space = generators[0].space
-        signature = generators[0].signature
+        space, signature = generators[0].space, generators[0].signature
         for g in generators[1:]:
             if g.signature != signature:
                 raise InvalidArgumentError("generators must share a signature")
@@ -147,14 +146,10 @@ def atoms(generators, space=None, signature=None) -> AtomPartition:
     if not generators:
         total = int(np.prod(space.sizes(signature), dtype=np.int64))
         return AtomPartition(space, tuple(signature), np.zeros(total, dtype=np.int64), ())
-    # one packed membership row per grid point, as bytes; a first-occurrence
-    # dict numbers the distinct rows by their smallest flat index
-    table = np.packbits(np.stack([g.values.ravel() == 1.0 for g in generators], axis=1),
-                        axis=1)
-    rows = table.view(np.dtype((np.void, table.shape[1]))).ravel().tolist()
-    first = dict(zip(dict.fromkeys(rows), itertools.count()))
-    return AtomPartition(space, tuple(signature), list(map(first.__getitem__, rows)),
-                         tuple(g.name for g in generators))
+    # one membership row per grid point: distinct rows numbered by their
+    # smallest flat index
+    labels = row_labels(np.stack([g.values.ravel() == 1.0 for g in generators], axis=1))
+    return AtomPartition(space, tuple(signature), labels, tuple(g.name for g in generators))
 
 
 def project_simple(f: MeasuredFunction, partition: AtomPartition):
@@ -230,11 +225,7 @@ def fuzziness(f: MeasuredFunction, partition: AtomPartition, eps: float,
         trace.append((height, None if best is None else (best[3], best[4], best[0])))
         if best is not None:
             delta, _, _, r, s = best
-            mask = np.minimum(
-                conditional_means((fflat < float(r)).astype(np.float64), partition, wflat),
-                conditional_means((fflat >= float(s)).astype(np.float64), partition, wflat),
-            ) >= delta
-            fuzzy_measure = weighted_sum(cell_meas[mask])
+            fuzzy_measure = weighted_sum(cell_meas[np.minimum(e_low[r], e_high[s]) >= delta])
             if fuzzy_measure < delta:
                 raise DiagnosticFailureError(
                     "fuzziness witness failed re-verification", trace)
@@ -276,8 +267,7 @@ def approx_by_fibers(f: MeasuredFunction, eps: float, anchors_budget: int,
     anchors' own fibers.  The worst-approximated x joins the anchor list;
     the report is flagged when the budget runs out above eps.
     """
-    dist = f.arity - 1
-    k = f.arity - 1
+    dist = k = f.arity - 1
     if k < 1:
         raise InvalidArgumentError("need arity >= 2")
     part_size = f.shape[dist]
@@ -290,8 +280,7 @@ def approx_by_fibers(f: MeasuredFunction, eps: float, anchors_budget: int,
             fa = fiber(f, {dist: a})
             for q in dyadics(spec.height):
                 generators.append(level_set(fa, float(q), name=f"{f.name}[b={a}]<{q}"))
-        partition = atoms(generators) if generators else atoms(
-            [], space=f.space, signature=f.signature[:k])
+        partition = atoms(generators, f.space, f.signature[:k])
         fx = fiber(f, {dist: x})
         _, err = project_simple(fx, partition)
         return err

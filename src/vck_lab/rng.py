@@ -22,7 +22,7 @@ STREAM_PATTERN = 1      # adversary.random_pattern trials
 STREAM_QUASIRANDOM = 2  # gen.quasirandom tensors
 STREAM_BOOLCOMB = 3     # gen.boolean_of_lower_arity (leaves, shapes, tensors)
 STREAM_PARITY = 4       # gen.parity_triple (F, G, H)
-STREAM_POOL = 5         # decomp fiber-pool parameter sampling
+STREAM_POOL = 5         # retired (decomp's fiber pool draws nothing); id kept reserved
 STREAM_INIT = 6         # decomp randomized factor initialization
 STREAM_SCORE = 7        # adversary.inapproximability_score restarts
 

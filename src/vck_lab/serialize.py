@@ -23,7 +23,7 @@ import json
 import math
 from fractions import Fraction
 
-from .errors import InvalidArgumentError, indices, signature_range
+from .errors import InvalidArgumentError, indices, real_numbers, signature_range
 
 
 def format_float(x: float) -> str:
@@ -120,10 +120,9 @@ def json_bool(value, what: str) -> bool:
 def json_numbers(values, what: str) -> list:
     """A list field of numbers, as floats: each must be a JSON number, so
     ``true`` or a numeric string such as ``"1"`` is refused, never read as
-    1.  The TypeError is reported with its record by :func:`reading`."""
-    if not set(map(type, values)) <= {int, float}:
-        bad = next(v for v in values if type(v) not in (int, float))
-        raise TypeError(f"{what} must be numbers, got {bad!r:.40}")
+    1 (:func:`errors.real_numbers`).  The TypeError is reported with its
+    record by :func:`reading`."""
+    real_numbers(values, what, TypeError)
     return list(map(float, values))
 
 

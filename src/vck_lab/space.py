@@ -272,6 +272,15 @@ def grid_masks(hits: np.ndarray) -> list:
     return (hits.T @ bits).astype(np.int64).tolist()
 
 
+def row_labels(rows: np.ndarray) -> list:
+    """Per row of a 2-D boolean table, the label of its distinct value: one
+    packed row per row, as bytes, numbered in order of first occurrence."""
+    table = np.ascontiguousarray(np.packbits(rows, axis=1))
+    keys = table.view(np.dtype((np.void, table.shape[1]))).ravel().tolist()
+    first = dict(zip(dict.fromkeys(keys), itertools.count()))
+    return list(map(first.__getitem__, keys))
+
+
 def index_sets(n: int, k: int) -> list:
     """Non-empty subsets of range(n) of size at most k, by size, then lexicographic."""
     n, k = indices((n, k), "n and k")

@@ -8,10 +8,11 @@ counts on a level scan's witness table by sorting,
 :func:`inapproximability_score_oracle` runs every restart fit in turn,
 :func:`fit_weighted_cylinders_oracle`, the fitter's full-grid form, solves
 its coefficients with ``bounded_least_squares``, which is checked against
-:func:`bounded_lstsq_oracle`, and :func:`fiber_family_oracle` cuts its
-fibers with ``fiber``.  :func:`box_solve_oracle` is the fitter's active-set
-solve on one problem at a time, the reference for the one that steps a
-whole stack of problems together.
+:func:`bounded_lstsq_oracle`, and :func:`fiber_family_oracle` and
+:func:`fiber_pool_oracle` cut their fibers with ``fiber``.
+:func:`box_solve_oracle` is the fitter's active-set solve on one problem at
+a time, the reference for the one that steps a whole stack of problems
+together.
 """
 
 import itertools
@@ -219,6 +220,26 @@ def expression_leaf_count(node) -> int:
         return 1
     return sum(expression_leaf_count(node[key]) for key in ("arg", "left", "right")
                if key in node)
+
+
+def fiber_pool_oracle(E, k, per_set=8) -> list:
+    """(name, positions, values) of the Boolean fit's default pool: per
+    coordinate set of size 1..k, by size then lexicographic, each tuple of
+    the other coordinates in row-major order, the fiber there cut with
+    ``fiber`` and kept if unseen, until ``per_set`` are kept."""
+    from vck_lab import fiber
+    leaves = []
+    for size in range(1, k + 1):
+        for I in itertools.combinations(range(E.arity), size):
+            other = [p for p in range(E.arity) if p not in I]
+            seen = []
+            for tup in itertools.product(*(range(E.shape[p]) for p in other)):
+                values = fiber(E, dict(zip(other, tup))).values.ravel().tolist()
+                if values not in seen and len(seen) < per_set:
+                    seen.append(values)
+                    name = f"fib|I={','.join(map(str, I))}|w={','.join(map(str, tup))}"
+                    leaves.append((name, I, values))
+    return leaves
 
 
 def atom_cells_oracle(generators, total: int) -> list:

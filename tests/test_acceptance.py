@@ -187,8 +187,7 @@ def test_c07_decomposition_closure():
                 for i, (pos, rel) in enumerate(out.leaves)]
         if not pool:
             continue
-        expr, rep = fit_boolean_cylinders(out.relation, k=1, n_max=8,
-                                          pool=pool, seed=0)
+        expr, rep = fit_boolean_cylinders(out.relation, k=1, n_max=8, pool=pool)
         assert rep.error == 0.0, (seed, out.expression)
         assert rep.n <= 8
         assert sym_diff(out.relation, expr) == 0.0

@@ -30,6 +30,12 @@ def test_pattern_degenerate_probabilities():
     assert np.all(random_pattern(4, 1, 1.0, 1).values == 1.0)
 
 
+@pytest.mark.parametrize("p", [True, np.True_, "1"])
+def test_pattern_probability_must_be_a_number(p):
+    with pytest.raises(InvalidArgumentError, match="must be numbers"):
+        random_pattern(2, 1, p, 0)
+
+
 def test_pattern_density_within_binomial_band():
     # 512 cells at p = 1/2: three sigma is ~0.066
     H = random_pattern(8, 2, 0.5, seed=2024)

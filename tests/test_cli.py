@@ -853,6 +853,29 @@ def test_decompose_diagnostics_count_the_fit(tmp_path):
     assert list(load_json(reports[0])) == ["comparable", "wall_time_s"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("fibers", "--input", "{inst}", "--anchors=--"), ("adversary", "--d=--", "--out", "{out}"),
+    ("gowers", "--input", "{inst}", "--signature=--")])
+def test_option_value_dashes_exits_2(tmp_path, gadget_doc, argv, capsys):
+    # argparse before Python 3.12 reads the value "--" as an empty list, not
+    # as text that the option's own parse refuses
+    argv = [a.format(inst=gadget_doc, out=tmp_path / "c.csv") for a in argv]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_boolean_decompose_refuses_seed_and_reports_zero(tmp_path, gadget_doc, capsys):
+    # the Boolean fit draws nothing at random; only the weighted fit takes a seed
+    out = tmp_path / "r.json"
+    argv = ["decompose", "--input", str(gadget_doc), "--k", "1", "--mode", "boolean",
+            "--report", str(out)]
+    assert run(*argv, "--seed", "5") == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(*argv) == 0
+    assert load_json(out)["comparable"]["seed"] == 0
+
+
 @pytest.mark.parametrize("command,extra", [
     ("vcdim", ()), ("gowers", ()), ("fibers", ("--anchors", "0"))])
 def test_seedless_subcommands_refuse_seed_and_report_zero(tmp_path, gadget_doc,

@@ -18,11 +18,12 @@ from vck_lab import (BooleanCylinderExpr, CylinderDecomposition, CylinderTerm,
 from vck_lab.adversary import random_pattern
 from vck_lab.cli import main as cli_main
 from vck_lab import defaults
-from vck_lab.decomp import bounded_least_squares, fit_weighted_restarts
+from vck_lab.decomp import bounded_least_squares, fiber_pool, fit_weighted_restarts
 from vck_lab.errors import InvalidArgumentError, NumericalFailureError
 
 from oracles import (bounded_lstsq_oracle, box_solve_oracle, decomposition_value_oracle,
-                     expression_leaf_count, expression_oracle, fit_weighted_cylinders_oracle)
+                     expression_leaf_count, expression_oracle, fiber_pool_oracle,
+                     fit_weighted_cylinders_oracle)
 
 
 def uniform_space(sizes):
@@ -145,7 +146,7 @@ def test_expression_round_trip_doc():
     from vck_lab.serialize import dumps_canonical
     space = uniform_space([3, 3, 3])
     E = quasirandom(space, (0, 1, 2), 0.5, seed=5)
-    expr, _ = fit_boolean_cylinders(E, 1, 4, seed=0)
+    expr, _ = fit_boolean_cylinders(E, 1, 4)
     doc = expr.to_doc()
     assert dumps_canonical(doc) == dumps_canonical(expr.to_doc())
 
@@ -184,7 +185,7 @@ def test_fit_single_cylinder_exact():
     col[:2] = 1
     E = Relation.from_bool(space, (0, 1, 2),
                            np.broadcast_to(col[:, None, None] == 1, (5, 5, 5)))
-    expr, rep = fit_boolean_cylinders(E, 1, 8, seed=0)
+    expr, rep = fit_boolean_cylinders(E, 1, 8)
     assert rep.error == 0.0
     assert rep.n == 1
     assert rep.error <= rep.baseline
@@ -198,7 +199,7 @@ def test_fit_intersection_of_two_cylinders():
                            a[:, None, None] & b[None, :, None] & np.ones(5, bool))
     pool = [PoolLeaf((0,), Relation.from_bool(space, (0,), a), "a"),
             PoolLeaf((1,), Relation.from_bool(space, (1,), b), "b")]
-    expr, rep = fit_boolean_cylinders(E, 1, 8, pool=pool, seed=0)
+    expr, rep = fit_boolean_cylinders(E, 1, 8, pool=pool)
     assert rep.error == 0.0
     assert rep.n <= 2
     assert sym_diff(E, expr) == 0.0
@@ -209,10 +210,62 @@ def test_fit_generator_pool_closure_exact():
         out = boolean_of_lower_arity(3, 1, 3, [5, 5, 5], seed=seed)
         pool = [PoolLeaf(pos, rel, f"gen{i}")
                 for i, (pos, rel) in enumerate(out.leaves)]
-        expr, rep = fit_boolean_cylinders(out.relation, k=1, n_max=8, pool=pool, seed=0)
+        expr, rep = fit_boolean_cylinders(out.relation, k=1, n_max=8, pool=pool)
         assert rep.error == 0.0, (seed, out.expression)
         assert rep.n <= 8
         assert sym_diff(out.relation, expr) == 0.0
+
+
+@st.composite
+def pool_targets(draw):
+    """(relation, k): arity 2-4, sides 1-4, values constant, random, or
+    a function of each vertex mod 2, so that fibers repeat."""
+    arity = draw(st.integers(2, 4))
+    sizes = draw(st.tuples(*[st.integers(1, 4)] * arity))
+    bits = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).random(sizes) < 0.5
+    kind = draw(st.sampled_from(["zeros", "ones", "random", "mod 2"]))
+    if kind in ("zeros", "ones"):
+        bits = np.full(sizes, kind == "ones")
+    elif kind == "mod 2":
+        bits = bits[np.ix_(*[np.arange(n) % 2 for n in sizes])]
+    E = Relation.from_bool(uniform_space(sizes), tuple(range(arity)), bits)
+    return E, draw(st.integers(1, arity - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pool_targets())
+@example((Relation.from_bool(uniform_space([4, 4, 4]), (0, 1, 2),
+                             np.random.default_rng(3).random((4, 4, 4)) < 0.5), 1))
+def test_fiber_pool_matches_oracle(target):
+    E, k = target
+    assert [(leaf.name, leaf.positions, leaf.relation.values.ravel().tolist())
+            for leaf in fiber_pool(E, k)] == fiber_pool_oracle(E, k)
+
+
+def test_fiber_pool_keeps_eight_fibers_per_set():
+    # a 4x4x4 random relation has more than 8 distinct 4-vertex fibers on
+    # coordinate 0; the pool keeps the first 8 of them
+    E = Relation.from_bool(uniform_space([4, 4, 4]), (0, 1, 2),
+                           np.random.default_rng(3).random((4, 4, 4)) < 0.5)
+    assert sum(I == (0,) for _, I, _ in fiber_pool_oracle(E, 1, per_set=16)) > 8
+    assert sum(leaf.positions == (0,) for leaf in fiber_pool(E, 1)) == 8
+
+
+@pytest.mark.parametrize("seed", [1, 6, 11])
+def test_fit_finds_structure_family_leaves(tmp_path, seed):
+    from vck_lab.serialize import load_json
+    # the structure workload's family: an exact combination of 4 unary
+    # leaves, which a pool of 8 sampled tuples per set used to miss (errors
+    # 0.0586, 0.1406 and 0.1641 on these seeds)
+    E = boolean_of_lower_arity(3, 1, 4, (16, 16, 16), seed=seed).relation
+    _, rep = fit_boolean_cylinders(E, 1, 16)
+    assert (rep.error, rep.seed) == (0.0, 0)
+    inst, report = tmp_path / "bc.json", tmp_path / "dec.json"
+    assert cli_main(["gen", "--kind", "boolcomb", "--seed", str(seed), "--out", str(inst),
+                     "--params", "kprime=3,k=1,m=4,sizes=16x16x16"]) == 0
+    assert cli_main(["decompose", "--input", str(inst), "--k", "1", "--mode", "boolean",
+                     "--report", str(report)]) == 0
+    assert load_json(report)["comparable"]["results"]["fit"]["error"] == 0.0
 
 
 def test_fit_quasirandom_stays_near_baseline():
@@ -220,7 +273,7 @@ def test_fit_quasirandom_stays_near_baseline():
     for seed in range(3):
         space = uniform_space([6, 6, 6])
         E = quasirandom(space, (0, 1, 2), 0.5, seed=seed)
-        _, rep = fit_boolean_cylinders(E, 1, 8, seed=seed)
+        _, rep = fit_boolean_cylinders(E, 1, 8)
         assert rep.error >= 0.7 * rep.baseline
         assert rep.error <= rep.baseline
 
@@ -229,7 +282,7 @@ def test_fit_empty_pool_rejected():
     space = uniform_space([3, 3])
     E = Relation.from_bool(space, (0, 1), np.eye(3) == 1)
     with pytest.raises(InvalidArgumentError):
-        fit_boolean_cylinders(E, 1, 4, pool=[], seed=0)
+        fit_boolean_cylinders(E, 1, 4, pool=[])
 
 
 # -- weighted fitting -----------------------------------------------------------------

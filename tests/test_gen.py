@@ -131,6 +131,12 @@ def test_quasirandom_degenerate():
     assert np.all(quasirandom(space, (0, 1), 1.0, 1).values == 1.0)
 
 
+@pytest.mark.parametrize("p", [True, np.True_])
+def test_quasirandom_probability_must_be_a_number(p):
+    with pytest.raises(InvalidArgumentError, match="must be numbers"):
+        quasirandom(PartiteSpace.uniform([2, 2]), (0, 1), p)
+
+
 def test_quasirandom_density_band():
     space = PartiteSpace.uniform([8, 8])
     R = quasirandom(space, (0, 1), 0.5, seed=21)

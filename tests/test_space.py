@@ -97,6 +97,16 @@ def test_fraction_weights_sum_exactly():
     assert mixed.weight_array.sum() == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("weights", [(True, False), (np.True_, np.False_)])
+def test_boolean_weights_are_no_numbers(weights):
+    from fractions import Fraction
+    from vck_lab import Part
+    # the loaders refuse JSON true as a weight; the constructor refuses it too
+    with pytest.raises(InvalidArgumentError, match="part 'V': weights must be numbers"):
+        Part("V", 2, weights)
+    Part("V", 2, (Fraction(1, 2), np.float64(0.5)))
+
+
 def test_fraction_weights_keep_their_sign_and_bits():
     from fractions import Fraction
     from vck_lab import Part
