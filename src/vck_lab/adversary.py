@@ -25,15 +25,32 @@ from .space import (MeasuredFunction, Part, PartiteSpace, Relation, check_grid,
                     grid_masks, weighted_sum)
 
 
-def random_pattern(d: int, k: int, p: float, seed: int, trial: int = 0) -> Relation:
-    """I.i.d. Bernoulli(p) (k+1)-partite pattern on [d]^(k+1), uniform parts."""
+def random_patterns(d: int, k: int, p: float, seed: int, trials) -> list:
+    """I.i.d. Bernoulli(p) (k+1)-partite patterns on [d]^(k+1), uniform
+    parts, one per trial counter, drawn in one call per ARRAY_CAP cells."""
     d, k = indices((d, k), "d and k")
     probability(p)
     check_grid([d] * (k + 1))
     space = PartiteSpace.uniform([d] * (k + 1),
                                  [f"P{i + 1}" for i in range(k + 1)])
-    vals = rng.bernoulli(seed, rng.STREAM_PATTERN, (d,) * (k + 1), p, trial)
-    return Relation(space, tuple(range(k + 1)), vals, name=f"H{d}")
+    trials, step = list(trials), max(1, defaults.ARRAY_CAP // d ** (k + 1))
+    return [Relation(space, tuple(range(k + 1)), v, name=f"H{d}")
+            for i in range(0, len(trials), step)
+            for v in rng.bernoulli(seed, rng.STREAM_PATTERN, (d,) * (k + 1), p,
+                                   trials[i:i + step])]
+
+
+def random_pattern(d: int, k: int, p: float, seed: int, trial: int = 0) -> Relation:
+    """The pattern of one trial counter, as :func:`random_patterns` draws it."""
+    return random_patterns(d, k, p, seed, [trial])[0]
+
+
+def pattern_trials(sizes: int, trials: int) -> list:
+    """Per size of a sweep, the counters ``(di << 16) | t`` of its first
+    ``trials`` trials; both counts are capped at 2**16, so no two collide."""
+    if sizes > 1 << 16 or trials > 1 << 16:
+        raise ResourceLimitError(f"sweeps take at most 65536 sizes and trials: {sizes}, {trials}")
+    return [range(di << 16, (di << 16) + trials) for di in range(sizes)]
 
 
 @dataclass(frozen=True)
@@ -144,11 +161,10 @@ def quasirandomness_curve(k: int, d_values, trials: int, seed: int,
     k, trials = indices((k, trials), "k and trials")
     if trials < 1:
         raise InvalidArgumentError(f"need trials >= 1, got {trials}")
+    d_values = list(d_values)
     rows = []
-    for di, d in enumerate(d_values):
-        norms = [pattern_norm(random_pattern(d, k, p, seed,
-                                             trial=(di << 16) | t))
-                 for t in range(trials)]
+    for d, counters in zip(d_values, pattern_trials(len(d_values), trials)):
+        norms = [pattern_norm(H) for H in random_patterns(d, k, p, seed, counters)]
         mean = weighted_sum(norms) / len(norms)
         std = statistics.pstdev(norms) if len(norms) > 1 else 0.0
         rows.append({"d": int(d), "mean_norm": mean, "std_norm": std})
@@ -286,8 +302,8 @@ def inapproximability_scores(functions, k: int, N: int, seed: int = 0,
     k, N, restarts = indices((k, N, restarts), "k, N and restarts")
     if restarts < 1:
         raise InvalidArgumentError(f"need restarts >= 1, got {restarts}")
-    restart_args = [(int(rng.raw64(seed, rng.STREAM_SCORE, 1, r)[0]),
-                     "auto" if r == 0 else "random") for r in range(restarts)]
+    seeds = rng.raw64(seed, rng.STREAM_SCORE, 1, range(restarts))[:, 0].tolist()
+    restart_args = [(s, "auto" if r == 0 else "random") for r, s in enumerate(seeds)]
     functions = list(functions)
     groups = {}  # (space, signature) -> indices into functions, in order
     for i, f in enumerate(functions):

@@ -200,7 +200,8 @@ def _cmd_decompose(args) -> tuple:
 
 
 def _cmd_adversary(args) -> tuple:
-    from .adversary import inapproximability_scores, quasirandomness_curve, random_pattern
+    from .adversary import (inapproximability_scores, pattern_trials, quasirandomness_curve,
+                            random_patterns)
     # refused before any work; the fits that also check them run last
     for flag, value in (("--k", args.k), ("--trials", args.trials),
                         ("--score-trials", args.score_trials),
@@ -210,9 +211,10 @@ def _cmd_adversary(args) -> tuple:
     d_values = _ints(args.d, "--d")
     if not d_values or min(d_values) < 1:
         raise InvalidArgumentError(f"--d needs one or more sizes >= 1, got {args.d!r}")
+    pattern_trials(len(d_values), max(args.trials, args.score_trials))
     score_trials = min(args.score_trials, args.trials)
-    patterns = [random_pattern(d, args.k, args.p, args.seed, trial=(di << 16) | t)
-                for di, d in enumerate(d_values) for t in range(score_trials)]
+    patterns = [H for d, counters in zip(d_values, pattern_trials(len(d_values), score_trials))
+                for H in random_patterns(d, args.k, args.p, args.seed, counters)]
     rows = []
     # the curve runs here while forked children start on the fits
     scores, diagnostics = inapproximability_scores(

@@ -571,27 +571,27 @@ class _WeightedFit:
         batch.err = np.array([weighted_l2(self.w, resid) for resid in batch.resid])
         return batch
 
-    def seeded_term(self, run: _Run, resid: np.ndarray, counter: int) -> dict:
-        """A new term's factors: the dominant pattern of the positive
-        residual, or seeded uniforms in random mode and when no residual
-        entry is positive."""
-        pos_resid = None if run.mode == "random" else np.maximum(resid, 0.0)
-        if pos_resid is None or not np.any(pos_resid > 0.0):
-            factors = {}
-            for ci, positions in enumerate(self.sets):
-                fshape = tuple(self.shape[p] for p in positions)
-                factors[positions] = rng.uniforms(
-                    run.seed, rng.STREAM_INIT, math.prod(fshape),
-                    (counter << 8) | ci).reshape(fshape)
-            return factors
-        anchor = np.unravel_index(int(np.argmax(pos_resid)), self.shape)
-        factors = {}
-        for positions in self.sets:
-            others = {p: anchor[p] for p in range(self.k_prime) if p not in positions}
-            sl = np.array(pos_resid[tuple(others.get(p, slice(None))
-                                          for p in range(self.k_prime))])
-            peak = float(sl.max())
-            factors[positions] = (sl / peak if peak > 0.0 else np.ones_like(sl))
+    def seeded_terms(self, batch: _Batch, counter: int) -> dict:
+        """Every row's new term's factors, stacked: the positive residual's dominant
+        pattern, or seeded uniforms in random mode or if no residual entry is positive."""
+        factors = {pos: np.empty((len(batch.runs),) + tuple(self.shape[p] for p in pos))
+                   for pos in self.sets}
+        drawn = []
+        for i, (run, resid) in enumerate(zip(batch.runs, batch.resid)):
+            pos_resid = None if run.mode == "random" else np.maximum(resid, 0.0)
+            if pos_resid is None or not np.any(pos_resid > 0.0):
+                drawn.append(i)
+                continue
+            anchor = np.unravel_index(int(np.argmax(pos_resid)), self.shape)
+            for positions, stacked in factors.items():
+                sl = pos_resid[tuple(slice(None) if p in positions else anchor[p]
+                                     for p in range(self.k_prime))]
+                peak = float(sl.max())
+                stacked[i] = sl / peak if peak > 0.0 else 1.0
+        for ci, stacked in enumerate(factors.values() if drawn else ()):
+            stacked.reshape(len(stacked), -1)[drawn] = rng.uniforms(
+                [batch.runs[i].seed for i in drawn], rng.STREAM_INIT, stacked[0].size,
+                (counter << 8) | ci)
         return factors
 
     def solve(self, batch: _Batch) -> np.ndarray:
@@ -743,10 +743,7 @@ class _WeightedFit:
                 if not batch.runs:
                     break
             counter += 1
-            seeded = [self.seeded_term(run, resid, counter)
-                      for run, resid in zip(batch.runs, batch.resid)]
-            self.add_term(batch, {pos: np.stack([s[pos] for s in seeded])
-                                  for pos in seeded[0]}, np.zeros(len(batch.runs)))
+            self.add_term(batch, self.seeded_terms(batch, counter), np.zeros(len(batch.runs)))
             batch.err = self.solve(batch)
             auto = [run for run in batch.runs if run.mode == "auto"]
             if len(batch.factors) == 1 and self.init is None and auto:

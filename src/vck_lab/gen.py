@@ -75,14 +75,18 @@ def boolean_of_lower_arity(k_prime: int, k: int, m: int, sizes,
     space = PartiteSpace.uniform(sizes)
     all_I = index_sets(k_prime, k)
 
+    picks = rng.integers(seed, rng.STREAM_BOOLCOMB, 1, len(all_I), range(0, 3 * m, 3))[:, 0]
+    tensors = {}  # leaf -> its tensor, drawn in one call per coordinate set
+    for pick in set(picks.tolist()):
+        same = np.flatnonzero(picks == pick).tolist()
+        shape = tuple(sizes[p] for p in all_I[pick])
+        tensors.update(zip(same, rng.bernoulli(seed, rng.STREAM_BOOLCOMB, shape, 0.5,
+                                               [3 * i + 1 for i in same])))
     leaves = []
     leaf_tensors = []
-    for i in range(m):
-        pick = int(rng.integers(seed, rng.STREAM_BOOLCOMB, 1, len(all_I), 3 * i)[0])
+    for i, pick in enumerate(picks.tolist()):
         positions = all_I[pick]
-        sub_sizes = tuple(sizes[p] for p in positions)
-        vals = rng.bernoulli(seed, rng.STREAM_BOOLCOMB, sub_sizes, 0.5, 3 * i + 1)
-        rel = Relation(space, positions, vals, name=f"g{i}")
+        rel = Relation(space, positions, tensors[i], name=f"g{i}")
         leaves.append((positions, rel))
         leaf_tensors.append(np.broadcast_to(cylinder(rel.bool_values, positions, k_prime),
                                             sizes))
@@ -152,12 +156,9 @@ def parity_triple(n: int, seed: int = 0) -> ParityTriple:
     Stream layout: counters 0, 1, 2 for F, G, H."""
     check_grid([n, n, n])
     space = PartiteSpace.uniform([n, n, n])
-    F = Relation(space, (0, 1), rng.bernoulli(seed, rng.STREAM_PARITY, (n, n), 0.5, 0),
-                 name="F")
-    G = Relation(space, (0, 2), rng.bernoulli(seed, rng.STREAM_PARITY, (n, n), 0.5, 1),
-                 name="G")
-    H = Relation(space, (1, 2), rng.bernoulli(seed, rng.STREAM_PARITY, (n, n), 0.5, 2),
-                 name="H")
+    F, G, H = (Relation(space, positions, vals, name=name) for positions, vals, name in zip(
+        ((0, 1), (0, 2), (1, 2)), rng.bernoulli(seed, rng.STREAM_PARITY, (n, n), 0.5, [0, 1, 2]),
+        "FGH"))
     return ParityTriple(parity_relation(F, G, H, name=f"parity{n}"), F, G, H)
 
 

@@ -12,13 +12,20 @@ its coefficients with ``bounded_least_squares``, which is checked against
 :func:`fiber_pool_oracle` cut their fibers with ``fiber``.
 :func:`box_solve_oracle` is the fitter's active-set solve on one problem at
 a time, the reference for the one that steps a whole stack of problems
-together.
+together.  :func:`philox_oracle` is numpy's own Philox bit generator, the
+reference for the lab's Philox kernel.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+
+def philox_oracle(key, n: int) -> np.ndarray:
+    """The first n raw 64-bit words of numpy's Philox4x64-10 under the
+    2-word key."""
+    return np.random.Philox(key=np.array(key, dtype=np.uint64)).random_raw(n)
 
 
 def vc1_oracle(matrix) -> int:

@@ -614,6 +614,21 @@ def test_adversary_bad_counts_exit_2(tmp_path, flags, monkeypatch, capsys):
     assert not (tmp_path / "curve.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ("--trials", "65537"), ("--score-trials", "65537"), ("--d", ",".join(["2"] * 65537))])
+def test_adversary_past_65536_trials_or_sizes_exits_3(tmp_path, flags, monkeypatch, capsys):
+    # trial counters are (size index << 16) | trial: more would collide
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused sweep drew a pattern")
+
+    monkeypatch.setattr(adversary.rng, "bernoulli", no_work)
+    assert run("adversary", "--k", "1", "--d", "2", "--trials", "2",
+               "--score-trials", "1", "--restarts", "1", *flags,
+               "--out", str(tmp_path / "curve.csv")) == 3
+    assert "65536" in capsys.readouterr().err
+    assert not (tmp_path / "curve.csv").exists()
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_adversary_fit_failure_in_any_worker_exits_4(tmp_path, monkeypatch, capsys, cpus):
     real_group_fits = adversary._group_fits
