@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 # submodule -> the public names it provides
 _EXPORTS = {
     "space": ("MeasuredFunction", "Part", "PartiteSpace", "Relation", "all_traversals",
-              "average_out", "complement", "fiber", "inner", "integrate", "l2_distance",
-              "level_set"),
+              "average_out", "fiber", "inner", "integrate", "l2_distance", "level_set"),
     "check": ("ShatteringCertificate",),
     "vck": ("Box", "VcResult", "check_shattered", "sauer_shelah_bound", "trace_count",
             "vc_k", "vc_k_slicewise", "verify_certificate"),

@@ -28,7 +28,7 @@ from .space import (MeasuredFunction, Part, PartiteSpace, Relation, check_grid,
 def random_patterns(d: int, k: int, p: float, seed: int, trials) -> list:
     """I.i.d. Bernoulli(p) (k+1)-partite patterns on [d]^(k+1), uniform
     parts, one per trial counter, drawn in one call per ARRAY_CAP cells."""
-    d, k = indices((d, k), "d and k")
+    d, k = indices((d, k), "d and k", 0)
     probability(p)
     check_grid([d] * (k + 1))
     space = PartiteSpace.uniform([d] * (k + 1),
@@ -80,8 +80,9 @@ def build_instance(f: MeasuredFunction, cert, H: Relation,
     if any(s != d for s in H.shape):
         raise InvalidArgumentError("pattern must have equal part sizes")
     anchors = dict(anchors or {})
-    anchors = dict(zip(indices(anchors, "anchor coordinates"),
-                       indices(anchors.values(), "anchor vertices")))
+    anchors = {p: indices((v,), f"anchor vertex at coordinate {p}", 0, f.shape[p])[0]
+               for p, v in zip(indices(anchors, "anchor coordinates", 0, f.arity),
+                               anchors.values())}
 
     if isinstance(cert, ShatteringCertificate):
         box_positions = [p for p in range(f.arity) if p != cert.distinguished]
@@ -100,23 +101,19 @@ def build_instance(f: MeasuredFunction, cert, H: Relation,
         embedding = dict(zip(box_positions, cert.box))
         embedding[cert.distinguished] = tuple(witnesses[mask] for mask in masks)
     else:
-        given = dict(cert)
-        embedding = dict(zip(indices(given, "embedding coordinates"),
-                             (indices(side, "embedded vertices") for side in given.values())))
-        if len(embedding) != len(H.shape):
-            raise InvalidArgumentError(
-                f"embedding fixes {len(embedding)} coordinates for a "
-                f"{len(H.shape)}-ary pattern")
-        if any(len(side) != d for side in embedding.values()):
-            raise InvalidArgumentError("embedded vertex tuples must match pattern size")
+        embedding = dict(cert)
+    embedding = {p: indices(side, f"embedded vertices at coordinate {p}", 0, f.shape[p])
+                 for p, side in zip(indices(embedding, "embedding coordinates", 0, f.arity),
+                                    embedding.values())}
+    if len(embedding) != len(H.shape):
+        raise InvalidArgumentError(
+            f"embedding fixes {len(embedding)} coordinates for a {len(H.shape)}-ary pattern")
+    if any(len(side) != d for side in embedding.values()):
+        raise InvalidArgumentError("embedded vertex tuples must match pattern size")
 
     missing = set(range(f.arity)) - set(embedding) - set(anchors)
     if missing:
         raise InvalidArgumentError(f"anchors must cover coordinates {sorted(missing)}")
-    for p, vertices in [*embedding.items(), *((p, (v,)) for p, v in anchors.items())]:
-        if not 0 <= p < f.arity or any(not 0 <= v < f.shape[p] for v in vertices):
-            raise InvalidArgumentError(f"coordinate {p}, vertices {vertices}: outside the "
-                                       f"grid of shape {f.shape}")
 
     new_parts = []
     for pos, part in enumerate(f.space.parts):
@@ -158,9 +155,8 @@ def quasirandomness_curve(k: int, d_values, trials: int, seed: int,
     are flagged against one standard deviation, never fatal).
     Returns rows ``{"d", "mean_norm", "std_norm"}``.
     """
-    k, trials = indices((k, trials), "k and trials")
-    if trials < 1:
-        raise InvalidArgumentError(f"need trials >= 1, got {trials}")
+    k, = indices((k,), "k")
+    trials, = indices((trials,), "trials", 1)
     d_values = list(d_values)
     rows = []
     for d, counters in zip(d_values, pattern_trials(len(d_values), trials)):
@@ -299,9 +295,8 @@ def inapproximability_scores(functions, k: int, N: int, seed: int = 0,
     made (functions times restarts), the ``als_sweeps`` they took and the
     ``bvls_steps`` of their coefficient solves.
     """
-    k, N, restarts = indices((k, N, restarts), "k, N and restarts")
-    if restarts < 1:
-        raise InvalidArgumentError(f"need restarts >= 1, got {restarts}")
+    k, N = indices((k, N), "k and N")
+    restarts, = indices((restarts,), "restarts", 1)
     seeds = rng.raw64(seed, rng.STREAM_SCORE, 1, range(restarts))[:, 0].tolist()
     restart_args = [(s, "auto" if r == 0 else "random") for r, s in enumerate(seeds)]
     functions = list(functions)

@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import __version__, defaults
-from .errors import InvalidArgumentError, VckLabError
+from .errors import InvalidArgumentError, VckLabError, indices
 from .serialize import (dumps_canonical, find_function, format_float,
                         functions_from_doc, functions_to_doc, load_json,
                         write_canonical)
@@ -206,11 +206,10 @@ def _cmd_adversary(args) -> tuple:
     for flag, value in (("--k", args.k), ("--trials", args.trials),
                         ("--score-trials", args.score_trials),
                         ("--restarts", args.restarts), ("--n-terms", args.n_terms)):
-        if value < 1:
-            raise InvalidArgumentError(f"need {flag} >= 1, got {value}")
-    d_values = _ints(args.d, "--d")
-    if not d_values or min(d_values) < 1:
-        raise InvalidArgumentError(f"--d needs one or more sizes >= 1, got {args.d!r}")
+        indices((value,), flag, 1)
+    d_values = indices(_ints(args.d, "--d"), "--d", 1)
+    if not d_values:
+        raise InvalidArgumentError(f"--d needs one or more sizes, got {args.d!r}")
     pattern_trials(len(d_values), max(args.trials, args.score_trials))
     score_trials = min(args.score_trials, args.trials)
     patterns = [H for d, counters in zip(d_values, pattern_trials(len(d_values), score_trials))

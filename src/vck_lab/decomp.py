@@ -25,9 +25,10 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from . import defaults, rng
-from .errors import InvalidArgumentError, NumericalFailureError, indices, positions_in
-from .space import (MeasuredFunction, Relation, cylinder, cylinder_product, index_sets,
-                    integrate, row_labels, weighted_l2, weighted_sum)
+from .errors import (InvalidArgumentError, NumericalFailureError, ResourceLimitError, indices,
+                     positions_in)
+from .space import (MeasuredFunction, Relation, check_array_cap, cylinder, cylinder_product,
+                    index_sets, integrate, row_labels, weighted_l2, weighted_sum)
 from .serialize import space_to_doc
 
 
@@ -205,12 +206,7 @@ def fiber_pool(E: MeasuredFunction, k: int) -> list:
 def _budget(arity: int, k, n_max) -> tuple:
     """A fitter's (k, n_max) as ints, refused unless 1 <= k < the target's
     arity and n_max >= 1."""
-    k, n_max = indices((k, n_max), "k and n_max")
-    if not 1 <= k < arity:
-        raise InvalidArgumentError(f"need 1 <= k < target arity {arity}, got k={k}")
-    if n_max < 1:
-        raise InvalidArgumentError(f"need n_max >= 1, got n_max={n_max}")
-    return k, n_max
+    return indices((k,), "k", 1, arity) + indices((n_max,), "n_max", 1)
 
 
 def fit_boolean_cylinders(E: MeasuredFunction, k: int, n_max: int, pool=None) -> tuple:
@@ -234,6 +230,7 @@ def fit_boolean_cylinders(E: MeasuredFunction, k: int, n_max: int, pool=None) ->
     shape = E.shape
     w = E.space.weight_tensor(E.signature).ravel()
     target = E.values.ravel() == 1.0
+    check_array_cap(len(pool) * target.size, "the Boolean fit's leaf masks")
     masks = [np.broadcast_to(
         cylinder(leaf.relation.bool_values, leaf.positions, len(shape)),
         shape).ravel() for leaf in pool]
@@ -296,6 +293,7 @@ def fit_boolean_cylinders(E: MeasuredFunction, k: int, n_max: int, pool=None) ->
 
 
 _EPS = float(np.finfo(np.float64).eps)
+_SET_BITS = 8  # seeded factors draw counter (round << _SET_BITS) | coordinate set
 
 
 class BoxSolution(NamedTuple):
@@ -591,7 +589,7 @@ class _WeightedFit:
         for ci, stacked in enumerate(factors.values() if drawn else ()):
             stacked.reshape(len(stacked), -1)[drawn] = rng.uniforms(
                 [batch.runs[i].seed for i in drawn], rng.STREAM_INIT, stacked[0].size,
-                (counter << 8) | ci)
+                (counter << _SET_BITS) | ci)
         return factors
 
     def solve(self, batch: _Batch) -> np.ndarray:
@@ -812,9 +810,13 @@ def fit_weighted_restarts(fs, k: int, n_max: int, restarts,
     if any(g.space != f.space or tuple(g.signature) != tuple(f.signature) for g in fs):
         raise InvalidArgumentError("targets fitted together need one space and signature")
     k, n_max = _budget(f.arity, k, n_max)
-    als_iters, = indices((als_iters,), "als_iters")
-    if als_iters < 0:
-        raise InvalidArgumentError(f"need als_iters >= 0, got als_iters={als_iters}")
+    als_iters, = indices((als_iters,), "als_iters", 0)
+    n_sets = sum(math.comb(f.arity, size) for size in range(1, k + 1))
+    if n_sets > 1 << _SET_BITS:
+        raise ResourceLimitError(
+            f"a weighted fit at k={k} of a {f.arity}-ary target has {n_sets} coordinate "
+            f"sets; its seeded factors are drawn per set with {_SET_BITS} bits of the "
+            f"counter, so it takes at most {1 << _SET_BITS}")
     fit = _WeightedFit(fs, k, n_max, als_iters, init)
     restarts = list(restarts)
     seeds = indices([seed for seed, _ in restarts], "restart seeds")

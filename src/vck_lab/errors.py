@@ -43,22 +43,34 @@ class DiagnosticFailureError(NumericalFailureError):
         self.trace = trace or []
 
 
-def indices(values, what: str) -> tuple:
-    """The values as ints by ``operator.index``: numpy integers pass, and a
-    float is refused, where ``int()`` would truncate it."""
+def indices(values, what: str, low=None, high=None) -> tuple:
+    """The values as ints by ``operator.index``, refused unless each lies in
+    ``[low, high)`` (a bound left None is open): numpy integers pass, and a
+    float or a bool is refused, where ``int()`` would truncate the one and
+    ``operator.index`` reads the other as 0 or 1."""
+    values = tuple(values)
     try:
-        return tuple(map(operator.index, values))
+        if bool in map(type, values):
+            raise TypeError("'bool' object is not read as an integer")
+        ints = tuple(map(operator.index, values))
     except TypeError as exc:
         raise InvalidArgumentError(f"{what} must be integers: {exc}") from None
+    lo = -math.inf if low is None else low
+    hi = math.inf if high is None else high
+    if ints and not lo <= min(ints) <= max(ints) < hi:
+        bound = (f">= {low}" if high is None else f"< {high}" if low is None
+                 else f"in [{low}, {high})")
+        bad = next(v for v in ints if not lo <= v < hi)
+        raise InvalidArgumentError(f"{what} must be {bound}, got {bad}")
+    return ints
 
 
 def positions_in(positions, arity: int) -> tuple:
     """Factor positions on an ``arity``-coordinate grid as ints, refused
     unless strictly increasing in ``range(arity)``."""
-    positions = indices(positions, "factor positions")
-    if sorted(set(positions)) != list(positions) or any(not 0 <= p < arity for p in positions):
-        raise InvalidArgumentError(f"factor positions {positions} are not strictly "
-                                   f"increasing in range({arity})")
+    positions = indices(positions, "factor positions", 0, arity)
+    if sorted(set(positions)) != list(positions):
+        raise InvalidArgumentError(f"factor positions {positions} are not strictly increasing")
     return positions
 
 
@@ -83,8 +95,7 @@ def probability(p) -> None:
 def part_weights(name, size: int, weights: tuple) -> list:
     """A part's weights as floats: one per vertex, at least one, real numbers,
     finite, non-negative, and summing (``math.fsum``) to 1 within ``WEIGHT_SUM_TOL``."""
-    if size < 1:
-        raise InvalidArgumentError(f"part {name!r}: size must be >= 1")
+    size, = indices((size,), f"part {name!r}: size", 1)
     if len(weights) != size:
         raise InvalidArgumentError(f"part {name!r}: {len(weights)} weights for size {size}")
     real_numbers(weights, f"part {name!r}: weights")
@@ -108,14 +119,6 @@ def distinct_names(names: list) -> None:
     """Refuse parts that share a name."""
     if len(set(names)) != len(names):
         raise InvalidArgumentError(f"duplicate part names: {names}")
-
-
-def signature_range(signature: tuple, n_parts: int) -> tuple:
-    """The signature, refused unless each entry indexes one of the parts."""
-    for i in signature:
-        if not 0 <= i < n_parts:
-            raise InvalidArgumentError(f"signature index {i} out of range")
-    return signature
 
 
 def value_bounds(name, finite: bool, low, high, signed: bool) -> tuple:

@@ -39,10 +39,7 @@ class FiberFamilySpec:
     params: tuple
 
     def __post_init__(self):
-        height, = indices((self.height,), "dyadic height")
-        if height < 1:
-            raise InvalidArgumentError("dyadic height must be >= 1")
-        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "height", indices((self.height,), "dyadic height", 1)[0])
         object.__setattr__(self, "anchors", indices(self.anchors, "anchors"))
         object.__setattr__(self, "params",
                            tuple(indices(row, "parameter vertices") for row in self.params))
@@ -60,9 +57,7 @@ def fiber_family(f: MeasuredFunction, spec: FiberFamilySpec) -> list:
         raise InvalidArgumentError(
             f"{len(spec.params)} parameter rows for {k} searched coordinates")
     dist = f.arity - 1
-    for a in spec.anchors:
-        if not 0 <= a < f.shape[dist]:
-            raise InvalidArgumentError(f"anchor {a} out of range")
+    indices(spec.anchors, "anchors", 0, f.shape[dist])
     # the 2**height + 1 thresholds are scanned even when no relation is
     # built; the clamp keeps an absurd height from forming a huge integer
     if 2 ** min(spec.height, defaults.ARRAY_CAP.bit_length()) + 1 > defaults.ARRAY_CAP:

@@ -23,9 +23,7 @@ def membership_gadget(d: int, k: int) -> Relation:
     The witness part enumerates subsets by bitmask over the row-major grid,
     so vertex j contains grid point i exactly when bit i of j is set.
     """
-    d, k = indices((d, k), "d and k")
-    if d < 1 or k < 1:
-        raise InvalidArgumentError("need d >= 1 and k >= 1")
+    d, k = indices((d, k), "d and k", 1)
     # 2**g > cap iff g reaches the cap's bit length; d**k (d > 1) does once k does
     cap = defaults.GADGET_SIZE_CAP
     grid_points = d ** min(k, cap.bit_length())
@@ -61,11 +59,8 @@ def boolean_of_lower_arity(k_prime: int, k: int, m: int, sizes,
     Stream layout: counter 3*i for leaf i's coordinate set, 3*i+1 for its
     tensor, 3*i+2 for tree shaping bits.
     """
-    k_prime, k, m = indices((k_prime, k, m), "k', k and m")
-    if k < 1 or m < 0:
-        raise InvalidArgumentError(f"need k >= 1 and m >= 0, got k={k}, m={m}")
-    if k_prime <= k:
-        raise InvalidArgumentError(f"k'={k_prime} must exceed k={k}")
+    k, m = indices((k,), "k", 1) + indices((m,), "m", 0)
+    k_prime, = indices((k_prime,), "k'", k + 1)
     sizes = indices(sizes, "part sizes")
     if len(sizes) != k_prime:
         raise InvalidArgumentError(f"need {k_prime} part sizes, got {len(sizes)}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ResourceLimitError, indices
+from .errors import ResourceLimitError, indices
 
 STREAM_PATTERN = 1      # adversary.random_pattern trials
 STREAM_QUASIRANDOM = 2  # gen.quasirandom tensors
@@ -63,12 +63,10 @@ def raw64(seed, stream: int, n: int, counter=0) -> np.ndarray:
     the two broadcast together and the draws are one row of n per key."""
     seeds, counters = np.broadcast_arrays(np.asarray(seed, dtype=object),
                                           np.asarray(counter, dtype=object))
-    batched, (stream, n) = seeds.ndim > 0, indices((stream, n), "streams and counts")
+    batched, (stream, n) = seeds.ndim > 0, indices((stream, n), "streams and draw counts", 0)
     seeds, counters = (indices(a.flat, "seeds and counters") for a in (seeds, counters))
     if not all(0 <= c < 2**32 for c in counters):
         raise ResourceLimitError("random stream counters must lie in [0, 2**32)")
-    if n < 0:
-        raise InvalidArgumentError(f"need n >= 0 draws, got {n}")
     keys = np.array([[((stream << 32) | c) % 2**64 for c in counters],
                      [s % 2**64 for s in seeds]], dtype=np.uint64)
     blocks = -(-n // 4)

@@ -23,7 +23,7 @@ import json
 import math
 from fractions import Fraction
 
-from .errors import InvalidArgumentError, indices, real_numbers, signature_range
+from .errors import InvalidArgumentError, indices, real_numbers
 
 
 def format_float(x: float) -> str:
@@ -172,8 +172,8 @@ def parse_instance(doc, make_space, make_function) -> tuple:
     for i, rec in enumerate(doc.get("functions", [])):
         with reading(f"function record {i}"):
             check_keys(rec, {"name", "signature", "values", "signed"}, "function record")
-            signature = signature_range(tuple(json_int(p, "signature entry")
-                                              for p in rec["signature"]), len(parts))
+            signature = indices([json_int(p, "signature entry") for p in rec["signature"]],
+                                "signature entries", 0, len(parts))
             shape = tuple(parts[p][1] for p in signature)
             values = json_numbers(rec["values"], "values")
             if len(values) != math.prod(shape):

@@ -24,7 +24,7 @@ import numpy as np
 from . import defaults
 from .defaults import GRID_CAP_MAX, POINTWISE_TOL
 from .errors import (InvalidArgumentError, ResourceLimitError, distinct_names, indices,
-                     part_weights, signature_range, value_bounds)
+                     part_weights, value_bounds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +90,7 @@ class PartiteSpace:
         return PartiteSpace(tuple(Part.uniform(n, s) for n, s in zip(names, sizes)))
 
     def validate_signature(self, signature) -> tuple:
-        return signature_range(indices(signature, "signature entries"), len(self.parts))
+        return indices(signature, "signature entries", 0, len(self.parts))
 
     def sizes(self, signature) -> tuple:
         return tuple(self.parts[i].size for i in signature)
@@ -253,9 +253,7 @@ def check_grid(sizes, arrays: int = 1) -> None:
     """Refuse, before any part or tensor is built, a grid with a part size
     that is no integer or below 1, with more than ``MAX_AXES`` coordinates,
     or whose ``arrays`` full-grid arrays would pass the array cap."""
-    sizes = indices(sizes, "part sizes")
-    if min(sizes, default=1) < 1:
-        raise InvalidArgumentError(f"part sizes must be >= 1, got {list(sizes)}")
+    sizes = indices(sizes, "part sizes", 1)
     if len(sizes) > defaults.MAX_AXES:
         raise ResourceLimitError(f"a grid of {len(sizes)} coordinates has more axes "
                                  f"than arrays may have ({defaults.MAX_AXES})")
@@ -341,29 +339,18 @@ def fiber(f: MeasuredFunction, fixed: Mapping[int, int]) -> MeasuredFunction:
 
     The result lives on the residual signature, original coordinate order.
     """
-    fixed = dict(zip(indices(fixed, "fiber positions"),
-                     indices(fixed.values(), "fiber vertices")))
     arity = f.arity
-    for pos, v in fixed.items():
-        if not 0 <= pos < arity:
-            raise InvalidArgumentError(f"fiber position {pos} out of range")
-        if not 0 <= v < f.shape[pos]:
-            raise InvalidArgumentError(
-                f"fiber vertex {v} out of range for coordinate {pos}")
+    fixed = {pos: indices((v,), f"fiber vertices at coordinate {pos}", 0, f.shape[pos])[0]
+             for pos, v in zip(indices(fixed, "fiber positions", 0, arity), fixed.values())}
     index = tuple(fixed.get(pos, slice(None)) for pos in range(arity))
     residual = tuple(f.signature[pos] for pos in range(arity) if pos not in fixed)
     label = ",".join(f"{p}:{v}" for p, v in sorted(fixed.items()))
     return _same_kind(f, residual, np.array(f.values[index]), f"{f.name}[{label}]")
 
 
-def complement(f: MeasuredFunction) -> MeasuredFunction:
-    return _same_kind(f, f.signature, 1.0 - f.values, f"(1-{f.name})")
-
-
 def average_out(f: MeasuredFunction, position: int) -> MeasuredFunction:
     """Weighted average over one coordinate; range stays within [min f, max f]."""
-    if not 0 <= position < f.arity:
-        raise InvalidArgumentError(f"position {position} out of range")
+    position, = indices((position,), "averaged position", 0, f.arity)
     w = f.space.weight_vector(f.signature[position])
     out = weighted_sum_rows(np.moveaxis(f.values, position, -1), w)
     lo, hi = float(f.values.min()), float(f.values.max())
@@ -381,9 +368,9 @@ def all_traversals(f: MeasuredFunction, counts: Sequence[int],
 
     For a relation R this is the set of grids all of whose cells lie in R.
     """
-    counts = indices(counts, "counts")
-    if len(counts) != f.arity or any(c < 1 for c in counts):
-        raise InvalidArgumentError(f"need one positive count per coordinate, got {counts}")
+    counts = indices(counts, "counts", 1)
+    if len(counts) != f.arity:
+        raise InvalidArgumentError(f"need one count per coordinate, got {counts}")
     new_sig = tuple(p for p, c in zip(f.signature, counts) for _ in range(c))
     offsets = np.concatenate([[0], np.cumsum(counts)])[:-1]
     out = cylinder_product(

@@ -48,8 +48,7 @@ class VcResult:
 
 
 def _box_positions(arity: int, distinguished: int) -> list:
-    if not 0 <= distinguished < arity:
-        raise InvalidArgumentError(f"distinguished coordinate {distinguished} out of range")
+    indices((distinguished,), "distinguished coordinate", 0, arity)
     return [p for p in range(arity) if p != distinguished]
 
 
@@ -60,9 +59,7 @@ def _grid_value_table(f: MeasuredFunction, box: Box, distinguished: int) -> np.n
         raise InvalidArgumentError(
             f"box has {len(box.subsets)} sides for {len(positions)} searched coordinates")
     for side, pos in zip(box.subsets, positions):
-        limit = f.shape[pos]
-        if any(not 0 <= v < limit for v in side):
-            raise InvalidArgumentError(f"box side {side} out of range for coordinate {pos}")
+        indices(side, f"box vertices at coordinate {pos}", 0, f.shape[pos])
     moved = np.moveaxis(f.values, distinguished, -1)
     sub = moved[np.ix_(*[list(side) for side in box.subsets])]
     return sub.reshape(-1, f.shape[distinguished])
@@ -70,10 +67,7 @@ def _grid_value_table(f: MeasuredFunction, box: Box, distinguished: int) -> np.n
 
 def _check_search_args(r: float, s: float, cap: int) -> None:
     thresholds(r, s)
-    indices((cap,), "cap")
-    if not 1 <= cap <= defaults.GRID_CAP_MAX:
-        raise InvalidArgumentError(
-            f"cap {cap} outside 1..{defaults.GRID_CAP_MAX} (int64 bitmasks)")
+    indices((cap,), "cap (grid points of an int64 bitmask)", 1, defaults.GRID_CAP_MAX + 1)
 
 
 def check_shattered(f: MeasuredFunction, box: Box, distinguished: int,
@@ -198,10 +192,10 @@ def vc_k(f: MeasuredFunction, k: int, distinguished: int,
     before candidates are exhausted the result carries ``complete=False``
     and is a certified lower bound.
     """
-    k, distinguished = indices((k, distinguished), "k and distinguished")
-    if k < 1 or f.arity != k + 1:
-        raise InvalidArgumentError(f"vc_k needs k >= 1 and arity k+1, got k={k} "
-                                   f"and arity {f.arity}")
+    k, = indices((k,), "k", 1)
+    distinguished, = indices((distinguished,), "distinguished coordinate")
+    if f.arity != k + 1:
+        raise InvalidArgumentError(f"vc_k needs arity k+1, got k={k} and arity {f.arity}")
     _check_search_args(r, s, cap)
     scan = _LevelScan(f, distinguished, r, s)
     max_batch = max(1, _BATCH_ENTRIES // scan.witnesses)
@@ -242,10 +236,8 @@ def vc_k(f: MeasuredFunction, k: int, distinguished: int,
 def vc_k_slicewise(f: MeasuredFunction, k: int, r: float = 0.5, s: float = 0.5,
                    cap: int = defaults.GRID_CAP) -> int:
     """Supremum of vc_k over all (k+1)-ary fibers and distinguished choices."""
-    k, = indices((k,), "k")
     arity = f.arity
-    if not 1 <= k < arity:
-        raise InvalidArgumentError(f"need 1 <= k < arity {arity}, got k={k}")
+    k, = indices((k,), "k", 1, arity)
     best = 0
     for fixed_positions in itertools.combinations(range(arity), arity - (k + 1)):
         ranges = [range(f.shape[p]) for p in fixed_positions]
@@ -265,8 +257,6 @@ def trace_count(E: MeasuredFunction, box: Box, distinguished: int) -> int:
 
 def sauer_shelah_bound(m: int, k: int, z: int) -> int:
     """Sum of binomials C(m**k, i) for i < z, exact integer arithmetic."""
-    m, k, z = indices((m, k, z), "m, k and z")
-    if m < 1 or k < 0 or z < 1:
-        raise InvalidArgumentError("need m >= 1, k >= 0 and z >= 1")
+    m, k, z = indices((m,), "m", 1) + indices((k,), "k", 0) + indices((z,), "z", 1)
     cells = m ** k
     return sum(math.comb(cells, i) for i in range(z))

@@ -518,9 +518,9 @@ def fiber_family_oracle(f, spec):
         raise InvalidArgumentError(
             f"{len(spec.params)} parameter rows for {k} searched coordinates")
     dist = f.arity - 1
-    for a in spec.anchors:
-        if not 0 <= a < f.shape[dist]:
-            raise InvalidArgumentError(f"anchor {a} out of range")
+    bad = [a for a in spec.anchors if not 0 <= a < f.shape[dist]]
+    if bad:
+        raise InvalidArgumentError(f"anchors must be in [0, {f.shape[dist]}), got {bad[0]}")
     if 2 ** min(spec.height, defaults.ARRAY_CAP.bit_length()) + 1 > defaults.ARRAY_CAP:
         raise ResourceLimitError(f"dyadic height {spec.height} makes 2**{spec.height} + 1 "
                                  f"thresholds (cap {defaults.ARRAY_CAP})")

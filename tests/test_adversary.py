@@ -36,6 +36,12 @@ def test_pattern_probability_must_be_a_number(p):
         random_pattern(2, 1, p, 0)
 
 
+def test_zero_ary_pattern_refused():
+    # k = -1 once drew a 0-ary "pattern", a single value
+    with pytest.raises(InvalidArgumentError, match="d and k must be >= 0, got -1"):
+        random_pattern(2, -1, 0.5, 0)
+
+
 def test_pattern_density_within_binomial_band():
     # 512 cells at p = 1/2: three sigma is ~0.066
     H = random_pattern(8, 2, 0.5, seed=2024)
@@ -122,7 +128,7 @@ def test_vertices_outside_their_part_rejected(embedding, anchors):
     # -1 once read as the part's last vertex, and 7 raised a bare IndexError
     space = PartiteSpace.uniform([4, 4, 3])
     f = MeasuredFunction.constant(space, (0, 1, 2), 0.5)
-    with pytest.raises(InvalidArgumentError, match="outside the grid"):
+    with pytest.raises(InvalidArgumentError, match=r"must be in \[0, [34]\), got"):
         build_instance(f, embedding, random_pattern(2, 1, 0.5, 0), anchors=anchors)
 
 

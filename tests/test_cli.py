@@ -217,7 +217,7 @@ def _drop_functions(doc):
     (_set(["parts", 0, "size"], 3), "part 'V1': 2 weights for size 3"),
     (_set(["parts", 0, "size"], 2.5), "part record 0: size must be an integer"),
     (_duplicate_part_name, "duplicate part names"),
-    (_set(["functions", 0, "signature"], [0, 2]), "signature index 2"),
+    (_set(["functions", 0, "signature"], [0, 2]), "signature entries must be in [0, 2), got 2"),
     (_set(["functions", 0, "signature"], [0.2, 1.9]), "function record 0: signature entry"),
     (_set(["functions", 0, "signature"], [0, 0]), "function record 0"),
     (_set(["functions", 0, "values", 1], 1.5), "values outside [0.0, 1.0]"),
@@ -257,7 +257,7 @@ def test_malformed_instance_exits_2(tmp_path, gadget_doc, capsys, edit, record):
 
 
 # the refusals of the shared instance rules, which the constructors apply too
-_RULE_RECORDS = ("part 'V1'", "duplicate part names", "signature index", "values outside")
+_RULE_RECORDS = ("part 'V1'", "duplicate part names", "signature entries", "values outside")
 
 
 def _construct(doc):

@@ -19,7 +19,7 @@ from vck_lab.adversary import random_pattern
 from vck_lab.cli import main as cli_main
 from vck_lab import defaults
 from vck_lab.decomp import bounded_least_squares, fiber_pool, fit_weighted_restarts
-from vck_lab.errors import InvalidArgumentError, NumericalFailureError
+from vck_lab.errors import InvalidArgumentError, NumericalFailureError, ResourceLimitError
 
 from oracles import (bounded_lstsq_oracle, box_solve_oracle, decomposition_value_oracle,
                      expression_leaf_count, expression_oracle, fiber_pool_oracle,
@@ -766,6 +766,29 @@ def test_lockstep_batches_split_at_the_array_cap(monkeypatch):
         monkeypatch.setattr(defaults, "ARRAY_CAP", cap)
         assert [_fit_bits(*fit) for fit in fit_weighted_restarts([f], 1, 4, restarts)[0]] == whole
         assert sizes == expected  # the auto run brings its constant rival
+
+
+def test_weighted_fits_refuse_more_coordinate_sets_than_the_counter_keys():
+    # a seeded factor's counter is (round << 8) | set: for a 9-ary target at
+    # k = 5 (381 sets) set 256 drew set 0's uniforms
+    E9 = quasirandom(PartiteSpace.uniform([2] * 9), tuple(range(9)), 0.5, seed=3)
+    with pytest.raises(ResourceLimitError, match="381 coordinate sets"):
+        fit_weighted_cylinders(E9, 5, 1, als_iters=0, init_mode="random")
+    # 255 sets at k = 4 fit
+    fit_weighted_cylinders(E9, 4, 1, als_iters=0, init_mode="random")
+
+
+def test_boolean_fit_masks_are_held_to_the_array_cap(monkeypatch):
+    # one full-grid mask per pool leaf, the default pool or a caller's own
+    E = boolean_of_lower_arity(3, 1, 4, [8, 8, 8], seed=1).relation
+    pool = fiber_pool(E, 1)
+    entries = len(pool) * 8 ** 3
+    monkeypatch.setattr(defaults, "ARRAY_CAP", entries)
+    fit_boolean_cylinders(E, 1, 2)
+    monkeypatch.setattr(defaults, "ARRAY_CAP", entries - 1)
+    for own in (None, pool):
+        with pytest.raises(ResourceLimitError, match=f"leaf masks would build {entries}"):
+            fit_boolean_cylinders(E, 1, 2, pool=own)
 
 
 # -- per-sweep errors ---------------------------------------------------------------------

@@ -13,7 +13,7 @@ from vck_lab import (Box, MeasuredFunction, PartiteSpace, Relation, atoms,
                      check_shattered,
                      fuzziness, random_pattern, verify_certificate)
 from vck_lab import rng as _rng_mod
-from vck_lab.errors import DiagnosticFailureError, InvalidArgumentError
+from vck_lab.errors import DiagnosticFailureError, InvalidArgumentError, indices
 from vck_lab.rng import STREAM_PATTERN, raw64, uniforms
 from vck_lab.serialize import dumps_canonical, format_float, functions_from_doc
 
@@ -118,7 +118,7 @@ def _integer_entry_points():
     from vck_lab.adversary import inapproximability_scores
     from vck_lab.decomp import fit_boolean_cylinders
     from vck_lab.gowers import multiply_cylinders
-    from vck_lab.space import dyadics, fiber, index_sets
+    from vck_lab.space import average_out, dyadics, fiber, index_sets
     from vck_lab.serialize import find_function
     from vck_lab.vck import sauer_shelah_bound, vc_k_slicewise
     space = PartiteSpace.uniform([2, 2])
@@ -141,6 +141,7 @@ def _integer_entry_points():
             lambda i: build_instance(E3, {0: (0, 1), 1: (0, 1)}, H, anchors={2: i}), 0),
         "fiber position": (lambda i: fiber(E, {i: 0}), 1),
         "fiber vertex": (lambda i: fiber(E, {0: i}), 1),
+        "average_out position": (lambda i: average_out(E, i), 1),
         "vc_k_slicewise k": (lambda i: vc_k_slicewise(E, i), 1),
         "sauer_shelah_bound": (lambda i: sauer_shelah_bound(i, 1, 2), 2),
         # counts, which once failed with a bare TypeError deep inside
@@ -182,3 +183,34 @@ def test_integer_arguments_refuse_floats(entry):
     call(np.int64(good))
     with pytest.raises(InvalidArgumentError, match="must be integers"):
         call(good + 0.2)
+
+
+@pytest.mark.parametrize("entry", sorted(_integer_entry_points()))
+def test_integer_arguments_refuse_bools(entry):
+    # operator.index(True) is 1: fiber(f, {True: 2}) once pinned coordinate 1
+    call, _ = _integer_entry_points()[entry]
+    with pytest.raises(InvalidArgumentError, match="must be integers"):
+        call(True)
+
+
+_index_values = st.one_of(st.integers(-4, 4), st.booleans(), st.floats(-4, 4),
+                          st.integers(-4, 4).map(np.int64), st.integers(0, 4).map(np.uint8),
+                          st.booleans().map(np.bool_))
+_bounds = st.none() | st.integers(-4, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_index_values, max_size=4), _bounds, _bounds)
+def test_indices_is_one_literal_rule(values, low, high):
+    integral = [isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values]
+    outside = [v for v in values
+               if (low is not None and v < low) or (high is not None and v >= high)]
+    if not all(integral):
+        with pytest.raises(InvalidArgumentError, match="^x must be integers: "):
+            indices(iter(values), "x", low, high)
+    elif outside:
+        with pytest.raises(InvalidArgumentError, match=f"^x must be .*, got {outside[0]}$"):
+            indices(iter(values), "x", low, high)
+    else:
+        got = indices(iter(values), "x", low, high)
+        assert got == tuple(map(int, values)) and all(type(v) is int for v in got)

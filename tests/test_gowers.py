@@ -186,7 +186,7 @@ def test_cylinder_positions_outside_the_grid_rejected(position):
     # -1 once read as the last coordinate, and 2 raised a bare IndexError
     f = random_function([3, 3], 1)
     A = Relation.from_bool(f.space, (f.signature[-1],), np.ones(3, dtype=bool))
-    with pytest.raises(InvalidArgumentError, match="strictly increasing in range"):
+    with pytest.raises(InvalidArgumentError, match=r"factor positions must be in \[0, 2\)"):
         multiply_cylinders(f, [(A, (position,))])
 
 

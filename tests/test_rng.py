@@ -76,7 +76,7 @@ def test_counters_outside_32_bits_are_refused(counter):
 
 @pytest.mark.parametrize("n", [-1, -5])
 def test_negative_draw_counts_are_refused(n):
-    with pytest.raises(InvalidArgumentError, match="n >= 0"):
+    with pytest.raises(InvalidArgumentError, match="draw counts must be >= 0"):
         rng.raw64(0, rng.STREAM_PATTERN, n)
 
 

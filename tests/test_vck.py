@@ -304,7 +304,7 @@ def test_slicewise_constant_is_zero():
 def test_slicewise_refuses_k_outside_the_arity(k):
     # k = -1 once pinned every coordinate and read 0
     E = Relation(PartiteSpace.uniform([2, 2]), (0, 1), np.eye(2), name="E")
-    with pytest.raises(InvalidArgumentError, match="need 1 <= k < arity"):
+    with pytest.raises(InvalidArgumentError, match=r"k must be in \[1, 2\), got"):
         vc_k_slicewise(E, k)
 
 
