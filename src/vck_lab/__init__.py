@@ -17,7 +17,8 @@ _EXPORTS = {
     "vck": ("Box", "VcResult", "check_shattered", "sauer_shelah_bound", "trace_count",
             "vc_k", "vc_k_slicewise", "verify_certificate"),
     "gowers": ("BoxNormReport", "box_norm", "cylinder_correlation", "dual_function"),
-    "fibalg": ("AtomPartition", "FiberApproxReport", "FiberFamilySpec", "FuzzinessWitness",
+    "fibalg": ("AtomPartition", "FiberApproxReport", "FiberFamily", "FiberFamilySpec",
+               "FuzzinessWitness",
                "approx_by_fibers", "atoms", "dyadics", "fiber_family", "fuzziness",
                "project_simple", "round_to_cells"),
     "decomp": ("BooleanCylinderExpr", "CylinderDecomposition", "CylinderTerm",

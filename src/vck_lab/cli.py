@@ -169,7 +169,9 @@ def _cmd_fibers(args) -> tuple:
     family = fiber_family(f, spec)
     partition = atoms(family) if family else None
     results = {
-        "family": functions_to_doc(f.space, family)["functions"],
+        # the function records functions_to_doc writes, from the stacked masks
+        "family": [{"name": name, "signature": list(family.signature), "values": values}
+                   for name, values in zip(family.names, family.masks.astype(float))],
         "partition": partition.to_doc() if partition else None,
     }
     config = {"input": args.input, "function": f.name, "t": args.t,

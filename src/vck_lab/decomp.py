@@ -184,7 +184,8 @@ _POOL_FIBERS_PER_SET = 8
 def fiber_pool(E: MeasuredFunction, k: int) -> list:
     """Candidate leaves: per coordinate set I, in ``index_sets`` order, the
     first distinct fibers of E at the tuples that fix the other coordinates,
-    in row-major tuple order, at most ``_POOL_FIBERS_PER_SET`` of them."""
+    in row-major tuple order, at most ``_POOL_FIBERS_PER_SET`` of them; the
+    fit's masks, one per leaf, are held to the array cap after each set."""
     if not E.is_boolean():
         raise InvalidArgumentError("fiber_pool needs a Boolean relation")
     leaves = []
@@ -200,6 +201,7 @@ def fiber_pool(E: MeasuredFunction, k: int) -> list:
             leaves.append(PoolLeaf(I, Relation.from_bool(
                 E.space, tuple(E.signature[p] for p in I),
                 rows[flat].reshape([E.shape[p] for p in I]), name=name), name))
+        check_array_cap(len(leaves) * E.values.size, "the Boolean fit's leaf masks")
     return leaves
 
 

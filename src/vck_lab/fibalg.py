@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -20,8 +21,8 @@ import numpy as np
 from . import defaults
 from .errors import (DiagnosticFailureError, InvalidArgumentError, ResourceLimitError,
                      indices)
-from .space import (MeasuredFunction, Relation, check_array_cap, cylinder, dyadics,
-                    fiber, index_sets, l2_distance, level_set, row_labels, weighted_sum)
+from .space import (MeasuredFunction, Relation, check_array_cap, dyadics, fiber,
+                    index_sets, l2_distance, level_set, row_labels, weighted_sum)
 
 
 @dataclass(frozen=True)
@@ -45,9 +46,9 @@ class FiberFamilySpec:
                            tuple(indices(row, "parameter vertices") for row in self.params))
 
 
-def fiber_family(f: MeasuredFunction, spec: FiberFamilySpec) -> list:
+def fiber_family(f: MeasuredFunction, spec: FiberFamilySpec) -> FiberFamily:
     """One named relation on the searched grid per (threshold, index set,
-    substitution, anchor); names encode the full provenance."""
+    substitution, anchor), stacked; names encode the full provenance."""
     if not spec.anchors:
         raise InvalidArgumentError("fiber family needs at least one anchor")
     k = f.arity - 1
@@ -63,25 +64,49 @@ def fiber_family(f: MeasuredFunction, spec: FiberFamilySpec) -> list:
     if 2 ** min(spec.height, defaults.ARRAY_CAP.bit_length()) + 1 > defaults.ARRAY_CAP:
         raise ResourceLimitError(f"dyadic height {spec.height} makes 2**{spec.height} + 1 "
                                  f"thresholds (cap {defaults.ARRAY_CAP})")
-    check_array_cap(family_size(spec, k) * math.prod(f.shape[:k]), "fiber family")
-    searched_sig = f.signature[:k]
-    # each fiber is cut once, then thresholded at every q
-    slices = []
+    searched, cells = f.shape[:k], math.prod(f.shape[:k])
+    check_array_cap(family_size(spec, k) * cells, "fiber family")
+    # for k > 1 each row is pinned alone by an index set: refused as fiber refuses
+    for i, row in enumerate(spec.params if k > 1 else ()):
+        indices(row, f"fiber vertices at coordinate {i}", 0, f.shape[i])
+    # each fiber is cut once, in (index set, substitution, anchor) order, as
+    # one row over the searched grid, then all are thresholded at every q
+    rows, labels = [np.empty((0, cells))], []
     for I in index_sets(k, k - 1):
-        residual = [pos for pos in range(k) if pos not in I]
-        for assignment in itertools.product(*(spec.params[i] for i in I)):
-            for b in spec.anchors:
-                values = fiber(f, {dist: b, **dict(zip(I, assignment))}).values
-                label = (f"|I={','.join(map(str, I))}"
-                         f"|a={','.join(map(str, assignment))}|b={b}")
-                slices.append((cylinder(values, residual, k), label))
-    out = []
-    for q in dyadics(spec.height):
-        prefix = f"{f.name}<{q.numerator}/{q.denominator}"
-        for values, label in slices:
-            vals = np.broadcast_to(values < float(q), f.shape[:k])
-            out.append(Relation.from_bool(f.space, searched_sig, vals, name=prefix + label))
-    return out
+        cut = np.moveaxis(f.values, [*I, dist], range(len(I) + 1))[
+            np.ix_(*(spec.params[i] for i in I), spec.anchors)]
+        cut = cut.reshape(-1, *(1 if p in I else n for p, n in enumerate(searched)))
+        rows.append(np.broadcast_to(cut, (len(cut), *searched)).reshape(-1, cells))
+        labels += [f"|I={','.join(map(str, I))}|a={','.join(map(str, a))}|b={b}"
+                   for a in itertools.product(*(spec.params[i] for i in I))
+                   for b in spec.anchors]
+    qs = dyadics(spec.height)
+    masks = np.concatenate(rows) < np.array([float(q) for q in qs])[:, None, None]
+    masks = masks.reshape(-1, cells)
+    masks.flags.writeable = False
+    return FiberFamily(f.space, f.signature[:k], tuple(
+        f"{f.name}<{q.numerator}/{q.denominator}{label}" for q in qs for label in labels), masks)
+
+
+@dataclass(frozen=True, eq=False)
+class FiberFamily(Sequence):
+    """Generators stacked, one read-only 0/1 row and one name each, over the
+    flat grid of ``signature``; as a sequence, the relations, built on demand."""
+
+    space: object
+    signature: tuple
+    names: tuple
+    masks: np.ndarray                 # (generators, cells) bool
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return FiberFamily(self.space, self.signature, self.names[i], self.masks[i])
+        return Relation.from_bool(self.space, self.signature,
+                                  self.masks[i].reshape(self.space.sizes(self.signature)),
+                                  name=self.names[i])
 
 
 def family_size(spec: FiberFamilySpec, k: int) -> int:
@@ -128,23 +153,26 @@ def atoms(generators, space=None, signature=None) -> AtomPartition:
     """Partition of the grid into distinct sign-vectors of generator membership.
 
     Cells are ordered by their minimal flat index; with no generators the
-    whole grid is a single cell.
+    whole grid is a single cell.  A :class:`FiberFamily` is read from its
+    stacked masks.
     """
-    generators = list(generators)
-    if generators:
-        space, signature = generators[0].space, generators[0].signature
-        for g in generators[1:]:
-            if g.signature != signature:
+    if not isinstance(generators, FiberFamily):
+        generators = list(generators)
+        if generators:
+            space, signature = generators[0].space, generators[0].signature
+            if any(g.signature != signature for g in generators):
                 raise InvalidArgumentError("generators must share a signature")
-    elif space is None or signature is None:
-        raise InvalidArgumentError("atoms with no generators needs space and signature")
+        elif space is None or signature is None:
+            raise InvalidArgumentError("atoms with no generators needs space and signature")
+        generators = FiberFamily(space, tuple(signature), tuple(g.name for g in generators),
+                                 np.array([g.values.ravel() == 1.0 for g in generators]))
+    space, signature = generators.space, generators.signature
     if not generators:
         total = int(np.prod(space.sizes(signature), dtype=np.int64))
-        return AtomPartition(space, tuple(signature), np.zeros(total, dtype=np.int64), ())
+        return AtomPartition(space, signature, np.zeros(total, dtype=np.int64), ())
     # one membership row per grid point: distinct rows numbered by their
     # smallest flat index
-    labels = row_labels(np.stack([g.values.ravel() == 1.0 for g in generators], axis=1))
-    return AtomPartition(space, tuple(signature), labels, tuple(g.name for g in generators))
+    return AtomPartition(space, signature, row_labels(generators.masks.T), generators.names)
 
 
 def project_simple(f: MeasuredFunction, partition: AtomPartition):
@@ -269,8 +297,8 @@ def approx_by_fibers(f: MeasuredFunction, eps: float, anchors_budget: int,
     anchors: list = []
 
     def projection_error(x, current):
-        generators = fiber_family(
-            f, FiberFamilySpec(spec.height, tuple(current) + (x,), spec.params))
+        generators = list(fiber_family(
+            f, FiberFamilySpec(spec.height, tuple(current) + (x,), spec.params)))
         for a in current:
             fa = fiber(f, {dist: a})
             for q in dyadics(spec.height):

@@ -1,11 +1,12 @@
 """Canonical JSON interchange for every artifact the lab produces.
 
-One emitter (the standard library JSON encoder), one schema per artifact,
-loaders that reject unknown keys.  Floats are written in their shortest
-round-trip form (``repr``), which parses back to the same float64 bit for
-bit on every platform; files in the earlier 17-significant-digit spelling
-load to the same doubles.  Keys are sorted, so re-serializing a loaded
-document reproduces it byte for byte.
+One emitter (:func:`dumps_canonical`, on the standard library JSON
+encoder), one schema per artifact, loaders that reject unknown keys.  Floats
+are written in their shortest round-trip form (``repr``), which parses back
+to the same float64 bit for bit on every platform; files in the earlier
+17-significant-digit spelling load to the same doubles.  Keys are sorted, so
+re-serializing a loaded document reproduces it byte for byte; 0/1 vectors
+(every relation's values) are written from a byte table, in the same bytes.
 
 The module imports no numpy and no ``space`` at load time: instance
 documents are read by one parse (:func:`parse_instance`) that the certificate
@@ -19,11 +20,13 @@ boolean (:func:`json_bool`).
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 
-from .errors import InvalidArgumentError, indices, real_numbers
+from .errors import InvalidArgumentError, VckLabError, indices, real_numbers
 
 
 def format_float(x: float) -> str:
@@ -34,12 +37,59 @@ def format_float(x: float) -> str:
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON: sorted keys, no spaces, shortest round-trip floats."""
+    """Deterministic JSON: sorted keys, no spaces, shortest round-trip floats.
+
+    The encoder leaves a hole for each float64 vector, spliced in after it
+    (:func:`_vector_texts`).  A document that raises, or whose own strings
+    spell the hole, is written by the encoder alone, errors included."""
+    vectors, ndarray = [], getattr(sys.modules.get("numpy"), "ndarray", None)
+
+    def set_aside(value):
+        if type(value) is not ndarray or value.ndim != 1 or value.dtype.char != "d":
+            return _plain(value)
+        vectors.append(value)
+        return _HOLE
+
+    with contextlib.suppress(TypeError, ValueError, VckLabError):
+        parts = json.dumps(obj, default=set_aside, **_FORMAT).split(_HOLE_TEXT)
+        if len(parts) == len(vectors) + 1:
+            texts = _vector_texts(vectors) if vectors else []  # no numpy without arrays
+            return "".join(itertools.chain(*zip(parts, texts + [""])))
     try:
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                          ensure_ascii=False, allow_nan=False, default=_plain)
+        return json.dumps(obj, default=_plain, **_FORMAT)
     except ValueError as exc:
         raise InvalidArgumentError(f"cannot serialize: {exc}") from exc
+
+
+_FORMAT = {"sort_keys": True, "separators": (",", ":"), "ensure_ascii": False,
+           "allow_nan": False}
+_HOLE = "\0float64 vector\0"
+_HOLE_TEXT = json.dumps(_HOLE)
+_ONE_BITS, _CHUNK = 0x3FF0000000000000, 1 << 16
+
+
+def _vector_texts(vectors) -> list:
+    """Each vector's JSON text: by the encoder, or from a byte table, 4 bytes
+    an element, when every element has the bits of +0.0 or 1.0 (-0.0 == 0.0,
+    but it prints "-0.0").  Vectors are read in groups of about ``_CHUNK``
+    elements (a longer one alone), and looked up ``_CHUNK`` at a time."""
+    import numpy as np
+
+    table, texts = np.frombuffer(b",0.0,1.0", dtype=np.uint32), []
+    ends = itertools.accumulate(v.size for v in vectors)
+    for _, group in itertools.groupby(zip(ends, vectors), lambda e: (e[0] - 1) // _CHUNK):
+        group = [v for _, v in group]
+        bits = np.concatenate(group, dtype=np.float64).view(np.uint64)
+        one = bits == _ONE_BITS
+        text = "".join(table[one[i:i + _CHUNK].view(np.uint8)].tobytes().decode()
+                       for i in range(0, one.size, _CHUNK))
+        starts = list(itertools.accumulate((v.size for v in group), initial=0))
+        # per vector start, the elements before it other than +0.0 and 1.0
+        other = np.searchsorted(np.flatnonzero(~one & (bits != 0)), starts).tolist()
+        texts += ["[" + text[4 * s + 1:4 * e] + "]" if a == b
+                  else json.dumps(v.tolist(), **_FORMAT)
+                  for v, s, e, a, b in zip(group, starts, starts[1:], other, other[1:])]
+    return texts
 
 
 def _plain(obj):

@@ -14,9 +14,12 @@ its coefficients with ``bounded_least_squares``, which is checked against
 a time, the reference for the one that steps a whole stack of problems
 together.  :func:`philox_oracle` is numpy's own Philox bit generator, the
 reference for the lab's Philox kernel.
+:func:`dumps_canonical_oracle` is the canonical writer's standard path
+alone, on the standard library encoder.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -540,3 +543,25 @@ def fiber_family_oracle(f, spec):
                     out.append(Relation.from_bool(f.space, f.signature[:k], vals,
                                                   name=name))
     return out
+
+
+def dumps_canonical_oracle(obj) -> str:
+    """Canonical JSON by the standard library encoder alone: sorted keys, no
+    spaces, every numpy value by its ``tolist``, a Fraction as "p/q"; the
+    encoder's refusals are raised as InvalidArgumentError."""
+    from fractions import Fraction
+
+    from vck_lab.errors import InvalidArgumentError
+
+    def plain(value):
+        if isinstance(value, Fraction):
+            return f"{value.numerator}/{value.denominator}"
+        if not hasattr(value, "tolist"):
+            raise InvalidArgumentError(f"cannot serialize {type(value).__name__}")
+        return value.tolist()
+
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+                          allow_nan=False, default=plain)
+    except ValueError as exc:
+        raise InvalidArgumentError(f"cannot serialize: {exc}") from exc

@@ -791,6 +791,20 @@ def test_boolean_fit_masks_are_held_to_the_array_cap(monkeypatch):
             fit_boolean_cylinders(E, 1, 2, pool=own)
 
 
+def test_oversized_pool_is_refused_before_it_is_complete(monkeypatch):
+    # the first coordinate set's leaves alone pass the lowered cap, so the
+    # refusal counts them and no more: the other two sets are never cut
+    E = boolean_of_lower_arity(3, 1, 4, [8, 8, 8], seed=1).relation
+    pool = fiber_pool(E, 1)
+    first = sum(leaf.positions == (0,) for leaf in pool) * 8 ** 3
+    assert first < len(pool) * 8 ** 3
+    monkeypatch.setattr(defaults, "ARRAY_CAP", first - 1)
+    for build in (lambda: fiber_pool(E, 1), lambda: fit_boolean_cylinders(E, 1, 2)):
+        with pytest.raises(ResourceLimitError,
+                           match=f"the Boolean fit's leaf masks would build {first} entries"):
+            build()
+
+
 # -- per-sweep errors ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("init_mode", ["auto", "random"])

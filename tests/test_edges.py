@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,10 @@ from vck_lab import (Box, MeasuredFunction, PartiteSpace, Relation, atoms,
 from vck_lab import rng as _rng_mod
 from vck_lab.errors import DiagnosticFailureError, InvalidArgumentError, indices
 from vck_lab.rng import STREAM_PATTERN, raw64, uniforms
+from vck_lab import serialize
 from vck_lab.serialize import dumps_canonical, format_float, functions_from_doc
+
+from oracles import dumps_canonical_oracle
 
 
 def test_fuzziness_height_cap_raises_with_trace():
@@ -91,6 +95,72 @@ def test_numpy_scalars_and_fractions_serialize_as_plain_json():
     assert dumps_canonical(doc) == '{"b":true,"f":0.5,"i":7,"q":"3/4","t":[1,2.5]}'
     with pytest.raises(InvalidArgumentError, match="cannot serialize object"):
         dumps_canonical({"x": object()})
+
+
+# values whose text the byte table must not write: -0.0 prints "-0.0", the
+# others are not 0/1, and the non-finite ones are refused
+_NOT_ZERO_ONE = [-0.0, 0.5, 2.0, -1.0, 5e-324, 1.0000000000000002, 0.9999999999999999,
+                 1e300, float("nan"), float("inf")]
+
+
+@st.composite
+def _float64_arrays(draw):
+    """0/1 float64 arrays of 1-3 axes, empty ones included, some with other
+    values mixed in, some strided, transposed or big-endian."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5))
+    a = draw(hnp.arrays(np.bool_, shape)).astype(np.float64)
+    for _ in range(draw(st.integers(0, 2)) if a.size else 0):
+        a.flat[draw(st.integers(0, a.size - 1))] = draw(st.sampled_from(_NOT_ZERO_ONE))
+    view = draw(st.sampled_from(["plain", "transposed", "strided", "big-endian"]))
+    if view == "transposed":
+        return a.T
+    if view == "strided":
+        return a[..., ::2]
+    return a.astype(">f8") if view == "big-endian" else a
+
+
+_DOCUMENT_VALUES = st.recursive(
+    st.one_of(_float64_arrays(), _float64_arrays(),
+              hnp.arrays(st.sampled_from([np.bool_, np.int64, np.float32]),
+                         hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4)),
+              st.sampled_from([np.float64(1.0), np.float64(-0.0), np.int64(7), np.bool_(True),
+                               np.float32(0.5), np.array(1.0), Fraction(3, 4), 0.0, 1.0,
+                               -0.0, True, None, serialize._HOLE,
+                               serialize._HOLE_TEXT]),
+              st.text(max_size=4)),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(["a", "b", "values", serialize._HOLE]), children,
+                      max_size=4),
+    max_leaves=12)
+
+
+def _written(dumps, doc):
+    try:
+        return dumps(doc)
+    except InvalidArgumentError as exc:
+        return ("refused", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENT_VALUES, st.sampled_from([1, 2, 3, 7, serialize._CHUNK]))
+def test_canonical_writer_matches_the_standard_encoder(doc, chunk):
+    # small chunks put many groups and group boundaries in a small document
+    with mock.patch.object(serialize, "_CHUNK", chunk):
+        assert _written(dumps_canonical, doc) == _written(dumps_canonical_oracle, doc)
+
+
+def test_canonical_writer_groups_arrays_across_chunks():
+    # arrays on both sides of every group boundary, one longer than a group,
+    # and a value in the long one that the byte table must not write
+    chunk = serialize._CHUNK
+    rng = np.random.default_rng(5)
+    arrays = [(rng.random(n) < 0.5).astype(np.float64)
+              for n in (chunk - 1, 3, 2 * chunk + 5, 0, 7, chunk)]
+    doc = {"arrays": arrays}
+    assert dumps_canonical(doc) == dumps_canonical_oracle(doc)
+    arrays[2][chunk + 1] = -0.0
+    assert dumps_canonical(doc) == dumps_canonical_oracle(doc)
+    assert "-0.0" in dumps_canonical(doc)
 
 
 def test_raw_stream_values_frozen():

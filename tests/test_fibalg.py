@@ -112,6 +112,27 @@ def test_family_matches_per_threshold_oracle(case):
     assert _outcome(fiber_family, f, spec) == _outcome(fiber_family_oracle, f, spec)
 
 
+@given(_family_cases())
+@settings(max_examples=100, deadline=None)
+def test_stacked_family_atoms_match_the_oracle_relations(case):
+    # atoms read the stacked masks; the oracle's relations go through the list path
+    f, spec = case
+    try:
+        family = fiber_family(f, spec)
+    except InvalidArgumentError:
+        return
+    expected = atoms(fiber_family_oracle(f, spec), f.space, f.signature[:-1])
+    got = atoms(family)
+    assert (got.signature, got.generator_names) == (expected.signature,
+                                                    expected.generator_names)
+    assert np.array_equal(got.labels, expected.labels)
+    assert not family.masks.flags.writeable
+    assert family.masks.shape == (len(family), math.prod(f.shape[:-1]))
+    # a slice is a family too, as a list's slice is a list
+    assert [g.values.tobytes() for g in family[1::2]] == [g.values.tobytes()
+                                                          for g in list(family)[1::2]]
+
+
 # -- atoms --------------------------------------------------------------------------
 
 def test_atoms_no_generators_single_cell():
