@@ -160,6 +160,9 @@ def _cmd_gowers(args) -> tuple:
 def _cmd_fibers(args) -> tuple:
     from .fibalg import FiberFamilySpec, atoms, fiber_family
     f = _load_function(args)
+    if f.arity < 3:  # no coordinate set of size 1..arity - 2 to cut fibers on
+        raise InvalidArgumentError(f"fibers needs a function of arity 3 or more, "
+                                   f"got {f.name!r} of arity {f.arity}")
     anchors = _ints(args.anchors, "--anchors")
     if args.params:
         rows = [_ints(row, "--params") for row in args.params.split(";")]

@@ -214,13 +214,15 @@ def _budget(arity: int, k, n_max) -> tuple:
 def fit_boolean_cylinders(E: MeasuredFunction, k: int, n_max: int, pool=None) -> tuple:
     """Greedy decision-list fit of a relation by cylinder-fiber leaves.
 
-    Rules (leaf, polarity, output bit) are appended front to back.  While a
-    rule exists that is homogeneous on the still-undecided region, the one
-    with the largest (error reduction, coverage) is taken, lowest leaf index
-    on ties; this reaches zero error whenever the target is a decision list
-    over the pool.  Otherwise the rule with the largest symmetric-difference
-    reduction is taken, and fitting stops when no rule strictly improves.
-    The pool defaults to :func:`fiber_pool`; nothing is random, so the seed is 0.
+    Rules (leaf, polarity, output bit) are appended front to back.  Each
+    round weighs each leaf's two halves of the undecided region once, on and
+    off the target: a rule's region is one half, its rest the other.  The
+    homogeneous rule with the largest (error reduction, coverage) is taken,
+    the first in (leaf, unnegated, bit 1) order on ties; this reaches zero
+    error whenever the target is a decision list over the pool.  With none,
+    the rule of least error is taken if it strictly improves, else fitting
+    stops.  The pool defaults to :func:`fiber_pool`; nothing is random, so
+    the seed is 0.
     """
     if not E.is_boolean():
         raise InvalidArgumentError("fit_boolean_cylinders needs a Boolean relation")
@@ -237,53 +239,42 @@ def fit_boolean_cylinders(E: MeasuredFunction, k: int, n_max: int, pool=None) ->
         cylinder(leaf.relation.bool_values, leaf.positions, len(shape)),
         shape).ravel() for leaf in pool]
 
-    def mu(mask):
-        return weighted_sum(w[mask])
+    def split(region):
+        """The region's weight (on the target, off it)."""
+        return weighted_sum(w[region & target]), weighted_sum(w[region & ~target])
 
     remaining = np.ones(target.size, dtype=bool)
-    decided_err = 0.0
-    rules = []
-
-    def default_err(region):
-        return min(mu(region & target), mu(region & ~target))
-
-    iterations = 0
-    current = baseline = default_err(remaining)
+    rules, decided_err, iterations = [], 0.0, 0
+    current = baseline = min(split(remaining))
     while len(rules) < n_max and current > 0.0:
         iterations += 1
-        best_homog = None   # ((reduction, cover), candidate)
-        best_any = None     # (new_total, candidate)
+        candidates = []  # (li, negated, bit, region, mistakes, new total, cover)
         for li, mask in enumerate(masks):
+            halves = (remaining & mask, remaining & ~mask)
+            weights = [split(half) for half in halves]
             for negated in (False, True):
-                region = remaining & (~mask if negated else mask)
-                cover = mu(region)
-                if cover <= 0.0:
-                    continue
-                rest_err = default_err(remaining & ~region)
-                for bit in (True, False):
-                    mistakes = mu(region & (target != bit))
-                    new_total = decided_err + mistakes + rest_err
-                    cand = (li, negated, bit, region, mistakes)
-                    if mistakes == 0.0:
-                        key = (current - new_total, cover)
-                        if best_homog is None or key > best_homog[0]:
-                            best_homog = (key, cand)
-                    if best_any is None or new_total < best_any[0]:
-                        best_any = (new_total, cand)
-        if best_homog is not None:
-            _, (li, negated, bit, region, mistakes) = best_homog
-        elif best_any is not None and best_any[0] < current:
-            _, (li, negated, bit, region, mistakes) = best_any
+                on, off = weights[negated]
+                if max(on, off) > 0.0:
+                    rest_err = min(weights[not negated])
+                    for bit, mistakes, cover in ((True, off, on), (False, on, off)):
+                        candidates.append((li, negated, bit, halves[negated], mistakes,
+                                           decided_err + mistakes + rest_err, cover))
+        homogeneous = [c for c in candidates if c[4] == 0.0]
+        if homogeneous:
+            chosen = max(homogeneous, key=lambda c: (current - c[5], c[6]))
         else:
-            break
+            chosen = min(candidates, key=lambda c: c[5], default=None)
+            if chosen is None or chosen[5] >= current:
+                break
+        li, negated, bit, region, mistakes = chosen[:5]
         rules.append((li, negated, bit))
         decided_err += mistakes
         remaining &= ~region
-        current = decided_err + default_err(remaining)
+        current = decided_err + min(split(remaining))
 
     # current is the fit's error: decided mistakes plus the default's
-    expr = BooleanCylinderExpr(tuple(pool), tuple(rules),
-                               bool(mu(remaining & target) >= mu(remaining & ~target)))
+    on, off = split(remaining)
+    expr = BooleanCylinderExpr(tuple(pool), tuple(rules), bool(on >= off))
     if current > baseline + defaults.MONOTONE_SLACK:
         raise NumericalFailureError(
             f"boolean fit error {current} exceeds constant baseline {baseline}")

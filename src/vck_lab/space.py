@@ -130,9 +130,7 @@ class MeasuredFunction:
     def __post_init__(self):
         sig = self.space.validate_signature(self.signature)
         object.__setattr__(self, "signature", sig)
-        vals = np.asarray(self.values)
-        if vals.dtype != np.bool_:
-            vals = np.asarray(vals, dtype=np.float64)
+        vals = np.asarray(self.values, dtype=np.float64)
         expected = self.space.sizes(sig)
         if vals.shape != expected:
             raise InvalidArgumentError(
@@ -168,13 +166,10 @@ class MeasuredFunction:
 
 
 class Relation(MeasuredFunction):
-    """A MeasuredFunction whose values are exactly 0 or 1.  A bool mask is
-    0/1 by construction and skips the checks; other values are checked,
-    clipped and snapped to 0/1 within tolerance."""
+    """A MeasuredFunction whose values are exactly 0 or 1: they are checked
+    and clipped as any function's, then snapped to 0/1 within tolerance."""
 
     def _checked(self, vals: np.ndarray) -> np.ndarray:
-        if vals.dtype == np.bool_:
-            return vals.astype(np.float64)
         vals = super()._checked(vals)
         snapped = np.asarray(np.where(np.abs(vals - 1.0) <= POINTWISE_TOL, 1.0,
                                       np.where(np.abs(vals) <= POINTWISE_TOL, 0.0, vals)),

@@ -12,8 +12,12 @@ its coefficients with ``bounded_least_squares``, which is checked against
 :func:`fiber_pool_oracle` cut their fibers with ``fiber``.
 :func:`box_solve_oracle` is the fitter's active-set solve on one problem at
 a time, the reference for the one that steps a whole stack of problems
-together.  :func:`philox_oracle` is numpy's own Philox bit generator, the
-reference for the lab's Philox kernel.
+together.
+:func:`fit_boolean_cylinders_oracle` is the Boolean fit's first round
+loop, on the library's ``weighted_sum`` and ``cylinder``, the reference
+for the loop that weighs each leaf's two halves once.
+:func:`philox_oracle` is numpy's own Philox bit generator, the reference
+for the lab's Philox kernel.
 :func:`dumps_canonical_oracle` is the canonical writer's standard path
 alone, on the standard library encoder.
 """
@@ -250,6 +254,68 @@ def fiber_pool_oracle(E, k, per_set=8) -> list:
                     name = f"fib|I={','.join(map(str, I))}|w={','.join(map(str, tup))}"
                     leaves.append((name, I, values))
     return leaves
+
+
+def fit_boolean_cylinders_oracle(E, n_max, pool) -> tuple:
+    """(rules, default, error, baseline, n, iterations) of the Boolean fit
+    over the given pool, by the fitter's first round loop: every rule's
+    cover, rest and mistakes summed apart, one ``weighted_sum`` each, and
+    the best homogeneous and best overall rules tracked as they come."""
+    from vck_lab.space import cylinder, weighted_sum
+
+    shape = E.shape
+    w = E.space.weight_tensor(E.signature).ravel()
+    target = E.values.ravel() == 1.0
+    masks = [np.broadcast_to(
+        cylinder(leaf.relation.bool_values, leaf.positions, len(shape)),
+        shape).ravel() for leaf in pool]
+
+    def mu(mask):
+        return weighted_sum(w[mask])
+
+    remaining = np.ones(target.size, dtype=bool)
+    decided_err = 0.0
+    rules = []
+
+    def default_err(region):
+        return min(mu(region & target), mu(region & ~target))
+
+    iterations = 0
+    current = baseline = default_err(remaining)
+    while len(rules) < n_max and current > 0.0:
+        iterations += 1
+        best_homog = None   # ((reduction, cover), candidate)
+        best_any = None     # (new_total, candidate)
+        for li, mask in enumerate(masks):
+            for negated in (False, True):
+                region = remaining & (~mask if negated else mask)
+                cover = mu(region)
+                if cover <= 0.0:
+                    continue
+                rest_err = default_err(remaining & ~region)
+                for bit in (True, False):
+                    mistakes = mu(region & (target != bit))
+                    new_total = decided_err + mistakes + rest_err
+                    cand = (li, negated, bit, region, mistakes)
+                    if mistakes == 0.0:
+                        key = (current - new_total, cover)
+                        if best_homog is None or key > best_homog[0]:
+                            best_homog = (key, cand)
+                    if best_any is None or new_total < best_any[0]:
+                        best_any = (new_total, cand)
+        if best_homog is not None:
+            _, (li, negated, bit, region, mistakes) = best_homog
+        elif best_any is not None and best_any[0] < current:
+            _, (li, negated, bit, region, mistakes) = best_any
+        else:
+            break
+        rules.append((li, negated, bit))
+        decided_err += mistakes
+        remaining &= ~region
+        current = decided_err + default_err(remaining)
+
+    default = bool(mu(remaining & target) >= mu(remaining & ~target))
+    return tuple(rules), default, current, baseline, len(rules), iterations
 
 
 def atom_cells_oracle(generators, total: int) -> list:

@@ -271,11 +271,15 @@ def test_c10_cli_determinism(tmp_path):
                          "--seed", "3", "--out", str(path)]) == 0
     assert insts[0].read_bytes() == insts[1].read_bytes()
     inst = insts[0]
+    # fibers cuts fibers of a 3-ary function; the gadget is 2-ary
+    inst3 = tmp_path / "parity.json"
+    assert cli_main(["gen", "--kind", "parity", "--params", "n=3", "--seed", "3",
+                     "--out", str(inst3)]) == 0
 
     pairs = {
         "vcdim": ["vcdim", "--input", str(inst), "--k", "1"],
         "gowers": ["gowers", "--input", str(inst)],
-        "fibers": ["fibers", "--input", str(inst), "--t", "1",
+        "fibers": ["fibers", "--input", str(inst3), "--function", "parity3", "--t", "1",
                    "--anchors", "0,1"],
         "decompose": ["decompose", "--input", str(inst), "--k", "1",
                       "--n-max", "2", "--seed", "4"],

@@ -443,18 +443,24 @@ def test_fibers_emits_family_and_partition(tmp_path):
     assert results["partition"]["cells"]
 
 
-@pytest.mark.parametrize("select", [("--function", "G"), ("--signature", "0,2")])
+@pytest.mark.parametrize("select", [("--function", "G", "parity3"),
+                                    ("--signature", "0,2", "0,1,2")])
 @pytest.mark.parametrize("command", [
     ("vcdim", "--out"), ("gowers", "--out"), ("fibers", "--t", "1", "--anchors", "0", "--out"),
     ("decompose", "--k", "1", "--n-max", "2", "--report")])
 def test_subcommands_select_function_by_name_or_signature(tmp_path, command, select):
-    # G, on signature (0, 2), is the third of the four parity functions
+    # G, on signature (0, 2), is the third of the four parity functions;
+    # fibers, which needs arity 3, selects the fourth, parity3 on (0, 1, 2)
+    flag, two_ary, three_ary = select
+    fibers = command[0] == "fibers"
     inst = tmp_path / "p.json"
     assert run("gen", "--kind", "parity", "--params", "n=3", "--seed", "2",
                "--out", str(inst)) == 0
     out = tmp_path / "out.json"
-    assert run(*command, str(out), "--input", str(inst), *select) == 0
-    assert load_json(out)["comparable"]["config"]["function"] == "G"
+    assert run(*command, str(out), "--input", str(inst),
+               flag, three_ary if fibers else two_ary) == 0
+    assert load_json(out)["comparable"]["config"]["function"] == (
+        "parity3" if fibers else "G")
 
 
 # -- reproducibility -------------------------------------------------------------------
@@ -699,8 +705,10 @@ def test_malformed_integer_lists_exit_2(parity_doc, capsys, argv):
     ("gowers", "--out"), ("vcdim", "--out"), ("fibers", "--t", "1", "--anchors", "0", "--out"),
     ("decompose", "--k", "1", "--n-max", "2", "--report")])
 def test_empty_list_items_are_skipped(tmp_path, parity_doc, command):
+    # fibers needs arity 3: it selects parity3 on (0, 1, 2), the others F on (0, 1)
+    fibers = command[0] == "fibers"
     reports = []
-    for signature in ("0,1", ",0,,1,"):
+    for signature in (("0,1,2", ",0,,1,2,") if fibers else ("0,1", ",0,,1,")):
         out = tmp_path / "out.json"
         assert run(*command, str(out), "--input", str(parity_doc),
                    "--signature", signature) == 0
@@ -708,7 +716,17 @@ def test_empty_list_items_are_skipped(tmp_path, parity_doc, command):
         assert comparable["config"].pop("signature", signature) == signature  # kept raw
         reports.append(dumps_canonical(comparable))
     assert reports[0] == reports[1]
-    assert '"function":"F"' in reports[0]
+    assert f'"function":"{"parity3" if fibers else "F"}"' in reports[0]
+
+
+def test_fibers_refuses_a_two_ary_input(tmp_path, gadget_doc, capsys):
+    # with k = 1 there is no coordinate set of size 1..k - 1 to cut on
+    out = tmp_path / "fib.json"
+    assert run("fibers", "--input", str(gadget_doc), "--t", "2", "--anchors", "0",
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "arity 3 or more" in err and "of arity 2" in err
+    assert not out.exists()
 
 
 def test_fiber_family_over_the_cap_exits_3(tmp_path, capsys):
@@ -725,12 +743,18 @@ def test_fiber_family_over_the_cap_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_fiber_thresholds_over_the_cap_exit_3(gadget_doc, monkeypatch, capsys):
-    # a 2-ary input has no relations to build, yet scans every threshold
+def test_fiber_thresholds_over_the_cap_exit_3(parity_doc, monkeypatch, capsys):
+    # the threshold count is refused before the family is sized; a 2-ary
+    # function, which the library maps to an empty family, scans every threshold
+    from vck_lab import FiberFamilySpec, fiber_family, membership_gadget
+    from vck_lab.errors import ResourceLimitError
     monkeypatch.setattr("vck_lab.defaults.ARRAY_CAP", 1 << 10)
-    assert run("fibers", "--input", str(gadget_doc), "--t", "9", "--anchors", "0") == 0
-    capsys.readouterr()
-    assert run("fibers", "--input", str(gadget_doc), "--t", "10", "--anchors", "0") == 3
+    gadget = membership_gadget(2, 1)
+    assert not fiber_family(gadget, FiberFamilySpec(9, (0,), ((0, 1),)))
+    with pytest.raises(ResourceLimitError, match="dyadic height 10"):
+        fiber_family(gadget, FiberFamilySpec(10, (0,), ((0, 1),)))
+    assert run("fibers", "--input", str(parity_doc), "--function", "parity3", "--t", "10",
+               "--anchors", "0") == 3
     assert capsys.readouterr().err == "error: dyadic height 10 makes 2**10 + 1 thresholds (cap 1024)\n"
 
 
@@ -892,15 +916,15 @@ def test_boolean_decompose_refuses_seed_and_reports_zero(tmp_path, gadget_doc, c
 
 
 @pytest.mark.parametrize("command,extra", [
-    ("vcdim", ()), ("gowers", ()), ("fibers", ("--anchors", "0"))])
-def test_seedless_subcommands_refuse_seed_and_report_zero(tmp_path, gadget_doc,
+    ("vcdim", ()), ("gowers", ()), ("fibers", ("--anchors", "0", "--function", "parity3"))])
+def test_seedless_subcommands_refuse_seed_and_report_zero(tmp_path, parity_doc,
                                                           command, extra, capsys):
     # nothing these commands compute is random, so a seed could only make
     # identical results compare unequal
     with pytest.raises(SystemExit) as exc:
-        run(command, "--input", str(gadget_doc), *extra, "--seed", "1")
+        run(command, "--input", str(parity_doc), *extra, "--seed", "1")
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
     out = tmp_path / "r.json"
-    assert run(command, "--input", str(gadget_doc), *extra, "--out", str(out)) == 0
+    assert run(command, "--input", str(parity_doc), *extra, "--out", str(out)) == 0
     assert load_json(out)["comparable"]["seed"] == 0

@@ -23,7 +23,7 @@ from vck_lab.errors import InvalidArgumentError, NumericalFailureError, Resource
 
 from oracles import (bounded_lstsq_oracle, box_solve_oracle, decomposition_value_oracle,
                      expression_leaf_count, expression_oracle, fiber_pool_oracle,
-                     fit_weighted_cylinders_oracle)
+                     fit_boolean_cylinders_oracle, fit_weighted_cylinders_oracle)
 
 
 def uniform_space(sizes):
@@ -283,6 +283,72 @@ def test_fit_empty_pool_rejected():
     E = Relation.from_bool(space, (0, 1), np.eye(3) == 1)
     with pytest.raises(InvalidArgumentError):
         fit_boolean_cylinders(E, 1, 4, pool=[])
+
+
+@st.composite
+def boolean_fit_cases(draw):
+    """(relation, k, n_max, pool): arity 2-4, every k below it, sides 1-5,
+    uniform, zero-holding or random rational weights, and the default pool
+    or a caller's own, whose all-0 and all-1 leaves cover nothing on one
+    side and tie with the constant rule on the other."""
+    arity = draw(st.integers(2, 4))
+    sizes = draw(st.tuples(*[st.integers(1, 5)] * arity))
+    kind = draw(st.sampled_from(["uniform", "zero", "rational"]))
+    parts = []
+    for i, size in enumerate(sizes):
+        if kind == "uniform":
+            parts.append(Part.uniform(f"p{i}", size))
+            continue
+        top = 1 if kind == "zero" else 7
+        mass = draw(st.lists(st.integers(0, top), min_size=size, max_size=size))
+        mass[0] = max(mass[0], 1)
+        parts.append(Part(f"p{i}", size, tuple(Fraction(m, sum(mass)) for m in mass)))
+    space = PartiteSpace(tuple(parts))
+    p = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+    bits = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).random(sizes) < p
+    E = Relation.from_bool(space, tuple(range(arity)), bits)
+    k = draw(st.integers(1, arity - 1))
+    pool = None
+    if draw(st.booleans()):
+        pool = fiber_pool(E, k) if draw(st.booleans()) else []
+        for j in range(draw(st.integers(0 if pool else 1, 4))):
+            positions = tuple(sorted(draw(st.sets(st.integers(0, arity - 1), min_size=1,
+                                                  max_size=k))))
+            shape = [sizes[q] for q in positions]
+            fill = draw(st.sampled_from(["zeros", "ones", "random"]))
+            values = (np.full(shape, fill == "ones") if fill != "random"
+                      else np.random.default_rng(j).random(shape) < 0.5)
+            leaf = PoolLeaf(positions, Relation.from_bool(space, positions, values), f"u{j}")
+            pool.insert(draw(st.integers(0, len(pool))), leaf)
+    return E, k, draw(st.integers(1, 16)), pool
+
+
+@settings(max_examples=300, deadline=None)
+@given(boolean_fit_cases())
+@example((quasirandom(uniform_space([6, 6, 6]), (0, 1, 2), 0.5, seed=1), 1, 8, None))
+def test_boolean_fit_matches_its_first_round_loop(case):
+    E, k, n_max, pool = case
+    expr, report = fit_boolean_cylinders(E, k, n_max, pool=pool)
+    rules, default, error, baseline, n, iterations = fit_boolean_cylinders_oracle(
+        E, n_max, fiber_pool(E, k) if pool is None else pool)
+    assert (expr.rules, expr.default, report.error.hex(), report.baseline.hex(), report.n,
+            report.iterations) == (rules, default, error.hex(), baseline.hex(), n, iterations)
+
+
+@pytest.mark.parametrize("E, sums", [
+    (quasirandom(uniform_space([32, 32, 32]), (0, 1, 2), 0.5, seed=7), 786),
+    (boolean_of_lower_arity(3, 1, 4, (16, 16, 16), seed=1000).relation, 56)])
+def test_boolean_fit_weighs_each_half_once(monkeypatch, E, sums):
+    # per round, two sums for each half of each leaf; two for the constant
+    # rule at the start, after each rule taken, and for the default
+    # (the first round loop took 1,794 and 92)
+    from vck_lab import decomp
+    from vck_lab.space import weighted_sum
+    calls = []
+    monkeypatch.setattr(decomp, "weighted_sum",
+                        lambda *factors: calls.append(1) or weighted_sum(*factors))
+    expr, report = fit_boolean_cylinders(E, 1, 16)
+    assert len(calls) == 4 * len(expr.pool) * report.iterations + 2 * report.n + 4 == sums
 
 
 # -- weighted fitting -----------------------------------------------------------------

@@ -284,3 +284,142 @@ def test_indices_is_one_literal_rule(values, low, high):
     else:
         got = indices(iter(values), "x", low, high)
         assert got == tuple(map(int, values)) and all(type(v) is int for v in got)
+
+
+# -- refusals ---------------------------------------------------------------------------
+
+def _uniform(sizes, signature=None, values=None, signed=False):
+    """A function on a uniform space: zeros unless values are given."""
+    space = PartiteSpace.uniform(sizes)
+    signature = tuple(range(len(sizes))) if signature is None else signature
+    values = np.zeros(space.sizes(signature)) if values is None else values
+    return MeasuredFunction(space, signature, values, signed=signed)
+
+
+def _pattern(sizes):
+    """A 0/1 pattern on a uniform grid, for ``build_instance``."""
+    return Relation.from_bool(PartiteSpace.uniform(sizes), tuple(range(len(sizes))),
+                              np.indices(sizes).sum(axis=0) % 2 == 0)
+
+
+def _build(cert, pattern_sizes=(2, 2)):
+    from vck_lab import build_instance
+    return build_instance(_uniform([4, 4]), cert, _pattern(pattern_sizes))
+
+
+def _cert(box, witnesses=()):
+    from vck_lab import ShatteringCertificate
+    return ShatteringCertificate(box, 1, 0.5, 0.5, witnesses)
+
+
+def _decomposition(signature, terms=()):
+    from vck_lab import CylinderDecomposition
+    return CylinderDecomposition(PartiteSpace.uniform([2, 3]), signature, 1, terms)
+
+
+def _half():
+    return _uniform([2, 2], values=np.full((2, 2), 0.5))
+
+
+def _refusals():
+    """(id, call, error type, message fragment): one refusal of each kind
+    that the module tests do not otherwise reach."""
+    from vck_lab import (CylinderTerm, FiberFamilySpec, all_traversals, approx_by_fibers,
+                         fiber_family, fit_boolean_cylinders, fit_weighted_cylinders,
+                         inner, l2_error, project_simple, sym_diff, vc_k)
+    from vck_lab.check import box_side, read_certificate
+    from vck_lab.cli import _parse_params
+    from vck_lab.decomp import fiber_pool
+    from vck_lab.errors import ResourceLimitError
+    from vck_lab.gowers import multiply_cylinders
+    from vck_lab.space import grid_masks
+
+    space = PartiteSpace.uniform([2, 3])
+    wrong_factor = CylinderTerm(Fraction(1), {(0,): MeasuredFunction(space, (1,), np.zeros(3))})
+    spec = FiberFamilySpec(1, (0,), ())
+    unary = Relation.from_bool(PartiteSpace.uniform([2, 2]), (0,), np.array([True, False]))
+    other = Relation.from_bool(unary.space, (1,), np.array([True, False]))
+    return [
+        ("pattern-sides", lambda: _build({}, (2, 3)), InvalidArgumentError,
+         "pattern must have equal part sizes"),
+        ("certificate-arity", lambda: _build(_cert([(0, 1)]), (2, 2, 2)),
+         InvalidArgumentError, "pattern arity 3 does not match certificate box dimension 1"),
+        ("certificate-sides", lambda: _build(_cert([(0, 1, 2)])), InvalidArgumentError,
+         "certificate box sides must match pattern size"),
+        ("certificate-slices", lambda: _build(_cert([(0, 1)])), InvalidArgumentError,
+         "certificate does not cover every pattern slice"),
+        ("embedding-arity", lambda: _build({0: (0, 1)}), InvalidArgumentError,
+         "embedding fixes 1 coordinates for a 2-ary pattern"),
+        ("embedding-sides", lambda: _build({0: (0, 1), 1: (0, 1, 2)}), InvalidArgumentError,
+         "embedded vertex tuples must match pattern size"),
+        ("box-side-empty", lambda: box_side([]), InvalidArgumentError,
+         "box sides must be non-empty"),
+        ("box-side-repeats", lambda: box_side([1, 1]), InvalidArgumentError,
+         "duplicate vertices in box side (1, 1)"),
+        ("certificate-grid", lambda: read_certificate(
+            {"box": [list(range(63))], "distinguished": 1, "r": "1/2", "s": "1/2",
+             "witnesses": []}), InvalidArgumentError, "certificate box has 63 grid points"),
+        ("params-item", lambda: _parse_params("n=3,p", {"n": int, "p": float}),
+         InvalidArgumentError, "malformed parameter 'p' (expected key=value)"),
+        ("gamma", lambda: CylinderTerm(Fraction(3, 2), {}), InvalidArgumentError,
+         "gamma 3/2 outside [0, 1]"),
+        ("factor-signature", lambda: _decomposition((0, 1), (wrong_factor,)),
+         InvalidArgumentError, "factor signature (1,) != (0,)"),
+        ("l2-signature", lambda: l2_error(_uniform([2, 3]), _decomposition((1, 0))),
+         InvalidArgumentError, "decomposition targets a different signature"),
+        ("sym-diff-values", lambda: sym_diff(_half(), None), InvalidArgumentError,
+         "sym_diff needs a Boolean relation"),
+        ("pool-values", lambda: fiber_pool(_half(), 1), InvalidArgumentError,
+         "fiber_pool needs a Boolean relation"),
+        ("boolean-fit-values", lambda: fit_boolean_cylinders(_half(), 1, 2),
+         InvalidArgumentError, "fit_boolean_cylinders needs a Boolean relation"),
+        ("init-signature", lambda: fit_weighted_cylinders(
+            _uniform([2, 3]), 1, 2, init=_decomposition((1, 0))), InvalidArgumentError,
+         "init decomposition targets a different signature"),
+        ("family-arity", lambda: fiber_family(_uniform([3]), spec), InvalidArgumentError,
+         "function must have arity >= 2"),
+        ("approx-arity", lambda: approx_by_fibers(_uniform([3]), 0.1, 1, spec),
+         InvalidArgumentError, "need arity >= 2"),
+        ("atoms-signatures", lambda: atoms([unary, other]), InvalidArgumentError,
+         "generators must share a signature"),
+        ("atoms-nothing", lambda: atoms([]), InvalidArgumentError,
+         "atoms with no generators needs space and signature"),
+        ("partition-cover", lambda: project_simple(
+            _uniform([2, 2]), atoms([], space=unary.space, signature=(0,))),
+         InvalidArgumentError, "partition does not cover the function grid"),
+        ("cylinder-every-coordinate", lambda: multiply_cylinders(
+            _uniform([2, 2]), [(_uniform([2, 2]), (0, 1))]), InvalidArgumentError,
+         "cylinder element must depend on a strict subset of coordinates"),
+        ("cylinder-signature", lambda: multiply_cylinders(
+            _uniform([2, 3]), [(_uniform([2, 3], (1,)), (0,))]), InvalidArgumentError,
+         "cylinder factor signature (1,) != (0,)"),
+        ("tensor-shape", lambda: _uniform([2, 2], values=np.zeros((2, 3))),
+         InvalidArgumentError, "tensor shape (2, 3) != signature extents (2, 2)"),
+        ("grid-masks", lambda: grid_masks(np.zeros((63, 1), dtype=bool)), ResourceLimitError,
+         "63 grid points overflow an int64 bitmask"),
+        ("inner-signature", lambda: inner(_uniform([2, 2]), _uniform([2, 2], (1, 0))),
+         InvalidArgumentError, "signature mismatch: (0, 1) vs (1, 0)"),
+        ("traversal-counts", lambda: all_traversals(_uniform([2, 2]), [1]),
+         InvalidArgumentError, "need one count per coordinate, got (1,)"),
+        ("box-sides", lambda: check_shattered(_uniform([2, 2]), Box(((0,), (0,))), 1, 0.5, 0.5),
+         InvalidArgumentError, "box has 2 sides for 1 searched coordinates"),
+        ("vc-k-arity", lambda: vc_k(_uniform([2, 2]), 2, 0), InvalidArgumentError,
+         "vc_k needs arity k+1, got k=2 and arity 2"),
+    ]
+
+
+@pytest.mark.parametrize("case", _refusals(), ids=lambda case: case[0])
+def test_refusals_name_what_they_refuse(case):
+    _, call, error, fragment = case
+    with pytest.raises(error) as exc:
+        call()
+    assert fragment in str(exc.value)
+
+
+def test_signed_function_round_trips_through_its_document():
+    from vck_lab.serialize import functions_to_doc
+    f = _uniform([2, 3], values=np.array([[-1.0, -0.5, 0.0], [0.25, 0.5, 1.0]]), signed=True)
+    doc = json.loads(dumps_canonical(functions_to_doc(f.space, [f])))
+    assert doc["functions"][0]["signed"] is True
+    space, (g,) = functions_from_doc(doc)
+    assert space == f.space and g.signed and g == f and type(g) is MeasuredFunction
