@@ -18,9 +18,8 @@ _EXPORTS = {
             "vc_k", "vc_k_slicewise", "verify_certificate"),
     "gowers": ("BoxNormReport", "box_norm", "cylinder_correlation", "dual_function"),
     "fibalg": ("AtomPartition", "FiberApproxReport", "FiberFamily", "FiberFamilySpec",
-               "FuzzinessWitness",
-               "approx_by_fibers", "atoms", "dyadics", "fiber_family", "fuzziness",
-               "project_simple", "round_to_cells"),
+               "approx_by_fibers", "atoms", "dyadics", "fiber_family", "project_simple",
+               "round_to_cells"),
     "decomp": ("BooleanCylinderExpr", "CylinderDecomposition", "CylinderTerm",
                "FitReport", "PoolLeaf", "fiber_pool", "fit_boolean_cylinders",
                "fit_weighted_cylinders", "fit_weighted_restarts", "index_sets", "l2_error",

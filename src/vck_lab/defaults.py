@@ -1,8 +1,9 @@
 """Central configuration layer: caps, tolerances, and dyadic heights.
 
-GRID_CAP, DYADIC_HEIGHT, ALS_ITERS, SCORE_RESTARTS and FUZZINESS_HEIGHT_CAP
-are defaults that a call or CLI flag can override; the rest are fixed.  One tolerance lives elsewhere: the 1e-14 ALS stop of the weighted
-fitter (``decomp.fit_weighted_restarts``).
+GRID_CAP, DYADIC_HEIGHT, ALS_ITERS and SCORE_RESTARTS are defaults that a
+call or CLI flag can override; the rest are fixed.  One tolerance lives
+elsewhere: the 1e-14 ALS stop of the weighted fitter
+(``decomp.fit_weighted_restarts``).
 """
 
 # Pointwise value checks (range membership at construction time).
@@ -40,12 +41,6 @@ BOX_NORM_CLAMP = 1e-9
 
 # Default dyadic height for (r, s) threshold grids and fiber families.
 DYADIC_HEIGHT = 2
-
-# Fuzziness diagnostic: largest dyadic height tried before the scan is
-# declared failed.  The threshold-pair grid is quadratic in 2**height, so
-# this also bounds the scan cost; any within-cell value gap above 2**-8 is
-# caught.
-FUZZINESS_HEIGHT_CAP = 8
 
 # Generator: membership gadget witness-part size cap (the part holds one
 # vertex per subset of the box grid).

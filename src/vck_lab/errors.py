@@ -35,14 +35,6 @@ class NumericalFailureError(VckLabError):
     exit_code = 4
 
 
-class DiagnosticFailureError(NumericalFailureError):
-    """A diagnostic scan that is guaranteed to succeed did not; carries the trace."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace or []
-
-
 def indices(values, what: str, low=None, high=None) -> tuple:
     """The values as ints by ``operator.index``, refused unless each lies in
     ``[low, high)`` (a bound left None is open): numpy integers pass, and a

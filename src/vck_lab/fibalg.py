@@ -11,18 +11,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 
 import numpy as np
 
 from . import defaults
-from .errors import (DiagnosticFailureError, InvalidArgumentError, ResourceLimitError,
-                     indices)
+from .errors import InvalidArgumentError, ResourceLimitError, indices, real_numbers
 from .space import (MeasuredFunction, Relation, check_array_cap, dyadics, fiber,
-                    index_sets, l2_distance, level_set, row_labels, weighted_sum)
+                    index_sets, l2_distance, row_labels, weighted_sum)
 
 
 @dataclass(frozen=True)
@@ -57,6 +54,8 @@ def fiber_family(f: MeasuredFunction, spec: FiberFamilySpec) -> FiberFamily:
     if len(spec.params) != k:
         raise InvalidArgumentError(
             f"{len(spec.params)} parameter rows for {k} searched coordinates")
+    if () in spec.params:
+        raise InvalidArgumentError(f"parameter row {spec.params.index(())} is empty")
     dist = f.arity - 1
     indices(spec.anchors, "anchors", 0, f.shape[dist])
     # the 2**height + 1 thresholds are scanned even when no relation is
@@ -89,9 +88,9 @@ def fiber_family(f: MeasuredFunction, spec: FiberFamilySpec) -> FiberFamily:
 
 
 @dataclass(frozen=True, eq=False)
-class FiberFamily(Sequence):
+class FiberFamily:
     """Generators stacked, one read-only 0/1 row and one name each, over the
-    flat grid of ``signature``; as a sequence, the relations, built on demand."""
+    flat grid of ``signature``; its length is the number of generators."""
 
     space: object
     signature: tuple
@@ -100,13 +99,6 @@ class FiberFamily(Sequence):
 
     def __len__(self) -> int:
         return len(self.names)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return FiberFamily(self.space, self.signature, self.names[i], self.masks[i])
-        return Relation.from_bool(self.space, self.signature,
-                                  self.masks[i].reshape(self.space.sizes(self.signature)),
-                                  name=self.names[i])
 
 
 def family_size(spec: FiberFamilySpec, k: int) -> int:
@@ -154,7 +146,7 @@ def atoms(generators, space=None, signature=None) -> AtomPartition:
 
     Cells are ordered by their minimal flat index; with no generators the
     whole grid is a single cell.  A :class:`FiberFamily` is read from its
-    stacked masks.
+    stacked masks; a list of relations is stacked into one first.
     """
     if not isinstance(generators, FiberFamily):
         generators = list(generators)
@@ -166,13 +158,18 @@ def atoms(generators, space=None, signature=None) -> AtomPartition:
             raise InvalidArgumentError("atoms with no generators needs space and signature")
         generators = FiberFamily(space, tuple(signature), tuple(g.name for g in generators),
                                  np.array([g.values.ravel() == 1.0 for g in generators]))
-    space, signature = generators.space, generators.signature
-    if not generators:
+    return _partition(generators.space, generators.signature, generators.masks,
+                      generators.names)
+
+
+def _partition(space, signature, masks: np.ndarray, names=()) -> AtomPartition:
+    """The atoms of a (generators, cells) bool array: with no rows, one cell."""
+    if not len(masks):
         total = int(np.prod(space.sizes(signature), dtype=np.int64))
-        return AtomPartition(space, signature, np.zeros(total, dtype=np.int64), ())
+        return AtomPartition(space, signature, np.zeros(total, dtype=np.int64), names)
     # one membership row per grid point: distinct rows numbered by their
-    # smallest flat index
-    return AtomPartition(space, signature, row_labels(generators.masks.T), generators.names)
+    # smallest flat index, so the row order of masks does not matter
+    return AtomPartition(space, signature, row_labels(masks.T), names)
 
 
 def project_simple(f: MeasuredFunction, partition: AtomPartition):
@@ -199,63 +196,6 @@ def conditional_means(indicator: np.ndarray, partition: AtomPartition,
         if wsum > 0.0:
             out[j] = weighted_sum(wflat[cell], indicator[cell]) / wsum
     return out
-
-
-@dataclass(frozen=True)
-class FuzzinessWitness:
-    height: int
-    r: Fraction
-    s: Fraction
-    delta: float
-    fuzzy_measure: float
-
-
-def fuzziness(f: MeasuredFunction, partition: AtomPartition, eps: float,
-              height_cap: int = defaults.FUZZINESS_HEIGHT_CAP):
-    """Search for thresholds r < s where the partition is genuinely uncertain.
-
-    Returns None when the projection error is below eps (f is measurable
-    enough, nothing to find).  Otherwise scans dyadic heights upward and, at
-    each height, maximizes delta over threshold pairs, breaking ties toward
-    the wider pair; the witness is re-verified before returning.  The scan
-    cannot fail for a grid function when the precondition holds, so
-    exhausting the cap raises with the trace attached.
-    """
-    _, err = project_simple(f, partition)
-    if err < eps:
-        return None
-    wflat = f.space.weight_tensor(f.signature).ravel()
-    cell_meas = np.array([weighted_sum(wflat[c]) for c in partition.cells])
-    fflat = f.values.ravel()
-    trace = []
-    for height in range(1, height_cap + 1):
-        qs = dyadics(height)
-        e_low = {q: conditional_means((fflat < float(q)).astype(np.float64),
-                                      partition, wflat) for q in qs}
-        e_high = {q: conditional_means((fflat >= float(q)).astype(np.float64),
-                                       partition, wflat) for q in qs}
-        best = None
-        for i, r in enumerate(qs):
-            for s in qs[i + 1:]:
-                m = np.minimum(e_low[r], e_high[s])
-                delta = 0.0
-                for tau in sorted(set(m[m > 0].tolist()), reverse=True):
-                    covered = weighted_sum(cell_meas[m >= tau])
-                    delta = max(delta, min(tau, covered))
-                cand = (delta, float(s - r), -float(r), r, s)
-                if delta > 0 and (best is None or cand[:3] > best[:3]):
-                    best = cand
-        trace.append((height, None if best is None else (best[3], best[4], best[0])))
-        if best is not None:
-            delta, _, _, r, s = best
-            fuzzy_measure = weighted_sum(cell_meas[np.minimum(e_low[r], e_high[s]) >= delta])
-            if fuzzy_measure < delta:
-                raise DiagnosticFailureError(
-                    "fuzziness witness failed re-verification", trace)
-            return FuzzinessWitness(height, r, s, delta, fuzzy_measure)
-    raise DiagnosticFailureError(
-        f"no fuzziness witness up to height {height_cap} despite projection "
-        f"error {err} >= {eps}", trace)
 
 
 def round_to_cells(f: MeasuredFunction, partition: AtomPartition,
@@ -288,33 +228,38 @@ def approx_by_fibers(f: MeasuredFunction, eps: float, anchors_budget: int,
     fiber of f at x is projected onto the algebra generated by the cylinder
     fiber family at (anchors + x) together with the dyadic level sets of the
     anchors' own fibers.  The worst-approximated x joins the anchor list;
-    the report is flagged when the budget runs out above eps.
+    the report is flagged when the budget runs out above eps.  The rows
+    that come from the anchors are built once per round, and per candidate
+    only the rows of its own fibers.
     """
+    real_numbers([eps], "eps")
+    if not 0 <= eps < math.inf:
+        raise InvalidArgumentError(f"eps must be finite and >= 0, got {eps}")
+    budget, = indices((anchors_budget,), "anchors budget", 0)
     dist = k = f.arity - 1
-    if k < 1:
-        raise InvalidArgumentError("need arity >= 2")
-    part_size = f.shape[dist]
+    cells = math.prod(f.shape[:k])
     anchors: list = []
 
-    def projection_error(x, current):
-        generators = list(fiber_family(
-            f, FiberFamilySpec(spec.height, tuple(current) + (x,), spec.params)))
-        for a in current:
-            fa = fiber(f, {dist: a})
-            for q in dyadics(spec.height):
-                generators.append(level_set(fa, float(q), name=f"{f.name}[b={a}]<{q}"))
-        partition = atoms(generators, f.space, f.signature[:k])
-        fx = fiber(f, {dist: x})
-        _, err = project_simple(fx, partition)
-        return err
+    def family_rows(current):
+        return fiber_family(f, FiberFamilySpec(spec.height, tuple(current), spec.params)).masks
 
     while True:
-        errors = [(projection_error(x, anchors), x) for x in range(part_size)]
+        common = np.empty((0, cells), dtype=bool)
+        if anchors:
+            # refused where the family at (anchors + x) would be
+            check_array_cap(family_size(FiberFamilySpec(
+                spec.height, (*anchors, 0), spec.params), k) * cells, "fiber family")
+            qs = np.array([float(q) for q in dyadics(spec.height)])[:, None, None]
+            levels = np.moveaxis(f.values, dist, 0)[anchors].reshape(-1, cells) < qs
+            common = np.concatenate([family_rows(anchors), levels.reshape(-1, cells)])
+        errors = []
+        # at arity 0 the one candidate is refused by fiber_family
+        for x in range(math.prod(f.shape[dist:])):
+            partition = _partition(f.space, f.signature[:k],
+                                   np.concatenate([common, family_rows((x,))]))
+            errors.append((project_simple(fiber(f, {dist: x}), partition)[1], x))
         worst_err, worst_x = max(errors, key=lambda t: (t[0], -t[1]))
-        if worst_err <= eps:
-            return FiberApproxReport(tuple(anchors), worst_err, True,
-                                     tuple((x, e) for e, x in errors))
-        if len(anchors) >= anchors_budget:
-            return FiberApproxReport(tuple(anchors), worst_err, False,
+        if worst_err <= eps or len(anchors) >= budget:
+            return FiberApproxReport(tuple(anchors), worst_err, worst_err <= eps,
                                      tuple((x, e) for e, x in errors))
         anchors.append(worst_x)

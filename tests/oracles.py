@@ -10,6 +10,9 @@ counts on a level scan's witness table by sorting,
 its coefficients with ``bounded_least_squares``, which is checked against
 :func:`bounded_lstsq_oracle`, and :func:`fiber_family_oracle` and
 :func:`fiber_pool_oracle` cut their fibers with ``fiber``.
+:func:`approx_by_fibers_oracle` is the anchor search on relations: its
+generators come from :func:`fiber_family_oracle` and ``level_set``, and it
+partitions and projects with the library's ``atoms`` and ``project_simple``.
 :func:`box_solve_oracle` is the fitter's active-set solve on one problem at
 a time, the reference for the one that steps a whole stack of problems
 together.
@@ -586,6 +589,8 @@ def fiber_family_oracle(f, spec):
     if len(spec.params) != k:
         raise InvalidArgumentError(
             f"{len(spec.params)} parameter rows for {k} searched coordinates")
+    if () in spec.params:
+        raise InvalidArgumentError(f"parameter row {spec.params.index(())} is empty")
     dist = f.arity - 1
     bad = [a for a in spec.anchors if not 0 <= a < f.shape[dist]]
     if bad:
@@ -609,6 +614,42 @@ def fiber_family_oracle(f, spec):
                     out.append(Relation.from_bool(f.space, f.signature[:k], vals,
                                                   name=name))
     return out
+
+
+def approx_by_fibers_oracle(f, eps, anchors_budget, spec):
+    """The Relation form of ``approx_by_fibers``: for every candidate x in
+    every round, the whole family at (anchors + x) is cut again by
+    :func:`fiber_family_oracle`, the anchors' fibers are thresholded by
+    ``level_set`` one q at a time, and ``atoms`` stacks the list."""
+    from vck_lab.errors import InvalidArgumentError, indices, real_numbers
+    from vck_lab.fibalg import FiberApproxReport, FiberFamilySpec, atoms, project_simple
+    from vck_lab.space import dyadics, fiber, level_set
+
+    real_numbers([eps], "eps")
+    if not 0 <= eps < math.inf:
+        raise InvalidArgumentError(f"eps must be finite and >= 0, got {eps}")
+    budget, = indices((anchors_budget,), "anchors budget", 0)
+    dist = k = f.arity - 1
+    anchors = []
+    while True:
+        errors = []
+        for x in range(math.prod(f.shape[dist:])):
+            generators = fiber_family_oracle(
+                f, FiberFamilySpec(spec.height, tuple(anchors) + (x,), spec.params))
+            for a in anchors:
+                fa = fiber(f, {dist: a})
+                for q in dyadics(spec.height):
+                    generators.append(level_set(fa, float(q), name=f"{f.name}[b={a}]<{q}"))
+            partition = atoms(generators, f.space, f.signature[:k])
+            errors.append((project_simple(fiber(f, {dist: x}), partition)[1], x))
+        worst_err, worst_x = max(errors, key=lambda t: (t[0], -t[1]))
+        if worst_err <= eps:
+            return FiberApproxReport(tuple(anchors), worst_err, True,
+                                     tuple((x, e) for e, x in errors))
+        if len(anchors) >= budget:
+            return FiberApproxReport(tuple(anchors), worst_err, False,
+                                     tuple((x, e) for e, x in errors))
+        anchors.append(worst_x)
 
 
 def dumps_canonical_oracle(obj) -> str:

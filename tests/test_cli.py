@@ -729,6 +729,16 @@ def test_fibers_refuses_a_two_ary_input(tmp_path, gadget_doc, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("params, row", [(";", 0), ("1;", 1)])
+def test_fibers_refuses_an_empty_params_row(tmp_path, parity_doc, capsys, params, row):
+    # an empty row has no substitution for its index sets: refused, not dropped
+    out = tmp_path / "fib.json"
+    assert run("fibers", "--input", str(parity_doc), "--function", "parity3", "--t", "1",
+               "--anchors", "0", "--params", params, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: parameter row {row} is empty\n"
+    assert not out.exists()
+
+
 def test_fiber_family_over_the_cap_exits_3(tmp_path, capsys):
     # (2**11 + 1) thresholds x 32 substitutions x 1 anchor x 256 cells is
     # one threshold's worth over 2**24

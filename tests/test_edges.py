@@ -1,6 +1,7 @@
-"""Edge paths: diagnostic failures, tie thresholds, stream stability."""
+"""Edge paths: tie thresholds, serialization, stream stability, refusals."""
 
 import json
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -11,28 +12,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vck_lab import (Box, MeasuredFunction, PartiteSpace, Relation, atoms,
-                     check_shattered,
-                     fuzziness, random_pattern, verify_certificate)
+                     check_shattered, random_pattern, verify_certificate)
 from vck_lab import rng as _rng_mod
-from vck_lab.errors import DiagnosticFailureError, InvalidArgumentError, indices
+from vck_lab.errors import InvalidArgumentError, indices
 from vck_lab.rng import STREAM_PATTERN, raw64, uniforms
 from vck_lab import serialize
 from vck_lab.serialize import dumps_canonical, format_float, functions_from_doc
 
 from oracles import dumps_canonical_oracle
-
-
-def test_fuzziness_height_cap_raises_with_trace():
-    # values 0.3 and 0.4 in one cell need two dyadics inside (0.3, 0.4],
-    # which first happens at height 4 (5/16 and 3/8); capping at 2 fails loudly
-    space = PartiteSpace.uniform([2])
-    f = MeasuredFunction(space, (0,), np.array([0.3, 0.4]))
-    partition = atoms([], space=space, signature=(0,))
-    with pytest.raises(DiagnosticFailureError) as exc:
-        fuzziness(f, partition, 0.01, height_cap=2)
-    assert len(exc.value.trace) == 2
-    witness = fuzziness(f, partition, 0.01, height_cap=6)
-    assert witness is not None and witness.height == 4
 
 
 def test_equal_thresholds_enumerate_free_subsets():
@@ -336,7 +323,7 @@ def _refusals():
 
     space = PartiteSpace.uniform([2, 3])
     wrong_factor = CylinderTerm(Fraction(1), {(0,): MeasuredFunction(space, (1,), np.zeros(3))})
-    spec = FiberFamilySpec(1, (0,), ())
+    spec, spec_2ary = FiberFamilySpec(1, (0,), ()), FiberFamilySpec(1, (0,), ((0,),))
     unary = Relation.from_bool(PartiteSpace.uniform([2, 2]), (0,), np.array([True, False]))
     other = Relation.from_bool(unary.space, (1,), np.array([True, False]))
     return [
@@ -379,7 +366,23 @@ def _refusals():
         ("family-arity", lambda: fiber_family(_uniform([3]), spec), InvalidArgumentError,
          "function must have arity >= 2"),
         ("approx-arity", lambda: approx_by_fibers(_uniform([3]), 0.1, 1, spec),
-         InvalidArgumentError, "need arity >= 2"),
+         InvalidArgumentError, "function must have arity >= 2"),
+        ("family-empty-row", lambda: fiber_family(_uniform([2, 2, 2]), FiberFamilySpec(
+            1, (0,), ((0,), ()))), InvalidArgumentError, "parameter row 1 is empty"),
+        ("approx-eps-nan", lambda: approx_by_fibers(_uniform([2, 2]), math.nan, 1, spec_2ary),
+         InvalidArgumentError, "eps must be finite and >= 0, got nan"),
+        ("approx-eps-inf", lambda: approx_by_fibers(_uniform([2, 2]), math.inf, 1, spec_2ary),
+         InvalidArgumentError, "eps must be finite and >= 0, got inf"),
+        ("approx-eps-negative", lambda: approx_by_fibers(_uniform([2, 2]), -0.5, 1, spec_2ary),
+         InvalidArgumentError, "eps must be finite and >= 0, got -0.5"),
+        ("approx-eps-text", lambda: approx_by_fibers(_uniform([2, 2]), "0.1", 1, spec_2ary),
+         InvalidArgumentError, "eps must be numbers, got '0.1'"),
+        ("approx-budget-bool", lambda: approx_by_fibers(_uniform([2, 2]), 0.1, True, spec_2ary),
+         InvalidArgumentError, "anchors budget must be integers"),
+        ("approx-budget-float", lambda: approx_by_fibers(_uniform([2, 2]), 0.1, 2.5, spec_2ary),
+         InvalidArgumentError, "anchors budget must be integers"),
+        ("approx-budget-negative", lambda: approx_by_fibers(_uniform([2, 2]), 0.1, -1, spec_2ary),
+         InvalidArgumentError, "anchors budget must be >= 0, got -1"),
         ("atoms-signatures", lambda: atoms([unary, other]), InvalidArgumentError,
          "generators must share a signature"),
         ("atoms-nothing", lambda: atoms([]), InvalidArgumentError,

@@ -1,4 +1,4 @@
-"""Fiber families, atom partitions, projections, and the diagnostic lemmas."""
+"""Fiber families, atom partitions, projections, rounding, and anchor search."""
 
 import math
 
@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vck_lab import (FiberFamilySpec, MeasuredFunction, PartiteSpace, Relation,
-                     atoms, fiber_family, fuzziness, integrate,
-                     l2_distance, membership_gadget, project_simple,
-                     round_to_cells)
+                     approx_by_fibers, atoms, fiber_family, integrate, l2_distance,
+                     membership_gadget, project_simple, quasirandom, round_to_cells)
+from vck_lab import defaults
 from vck_lab.fibalg import conditional_means, family_size
-from vck_lab.errors import InvalidArgumentError
+from vck_lab.errors import InvalidArgumentError, ResourceLimitError
 
-from oracles import atom_cells_oracle, fiber_family_oracle
+from oracles import approx_by_fibers_oracle, atom_cells_oracle, fiber_family_oracle
 
 
 def random_function(sizes, seed):
@@ -44,7 +44,7 @@ def test_family_of_zero_function_collapses():
     space = PartiteSpace.uniform([3, 3, 2])
     f = MeasuredFunction.constant(space, (0, 1, 2), 0.0)
     fam = fiber_family(f, FiberFamilySpec(2, (0, 1), ((0, 1, 2), (0, 1, 2))))
-    distinct = {rel.values.tobytes() for rel in fam}
+    distinct = {row.tobytes() for row in fam.masks}
     assert len(distinct) <= 2
 
 
@@ -60,14 +60,21 @@ def test_membership_gadget_fibers_reproduce_column_indicators():
     g = membership_gadget(2, 2)  # parts [2], [2], [16]
     spec = FiberFamilySpec(1, anchors=tuple(range(16)), params=((0, 1), (0, 1)))
     fam = fiber_family(g, spec)
-    got = {rel.values.tobytes() for rel in fam}
+    got = {row.tobytes() for row in fam.masks}
     for b in range(16):
         for a in (0, 1):
-            # indicator of {y : (a, y) in subset b}, constant along axis 0
-            col = np.array([1.0 - float(b >> (2 * a + y) & 1) for y in (0, 1)])
-            # level set chi < 1/2 is the complement of membership
-            expected = np.broadcast_to(col[None, :], (2, 2)).copy()
-            assert expected.tobytes() in got
+            # level set chi < 1/2 is the complement of membership: the
+            # indicator of {y : (a, y) not in subset b}, constant along axis 0
+            col = np.array([not b >> (2 * a + y) & 1 for y in (0, 1)])
+            assert np.broadcast_to(col[None, :], (2, 2)).tobytes() in got
+
+
+def _draw_function(draw, sizes):
+    """A function on the grid with values on and off the dyadic thresholds."""
+    values = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.3, 0.5, 0.75, 1.0]),
+                                    min_size=math.prod(sizes), max_size=math.prod(sizes))))
+    return MeasuredFunction(PartiteSpace.uniform(sizes), tuple(range(len(sizes))),
+                            values.reshape(sizes), name="h")
 
 
 @st.composite
@@ -76,16 +83,14 @@ def _family_cases(draw):
     whose anchors and substitutions may fall outside their coordinates."""
     arity = draw(st.sampled_from([2, 3, 3, 4]))
     sizes = draw(st.lists(st.integers(1, 3), min_size=arity, max_size=arity))
-    values = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.3, 0.5, 0.75, 1.0]),
-                                    min_size=math.prod(sizes), max_size=math.prod(sizes))))
-    space = PartiteSpace.uniform(sizes)
-    f = MeasuredFunction(space, tuple(range(len(sizes))), values.reshape(sizes), name="h")
+    f = _draw_function(draw, sizes)
     k = len(sizes) - 1
     rows = [draw(st.lists(st.integers(0, sizes[i] - 1), min_size=1, max_size=3))
             for i in range(k)]
     anchors = draw(st.lists(st.integers(0, sizes[-1] - 1), min_size=1, max_size=3))
-    # at most one fault: a vertex just outside its coordinate, or a row too many
-    fault = draw(st.sampled_from([None, None, None, "anchor", "param", "rows"]))
+    # at most one fault: a vertex just outside its coordinate, a row too
+    # many, or an empty row
+    fault = draw(st.sampled_from([None, None, None, "anchor", "param", "rows", "empty"]))
     if fault == "anchor":
         anchors[draw(st.integers(0, len(anchors) - 1))] = draw(
             st.sampled_from([-1, sizes[-1]]))
@@ -95,14 +100,22 @@ def _family_cases(draw):
                        draw(st.sampled_from([-1, sizes[i]])))
     elif fault == "rows":
         rows.append([0])
+    elif fault == "empty":
+        rows[draw(st.integers(0, k - 1))] = []
     return f, FiberFamilySpec(draw(st.integers(1, 2)), anchors, rows)
 
 
 def _outcome(build, f, spec):
+    """Per generator its name, signature and flat 0/1 row, or the refusal."""
     try:
-        return [(g.name, g.signature, g.values.tobytes(), type(g)) for g in build(f, spec)]
+        family = build(f, spec)
     except InvalidArgumentError as exc:
         return ("refused", str(exc))
+    if isinstance(family, list):  # the oracle's relations
+        assert all(type(g) is Relation for g in family)
+        return [(g.name, g.signature, (g.values.ravel() == 1.0).tobytes()) for g in family]
+    return [(name, family.signature, row.tobytes())
+            for name, row in zip(family.names, family.masks)]
 
 
 @given(_family_cases())
@@ -128,9 +141,6 @@ def test_stacked_family_atoms_match_the_oracle_relations(case):
     assert np.array_equal(got.labels, expected.labels)
     assert not family.masks.flags.writeable
     assert family.masks.shape == (len(family), math.prod(f.shape[:-1]))
-    # a slice is a family too, as a list's slice is a list
-    assert [g.values.tobytes() for g in family[1::2]] == [g.values.tobytes()
-                                                          for g in list(family)[1::2]]
 
 
 # -- atoms --------------------------------------------------------------------------
@@ -256,54 +266,6 @@ def test_projection_first_order_optimality():
                     assert l2_distance(f, h) > err
 
 
-# -- fuzziness --------------------------------------------------------------------------
-
-def test_fuzziness_none_when_measurable():
-    space = PartiteSpace.uniform([4])
-    A = Relation.from_bool(space, (0,), np.array([1, 1, 0, 0]) == 1)
-    part = atoms([A])
-    assert fuzziness(A, part, 0.05) is None
-
-
-def test_fuzziness_none_for_constant():
-    f = MeasuredFunction.constant(PartiteSpace.uniform([4]), (0,), 0.5)
-    part = atoms([], space=f.space, signature=(0,))
-    assert fuzziness(f, part, 0.01) is None
-
-
-def test_fuzziness_half_half_witness():
-    space = PartiteSpace.uniform([4])
-    f = MeasuredFunction(space, (0,), np.array([0.0, 0.0, 1.0, 1.0]))
-    part = atoms([], space=space, signature=(0,))
-    w = fuzziness(f, part, 0.1)
-    assert w is not None
-    assert float(w.r) <= 0.5 < float(w.s)
-    assert w.delta >= 0.5
-    assert w.fuzzy_measure == 1.0
-
-
-def test_fuzziness_witness_verifies():
-    for seed in range(5):
-        f = random_function([5, 3], seed)
-        part = atoms([random_relation([5, 3], 300 + seed)])
-        w = fuzziness(f, part, 0.05)
-        if w is None:
-            continue
-        # recompute the displayed inequality exactly
-        wflat = f.space.weight_tensor(f.signature).ravel()
-        fflat = f.values.ravel()
-        fuzzy_mass = 0.0
-        for cell in part.cells:
-            wsum = math.fsum(wflat[cell].tolist())
-            if wsum == 0:
-                continue
-            lo = math.fsum((wflat[cell] * (fflat[cell] < float(w.r))).tolist()) / wsum
-            hi = math.fsum((wflat[cell] * (fflat[cell] >= float(w.s))).tolist()) / wsum
-            if min(lo, hi) >= w.delta:
-                fuzzy_mass += wsum
-        assert fuzzy_mass >= w.delta
-
-
 # -- union-of-cells rounding ---------------------------------------------------------------
 
 def test_round_to_cells_three_eps_bound():
@@ -325,3 +287,56 @@ def test_round_to_cells_three_eps_bound():
         eps = math.sqrt(2 * h) if h > 0 else 0.05
         Y = round_to_cells(X, part, eps)
         assert l2_distance(X, Y) <= 3 * eps + 1e-12
+
+
+# -- anchor search ----------------------------------------------------------------------
+
+def _approx_outcome(search, f, eps, budget, spec):
+    try:
+        rep = search(f, eps, budget, spec)
+    except (InvalidArgumentError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+    return rep.anchors, rep.max_error.hex(), rep.met_epsilon, tuple(
+        (x, e.hex()) for x, e in rep.per_fiber)
+
+
+@st.composite
+def _approx_cases(draw):
+    """A 2- or 3-ary function, values on and off the dyadic thresholds, a
+    family spec, eps and a budget; at most one of them is refused."""
+    sizes = draw(st.lists(st.integers(2, 4), min_size=2, max_size=3))
+    f = _draw_function(draw, sizes)
+    rows = [draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)) for n in sizes[:-1]]
+    eps = draw(st.sampled_from([0.0, 0.0, 0.0, 0.01, 0.1]))
+    budget = draw(st.sampled_from([0, 1, 2, 3, 3, 4]))
+    fault = draw(st.sampled_from([None] * 8 + ["param", "empty", "eps", "budget"]))
+    if fault == "param":
+        rows[-1].append(sizes[len(rows) - 1])
+    elif fault == "empty":
+        rows[-1] = []
+    elif fault == "eps":
+        eps = draw(st.sampled_from([math.nan, math.inf, -0.1, True, "0.1"]))
+    elif fault == "budget":
+        budget = draw(st.sampled_from([-1, 2.5, True]))
+    return f, eps, budget, FiberFamilySpec(draw(st.integers(1, 2)), (0,), rows)
+
+
+@given(_approx_cases())
+@settings(max_examples=100, deadline=None)
+def test_approx_by_fibers_matches_the_relation_oracle(case):
+    assert (_approx_outcome(approx_by_fibers, *case)
+            == _approx_outcome(approx_by_fibers_oracle, *case))
+
+
+def test_approx_by_fibers_refuses_the_family_where_the_oracle_does(monkeypatch):
+    # 6 rows of 16 cells per anchor: a cap of 192 entries admits the family
+    # at (one anchor + x) and refuses it at (two anchors + x), in round 2,
+    # the last round a budget of 2 allows; unrefused, the search would
+    # end there with eps 0 unmet
+    space = PartiteSpace.uniform([4, 4, 6])
+    E = quasirandom(space, (0, 1, 2), 0.5, seed=4)
+    spec = FiberFamilySpec(1, (0,), ((0,), (0,)))
+    monkeypatch.setattr(defaults, "ARRAY_CAP", 192)
+    got = _approx_outcome(approx_by_fibers, E, 0.0, 2, spec)
+    assert got == (ResourceLimitError, "fiber family would build 288 entries (cap 192)")
+    assert got == _approx_outcome(approx_by_fibers_oracle, E, 0.0, 2, spec)
