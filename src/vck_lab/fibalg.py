@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from . import defaults
 from .errors import InvalidArgumentError, ResourceLimitError, indices, real_numbers
 from .space import (MeasuredFunction, Relation, check_array_cap, dyadics, fiber,
-                    index_sets, l2_distance, row_labels, weighted_sum)
+                    index_sets, l2_distance, row_labels)
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def fiber_family(f: MeasuredFunction, spec: FiberFamilySpec) -> FiberFamily:
     substitution, anchor), stacked; names encode the full provenance."""
     if not spec.anchors:
         raise InvalidArgumentError("fiber family needs at least one anchor")
-    k = f.arity - 1
+    dist = k = f.arity - 1
     if k < 1:
         raise InvalidArgumentError("function must have arity >= 2")
     if len(spec.params) != k:
@@ -56,7 +56,6 @@ def fiber_family(f: MeasuredFunction, spec: FiberFamilySpec) -> FiberFamily:
             f"{len(spec.params)} parameter rows for {k} searched coordinates")
     if () in spec.params:
         raise InvalidArgumentError(f"parameter row {spec.params.index(())} is empty")
-    dist = f.arity - 1
     indices(spec.anchors, "anchors", 0, f.shape[dist])
     # the 2**height + 1 thresholds are scanned even when no relation is
     # built; the clamp keeps an absurd height from forming a huge integer
@@ -126,11 +125,16 @@ class AtomPartition:
         return int(self.labels.max()) + 1
 
     @cached_property
-    def cells(self) -> tuple:
-        """Per cell, its sorted flat indices (read-only)."""
+    def cell_order(self) -> tuple:
+        """The flat indices by cell, sorted within each (read-only), and the cell sizes."""
         order = np.argsort(self.labels, kind="stable")
         order.flags.writeable = False
-        return tuple(np.split(order, np.cumsum(np.bincount(self.labels))[:-1]))
+        return order, np.bincount(self.labels)
+
+    @cached_property
+    def cells(self) -> tuple:
+        """Per cell, its sorted flat indices (read-only)."""
+        return tuple(np.split(self.cell_order[0], np.cumsum(self.cell_order[1])[:-1]))
 
     def covers(self, shape) -> bool:
         return self.labels.size == int(np.prod(shape, dtype=np.int64))
@@ -173,29 +177,27 @@ def _partition(space, signature, masks: np.ndarray, names=()) -> AtomPartition:
 
 
 def project_simple(f: MeasuredFunction, partition: AtomPartition):
-    """L2-optimal partition-measurable approximant and its error.
-
-    The value on each cell is the measure-weighted mean of f there (cells of
-    measure zero get 0).
-    """
+    """L2-optimal partition-measurable approximant and its error: on each cell
+    the measure-weighted mean of f there (0 on cells of measure zero)."""
     if partition.signature != f.signature or not partition.covers(f.shape):
         raise InvalidArgumentError("partition does not cover the function grid")
     wflat = f.space.weight_tensor(f.signature).ravel()
     means = conditional_means(f.values.ravel(), partition, wflat)
     g = MeasuredFunction(f.space, f.signature, means[partition.labels].reshape(f.shape),
-                         name=f"proj({f.name})")
+                         name=f"proj({f.name})", signed=f.signed)
     return g, l2_distance(f, g)
 
 
 def conditional_means(indicator: np.ndarray, partition: AtomPartition,
                       wflat: np.ndarray) -> np.ndarray:
-    """Per-cell weighted mean of a flat array (0 on null cells)."""
-    out = np.zeros(len(partition.cells))
-    for j, cell in enumerate(partition.cells):
-        wsum = weighted_sum(wflat[cell])
-        if wsum > 0.0:
-            out[j] = weighted_sum(wflat[cell], indicator[cell]) / wsum
-    return out
+    """Per-cell weighted mean of a flat array (0 on null cells): each cell's
+    two ``math.fsum``s read its consecutive run of the cell order."""
+    order, sizes = partition.cell_order
+    w = wflat[order]
+    weights, products = iter(w.tolist()), iter((w * indicator[order]).tolist())
+    sums = [(math.fsum(itertools.islice(weights, n)), math.fsum(itertools.islice(products, n)))
+            for n in sizes.tolist()]
+    return np.array([total / wsum if wsum > 0.0 else 0.0 for wsum, total in sums])
 
 
 def round_to_cells(f: MeasuredFunction, partition: AtomPartition,
@@ -221,45 +223,43 @@ class FiberApproxReport:
 
 
 def approx_by_fibers(f: MeasuredFunction, eps: float, anchors_budget: int,
-                     spec: FiberFamilySpec) -> FiberApproxReport:
+                     height: int, params: tuple) -> FiberApproxReport:
     """Greedy anchor selection until every fiber projects within eps.
 
     For each candidate vertex x of the distinguished (last) coordinate, the
     fiber of f at x is projected onto the algebra generated by the cylinder
-    fiber family at (anchors + x) together with the dyadic level sets of the
-    anchors' own fibers.  The worst-approximated x joins the anchor list;
-    the report is flagged when the budget runs out above eps.  The rows
-    that come from the anchors are built once per round, and per candidate
-    only the rows of its own fibers.
+    fiber family (dyadic ``height``, substitutions from ``params``) at
+    (anchors + x) together with the dyadic level sets of the anchors' own
+    fibers.  The worst x joins the anchors, whose rows are built once per
+    round.  The search stops within eps, at the budget (flagged), or when
+    the worst x is already an anchor and so would add no generator.
     """
     real_numbers([eps], "eps")
     if not 0 <= eps < math.inf:
         raise InvalidArgumentError(f"eps must be finite and >= 0, got {eps}")
     budget, = indices((anchors_budget,), "anchors budget", 0)
+    spec = FiberFamilySpec(height, (), params)
     dist = k = f.arity - 1
     cells = math.prod(f.shape[:k])
     anchors: list = []
-
-    def family_rows(current):
-        return fiber_family(f, FiberFamilySpec(spec.height, tuple(current), spec.params)).masks
-
     while True:
         common = np.empty((0, cells), dtype=bool)
         if anchors:
             # refused where the family at (anchors + x) would be
-            check_array_cap(family_size(FiberFamilySpec(
-                spec.height, (*anchors, 0), spec.params), k) * cells, "fiber family")
+            check_array_cap(family_size(replace(spec, anchors=(*anchors, 0)), k) * cells,
+                            "fiber family")
             qs = np.array([float(q) for q in dyadics(spec.height)])[:, None, None]
             levels = np.moveaxis(f.values, dist, 0)[anchors].reshape(-1, cells) < qs
-            common = np.concatenate([family_rows(anchors), levels.reshape(-1, cells)])
+            common = np.concatenate([fiber_family(f, replace(spec, anchors=tuple(anchors))).masks,
+                                     levels.reshape(-1, cells)])
         errors = []
         # at arity 0 the one candidate is refused by fiber_family
         for x in range(math.prod(f.shape[dist:])):
-            partition = _partition(f.space, f.signature[:k],
-                                   np.concatenate([common, family_rows((x,))]))
+            own = fiber_family(f, replace(spec, anchors=(x,))).masks
+            partition = _partition(f.space, f.signature[:k], np.concatenate([common, own]))
             errors.append((project_simple(fiber(f, {dist: x}), partition)[1], x))
         worst_err, worst_x = max(errors, key=lambda t: (t[0], -t[1]))
-        if worst_err <= eps or len(anchors) >= budget:
+        if worst_err <= eps or len(anchors) >= budget or worst_x in anchors:
             return FiberApproxReport(tuple(anchors), worst_err, worst_err <= eps,
                                      tuple((x, e) for e, x in errors))
         anchors.append(worst_x)

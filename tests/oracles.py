@@ -13,6 +13,9 @@ its coefficients with ``bounded_least_squares``, which is checked against
 :func:`approx_by_fibers_oracle` is the anchor search on relations: its
 generators come from :func:`fiber_family_oracle` and ``level_set``, and it
 partitions and projects with the library's ``atoms`` and ``project_simple``.
+:func:`conditional_means_oracle` is the per-cell loop on the library's
+``weighted_sum`` and ``AtomPartition.cells``, the reference for the means
+taken in one pass over the cell order.
 :func:`box_solve_oracle` is the fitter's active-set solve on one problem at
 a time, the reference for the one that steps a whole stack of problems
 together.
@@ -616,11 +619,12 @@ def fiber_family_oracle(f, spec):
     return out
 
 
-def approx_by_fibers_oracle(f, eps, anchors_budget, spec):
+def approx_by_fibers_oracle(f, eps, anchors_budget, height, params):
     """The Relation form of ``approx_by_fibers``: for every candidate x in
     every round, the whole family at (anchors + x) is cut again by
     :func:`fiber_family_oracle`, the anchors' fibers are thresholded by
-    ``level_set`` one q at a time, and ``atoms`` stacks the list."""
+    ``level_set`` one q at a time, and ``atoms`` stacks the list.  A round
+    whose worst x is already an anchor ends the search."""
     from vck_lab.errors import InvalidArgumentError, indices, real_numbers
     from vck_lab.fibalg import FiberApproxReport, FiberFamilySpec, atoms, project_simple
     from vck_lab.space import dyadics, fiber, level_set
@@ -629,6 +633,7 @@ def approx_by_fibers_oracle(f, eps, anchors_budget, spec):
     if not 0 <= eps < math.inf:
         raise InvalidArgumentError(f"eps must be finite and >= 0, got {eps}")
     budget, = indices((anchors_budget,), "anchors budget", 0)
+    spec = FiberFamilySpec(height, (), params)
     dist = k = f.arity - 1
     anchors = []
     while True:
@@ -646,10 +651,23 @@ def approx_by_fibers_oracle(f, eps, anchors_budget, spec):
         if worst_err <= eps:
             return FiberApproxReport(tuple(anchors), worst_err, True,
                                      tuple((x, e) for e, x in errors))
-        if len(anchors) >= budget:
+        if len(anchors) >= budget or worst_x in anchors:
             return FiberApproxReport(tuple(anchors), worst_err, False,
                                      tuple((x, e) for e, x in errors))
         anchors.append(worst_x)
+
+
+def conditional_means_oracle(indicator, partition, wflat):
+    """Per-cell weighted mean, one cell at a time: the cell's flat indices
+    from ``partition.cells`` and its two ``weighted_sum``s (0 on null cells)."""
+    from vck_lab.space import weighted_sum
+
+    out = np.zeros(len(partition.cells))
+    for j, cell in enumerate(partition.cells):
+        wsum = weighted_sum(wflat[cell])
+        if wsum > 0.0:
+            out[j] = weighted_sum(wflat[cell], indicator[cell]) / wsum
+    return out
 
 
 def dumps_canonical_oracle(obj) -> str:

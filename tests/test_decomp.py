@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vck_lab import (BooleanCylinderExpr, CylinderDecomposition, CylinderTerm,
-                     FiberFamilySpec, MeasuredFunction, Part, PartiteSpace, PoolLeaf,
+                     MeasuredFunction, Part, PartiteSpace, PoolLeaf,
                      Relation, approx_by_fibers, boolean_of_lower_arity,
                      fit_boolean_cylinders, fit_weighted_cylinders, integrate,
                      l2_error, membership_gadget, parity_triple, quasirandom,
@@ -447,7 +447,7 @@ def test_approx_identical_fibers_single_anchor():
     space = uniform_space([4, 3])
     col = (np.arange(4) < 2).astype(float)
     f = Relation(space, (0, 1), np.repeat(col[:, None], 3, axis=1))
-    rep = approx_by_fibers(f, 1e-9, 3, FiberFamilySpec(1, (0,), ((0, 1, 2, 3),)))
+    rep = approx_by_fibers(f, 1e-9, 3, 1, ((0, 1, 2, 3),))
     assert rep.met_epsilon
     assert len(rep.anchors) == 1
     assert rep.max_error == 0.0
@@ -456,8 +456,7 @@ def test_approx_identical_fibers_single_anchor():
 def test_approx_membership_gadget_exact():
     for d in (2, 3):
         g = membership_gadget(d, 1)
-        spec = FiberFamilySpec(1, (0,), (tuple(range(d)),))
-        rep = approx_by_fibers(g, 1e-9, 2 ** d, spec)
+        rep = approx_by_fibers(g, 1e-9, 2 ** d, 1, (tuple(range(d)),))
         assert rep.met_epsilon
         assert rep.max_error == 0.0
 
@@ -465,8 +464,7 @@ def test_approx_membership_gadget_exact():
 def test_approx_quasirandom_unmet_epsilon_flagged():
     space = uniform_space([6, 6, 6])
     E = quasirandom(space, (0, 1, 2), 0.5, seed=4)
-    spec = FiberFamilySpec(1, (0,), ((0, 1), (0, 1)))
-    rep = approx_by_fibers(E, 0.1, 1, spec)
+    rep = approx_by_fibers(E, 0.1, 1, 1, ((0, 1), (0, 1)))
     assert not rep.met_epsilon
     assert rep.max_error > 0.1
     assert len(rep.per_fiber) == 6

@@ -323,7 +323,10 @@ def _refusals():
 
     space = PartiteSpace.uniform([2, 3])
     wrong_factor = CylinderTerm(Fraction(1), {(0,): MeasuredFunction(space, (1,), np.zeros(3))})
-    spec, spec_2ary = FiberFamilySpec(1, (0,), ()), FiberFamilySpec(1, (0,), ((0,),))
+    spec = FiberFamilySpec(1, (0,), ())
+
+    def approx_2ary(eps, budget, height=1, params=((0,),)):
+        return approx_by_fibers(_uniform([2, 2]), eps, budget, height, params)
     unary = Relation.from_bool(PartiteSpace.uniform([2, 2]), (0,), np.array([True, False]))
     other = Relation.from_bool(unary.space, (1,), np.array([True, False]))
     return [
@@ -365,23 +368,31 @@ def _refusals():
          "init decomposition targets a different signature"),
         ("family-arity", lambda: fiber_family(_uniform([3]), spec), InvalidArgumentError,
          "function must have arity >= 2"),
-        ("approx-arity", lambda: approx_by_fibers(_uniform([3]), 0.1, 1, spec),
+        ("approx-arity", lambda: approx_by_fibers(_uniform([3]), 0.1, 1, 1, ()),
          InvalidArgumentError, "function must have arity >= 2"),
         ("family-empty-row", lambda: fiber_family(_uniform([2, 2, 2]), FiberFamilySpec(
             1, (0,), ((0,), ()))), InvalidArgumentError, "parameter row 1 is empty"),
-        ("approx-eps-nan", lambda: approx_by_fibers(_uniform([2, 2]), math.nan, 1, spec_2ary),
+        ("approx-height", lambda: approx_2ary(0.1, 1, height=0), InvalidArgumentError,
+         "dyadic height must be >= 1, got 0"),
+        ("approx-empty-row", lambda: approx_by_fibers(
+            _uniform([2, 2, 2]), 0.1, 1, 1, ((0,), ())), InvalidArgumentError,
+         "parameter row 1 is empty"),
+        ("approx-vertex", lambda: approx_by_fibers(
+            _uniform([2, 2, 2]), 0.1, 1, 1, ((0,), (2,))), InvalidArgumentError,
+         "fiber vertices at coordinate 1 must be in [0, 2), got 2"),
+        ("approx-eps-nan", lambda: approx_2ary(math.nan, 1),
          InvalidArgumentError, "eps must be finite and >= 0, got nan"),
-        ("approx-eps-inf", lambda: approx_by_fibers(_uniform([2, 2]), math.inf, 1, spec_2ary),
+        ("approx-eps-inf", lambda: approx_2ary(math.inf, 1),
          InvalidArgumentError, "eps must be finite and >= 0, got inf"),
-        ("approx-eps-negative", lambda: approx_by_fibers(_uniform([2, 2]), -0.5, 1, spec_2ary),
+        ("approx-eps-negative", lambda: approx_2ary(-0.5, 1),
          InvalidArgumentError, "eps must be finite and >= 0, got -0.5"),
-        ("approx-eps-text", lambda: approx_by_fibers(_uniform([2, 2]), "0.1", 1, spec_2ary),
+        ("approx-eps-text", lambda: approx_2ary("0.1", 1),
          InvalidArgumentError, "eps must be numbers, got '0.1'"),
-        ("approx-budget-bool", lambda: approx_by_fibers(_uniform([2, 2]), 0.1, True, spec_2ary),
+        ("approx-budget-bool", lambda: approx_2ary(0.1, True),
          InvalidArgumentError, "anchors budget must be integers"),
-        ("approx-budget-float", lambda: approx_by_fibers(_uniform([2, 2]), 0.1, 2.5, spec_2ary),
+        ("approx-budget-float", lambda: approx_2ary(0.1, 2.5),
          InvalidArgumentError, "anchors budget must be integers"),
-        ("approx-budget-negative", lambda: approx_by_fibers(_uniform([2, 2]), 0.1, -1, spec_2ary),
+        ("approx-budget-negative", lambda: approx_2ary(0.1, -1),
          InvalidArgumentError, "anchors budget must be >= 0, got -1"),
         ("atoms-signatures", lambda: atoms([unary, other]), InvalidArgumentError,
          "generators must share a signature"),

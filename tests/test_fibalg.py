@@ -1,20 +1,23 @@
 """Fiber families, atom partitions, projections, rounding, and anchor search."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vck_lab import (FiberFamilySpec, MeasuredFunction, PartiteSpace, Relation,
+from vck_lab import (FiberFamilySpec, MeasuredFunction, Part, PartiteSpace, Relation,
                      approx_by_fibers, atoms, fiber_family, integrate, l2_distance,
                      membership_gadget, project_simple, quasirandom, round_to_cells)
 from vck_lab import defaults
-from vck_lab.fibalg import conditional_means, family_size
+from vck_lab import space as space_module
+from vck_lab.fibalg import AtomPartition, conditional_means, family_size
 from vck_lab.errors import InvalidArgumentError, ResourceLimitError
 
-from oracles import approx_by_fibers_oracle, atom_cells_oracle, fiber_family_oracle
+from oracles import (approx_by_fibers_oracle, atom_cells_oracle, conditional_means_oracle,
+                     fiber_family_oracle)
 
 
 def random_function(sizes, seed):
@@ -249,6 +252,67 @@ def test_project_matches_naive_cell_mean_oracle():
         assert np.allclose(g.values.ravel()[cell], mean, atol=1e-12)
 
 
+@st.composite
+def _weighted_partitions(draw):
+    """A signed function on 1-2 parts of 1-4 vertices, each part's weights
+    rational (some zero) or random floats, and cell labels over its grid
+    that may skip numbers; one cell may be made all zero weight."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    parts = []
+    for i, n in enumerate(sizes):
+        if draw(st.booleans()):
+            counts = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+            weights = tuple(Fraction(c, sum(counts)) for c in counts)
+        else:
+            raw = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).random(n) + 1e-3
+            weights = tuple((raw / math.fsum(raw.tolist())).tolist())
+        parts.append(Part(f"V{i}", n, weights))
+    space = PartiteSpace(tuple(parts))
+    sig = tuple(range(len(sizes)))
+    total = math.prod(sizes)
+    values = draw(st.lists(st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0]),
+                                     st.floats(-1.0, 1.0)), min_size=total, max_size=total))
+    f = MeasuredFunction(space, sig, np.reshape(values, sizes), name="s", signed=True)
+    labels = np.array(draw(st.lists(st.integers(0, 2 * total), min_size=total,
+                                    max_size=total)))
+    wflat = space.weight_tensor(sig).ravel()
+    null = draw(st.integers(0, total - 1))
+    if draw(st.booleans()) and np.any(wflat[labels != labels[null]] > 0):
+        wflat = np.where(labels == labels[null], 0.0, wflat)
+    return f, AtomPartition(space, sig, labels), wflat, draw(st.floats(-1.0, 1.0))
+
+
+@given(_weighted_partitions())
+@settings(max_examples=200, deadline=None)
+def test_cell_means_match_the_per_cell_loop_bit_for_bit(case):
+    f, part, wflat, threshold = case
+    flat = f.values.ravel()
+    assert (conditional_means(flat, part, wflat).tobytes()
+            == conditional_means_oracle(flat, part, wflat).tobytes())
+    means = conditional_means_oracle(flat, part, f.space.weight_tensor(f.signature).ravel())
+    assert (project_simple(f, part)[0].values.ravel().tobytes()
+            == means[part.labels].tobytes())
+    assert np.array_equal(round_to_cells(f, part, threshold).values.ravel(),
+                          means[part.labels] > threshold)
+
+
+def test_cell_means_take_no_weighted_sum_and_no_cell_arrays(monkeypatch):
+    f = random_function([6, 6], 8)
+    part = atoms([random_relation([6, 6], 80 + s) for s in range(3)])
+    calls = []
+    real = space_module.weighted_sum
+    monkeypatch.setattr(space_module, "weighted_sum",
+                        lambda *factors: calls.append(1) or real(*factors))
+    conditional_means(f.values.ravel(), part, f.space.weight_tensor(f.signature).ravel())
+    round_to_cells(f, part, 0.5)
+    assert not calls
+    project_simple(f, part)
+    assert len(calls) == 1  # its L2 error
+    order = part.cell_order
+    round_to_cells(f, part, 0.25)
+    assert part.cell_order is order and "cells" not in vars(part)
+
+
 def test_projection_first_order_optimality():
     for seed in range(10):
         f = random_function([4, 4], seed)
@@ -291,9 +355,9 @@ def test_round_to_cells_three_eps_bound():
 
 # -- anchor search ----------------------------------------------------------------------
 
-def _approx_outcome(search, f, eps, budget, spec):
+def _approx_outcome(search, f, eps, budget, height, params):
     try:
-        rep = search(f, eps, budget, spec)
+        rep = search(f, eps, budget, height, params)
     except (InvalidArgumentError, ResourceLimitError) as exc:
         return type(exc), str(exc)
     return rep.anchors, rep.max_error.hex(), rep.met_epsilon, tuple(
@@ -302,14 +366,15 @@ def _approx_outcome(search, f, eps, budget, spec):
 
 @st.composite
 def _approx_cases(draw):
-    """A 2- or 3-ary function, values on and off the dyadic thresholds, a
-    family spec, eps and a budget; at most one of them is refused."""
+    """A 2- or 3-ary function, values on and off the dyadic thresholds, eps,
+    a budget, a dyadic height and parameter rows; at most one is refused."""
     sizes = draw(st.lists(st.integers(2, 4), min_size=2, max_size=3))
     f = _draw_function(draw, sizes)
     rows = [draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)) for n in sizes[:-1]]
     eps = draw(st.sampled_from([0.0, 0.0, 0.0, 0.01, 0.1]))
     budget = draw(st.sampled_from([0, 1, 2, 3, 3, 4]))
-    fault = draw(st.sampled_from([None] * 8 + ["param", "empty", "eps", "budget"]))
+    height = draw(st.integers(1, 2))
+    fault = draw(st.sampled_from([None] * 8 + ["param", "empty", "eps", "budget", "height"]))
     if fault == "param":
         rows[-1].append(sizes[len(rows) - 1])
     elif fault == "empty":
@@ -318,7 +383,9 @@ def _approx_cases(draw):
         eps = draw(st.sampled_from([math.nan, math.inf, -0.1, True, "0.1"]))
     elif fault == "budget":
         budget = draw(st.sampled_from([-1, 2.5, True]))
-    return f, eps, budget, FiberFamilySpec(draw(st.integers(1, 2)), (0,), rows)
+    elif fault == "height":
+        height = draw(st.sampled_from([0, -1, 1.0, True]))
+    return f, eps, budget, height, rows
 
 
 @given(_approx_cases())
@@ -335,8 +402,23 @@ def test_approx_by_fibers_refuses_the_family_where_the_oracle_does(monkeypatch):
     # end there with eps 0 unmet
     space = PartiteSpace.uniform([4, 4, 6])
     E = quasirandom(space, (0, 1, 2), 0.5, seed=4)
-    spec = FiberFamilySpec(1, (0,), ((0,), (0,)))
     monkeypatch.setattr(defaults, "ARRAY_CAP", 192)
-    got = _approx_outcome(approx_by_fibers, E, 0.0, 2, spec)
+    got = _approx_outcome(approx_by_fibers, E, 0.0, 2, 1, ((0,), (0,)))
     assert got == (ResourceLimitError, "fiber family would build 288 entries (cap 192)")
-    assert got == _approx_outcome(approx_by_fibers_oracle, E, 0.0, 2, spec)
+    assert got == _approx_outcome(approx_by_fibers_oracle, E, 0.0, 2, 1, ((0,), (0,)))
+
+
+@pytest.mark.parametrize("budget", [2, 4])
+def test_approx_by_fibers_stops_when_the_worst_vertex_is_an_anchor(budget):
+    # column 0 = (0.3, 0.4) sits inside one dyadic bin of height 2, so its
+    # level sets split nothing; picking vertex 0 again would add no generator
+    values = np.full((2, 3), 0.5)
+    values[:, 0] = (0.3, 0.4)
+    f = MeasuredFunction(PartiteSpace.uniform([2, 3]), (0, 1), values)
+    once = approx_by_fibers(f, 0.01, 1, 2, ((0,),))
+    rep = approx_by_fibers(f, 0.01, budget, 2, ((0,),))
+    assert once.anchors == rep.anchors == (0,)
+    assert rep.max_error == once.max_error == pytest.approx(0.05)
+    assert not rep.met_epsilon and rep.per_fiber == once.per_fiber
+    assert (_approx_outcome(approx_by_fibers, f, 0.01, budget, 2, ((0,),))
+            == _approx_outcome(approx_by_fibers_oracle, f, 0.01, budget, 2, ((0,),)))
